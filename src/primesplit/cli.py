@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -517,7 +516,6 @@ def build_parser():
 def main(argv=None):
     # Output is unconditionally plain ASCII; PLAIN_OUTPUT is accepted for
     # interface compatibility but changes nothing.
-    os.environ.get("PLAIN_OUTPUT")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -188,6 +188,11 @@ def index_divisible(f, modulus, seed=0):
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
     _rational_root_screen(f)
+    return _dedekind_verdict(f, modulus, seed=seed)
+
+
+def _dedekind_verdict(f, modulus, seed=0):
+    """index_divisible without its input checks, for callers that already ran them."""
     factors, m = factorization_with_cofactor(f, modulus, seed=seed)
     m_red = reduce_mod(m, modulus)
     for g, e in factors:

@@ -14,7 +14,9 @@ reproducible.
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
+from .criteria import _dedekind_verdict
 from .fppoly import PrimeModulus, is_prime
 from .zpoly import ZPoly, bareiss_determinant, discriminant
 
@@ -221,60 +223,31 @@ def element_mul(a, b):
 
 # -- characteristic polynomials ------------------------------------------
 
-def _poly_matrix_det(m):
-    """Determinant of a matrix of ascending-coefficient lists (exact, division-free)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    det = []
-    for i in range(n):
-        if m[i][0]:
-            minor = [
-                [m[r][c] for c in range(1, n)] for r in range(n) if r != i
-            ]
-            term = _pl_mul(m[i][0], _poly_matrix_det(minor))
-            if i % 2:
-                term = [-c for c in term]
-            det = _pl_add(det, term)
-    return det
-
-
-def _pl_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _pl_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def charpoly_matrix(a):
-    """Characteristic polynomial of a square integer matrix (ascending list).
+    """Characteristic polynomial det(t*I - A) of a square integer matrix (ascending list).
 
-    Computed as the determinant of t*I - A by exact cofactor expansion.
+    Berkowitz's algorithm (S. J. Berkowitz, IPL 18, 1984): the charpoly
+    of each leading principal block follows from the previous one by a
+    Toeplitz product, so it costs O(n^4) ring operations and no division.
     """
     n = len(a)
-    m = [
-        [
-            [-a[i][j], 1] if i == j else [-a[i][j]]
-            for j in range(n)
+    cp = [1]  # descending coefficients for the leading r x r block
+    for r in range(n):
+        row = a[r][:r]
+        block = [a[i][:r] for i in range(r)]
+        v = [a[i][r] for i in range(r)]
+        # first column of the Toeplitz matrix: 1, -a_rr, -R*S, -R*B*S, ..., -R*B^(r-1)*S
+        toep = [1, -a[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(x * y for x, y in zip(bi, v)) for bi in block]
+            toep.append(-sum(x * y for x, y in zip(row, v)))
+        cp = [
+            sum(toep[i - j] * cp[j] for j in range(min(i, r) + 1))
+            for i in range(r + 2)
         ]
-        for i in range(n)
-    ]
-    det = _poly_matrix_det(m)
-    det = det + [0] * (n + 1 - len(det))
-    return det
+    cp.reverse()
+    return cp
 
 
 def char_poly(elem):
@@ -346,19 +319,13 @@ def _hnf_fraction_rows(rows, n):
     denom = 1
     for row in rows:
         for c in row:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+            denom = denom * c.denominator // gcd(denom, c.denominator)
     scaled = [
         [int(c * denom) for c in row]
         for row in rows
     ]
     h = hnf(scaled, n)
     return [[Fraction(c, denom) for c in row] for row in h]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _fraction_matrix_inverse(rows):
@@ -608,10 +575,12 @@ def _integer_nth_root(n, e):
 def maximal_order(f, bound=10**6, labels=None):
     """Maximal order of Q[t]/(f) and its discriminant (the fundamental number).
 
-    Enlarges the power-basis order at every prime whose square divides
-    disc(f).  The discriminant must factor by trial division at the
-    given bound.  Returns (order, D); the order's ``basis_in_parent``
-    is relative to the power basis.
+    Enlarges the power-basis order at every prime q whose square divides
+    disc(f) and that Dedekind's criterion says divides the index of
+    Z[t]/(f); at the other primes the power basis is already q-maximal.
+    The discriminant must factor by trial division at the given bound.
+    Returns (order, D); the order's ``basis_in_parent`` is relative to
+    the power basis (identity rows when no prime enlarges it).
     """
     if not f.is_monic():
         raise ValueError("maximal order requires a monic polynomial")
@@ -620,23 +589,28 @@ def maximal_order(f, bound=10**6, labels=None):
     if disc == 0:
         raise ValueError("polynomial has a repeated root (discriminant 0)")
     factors = trial_factor(disc, bound)
-    order = order_from_polynomial(f, labels=labels)
+    base = order_from_polynomial(f, labels=labels)
+    order = base
     emb = [
-        [Fraction(1 if j == i else 0) for j in range(order.n)]
-        for i in range(order.n)
+        [Fraction(1 if j == i else 0) for j in range(base.n)]
+        for i in range(base.n)
     ]
-    base = order
     for q in sorted(factors):
         if factors[q] < 2:
             continue
-        enlarged = p_enlarge(order, PrimeModulus(q))
-        emb = _compose(enlarged.basis_in_parent, emb)
-        order = Order(
-            enlarged.table,
-            labels=enlarged.labels,
-            parent=base,
-            basis_in_parent=tuple(tuple(r) for r in emb),
-        )
+        modulus = PrimeModulus(q)
+        # Enlarging at other primes leaves the q-index alone, so when
+        # q does not divide the index of Z[t]/(f) the scan finds nothing.
+        if not _dedekind_verdict(f, modulus).divisible:
+            continue
+        order = p_enlarge(order, modulus)
+        emb = _compose(order.basis_in_parent, emb)
+    order = Order(
+        order.table,
+        labels=order.labels,
+        parent=base,
+        basis_in_parent=tuple(tuple(r) for r in emb),
+    )
     return order, order_discriminant(order)
 
 
@@ -701,7 +675,7 @@ def cubic_family(a, b, ap, bp):
     """
     g = 0
     for v in (a, b, ap, bp):
-        g = _gcd(g, v)
+        g = gcd(g, v)
     if g != 1:
         raise ValueError("parameters must be coprime, gcd is %d" % g)
     table = [

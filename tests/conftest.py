@@ -1,9 +1,16 @@
 """Shared generators and small oracles for the test suite."""
 
 import random
+from fractions import Fraction
 
-from primesplit.fppoly import FpPoly
-from primesplit.zpoly import ZPoly
+from primesplit.fppoly import FpPoly, PrimeModulus
+from primesplit.orders import (
+    order_discriminant,
+    order_from_polynomial,
+    p_enlarge,
+    trial_factor,
+)
+from primesplit.zpoly import ZPoly, discriminant
 
 
 def random_fp_poly(rng, modulus, max_degree, nonzero=True):
@@ -94,3 +101,71 @@ def fraction_determinant(matrix):
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     assert det.denominator == 1
     return int(det)
+
+
+def cofactor_charpoly(a):
+    """Oracle: det(t*I - A) by exact cofactor expansion (ascending list, factorial time)."""
+    n = len(a)
+    m = [
+        [[-a[i][j], 1] if i == j else [-a[i][j]] for j in range(n)]
+        for i in range(n)
+    ]
+    det = _poly_matrix_det(m)
+    return det + [0] * (n + 1 - len(det))
+
+
+def _poly_matrix_det(m):
+    """Determinant of a matrix of ascending-coefficient lists (exact, division-free)."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    det = []
+    for i in range(n):
+        if m[i][0]:
+            minor = [
+                [m[r][c] for c in range(1, n)] for r in range(n) if r != i
+            ]
+            term = _pl_mul(m[i][0], _poly_matrix_det(minor))
+            if i % 2:
+                term = [-c for c in term]
+            det = _pl_add(det, term)
+    return det
+
+
+def _pl_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _pl_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def always_scan_maximal_order(f, bound=10**6):
+    """Oracle: p-enlarge Z[t]/(f) at every q with q^2 | disc(f), with no Dedekind skip.
+
+    Returns (basis rows in power-basis coordinates, discriminant).
+    """
+    order = order_from_polynomial(f)
+    n = order.n
+    emb = [[Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    for q, e in sorted(trial_factor(discriminant(f), bound).items()):
+        if e < 2:
+            continue
+        order = p_enlarge(order, PrimeModulus(q))
+        emb = [
+            [sum(row[k] * emb[k][j] for k in range(n)) for j in range(n)]
+            for row in order.basis_in_parent
+        ]
+    return tuple(tuple(r) for r in emb), order_discriminant(order)

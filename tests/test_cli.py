@@ -119,6 +119,15 @@ class TestMaximalOrderCommand:
         assert payload["results"]["fundamental_number"] == 2873
         assert payload["results"]["discriminant_power_basis"] == 11492
 
+    def test_squarefree_discriminant(self):
+        status, out, _ = run_cli("--json", "maximal-order", "t^3-t-1")
+        results = json.loads(out)["results"]
+        assert status == 0
+        assert results["fundamental_number"] == -23
+        assert results["basis_in_power_coordinates"] == [
+            "[1, 0, 0]", "[0, 1, 0]", "[0, 0, 1]"
+        ]
+
     def test_trial_division_bound_exceeded(self):
         status, _, err = run_cli(
             "--bound", "1", "maximal-order", "t^3-t^2-2t-8"

@@ -1,14 +1,26 @@
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from conftest import random_irreducible_cubic
-from primesplit import fixtures
-from primesplit.fppoly import PrimeModulus
+from conftest import (
+    always_scan_maximal_order,
+    cofactor_charpoly,
+    fraction_determinant,
+    has_integer_root,
+    random_irreducible_cubic,
+    random_irreducible_quartic,
+    random_monic_zpoly,
+)
+from primesplit import fixtures, orders
+from primesplit.criteria import index_divisible
+from primesplit.fppoly import PrimeModulus, fp_is_irreducible
 from primesplit.orders import (
     Order,
     char_poly,
+    charpoly_matrix,
     cubic_family,
     element_index,
     element_norm,
@@ -22,7 +34,7 @@ from primesplit.orders import (
     p_enlarge,
     trial_factor,
 )
-from primesplit.zpoly import ZPoly, discriminant
+from primesplit.zpoly import ZPoly, discriminant, reduce_mod
 
 
 MAX_CUBIC = fixtures.maximal_cubic_order()
@@ -117,6 +129,32 @@ class TestCharPoly:
             for c in reversed(cp.coeffs):
                 acc = acc * x + SQRT2.identity() * c
             assert acc.is_zero()
+
+    def test_matches_cofactor_oracle(self):
+        rng = random.Random(71)
+        cases = [[[rng.randrange(-9, 10)]] for _ in range(5)]
+        for n in range(1, 8):
+            cases.append([[0] * n for _ in range(n)])
+            for _ in range(3 if n < 7 else 1):
+                dense = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+                zero_row = [list(r) for r in dense]
+                zero_row[rng.randrange(n)] = [0] * n
+                k = rng.randrange(n)
+                zero_col = [[0 if j == k else c for j, c in enumerate(r)] for r in dense]
+                cases += [dense, zero_row, zero_col]
+        for a in cases:
+            assert charpoly_matrix(a) == cofactor_charpoly(a)
+
+    def test_rank_ten_well_inside_time_bound(self):
+        # the cofactor expansion takes on the order of 10! products here
+        rng = random.Random(73)
+        a = [[rng.randrange(-9, 10) for _ in range(10)] for _ in range(10)]
+        start = time.perf_counter()
+        cp = charpoly_matrix(a)
+        assert time.perf_counter() - start < 5.0
+        assert len(cp) == 11 and cp[10] == 1
+        assert -cp[9] == sum(a[i][i] for i in range(10))
+        assert cp[0] == fraction_determinant(a)
 
 
 class TestOrderDiscriminant:
@@ -258,6 +296,57 @@ class TestMaximalOrder:
                 ratio = discriminant(fixtures.quartic_poly()) // d
                 assert d % q == 0 or ratio % (q * q) == 0
 
+    # t^3 - t - 1 has a square-free discriminant; at every q with q^2 | disc
+    # of the others, Dedekind's criterion says q does not divide the index
+    @pytest.mark.parametrize(
+        "text", ["t^5 - 2", "t^5 + 10*t + 1", "t^2 - 2", "t^3 - t - 1"]
+    )
+    def test_power_basis_kept_without_p_enlarge(self, monkeypatch, text):
+        primes = _count_p_enlarge(monkeypatch)
+        f = ZPoly.from_text(text)
+        order, d = maximal_order(f)
+        assert primes == []
+        assert order.basis_in_parent == _identity_rows(f.degree)
+        assert d == discriminant(f)
+
+    def test_enlarges_where_dedekind_says_index_divisible(self, monkeypatch):
+        primes = _count_p_enlarge(monkeypatch)
+        _, d = maximal_order(fixtures.cubic_poly())
+        assert primes == [2]
+        assert d == -503
+
+    def test_agrees_with_always_scan_oracle(self):
+        rng = random.Random(83)
+        generators = (
+            (3, lambda: random_irreducible_cubic(rng, 12)),
+            (4, lambda: random_irreducible_quartic(rng, 6)),
+            (5, lambda: _random_irreducible_quintic(rng, 4)),
+        )
+        skipped = enlarged = 0
+        for n, gen in generators:
+            done = 0
+            while done < 20:
+                f = gen()
+                disc = discriminant(f)
+                if disc == 0:
+                    continue
+                bad = [q for q, e in trial_factor(disc, 10**6).items() if e >= 2]
+                # keep the oracle's q^n scans small
+                if not bad or any(q**n > 10**4 for q in bad):
+                    continue
+                order, d = maximal_order(f)
+                basis, oracle_d = always_scan_maximal_order(f)
+                assert order.basis_in_parent == basis
+                assert d == oracle_d
+                index = 1 / abs(_fraction_rows_det(basis))
+                assert index.denominator == 1
+                assert disc == index**2 * d
+                divisible = [index_divisible(f, q).divisible for q in bad]
+                skipped += divisible.count(False)
+                enlarged += divisible.count(True)
+                done += 1
+        assert skipped and enlarged
+
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
             maximal_order(ZPoly.from_text("t^3 - t^2 + 2*t - 8"))  # root 2
@@ -375,6 +464,39 @@ class TestQuarticPaperBasis:
         assert order_discriminant(derived) == 2873
         computed, _ = maximal_order(fixtures.quartic_poly())
         assert derived.basis_in_parent == computed.basis_in_parent
+
+
+def _identity_rows(n):
+    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+
+
+def _count_p_enlarge(monkeypatch):
+    """Record the prime of every p_enlarge call maximal_order makes."""
+    primes = []
+    real = orders.p_enlarge
+
+    def counting(order, modulus):
+        primes.append(int(modulus))
+        return real(order, modulus)
+
+    monkeypatch.setattr(orders, "p_enlarge", counting)
+    return primes
+
+
+def _random_irreducible_quintic(rng, bound):
+    # irreducible mod a prime implies irreducible over Q
+    while True:
+        f = random_monic_zpoly(rng, 5, bound)
+        if has_integer_root(f):
+            continue
+        if any(fp_is_irreducible(reduce_mod(f, PrimeModulus(q))) for q in (2, 3, 5, 7)):
+            return f
+
+
+def _fraction_rows_det(rows):
+    denom = lcm(*(c.denominator for row in rows for c in row))
+    scaled = [[int(c * denom) for c in row] for row in rows]
+    return Fraction(fraction_determinant(scaled), denom ** len(rows))
 
 
 def _lattice_member(vec, basis):
