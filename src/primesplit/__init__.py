@@ -34,7 +34,6 @@ from .ideals import (
     bracket_str,
     crt_good_generator,
     factor_p_in_order,
-    hnf,
     ideal_from_generators,
     ideal_norm,
     ideal_product,
@@ -53,6 +52,7 @@ from .orders import (
     element_mul,
     element_norm,
     element_trace,
+    hnf,
     maximal_order,
     order_discriminant,
     order_from_polynomial,

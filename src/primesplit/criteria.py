@@ -124,14 +124,15 @@ class PrimeIdealSymbol:
 class IndexVerdict:
     """Outcome of the index-divisibility test, with its repeated-factor witness."""
 
-    __slots__ = ("divisible", "witness", "cofactor")
+    __slots__ = ("divisible", "witness", "cofactor", "factors")
 
-    def __init__(self, divisible, witness, cofactor):
+    def __init__(self, divisible, witness, cofactor, factors=None):
         if divisible != (witness is not None):
             raise ValueError("witness must be present exactly when divisible")
         self.divisible = divisible
         self.witness = witness  # (FpPoly, exponent) or None
         self.cofactor = cofactor  # ZPoly M from balanced lifts
+        self.factors = factors  # the fp_factor list of f mod p the test read
 
     def __repr__(self):
         if self.divisible:
@@ -188,17 +189,16 @@ def index_divisible(f, modulus, seed=0):
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
     _rational_root_screen(f)
-    return _dedekind_verdict(f, modulus, seed=seed)
+    return _dedekind_verdict(modulus, *factorization_with_cofactor(f, modulus, seed=seed))
 
 
-def _dedekind_verdict(f, modulus, seed=0):
-    """index_divisible without its input checks, for callers that already ran them."""
-    factors, m = factorization_with_cofactor(f, modulus, seed=seed)
+def _dedekind_verdict(modulus, factors, m):
+    """index_divisible's verdict from the factors of f mod p and the cofactor M."""
     m_red = reduce_mod(m, modulus)
     for g, e in factors:
         if e >= 2 and (m_red % g).is_zero():
-            return IndexVerdict(True, (g, e), m)
-    return IndexVerdict(False, None, m)
+            return IndexVerdict(True, (g, e), m, factors)
+    return IndexVerdict(False, None, m, factors)
 
 
 def _rational_root_screen(f):
@@ -226,7 +226,7 @@ def factor_prime_via_polynomial(f, modulus, seed=0):
     verdict = index_divisible(f, modulus, seed=seed)
     if verdict.divisible:
         raise IndexDivisorError(verdict)
-    factors = fp_factor(reduce_mod(f, modulus), seed=seed)
+    factors = verdict.factors
     parts = [(g.degree, e) for g, e in factors]
     shape = SplittingShape(modulus, parts)
     if shape.n != f.degree:

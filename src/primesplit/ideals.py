@@ -17,100 +17,17 @@ from .fppoly import FpPoly, PrimeModulus, fp_is_irreducible
 from .orders import (
     Order,
     OrderElement,
+    _bracket_entry,
+    _unit,
+    _upper_hnf,
     char_poly,
     element_index,
+    hnf,
+    lattice_contains,
     order_discriminant,
     p_enlarge,
 )
 from .zpoly import lift, reduce_mod
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def _upper_hnf(rows, transform=False):
-    """Row-style HNF with leftmost pivots; optionally track the row transform."""
-    basis = {}  # pivot column -> (row, combo)
-    nrows = len(rows)
-    for idx, vec in enumerate(rows):
-        v = list(vec)
-        combo = [0] * nrows
-        if transform:
-            combo[idx] = 1
-        while True:
-            j = next((c for c, x in enumerate(v) if x), None)
-            if j is None:
-                break
-            if j not in basis:
-                basis[j] = (v, combo)
-                break
-            r, rc = basis[j]
-            a, b = r[j], v[j]
-            if b % a == 0:
-                q = b // a
-                v = [x - q * y for x, y in zip(v, r)]
-                if transform:
-                    combo = [x - q * y for x, y in zip(combo, rc)]
-            else:
-                g, s, t = _xgcd(a, b)
-                new_r = [s * x + t * y for x, y in zip(r, v)]
-                new_rc = (
-                    [s * x + t * y for x, y in zip(rc, combo)]
-                    if transform
-                    else combo
-                )
-                q = a // g
-                w = b // g
-                v = [q * y - w * x for x, y in zip(r, v)]
-                if transform:
-                    combo = [q * y - w * x for x, y in zip(rc, combo)]
-                basis[j] = (new_r, new_rc)
-    # normalize pivot signs, then reduce entries above each pivot
-    for j in sorted(basis):
-        r, rc = basis[j]
-        if r[j] < 0:
-            basis[j] = ([-x for x in r], [-x for x in rc])
-    pivots = sorted(basis)
-    for pos, j in enumerate(pivots):
-        r, rc = basis[j]
-        for jj in pivots[:pos]:
-            s, sc = basis[jj]
-            q = s[j] // r[j]
-            if q:
-                basis[jj] = (
-                    [x - q * y for x, y in zip(s, r)],
-                    [x - q * y for x, y in zip(sc, rc)],
-                )
-    out = [basis[j][0] for j in pivots]
-    combos = [basis[j][1] for j in pivots]
-    return (out, combos) if transform else out
-
-
-def hnf(rows, n=None):
-    """Canonical triangular basis of the lattice spanned by integer rows.
-
-    Requires the span to have full rank n (defaults to the row width);
-    raises ValueError on rank deficiency.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        raise ValueError("no generators given")
-    if n is None:
-        n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise ValueError("rows have inconsistent width")
-    flipped = [r[::-1] for r in rows]
-    h = _upper_hnf(flipped)
-    if len(h) != n:
-        raise ValueError("generators span a rank-%d lattice, need %d" % (len(h), n))
-    return tuple(tuple(r[::-1]) for r in reversed(h))
 
 
 def solve_in_rowspan(rows, target):
@@ -129,20 +46,6 @@ def solve_in_rowspan(rows, target):
     if any(v):
         return None
     return coeff
-
-
-def lattice_contains(basis, vec):
-    """Membership of an integer vector in a canonical triangular lattice basis."""
-    v = list(vec)
-    for i in range(len(basis) - 1, -1, -1):
-        piv = basis[i][i]
-        q, r = divmod(v[i], piv)
-        if r:
-            return False
-        if q:
-            for j in range(i + 1):
-                v[j] -= q * basis[i][j]
-    return True
 
 
 def reduce_mod_lattice(basis, vec):
@@ -217,32 +120,11 @@ class LatticeIdeal:
         return "LatticeIdeal(%s)" % bracket_str(self)
 
 
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
 def bracket_str(ideal):
     """Paper-style bracket notation, e.g. ``[2, a, 1+b]``."""
     return "[%s]" % ", ".join(
         _bracket_entry(r, ideal.order.labels) for r in ideal.rows
     )
-
-
-def _bracket_entry(coords, labels):
-    parts = []
-    for c, label in zip(coords, labels):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if label == "1":
-            body = str(mag)
-        else:
-            body = label if mag == 1 else "%d%s" % (mag, label)
-        if not parts:
-            parts.append("-" + body if c < 0 else body)
-        else:
-            parts.append(("-" if c < 0 else "+") + body)
-    return "".join(parts) if parts else "0"
 
 
 def whole_order(order):

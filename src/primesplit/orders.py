@@ -6,6 +6,10 @@ each product of basis elements as an integer coordinate vector.
 Commutativity, the identity law, and associativity on all basis triples
 are checked eagerly at construction, so a bad table fails fast.
 
+Integer lattices in canonical triangular (Hermite normal) form live
+here too: the HNF kernel that ideals use, and the rational lattices of
+p-enlargement, kept as integer rows over one common denominator.
+
 Orders and elements are immutable; every operation is a pure function.
 The p-enlargement search walks candidate denominators deterministically
 (lexicographically smallest coordinate vector first), so results are
@@ -14,9 +18,13 @@ reproducible.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .criteria import _dedekind_verdict
+from .criteria import (
+    _dedekind_verdict,
+    _rational_root_screen,
+    factorization_with_cofactor,
+)
 from .fppoly import PrimeModulus, is_prime
 from .zpoly import ZPoly, bareiss_determinant, discriminant
 
@@ -29,9 +37,9 @@ class Order:
     the coordinates of the order this one was enlarged from.
     """
 
-    __slots__ = ("n", "labels", "table", "parent", "basis_in_parent")
+    __slots__ = ("n", "labels", "table", "basis_in_parent")
 
-    def __init__(self, table, labels=None, parent=None, basis_in_parent=None):
+    def __init__(self, table, labels=None, basis_in_parent=None):
         table = tuple(
             tuple(tuple(int(c) for c in vec) for vec in row) for row in table
         )
@@ -53,7 +61,6 @@ class Order:
         self.labels = tuple(labels) if labels else _default_labels(n)
         if len(self.labels) != n:
             raise ValueError("need %d basis labels" % n)
-        self.parent = parent
         self.basis_in_parent = basis_in_parent
         self._check_associativity()
 
@@ -196,25 +203,25 @@ class OrderElement:
         return hash((self.order, self.coords))
 
     def __repr__(self):
-        return "OrderElement(%s)" % format_element(self)
+        return "OrderElement(%s)" % _bracket_entry(self.coords, self.order.labels)
 
 
-def format_element(elem):
-    """Human-readable combination of basis labels, e.g. ``2 + a - 3*b``."""
+def _bracket_entry(coords, labels):
+    """Compact combination of basis labels, e.g. ``2+a-3b``."""
     parts = []
-    for c, label in zip(elem.coords, elem.order.labels):
+    for c, label in zip(coords, labels):
         if c == 0:
             continue
         mag = abs(c)
         if label == "1":
             body = str(mag)
         else:
-            body = label if mag == 1 else "%d*%s" % (mag, label)
+            body = label if mag == 1 else "%d%s" % (mag, label)
         if not parts:
             parts.append("-" + body if c < 0 else body)
         else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+            parts.append(("-" if c < 0 else "+") + body)
+    return "".join(parts) if parts else "0"
 
 
 def element_mul(a, b):
@@ -310,46 +317,162 @@ def element_index(order, theta):
     return abs(bareiss_determinant(rows))
 
 
-# -- p-enlargement toward the maximal order --------------------------------
-
-def _hnf_fraction_rows(rows, n):
-    """Lattice basis in the canonical triangular form, for rational row spans."""
-    from .ideals import hnf  # local import; ideals depends on orders
-
-    denom = 1
-    for row in rows:
-        for c in row:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    scaled = [
-        [int(c * denom) for c in row]
-        for row in rows
-    ]
-    h = hnf(scaled, n)
-    return [[Fraction(c, denom) for c in row] for row in h]
+# -- integer lattices --------------------------------------------------------
+#
+# A lattice of full rank n is kept as integer rows in the canonical
+# triangular form: row i has its last nonzero entry at column i, the
+# diagonal is positive and the entries before each pivot are reduced
+# into [0, pivot).  A rational lattice is such rows over one positive
+# denominator d, with (rows, d) in lowest terms, so equal lattices have
+# equal (rows, d).
 
 
-def _fraction_matrix_inverse(rows):
-    n = len(rows)
-    aug = [
-        [Fraction(rows[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
+def _xgcd(a, b):
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _upper_hnf(rows, transform=False):
+    """Row-style HNF with leftmost pivots; optionally track the row transform."""
+    basis = {}  # pivot column -> (row, combo)
+    nrows = len(rows)
+    for idx, vec in enumerate(rows):
+        v = list(vec)
+        combo = [0] * nrows
+        if transform:
+            combo[idx] = 1
+        while True:
+            j = next((c for c, x in enumerate(v) if x), None)
+            if j is None:
+                break
+            if j not in basis:
+                basis[j] = (v, combo)
+                break
+            r, rc = basis[j]
+            a, b = r[j], v[j]
+            if b % a == 0:
+                q = b // a
+                v = [x - q * y for x, y in zip(v, r)]
+                if transform:
+                    combo = [x - q * y for x, y in zip(combo, rc)]
+            else:
+                g, s, t = _xgcd(a, b)
+                new_r = [s * x + t * y for x, y in zip(r, v)]
+                new_rc = (
+                    [s * x + t * y for x, y in zip(rc, combo)]
+                    if transform
+                    else combo
+                )
+                q = a // g
+                w = b // g
+                v = [q * y - w * x for x, y in zip(r, v)]
+                if transform:
+                    combo = [q * y - w * x for x, y in zip(rc, combo)]
+                basis[j] = (new_r, new_rc)
+    # normalize pivot signs, then reduce entries above each pivot
+    for j in sorted(basis):
+        r, rc = basis[j]
+        if r[j] < 0:
+            basis[j] = ([-x for x in r], [-x for x in rc])
+    pivots = sorted(basis)
+    for pos, j in enumerate(pivots):
+        r, rc = basis[j]
+        for jj in pivots[:pos]:
+            s, sc = basis[jj]
+            q = s[j] // r[j]
+            if q:
+                basis[jj] = (
+                    [x - q * y for x, y in zip(s, r)],
+                    [x - q * y for x, y in zip(sc, rc)],
+                )
+    out = [basis[j][0] for j in pivots]
+    combos = [basis[j][1] for j in pivots]
+    return (out, combos) if transform else out
+
+
+def hnf(rows, n=None):
+    """Canonical triangular basis of the lattice spanned by integer rows.
+
+    Requires the span to have full rank n (defaults to the row width);
+    raises ValueError on rank deficiency.
+    """
+    rows = [list(r) for r in rows]
+    if not rows:
+        raise ValueError("no generators given")
+    if n is None:
+        n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise ValueError("rows have inconsistent width")
+    flipped = [r[::-1] for r in rows]
+    h = _upper_hnf(flipped)
+    if len(h) != n:
+        raise ValueError("generators span a rank-%d lattice, need %d" % (len(h), n))
+    return tuple(tuple(r[::-1]) for r in reversed(h))
+
+
+def _lattice_coords(basis, vec):
+    """Integer y with sum(y_i * basis_i) = vec in a canonical triangular basis, or None."""
+    v = list(vec)
+    y = [0] * len(basis)
+    for i in range(len(basis) - 1, -1, -1):
+        q, r = divmod(v[i], basis[i][i])
+        if r:
+            return None
+        if q:
+            y[i] = q
+            for j in range(i + 1):
+                v[j] -= q * basis[i][j]
+    return y
+
+
+def lattice_contains(basis, vec):
+    """Membership of an integer vector in a canonical triangular lattice basis."""
+    return _lattice_coords(basis, vec) is not None
+
+
+def _lattice(rows, d):
+    """Canonical (rows, d) of the lattice spanned by the integer rows divided by d."""
+    return _lowest_terms(hnf(rows), d)
+
+
+def _lowest_terms(rows, d):
+    g = gcd(d, *(c for row in rows for c in row))
+    return [[c // g for c in row] for row in rows], d // g
+
+
+def _over_common_denominator(rows):
+    """Rational rows as (integer rows, d), d the least common denominator."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    d = lcm(*(c.denominator for row in rows for c in row))
+    return [[int(c * d) for c in row] for row in rows], d
+
+
+def _rational_rows(rows, d):
+    """(integer rows, d) as exact rational rows, the form of ``basis_in_parent``."""
+    return tuple(tuple(Fraction(c, d) for c in row) for row in rows)
+
+
+def _identity_rows(n):
+    return [_unit(n, i) for i in range(n)]
+
+
+def _compose(new, old):
+    """Embedding (rows, d) of `new`, given in old's coordinates, into old's parent."""
+    (rows_new, d_new), (rows_old, d_old) = new, old
+    n = len(rows_old)
+    rows = [
+        [sum(rows_new[i][k] * rows_old[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if aug[r][col] != 0), None
-        )
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [c - f * d for c, d in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return _lowest_terms(rows, d_new * d_old)
 
+
+# -- p-enlargement toward the maximal order --------------------------------
 
 def order_from_rational_basis(order, rows, labels=None):
     """Build the order spanned by rational combinations of an existing basis.
@@ -359,50 +482,36 @@ def order_from_rational_basis(order, rows, labels=None):
     integral and pass the usual construction checks).  The result
     carries the canonical triangular basis in ``basis_in_parent``.
     """
+    return _order_on_lattice(order, *_lattice(*_over_common_denominator(rows)), labels)
+
+
+def _order_on_lattice(order, basis, d, labels=None):
+    """Order on the lattice basis/d of `order`; its table comes from triangular solves."""
     n = order.n
-    frac_rows = [[Fraction(c) for c in row] for row in rows]
-    basis = _hnf_fraction_rows(frac_rows, n)
-    inv = _fraction_matrix_inverse(basis)
-
-    def to_new_coords(vec):
-        out = []
-        for j in range(n):
-            s = sum(vec[k] * inv[k][j] for k in range(n))
-            if s.denominator != 1:
-                raise ValueError("span is not closed under multiplication")
-            out.append(int(s))
-        return tuple(out)
-
+    # (basis_i/d) * (basis_j/d) has integer coordinates y in the new basis
+    # exactly when y * (d*basis) = basis_i * basis_j has an integer solution
+    scaled = [[d * c for c in row] for row in basis]
     table = []
     for i in range(n):
         row_entries = []
         for j in range(n):
-            prod = [Fraction(0)] * n
-            for k in range(n):
-                if not basis[i][k]:
-                    continue
-                for l in range(n):
-                    if not basis[j][l]:
-                        continue
-                    c = basis[i][k] * basis[j][l]
-                    for m, t in enumerate(order.table[k][l]):
-                        if t:
-                            prod[m] += c * t
-            row_entries.append(to_new_coords(prod))
+            coords = _lattice_coords(scaled, order.vec_mul(basis[i], basis[j]))
+            if coords is None:
+                raise ValueError("span is not closed under multiplication")
+            row_entries.append(coords)
         table.append(row_entries)
     return Order(
         table,
-        labels=labels or _enlarged_labels(order, basis),
-        parent=order,
-        basis_in_parent=tuple(tuple(row) for row in basis),
+        labels=labels or _enlarged_labels(order, basis, d),
+        basis_in_parent=_rational_rows(basis, d),
     )
 
 
-def _enlarged_labels(order, basis):
+def _enlarged_labels(order, basis, d):
     out = []
     for i, row in enumerate(basis):
         for j in range(order.n):
-            if row == [Fraction(1 if k == j else 0) for k in range(order.n)]:
+            if all(c == (d if k == j else 0) for k, c in enumerate(row)):
                 out.append(order.labels[j])
                 break
         else:
@@ -436,9 +545,9 @@ def p_enlarge(order, modulus):
     if not isinstance(modulus, PrimeModulus):
         modulus = PrimeModulus(modulus)
     p = modulus.p
-    current = order
-    emb = [[Fraction(1 if j == i else 0) for j in range(order.n)] for i in range(order.n)]
     n = order.n
+    current = order
+    emb = (_identity_rows(n), 1)
     while True:
         found = None
         table = current.table
@@ -455,77 +564,31 @@ def p_enlarge(order, modulus):
                 break
         if found is None:
             break
-        current = _adjoin_element(current, found, p)
-        emb = _compose(current.basis_in_parent, emb)
-        current = Order(
-            current.table,
-            labels=current.labels,
-            parent=order,
-            basis_in_parent=tuple(tuple(r) for r in emb),
-        )
-    if current is order:
-        return Order(
-            order.table,
-            labels=order.labels,
-            parent=order,
-            basis_in_parent=tuple(tuple(r) for r in emb),
-        )
-    return current
-
-
-def _compose(rows_new, rows_old):
-    n = len(rows_old)
-    return [
-        [
-            sum(rows_new[i][k] * rows_old[k][j] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+        basis, d = _adjoin_element(current, found, p)
+        current = _order_on_lattice(current, basis, d)
+        emb = _compose((basis, d), emb)
+    return Order(
+        current.table, labels=current.labels, basis_in_parent=_rational_rows(*emb)
+    )
 
 
 def _adjoin_element(order, coords, p):
-    """Order generated by `order` and (coords-combination)/p, via module ring closure."""
+    """Lattice (rows, d) of the ring generated by `order` and (coords-combination)/p."""
     n = order.n
-    rows = [
-        [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)
-    ]
-    rows.append([Fraction(c, p) for c in coords])
-    basis = _hnf_fraction_rows(rows, n)
+    rows = [[p * c for c in unit] for unit in _identity_rows(n)]
+    basis, d = _lattice(rows + [list(coords)], p)
     while True:
+        # products of basis/d lie over d^2: test them against d*basis
+        scaled = [[d * c for c in row] for row in basis]
         extra = []
         for i in range(n):
             for j in range(i, n):
-                prod = [Fraction(0)] * n
-                for k in range(n):
-                    if not basis[i][k]:
-                        continue
-                    for l in range(n):
-                        if not basis[j][l]:
-                            continue
-                        c = basis[i][k] * basis[j][l]
-                        for m, t in enumerate(order.table[k][l]):
-                            if t:
-                                prod[m] += c * t
-                if not _in_lattice(prod, basis):
+                prod = order.vec_mul(basis[i], basis[j])
+                if not lattice_contains(scaled, prod):
                     extra.append(prod)
         if not extra:
-            break
-        basis = _hnf_fraction_rows(basis + extra, n)
-    return order_from_rational_basis(order, basis)
-
-
-def _in_lattice(vec, basis):
-    v = list(vec)
-    n = len(basis)
-    for i in range(n - 1, -1, -1):
-        piv = basis[i][i]
-        q = v[i] / piv
-        if q.denominator != 1:
-            return False
-        for j in range(n):
-            v[j] -= q * basis[i][j]
-    return all(c == 0 for c in v)
+            return basis, d
+        basis, d = _lattice(scaled + extra, d * d)
 
 
 def trial_factor(n, bound):
@@ -589,78 +652,23 @@ def maximal_order(f, bound=10**6, labels=None):
     if disc == 0:
         raise ValueError("polynomial has a repeated root (discriminant 0)")
     factors = trial_factor(disc, bound)
-    base = order_from_polynomial(f, labels=labels)
-    order = base
-    emb = [
-        [Fraction(1 if j == i else 0) for j in range(base.n)]
-        for i in range(base.n)
-    ]
+    order = order_from_polynomial(f, labels=labels)
+    emb = (_identity_rows(order.n), 1)
     for q in sorted(factors):
         if factors[q] < 2:
             continue
         modulus = PrimeModulus(q)
         # Enlarging at other primes leaves the q-index alone, so when
         # q does not divide the index of Z[t]/(f) the scan finds nothing.
-        if not _dedekind_verdict(f, modulus).divisible:
+        verdict = _dedekind_verdict(modulus, *factorization_with_cofactor(f, modulus))
+        if not verdict.divisible:
             continue
         order = p_enlarge(order, modulus)
-        emb = _compose(order.basis_in_parent, emb)
+        emb = _compose(_over_common_denominator(order.basis_in_parent), emb)
     order = Order(
-        order.table,
-        labels=order.labels,
-        parent=base,
-        basis_in_parent=tuple(tuple(r) for r in emb),
+        order.table, labels=order.labels, basis_in_parent=_rational_rows(*emb)
     )
     return order, order_discriminant(order)
-
-
-def _rational_root_screen(f):
-    """Reject f with an integer root (cheap certificate of reducibility)."""
-    const = f.coeffs[0]
-    if const == 0:
-        raise ValueError("polynomial is divisible by t")
-    for d in range(1, abs(const) + 1):
-        if const % d == 0:
-            if f(d) == 0 or f(-d) == 0:
-                raise ValueError(
-                    "polynomial is reducible (integer root %d)" % (d if f(d) == 0 else -d)
-                )
-
-
-def order_to_text(order):
-    """Serialize rank, labels, and the full multiplication table.
-
-    One line per table entry: ``i j: c1 c2 ... cn``.  Round-trips
-    exactly through order_from_text.
-    """
-    lines = ["rank %d" % order.n, "labels %s" % " ".join(order.labels)]
-    for i in range(order.n):
-        for j in range(order.n):
-            lines.append(
-                "%d %d: %s" % (i, j, " ".join(str(c) for c in order.table[i][j]))
-            )
-    return "\n".join(lines) + "\n"
-
-
-def order_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("rank "):
-        raise ValueError("missing rank header")
-    n = int(lines[0].split()[1])
-    if not lines[1].startswith("labels "):
-        raise ValueError("missing labels header")
-    labels = tuple(lines[1].split()[1:])
-    table = [[None] * n for _ in range(n)]
-    for ln in lines[2:]:
-        head, _, tail = ln.partition(":")
-        i, j = (int(x) for x in head.split())
-        vec = tuple(int(x) for x in tail.split())
-        if len(vec) != n:
-            raise ValueError("table entry (%d,%d) has wrong width" % (i, j))
-        table[i][j] = vec
-    if any(entry is None for row in table for entry in row):
-        raise ValueError("incomplete multiplication table")
-    return Order(table, labels=labels)
 
 
 def cubic_family(a, b, ap, bp):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import primesplit
 from primesplit.cli import main
 
 
@@ -15,6 +16,13 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(list(argv))
     return status, out.getvalue(), err.getvalue()
+
+
+def child_env(**extra):
+    """The caller's environment, with this suite's primesplit first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(primesplit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 class TestFactorModP:
@@ -190,6 +198,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "primesplit.cli", "discriminant", "t^2+1"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "discriminant: -4" in proc.stdout
@@ -199,7 +208,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "primesplit.cli", "discriminant", "t^2+1"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PLAIN_OUTPUT": "1"},
+            env=child_env(PLAIN_OUTPUT="1"),
         )
         assert proc.returncode == 0
         assert proc.stdout.isascii()

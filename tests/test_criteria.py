@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_irreducible_cubic, random_monic_zpoly
+from primesplit import criteria
 from primesplit.criteria import (
     IndexDivisorError,
     IndexVerdict,
@@ -173,6 +174,19 @@ class TestFactorPrimeViaPolynomial:
                 assert reduced.is_monic() and fp_is_irreducible(reduced)
                 assert reduced.degree == s.f
             done += 1
+
+    @pytest.mark.parametrize("text, p", [("t^2 - 2", 7), ("t^2 + 1", 2), ("t^3 - 5", 11)])
+    def test_factors_f_mod_p_once(self, monkeypatch, text, p):
+        calls = []
+        real = criteria.fp_factor
+
+        def counting(g, seed=0):
+            calls.append(g)
+            return real(g, seed=seed)
+
+        monkeypatch.setattr(criteria, "fp_factor", counting)
+        factor_prime_via_polynomial(ZPoly.from_text(text), PrimeModulus(p))
+        assert len(calls) == 1
 
 
 class TestCommonIndexDivisor:

@@ -29,8 +29,6 @@ from primesplit.orders import (
     order_discriminant,
     order_from_polynomial,
     order_from_rational_basis,
-    order_from_text,
-    order_to_text,
     p_enlarge,
     trial_factor,
 )
@@ -350,6 +348,11 @@ class TestMaximalOrder:
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
             maximal_order(ZPoly.from_text("t^3 - t^2 + 2*t - 8"))  # root 2
+        # the same screen as index_divisible
+        with pytest.raises(ValueError, match="divisible by t, hence reducible"):
+            maximal_order(ZPoly.from_text("t^3 + t"))
+        with pytest.raises(ValueError, match="expected degree >= 2"):
+            maximal_order(ZPoly.from_text("t - 3"))
 
     def test_trial_division_bound(self):
         # a tail that is a product of two distinct large primes is ambiguous
@@ -432,20 +435,12 @@ class TestDiscIndexIdentity:
             done += 1
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        for order in (MAX_CUBIC, POWER_CUBIC, SQRT2):
-            text = order_to_text(order)
-            back = order_from_text(text)
-            assert back.table == order.table
-            assert back.labels == order.labels
-            assert order_to_text(back) == text
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            order_from_text("labels a b\n")
-        with pytest.raises(ValueError):
-            order_from_text("rank 2\nlabels 1 a\n0 0: 1 0\n")
+class TestOrderFromRationalBasis:
+    def test_span_not_closed_rejected(self):
+        # (a/2)^2 = a^2/4 is not in the span of 1, a/2, a^2
+        rows = [(1, 0, 0), (0, Fraction(1, 2), 0), (0, 0, 1)]
+        with pytest.raises(ValueError, match="span is not closed under multiplication"):
+            order_from_rational_basis(POWER_CUBIC, rows)
 
 
 class TestQuarticPaperBasis:
