@@ -6,9 +6,22 @@ degree n(n-1)/2 in the non-identity coordinates and free of z; its
 value at a concrete element's coordinates is (up to sign) that
 element's index.  The form is computed with z symbolic and the
 z-independence asserted, which catches multiplication-table bugs.
+
+The kernel does not use MultiPoly.  It holds each polynomial as a dict
+from a packed exponent (one fixed-width bit field per variable, so a
+monomial product is a single int addition) to its coefficient, and
+takes the determinant by a Laplace expansion that builds each minor on
+the trailing columns once per row subset: 2^(n-1) minors instead of
+the (n-1)! sub-expansions of a cofactor recursion.  Only the finished
+form is converted to a MultiPoly.
+
+common_value_divisor decides whether p divides every value by reducing
+exponents with x^p = x, not by evaluating at all p^v points.
 """
 
 import itertools
+
+from .fppoly import is_prime
 
 _VAR_ALPHABET = ("x", "y", "w", "v")
 
@@ -155,22 +168,52 @@ def parse_multipoly_vars(n):
     return _VAR_ALPHABET[: n - 1]
 
 
-def _det_multipoly(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    det = None
-    for i in range(n):
-        if m[i][0].is_zero():
-            continue
-        minor = [[m[r][c] for c in range(1, n)] for r in range(n) if r != i]
-        term = m[i][0] * _det_multipoly(minor)
-        if i % 2:
-            term = -term
-        det = term if det is None else det + term
-    if det is None:
-        return MultiPoly(m[0][0].vars, {})
-    return det
+# Kernel polynomials are {packed exponent: coefficient} dicts: variable i
+# owns bits [_FIELD*i, _FIELD*(i+1)) of the key, so a monomial product is
+# one int addition.  Total degree is at most n(n-1)/2 = 10 < 2^_FIELD.
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+def _add_product(out, a, b, sign):
+    """out += sign * a * b on packed polynomials (zero coefficients may remain)."""
+    get = out.get
+    for e1, c1 in a.items():
+        c1 *= sign
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+
+
+def _nonzero(poly):
+    return {e: c for e, c in poly.items() if c}
+
+
+def _det_packed(m):
+    """Determinant of a square matrix of packed polynomials.
+
+    Laplace expansion along the leading column of each trailing block:
+    the minor on the trailing k columns is built once per k-row subset
+    (keyed by its bitmask) from the minors on k-1 columns, so an s x s
+    matrix costs 2^s minors rather than s! recursive sub-expansions.
+    """
+    size = len(m)
+    minors = {0: {0: 1}}
+    for col in range(size - 1, -1, -1):
+        built = {}
+        for rows in itertools.combinations(range(size), size - col):
+            mask = sum(1 << r for r in rows)
+            acc = {}
+            for pos, r in enumerate(rows):
+                entry = m[r][col]
+                rest = minors.get(mask ^ (1 << r))
+                if entry and rest:
+                    _add_product(acc, entry, rest, -1 if pos % 2 else 1)
+            acc = _nonzero(acc)
+            if acc:
+                built[mask] = acc
+        minors = built
+    return minors.get((1 << size) - 1, {})
 
 
 def index_form(order):
@@ -183,50 +226,58 @@ def index_form(order):
     n = order.n
     if n > 5:
         raise ValueError("index form is limited to rank <= 5")
-    names = ("z",) + parse_multipoly_vars(n)
-    coords = [MultiPoly.variable(names, v) for v in names]
+    names = parse_multipoly_vars(n)
+    table = order.table
 
-    # generic element and its powers, as vectors of polynomials
-    zero = MultiPoly(names, {})
-    one_vec = [MultiPoly.constant(names, 1)] + [zero] * (n - 1)
-    generic = coords[:]  # coordinate i is the i-th symbol (z first)
-
-    def vec_mul(u, v):
-        out = [zero] * n
-        for i in range(n):
-            if u[i].is_zero():
-                continue
-            for j in range(n):
-                if v[j].is_zero():
-                    continue
-                c = u[i] * v[j]
-                for k, t in enumerate(order.table[i][j]):
-                    if t:
-                        out[k] = out[k] + c * t
-        return out
-
-    rows = [one_vec]
-    acc = one_vec
+    # powers of the generic element z*e0 + x*e1 + ..., coordinate i of
+    # the generic element being the packed variable 1 << (_FIELD * i)
+    acc = [{0: 1}] + [{}] * (n - 1)
+    powers = []
     for _ in range(n - 1):
-        acc = vec_mul(acc, generic)
-        rows.append(acc)
-    # first row is (1, 0, ..., 0): expand to the minor on the other coordinates
-    minor = [[rows[i][j] for j in range(1, n)] for i in range(1, n)]
-    det = _det_multipoly(minor)
-    if det.max_exponent("z"):
+        out = [{} for _ in range(n)]
+        for i, ai in enumerate(acc):
+            if not ai:
+                continue
+            for j, tij in enumerate(table[i]):
+                var = 1 << (_FIELD * j)
+                for k, t in enumerate(tij):
+                    if t:
+                        _add_product(out[k], ai, {var: t}, 1)
+        acc = [_nonzero(o) for o in out]
+        powers.append(acc)
+    # the power 1 = (1, 0, ..., 0) leads the full matrix: its determinant is
+    # the minor of the higher powers on the non-identity coordinates
+    det = _det_packed([row[1:] for row in powers])
+    if any(e & _FIELD_MASK for e in det):
         raise AssertionError("index form depends on the identity coordinate")
-    return det.drop_variable("z")
+    return MultiPoly(
+        names,
+        {
+            tuple((e >> (_FIELD * i)) & _FIELD_MASK for i in range(1, n)): c
+            for e, c in det.items()
+        },
+    )
 
 
 def common_value_divisor(f, modulus, bound=10**6):
-    """True when every value of f over GF(p)^v vanishes (exhaustive evaluation)."""
+    """True when f vanishes at every point of GF(p)^v, for a prime p.
+
+    Over GF(p), x^p = x, so each nonzero exponent e reduces to
+    1 + (e-1) mod (p-1); the reduced polynomial is the unique one of
+    degree < p in each variable with the same values, so f vanishes
+    everywhere exactly when every reduced coefficient is 0 mod p.  The
+    bound on p^v (the number of points) is kept as the caller's limit.
+    """
     p = int(modulus)
     v = len(f.vars)
     if p**v > bound:
         raise ValueError(
             "p^v = %d exceeds the evaluation bound %d" % (p**v, bound)
         )
-    for point in itertools.product(range(p), repeat=v):
-        if f.evaluate(point) % p:
-            return False
-    return True
+    if not is_prime(p):
+        raise ValueError("modulus %d is not prime" % p)
+    reduced = {}
+    for exps, c in f.terms.items():
+        key = tuple(1 + (e - 1) % (p - 1) if e else 0 for e in exps)
+        reduced[key] = (reduced.get(key, 0) + c) % p
+    return not any(reduced.values())

@@ -110,8 +110,19 @@ class Order:
         return OrderElement(self, (0,) * self.n)
 
     def mul_matrix(self, coords):
-        """Rows are the coordinate vectors of coords * (each basis element)."""
-        return [list(self.vec_mul(coords, _unit(self.n, j))) for j in range(self.n)]
+        """Rows are the coordinate vectors of coords * (each basis element).
+
+        Row j is sum_i coords_i * table[i][j].
+        """
+        n = self.n
+        rows = [[0] * n for _ in range(n)]
+        for ci, ti in zip(coords, self.table):
+            if not ci:
+                continue
+            for row, tij in zip(rows, ti):
+                for k in range(n):
+                    row[k] += ci * tij[k]
+        return rows
 
     def __eq__(self, other):
         return isinstance(other, Order) and self.table == other.table
@@ -263,8 +274,12 @@ def char_poly(elem):
 
 
 def element_trace(elem):
-    m = elem.order.mul_matrix(elem.coords)
-    return sum(m[i][i] for i in range(elem.order.n))
+    """Trace of multiplication by elem: sum_i coords_i * sum_k table[i][k][k]."""
+    return sum(
+        c * sum(tik[k] for k, tik in enumerate(ti))
+        for c, ti in zip(elem.coords, elem.order.table)
+        if c
+    )
 
 
 def element_norm(elem):

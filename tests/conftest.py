@@ -1,9 +1,11 @@
 """Shared generators and small oracles for the test suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from primesplit.fppoly import FpPoly, PrimeModulus
+from primesplit.indexform import MultiPoly, parse_multipoly_vars
 from primesplit.orders import (
     order_discriminant,
     order_from_polynomial,
@@ -169,3 +171,75 @@ def always_scan_maximal_order(f, bound=10**6):
             for row in order.basis_in_parent
         ]
     return tuple(tuple(r) for r in emb), order_discriminant(order)
+
+
+def random_power_basis_orders(rng, rank, count, bound=9):
+    """Power-basis orders Z[t]/(f) of monic f, coefficients in [-bound, bound], disc != 0."""
+    out = []
+    while len(out) < count:
+        f = random_monic_zpoly(rng, rank, bound)
+        if f.coeffs[0] and discriminant(f):
+            out.append(order_from_polynomial(f))
+    return out
+
+
+def cofactor_index_form(order):
+    """Oracle: the index form by cofactor expansion over MultiPoly (factorial time)."""
+    n = order.n
+    if n > 5:
+        raise ValueError("index form is limited to rank <= 5")
+    names = ("z",) + parse_multipoly_vars(n)
+    coords = [MultiPoly.variable(names, v) for v in names]
+    zero = MultiPoly(names, {})
+    one_vec = [MultiPoly.constant(names, 1)] + [zero] * (n - 1)
+
+    def vec_mul(u, v):
+        out = [zero] * n
+        for i in range(n):
+            if u[i].is_zero():
+                continue
+            for j in range(n):
+                if v[j].is_zero():
+                    continue
+                c = u[i] * v[j]
+                for k, t in enumerate(order.table[i][j]):
+                    if t:
+                        out[k] = out[k] + c * t
+        return out
+
+    rows = [one_vec]
+    acc = one_vec
+    for _ in range(n - 1):
+        acc = vec_mul(acc, coords)
+        rows.append(acc)
+    minor = [[rows[i][j] for j in range(1, n)] for i in range(1, n)]
+    det = _det_multipoly(minor)
+    if det.max_exponent("z"):
+        raise AssertionError("index form depends on the identity coordinate")
+    return det.drop_variable("z")
+
+
+def _det_multipoly(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    det = None
+    for i in range(n):
+        if m[i][0].is_zero():
+            continue
+        minor = [[m[r][c] for c in range(1, n)] for r in range(n) if r != i]
+        term = m[i][0] * _det_multipoly(minor)
+        if i % 2:
+            term = -term
+        det = term if det is None else det + term
+    if det is None:
+        return MultiPoly(m[0][0].vars, {})
+    return det
+
+
+def exhaustive_common_value_divisor(f, p):
+    """Oracle: True when f(point) = 0 mod p at every point of GF(p)^v (p^v evaluations)."""
+    for point in itertools.product(range(p), repeat=len(f.vars)):
+        if f.evaluate(point) % p:
+            return False
+    return True

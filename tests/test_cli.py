@@ -4,7 +4,11 @@ import subprocess
 import sys
 
 import primesplit
+from conftest import cofactor_index_form, exhaustive_common_value_divisor
 from primesplit.cli import main
+from primesplit.indexform import format_multipoly
+from primesplit.orders import order_from_polynomial
+from primesplit.zpoly import ZPoly
 
 
 def run_cli(*argv):
@@ -163,6 +167,18 @@ class TestIndexFormCommand:
         assert status == 0
         assert payload["results"]["index_form"] == "x"
         assert payload["results"]["common_value_divisor"]["divides_all_values"] is False
+
+    def test_rank5_form_matches_cofactor_oracle(self):
+        poly = "t^5 - 3t^4 + 7t^2 - t + 6"
+        status, out, _ = run_cli("--json", "index-form", poly, "--divisor", "3")
+        payload = json.loads(out)
+        assert status == 0
+        expected = cofactor_index_form(order_from_polynomial(ZPoly.from_text(poly)))
+        assert payload["results"]["index_form"] == format_multipoly(expected)
+        assert payload["results"]["common_value_divisor"] == {
+            "p": 3,
+            "divides_all_values": exhaustive_common_value_divisor(expected, 3),
+        }
 
 
 class TestPaperExamples:

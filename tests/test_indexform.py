@@ -1,7 +1,14 @@
 import random
+import time
+import types
 
 import pytest
 
+from conftest import (
+    cofactor_index_form,
+    exhaustive_common_value_divisor,
+    random_power_basis_orders,
+)
 from primesplit import fixtures
 from primesplit.criteria import common_index_divisor, SplittingShape
 from primesplit.fppoly import PrimeModulus
@@ -21,6 +28,36 @@ from primesplit.orders import (
 from primesplit.zpoly import ZPoly
 
 MAX_CUBIC = fixtures.maximal_cubic_order()
+
+
+def _coprime_cubic_family(rng, count):
+    from math import gcd
+
+    out = []
+    while len(out) < count:
+        vals = [rng.randrange(-9, 10) for _ in range(4)]
+        g = 0
+        for v in vals:
+            g = gcd(g, v)
+        if g == 1:
+            out.append(cubic_family(*vals)[0])
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus():
+    """(order, oracle form) pairs: seeded power bases of rank 2-5, cubic family, fixtures."""
+    rng = random.Random(2024)
+    orders = []
+    for rank, count in ((2, 10), (3, 10), (4, 10), (5, 6)):
+        orders += random_power_basis_orders(rng, rank, count)
+    orders += _coprime_cubic_family(rng, 30)
+    orders += [
+        maximal_order(fixtures.quartic_poly())[0],
+        fixtures.sqrt2_order(),
+        MAX_CUBIC,
+    ]
+    return [(order, cofactor_index_form(order)) for order in orders]
 
 
 class TestMultiPoly:
@@ -138,7 +175,49 @@ class TestIndexForm:
             done += 1
 
 
+class TestAgainstCofactorOracle:
+    def test_same_form(self, oracle_corpus):
+        for order, expected in oracle_corpus:
+            form = index_form(order)
+            assert form.vars == expected.vars
+            assert form.terms == expected.terms, order.table
+
+    def test_rank5_time_bound(self):
+        f = ZPoly.from_text("t^5 - 7*t^4 + 3*t^3 - 9*t^2 + 5*t - 8")
+        order = order_from_polynomial(f)
+        start = time.perf_counter()
+        index_form(order)
+        assert time.perf_counter() - start < 2.0
+
+    def test_identity_coordinate_dependence_raises(self):
+        # power basis 1, a, a^2 of t^3 - 2, but with e0*e1 = e1 + e2 in
+        # both slots: e0 is no longer the identity, so the determinant
+        # keeps the identity coordinate
+        table = [
+            [(1, 0, 0), (0, 1, 1), (0, 0, 1)],
+            [(0, 1, 1), (0, 0, 1), (2, 0, 0)],
+            [(0, 0, 1), (2, 0, 0), (0, 2, 0)],
+        ]
+        order = types.SimpleNamespace(n=3, table=table)
+        with pytest.raises(AssertionError, match="identity coordinate"):
+            index_form(order)
+
+
 class TestCommonValueDivisor:
+    def test_matches_exhaustive_oracle(self, oracle_corpus):
+        verdicts = []
+        for _, form in oracle_corpus:
+            for p in (2, 3, 5, 7):
+                expected = exhaustive_common_value_divisor(form, p)
+                assert common_value_divisor(form, p) is expected, (form, p)
+                verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
+    def test_composite_modulus_rejected(self):
+        form = MultiPoly(("x", "y"), fixtures.CUBIC_INDEX_FORM_TERMS)
+        with pytest.raises(ValueError, match="not prime"):
+            common_value_divisor(form, 4)
+
     def test_cubic_form_examples(self):
         form = MultiPoly(("x", "y"), fixtures.CUBIC_INDEX_FORM_TERMS)
         assert common_value_divisor(form, 2) is True
