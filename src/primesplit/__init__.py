@@ -5,8 +5,8 @@ of integers of a number field, and the defining polynomial modulo p.
 When p does not divide the index of the chosen generator the two match
 factor-for-factor; the index-divisibility criterion detects the
 exceptional primes from the polynomial alone, and order/ideal
-arithmetic (multiplication tables, Hermite normal form lattices)
-handles them by brute force in the maximal order.
+arithmetic (multiplication tables, Hermite normal form lattices, the
+Round 2 maximal order) handles them in the maximal order.
 """
 
 from .criteria import (

@@ -513,11 +513,13 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
     # Output is unconditionally plain ASCII; PLAIN_OUTPUT is accepted for
     # interface compatibility but changes nothing.
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         report = args.func(args)
     except UsageError as exc:

@@ -18,14 +18,15 @@ from .orders import (
     Order,
     OrderElement,
     _bracket_entry,
+    _echelon_mod_p,
+    _multipliers_mod_p,
+    _pow_mod_p,
     _unit,
     _upper_hnf,
     char_poly,
     element_index,
     hnf,
     lattice_contains,
-    order_discriminant,
-    p_enlarge,
 )
 from .zpoly import lift, reduce_mod
 
@@ -196,58 +197,40 @@ def ideal_norm(a):
 # -- quotient-ring structure ------------------------------------------------
 
 def _is_maximal(order, ideal, p):
-    """True when order/ideal is a field (every nonzero residue invertible mod p)."""
+    """True when order/ideal is a field.
+
+    The quotient is a GF(p)-algebra when the rows at its free positions
+    are p times a unit vector (p*order lies in the ideal).  It is then a
+    field exactly when the Frobenius x -> x^p is injective on it (no
+    nilpotents) and fixes a 1-dimensional space (one field factor).
+    """
     n = order.n
-    diag = [ideal.rows[i][i] for i in range(n)]
-    free = [i for i in range(n) if diag[i] != 1]
+    free = [i for i in range(n) if ideal.rows[i][i] != 1]
     if not free:
         return False  # the whole order
-    if any(d != p for d in diag if d != 1):
-        return False  # norm not p^f, cannot be maximal above p
+    if any(ideal.rows[i] != tuple(p * c for c in _unit(n, i)) for i in free):
+        return False  # p*order is not inside, so no field of characteristic p
+    frobenius = []
+    for i in free:
+        image = reduce_mod_lattice(ideal.rows, _pow_mod_p(order, _unit(n, i), p, p))
+        frobenius.append([image[j] for j in free])
+    shifted = [
+        [c - (j == k) for k, c in enumerate(row)] for j, row in enumerate(frobenius)
+    ]
     f = len(free)
-    for combo in itertools.product(range(p), repeat=f):
-        if not any(combo):
-            continue
-        x = [0] * n
-        for pos, i in enumerate(free):
-            x[i] = combo[pos]
-        # multiplication-by-x map on the f-dimensional quotient
-        mat = []
-        for i in free:
-            prod = reduce_mod_lattice(ideal.rows, order.vec_mul(x, _unit(n, i)))
-            mat.append([prod[j] % p for j in free])
-        if _det_mod_p(mat, p) == 0:
-            return False
-    return True
+    return (
+        len(_echelon_mod_p(frobenius, p)[0]) == f
+        and len(_echelon_mod_p(shifted, p)[0]) == f - 1
+    )
 
 
-def _det_mod_p(mat, p):
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        inv = pow(m[col][col], -1, p)
-        det = det * m[col][col] % p
-        for r in range(col + 1, n):
-            f = m[r][col] * inv % p
-            if f:
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-    return det % p
-
-
-def ideal_valuation(a, prime, _trust_maximal=False):
+def ideal_valuation(a, prime):
     """Largest v with prime**v containing a (the exponent of the prime in a)."""
     if a.order != prime.order:
         raise ValueError("ideals belong to different orders")
     nrm = prime.norm()
     p = _prime_base(nrm)
-    if p is None or (not _trust_maximal and not _is_maximal(prime.order, prime, p)):
+    if p is None or not _is_maximal(prime.order, prime, p):
         raise ValueError("valuation requires a maximal ideal")
     v = 0
     power = prime
@@ -364,7 +347,7 @@ def factor_p_in_order(order, modulus, bound=10**4):
     total = whole_order(order)
     for ideal in maximal:
         f = _norm_degree(ideal.norm(), p)
-        e = ideal_valuation(p_ideal, ideal, _trust_maximal=True)
+        e = ideal_valuation(p_ideal, ideal)
         out.append((ideal, e, f))
         total = ideal_product(total, ideal_power(ideal, e))
     if total != p_ideal:
@@ -385,16 +368,9 @@ def _norm_degree(nrm, p):
 
 
 def _require_p_maximal(order, modulus):
+    """One Round 2 step: the ring of multipliers of the p-radical must be the order."""
     p = int(modulus)
-    disc = order_discriminant(order)
-    if disc % (p * p):
-        return  # index gain would contribute p^2 to the discriminant
-    enlarged = p_enlarge(order, modulus)
-    ident = tuple(
-        tuple(1 if j == i else 0 for j in range(order.n))
-        for i in range(order.n)
-    )
-    if tuple(tuple(r) for r in enlarged.basis_in_parent) != ident:
+    if _multipliers_mod_p(order, p):
         raise ValueError("order is not %d-maximal" % p)
 
 

@@ -40,11 +40,6 @@ class MultiPoly:
         self.terms = clean
 
     @classmethod
-    def constant(cls, variables, c):
-        z = (0,) * len(variables)
-        return cls(variables, {z: c} if c else {})
-
-    @classmethod
     def variable(cls, variables, name):
         i = tuple(variables).index(name)
         exps = tuple(1 if k == i else 0 for k in range(len(variables)))
@@ -97,21 +92,6 @@ class MultiPoly:
 
     def total_degrees(self):
         return {sum(e) for e in self.terms}
-
-    def max_exponent(self, name):
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
-    def drop_variable(self, name):
-        """Remove a variable that no term uses."""
-        i = self.vars.index(name)
-        if self.max_exponent(name):
-            raise ValueError("%s still occurs" % name)
-        newvars = self.vars[:i] + self.vars[i + 1 :]
-        return MultiPoly(
-            newvars,
-            {e[:i] + e[i + 1 :]: c for e, c in self.terms.items()},
-        )
 
     def ordered_terms(self):
         """Terms in graded-lexicographic order (highest first)."""

@@ -5,11 +5,21 @@ import random
 from fractions import Fraction
 
 from primesplit.fppoly import FpPoly, PrimeModulus
+from primesplit.ideals import reduce_mod_lattice
 from primesplit.indexform import MultiPoly, parse_multipoly_vars
 from primesplit.orders import (
+    Order,
+    _identity_rows,
+    _lattice,
+    _lowest_terms,
+    _order_on_lattice,
+    _over_common_denominator,
+    _rational_rows,
+    _unit,
+    charpoly_matrix,
+    lattice_contains,
     order_discriminant,
     order_from_polynomial,
-    p_enlarge,
     trial_factor,
 )
 from primesplit.zpoly import ZPoly, discriminant
@@ -154,10 +164,98 @@ def _pl_mul(a, b):
     return out
 
 
-def always_scan_maximal_order(f, bound=10**6):
-    """Oracle: p-enlarge Z[t]/(f) at every q with q^2 | disc(f), with no Dedekind skip.
+def _integral_candidate(order, coords, p):
+    """True when (sum coords_i * basis_i) / p has an integer characteristic polynomial."""
+    a = order.mul_matrix(coords)
+    n = order.n
+    cp = charpoly_matrix(a)
+    power = p
+    for k in range(1, n + 1):
+        if cp[n - k] % power:
+            return False
+        power *= p
+    return True
 
-    Returns (basis rows in power-basis coordinates, discriminant).
+
+def scan_p_enlarge(order, modulus):
+    """Oracle: smallest p-maximal order containing this one, found by exhaustive search.
+
+    Scans the p^n residue classes x of order/(p*order); whenever
+    (x-combination)/p has an integer characteristic polynomial the ring
+    generated by it is adjoined (lexicographically smallest x first),
+    and the scan repeats until a fixed point.  The result's
+    ``basis_in_parent`` composes the bases of the adjoin steps, which
+    spans the right lattice but need not be its canonical basis.
+    """
+    if not isinstance(modulus, PrimeModulus):
+        modulus = PrimeModulus(modulus)
+    p = modulus.p
+    n = order.n
+    current = order
+    emb = (_identity_rows(n), 1)
+    while True:
+        found = None
+        table = current.table
+        trace_w = [
+            sum(table[k][i][i] for i in range(n)) % p for k in range(n)
+        ]
+        for x in itertools.product(range(p), repeat=n):
+            if not any(x):
+                continue
+            if sum(xk * wk for xk, wk in zip(x, trace_w)) % p:
+                continue
+            if _integral_candidate(current, x, p):
+                found = x
+                break
+        if found is None:
+            break
+        basis, d = _adjoin_element(current, found, p)
+        current = _order_on_lattice(current, basis, d)
+        emb = _compose((basis, d), emb)
+    return Order(
+        current.table, labels=current.labels, basis_in_parent=_rational_rows(*emb)
+    )
+
+
+def _adjoin_element(order, coords, p):
+    """Lattice (rows, d) of the ring generated by `order` and (coords-combination)/p."""
+    n = order.n
+    rows = [[p * c for c in unit] for unit in _identity_rows(n)]
+    basis, d = _lattice(rows + [list(coords)], p)
+    while True:
+        # products of basis/d lie over d^2: test them against d*basis
+        scaled = [[d * c for c in row] for row in basis]
+        extra = []
+        for i in range(n):
+            for j in range(i, n):
+                prod = order.vec_mul(basis[i], basis[j])
+                if not lattice_contains(scaled, prod):
+                    extra.append(prod)
+        if not extra:
+            return basis, d
+        basis, d = _lattice(scaled + extra, d * d)
+
+
+def _compose(new, old):
+    """Embedding (rows, d) of `new`, given in old's coordinates, into old's parent."""
+    (rows_new, d_new), (rows_old, d_old) = new, old
+    n = len(rows_old)
+    rows = [
+        [sum(rows_new[i][k] * rows_old[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return _lowest_terms(rows, d_new * d_old)
+
+
+def canonical_rows(rows):
+    """Canonical triangular basis of the lattice of rational rows, as Fraction rows."""
+    return _rational_rows(*_lattice(*_over_common_denominator(rows)))
+
+
+def always_scan_maximal_order(f, bound=10**6):
+    """Oracle: scan-enlarge Z[t]/(f) at every q with q^2 | disc(f), with no Dedekind skip.
+
+    Returns (canonical basis rows in power-basis coordinates, discriminant).
     """
     order = order_from_polynomial(f)
     n = order.n
@@ -165,12 +263,58 @@ def always_scan_maximal_order(f, bound=10**6):
     for q, e in sorted(trial_factor(discriminant(f), bound).items()):
         if e < 2:
             continue
-        order = p_enlarge(order, PrimeModulus(q))
+        order = scan_p_enlarge(order, PrimeModulus(q))
         emb = [
             [sum(row[k] * emb[k][j] for k in range(n)) for j in range(n)]
             for row in order.basis_in_parent
         ]
-    return tuple(tuple(r) for r in emb), order_discriminant(order)
+    return canonical_rows(emb), order_discriminant(order)
+
+
+def scan_is_maximal(order, ideal, p):
+    """Oracle: order/ideal is a field, by a determinant mod p for each of the p^f residues."""
+    n = order.n
+    diag = [ideal.rows[i][i] for i in range(n)]
+    free = [i for i in range(n) if diag[i] != 1]
+    if not free:
+        return False  # the whole order
+    if any(d != p for d in diag if d != 1):
+        return False  # norm not p^f, cannot be maximal above p
+    f = len(free)
+    for combo in itertools.product(range(p), repeat=f):
+        if not any(combo):
+            continue
+        x = [0] * n
+        for pos, i in enumerate(free):
+            x[i] = combo[pos]
+        # multiplication-by-x map on the f-dimensional quotient
+        mat = []
+        for i in free:
+            prod = reduce_mod_lattice(ideal.rows, order.vec_mul(x, _unit(n, i)))
+            mat.append([prod[j] % p for j in free])
+        if _det_mod_p(mat, p) == 0:
+            return False
+    return True
+
+
+def _det_mod_p(mat, p):
+    m = [row[:] for row in mat]
+    n = len(m)
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] % p), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        inv = pow(m[col][col], -1, p)
+        det = det * m[col][col] % p
+        for r in range(col + 1, n):
+            f = m[r][col] * inv % p
+            if f:
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
+    return det % p
 
 
 def random_power_basis_orders(rng, rank, count, bound=9):
@@ -191,7 +335,7 @@ def cofactor_index_form(order):
     names = ("z",) + parse_multipoly_vars(n)
     coords = [MultiPoly.variable(names, v) for v in names]
     zero = MultiPoly(names, {})
-    one_vec = [MultiPoly.constant(names, 1)] + [zero] * (n - 1)
+    one_vec = [multipoly_constant(names, 1)] + [zero] * (n - 1)
 
     def vec_mul(u, v):
         out = [zero] * n
@@ -214,9 +358,31 @@ def cofactor_index_form(order):
         rows.append(acc)
     minor = [[rows[i][j] for j in range(1, n)] for i in range(1, n)]
     det = _det_multipoly(minor)
-    if det.max_exponent("z"):
+    if max_exponent(det, "z"):
         raise AssertionError("index form depends on the identity coordinate")
-    return det.drop_variable("z")
+    return drop_variable(det, "z")
+
+
+def multipoly_constant(variables, c):
+    z = (0,) * len(variables)
+    return MultiPoly(variables, {z: c} if c else {})
+
+
+def max_exponent(f, name):
+    i = f.vars.index(name)
+    return max((e[i] for e in f.terms), default=0)
+
+
+def drop_variable(f, name):
+    """Remove a variable that no term uses."""
+    i = f.vars.index(name)
+    if max_exponent(f, name):
+        raise ValueError("%s still occurs" % name)
+    newvars = f.vars[:i] + f.vars[i + 1 :]
+    return MultiPoly(
+        newvars,
+        {e[:i] + e[i + 1 :]: c for e, c in f.terms.items()},
+    )
 
 
 def _det_multipoly(m):

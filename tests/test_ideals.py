@@ -3,12 +3,18 @@ import random
 
 import pytest
 
-from conftest import random_irreducible_cubic, random_irreducible_quartic
+from conftest import (
+    random_irreducible_cubic,
+    random_irreducible_quartic,
+    random_power_basis_orders,
+    scan_is_maximal,
+)
 from primesplit import fixtures
 from primesplit.criteria import IndexDivisorError, factor_prime_via_polynomial
 from primesplit.fppoly import FpPoly, PrimeModulus
 from primesplit.ideals import (
     LatticeIdeal,
+    _is_maximal,
     bracket_str,
     crt_good_generator,
     factor_p_in_order,
@@ -24,6 +30,7 @@ from primesplit.ideals import (
 )
 from primesplit.orders import (
     char_poly,
+    cubic_family,
     element_index,
     maximal_order,
     order_discriminant,
@@ -305,6 +312,27 @@ class TestIdealValuation:
             principal = principal_ideal(MAX_CUBIC, MAX_CUBIC.element(mu))
             for letter, prime in named.items():
                 assert ideal_valuation(principal, prime) == word.count(letter)
+
+
+class TestIsMaximal:
+    def test_matches_residue_scan_oracle(self):
+        rng = random.Random(107)
+        orders_ = []
+        for rank in (2, 3, 4):
+            orders_ += random_power_basis_orders(rng, rank, 12, bound=9)
+        orders_ += [cubic_family(2, 2, 1, -1)[0], cubic_family(1, 3, -2, 5)[0]]
+        verdicts = []
+        for _ in range(300):
+            order = rng.choice(orders_)
+            p = rng.choice([2, 3, 5])
+            gens = [order.identity() * p]
+            for _ in range(rng.choice([1, 2])):
+                gens.append(order.element([rng.randrange(p) for _ in range(order.n)]))
+            ideal = ideal_from_generators(order, gens)
+            verdict = _is_maximal(order, ideal, p)
+            assert verdict == scan_is_maximal(order, ideal, p)
+            verdicts.append(verdict)
+        assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
 
 
 class TestContainmentIsDivisibility:

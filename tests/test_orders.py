@@ -1,18 +1,21 @@
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from conftest import (
     always_scan_maximal_order,
+    canonical_rows,
     cofactor_charpoly,
     fraction_determinant,
     has_integer_root,
     random_irreducible_cubic,
     random_irreducible_quartic,
     random_monic_zpoly,
+    random_power_basis_orders,
+    scan_p_enlarge,
 )
 from primesplit import fixtures, orders
 from primesplit.criteria import index_divisible
@@ -264,6 +267,36 @@ class TestPEnlarge:
             assert abs(ratio) == 1 and v % 2 == 0
             done += 1
 
+    def test_basis_is_canonical(self):
+        # the adjoin-step composition gave row 4 as (a^3 + a^4)/2 here
+        f = ZPoly.from_text("t^5 - 4*t^4 - 5*t^3 + 52*t^2 - 104*t + 68")
+        enlarged = p_enlarge(order_from_polynomial(f), PrimeModulus(2))
+        assert enlarged.basis_in_parent == canonical_rows(enlarged.basis_in_parent)
+        assert enlarged.basis_in_parent[4] == (0, 0, Fraction(1, 2), 0, Fraction(1, 2))
+
+    def test_round2_matches_scan_oracle(self):
+        rng = random.Random(101)
+        orders_ = []
+        for rank, count in ((2, 40), (3, 40), (4, 30), (5, 20)):
+            orders_ += random_power_basis_orders(rng, rank, count, bound=12)
+        while len(orders_) < 170:
+            vals = [rng.randrange(-8, 9) for _ in range(4)]
+            if gcd(*vals) == 1:
+                order, disc = cubic_family(*vals)
+                if disc:
+                    orders_.append(order)
+        strict = 0
+        for order in orders_:
+            for p in (2, 3, 5):
+                if p**order.n > 1000:
+                    continue
+                enlarged = p_enlarge(order, PrimeModulus(p))
+                oracle = scan_p_enlarge(order, PrimeModulus(p))
+                assert enlarged.basis_in_parent == canonical_rows(oracle.basis_in_parent)
+                assert order_discriminant(enlarged) == order_discriminant(oracle)
+                strict += order_discriminant(enlarged) != order_discriminant(order)
+        assert strict >= 50
+
 
 class TestMaximalOrder:
     def test_cubic(self):
@@ -300,7 +333,7 @@ class TestMaximalOrder:
         "text", ["t^5 - 2", "t^5 + 10*t + 1", "t^2 - 2", "t^3 - t - 1"]
     )
     def test_power_basis_kept_without_p_enlarge(self, monkeypatch, text):
-        primes = _count_p_enlarge(monkeypatch)
+        primes = _count_p_maximal_lattice(monkeypatch)
         f = ZPoly.from_text(text)
         order, d = maximal_order(f)
         assert primes == []
@@ -308,7 +341,7 @@ class TestMaximalOrder:
         assert d == discriminant(f)
 
     def test_enlarges_where_dedekind_says_index_divisible(self, monkeypatch):
-        primes = _count_p_enlarge(monkeypatch)
+        primes = _count_p_maximal_lattice(monkeypatch)
         _, d = maximal_order(fixtures.cubic_poly())
         assert primes == [2]
         assert d == -503
@@ -344,6 +377,20 @@ class TestMaximalOrder:
                 enlarged += divisible.count(True)
                 done += 1
         assert skipped and enlarged
+
+    def test_rank9_time_bound(self):
+        # a p^n residue scan would need a charpoly for each of 3^9 residues
+        start = time.perf_counter()
+        order, d = maximal_order(ZPoly.from_text("t^9 - 54"))
+        assert time.perf_counter() - start < 2.0
+        assert d == 11019960576
+        assert order.basis_in_parent == canonical_rows(order.basis_in_parent)
+
+    def test_sextic_at_7(self):
+        order, d = maximal_order(ZPoly.from_text("t^6 + 343"))
+        assert d == -3087
+        index = 1 / abs(_fraction_rows_det(order.basis_in_parent))
+        assert discriminant(ZPoly.from_text("t^6 + 343")) == index**2 * d
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
@@ -465,16 +512,16 @@ def _identity_rows(n):
     return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
-def _count_p_enlarge(monkeypatch):
-    """Record the prime of every p_enlarge call maximal_order makes."""
+def _count_p_maximal_lattice(monkeypatch):
+    """Record the prime of every per-prime Round 2 call maximal_order makes."""
     primes = []
-    real = orders.p_enlarge
+    real = orders._p_maximal_lattice
 
-    def counting(order, modulus):
-        primes.append(int(modulus))
-        return real(order, modulus)
+    def counting(order, p):
+        primes.append(p)
+        return real(order, p)
 
-    monkeypatch.setattr(orders, "p_enlarge", counting)
+    monkeypatch.setattr(orders, "_p_maximal_lattice", counting)
     return primes
 
 
