@@ -45,7 +45,6 @@ from .orders import (
 )
 from .zpoly import ZPoly, discriminant, reduce_mod
 
-DEFAULT_ENUM_BOUND = 10**4
 DEFAULT_TRIAL_BOUND = 10**6
 
 
@@ -165,8 +164,6 @@ def cmd_split_prime(args):
     modulus = _parse_prime_arg(args.p)
     if not f.is_monic():
         raise UsageError("polynomial must be monic")
-    enum_bound = args.bound or DEFAULT_ENUM_BOUND
-    trial_bound = args.bound or DEFAULT_TRIAL_BOUND
     inputs = {"poly": str(f), "p": modulus.p}
     try:
         shape, symbols = factor_prime_via_polynomial(f, modulus, seed=args.seed)
@@ -181,8 +178,8 @@ def cmd_split_prime(args):
         return RunReport("split-prime", inputs, results)
 
     try:
-        order, fundamental = maximal_order(f, bound=trial_bound)
-        primes = factor_p_in_order(order, modulus, bound=enum_bound)
+        order, fundamental = maximal_order(f, bound=args.bound or DEFAULT_TRIAL_BOUND)
+        primes = factor_p_in_order(order, modulus)
     except ValueError as exc:
         raise UsageError(str(exc))
     shape = SplittingShape(modulus, [(fx, e) for _, e, fx in primes])
@@ -463,7 +460,7 @@ def build_parser():
         "--bound",
         type=int,
         default=None,
-        help="guard bound for trial division and residue enumeration",
+        help="trial-division bound for factoring discriminants (default 10^6)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -13,14 +13,17 @@ all operations pure.
 
 import itertools
 
-from .fppoly import FpPoly, PrimeModulus, fp_is_irreducible
+from .fppoly import FpPoly, PrimeModulus, fp_factor, fp_is_irreducible
 from .orders import (
     Order,
     OrderElement,
     _bracket_entry,
     _echelon_mod_p,
+    _left_kernel_mod_p,
     _multipliers_mod_p,
     _pow_mod_p,
+    _prime_power,
+    _radical_mod_p,
     _unit,
     _upper_hnf,
     char_poly,
@@ -196,6 +199,26 @@ def ideal_norm(a):
 
 # -- quotient-ring structure ------------------------------------------------
 
+def _quotient_frobenius(order, rows, p):
+    """x -> x^p on order/I over GF(p), for a canonical lattice I containing p*order.
+
+    The quotient's basis is the basis elements at the free positions
+    (diagonal p).  Returns (free positions, Frobenius matrix, Frobenius
+    minus the identity); row k of a matrix is the image of the k-th
+    free basis element.
+    """
+    n = order.n
+    free = [i for i in range(n) if rows[i][i] != 1]
+    frobenius = []
+    for i in free:
+        image = reduce_mod_lattice(rows, _pow_mod_p(order, _unit(n, i), p, p))
+        frobenius.append([image[j] for j in free])
+    shifted = [
+        [c - (j == k) for k, c in enumerate(row)] for j, row in enumerate(frobenius)
+    ]
+    return free, frobenius, shifted
+
+
 def _is_maximal(order, ideal, p):
     """True when order/ideal is a field.
 
@@ -210,13 +233,7 @@ def _is_maximal(order, ideal, p):
         return False  # the whole order
     if any(ideal.rows[i] != tuple(p * c for c in _unit(n, i)) for i in free):
         return False  # p*order is not inside, so no field of characteristic p
-    frobenius = []
-    for i in free:
-        image = reduce_mod_lattice(ideal.rows, _pow_mod_p(order, _unit(n, i), p, p))
-        frobenius.append([image[j] for j in free])
-    shifted = [
-        [c - (j == k) for k, c in enumerate(row)] for j, row in enumerate(frobenius)
-    ]
+    _, frobenius, shifted = _quotient_frobenius(order, ideal.rows, p)
     f = len(free)
     return (
         len(_echelon_mod_p(frobenius, p)[0]) == f
@@ -229,8 +246,8 @@ def ideal_valuation(a, prime):
     if a.order != prime.order:
         raise ValueError("ideals belong to different orders")
     nrm = prime.norm()
-    p = _prime_base(nrm)
-    if p is None or not _is_maximal(prime.order, prime, p):
+    base = _prime_power(nrm)
+    if base is None or not _is_maximal(prime.order, prime, base[0]):
         raise ValueError("valuation requires a maximal ideal")
     v = 0
     power = prime
@@ -243,106 +260,56 @@ def ideal_valuation(a, prime):
     return v
 
 
-def _prime_base(n):
-    if n < 2:
-        return None
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            return d if n == 1 else None
-        d += 1
-    return n
+# -- factoring p by splitting order/rad(p) ------------------------------------
 
-
-# -- factoring p by enumeration --------------------------------------------
-
-def _echelon_subspaces(p, n, k):
-    """Reduced echelon bases of all k-dimensional subspaces of GF(p)^n."""
-    for cols in itertools.combinations(range(n), k):
-        free_positions = []
-        for i, c in enumerate(cols):
-            for j in range(c + 1, n):
-                if j not in cols:
-                    free_positions.append((i, j))
-        for values in itertools.product(range(p), repeat=len(free_positions)):
-            mat = [[0] * n for _ in range(k)]
-            for i, c in enumerate(cols):
-                mat[i][c] = 1
-            for (i, j), val in zip(free_positions, values):
-                mat[i][j] = val
-            yield cols, mat
-
-
-def _closed_mod_p(order, mat, p, cols):
-    """Closure of the rowspace under multiplication by the non-identity basis."""
-    n = order.n
-    table = order.table
-    pivot_of = {c: i for i, c in enumerate(cols)}
-    for row in mat:
-        for g in range(1, n):
-            prod = [0] * n
-            for i, ri in enumerate(row):
-                if ri:
-                    tig = table[i][g]
-                    for m in range(n):
-                        prod[m] = (prod[m] + ri * tig[m]) % p
-            for c in range(n):
-                x = prod[c] % p
-                if x:
-                    if c in pivot_of:
-                        r = mat[pivot_of[c]]
-                        for m in range(c, n):
-                            prod[m] = (prod[m] - x * r[m]) % p
-                    else:
-                        return False
-    return True
-
-
-def factor_p_in_order(order, modulus, bound=10**4):
+def factor_p_in_order(order, modulus):
     """All prime ideals above p with their exponents and degrees.
 
-    Enumerates the sublattices between p*order and order through echelon
-    forms over GF(p), keeps those closed under ring multiplication,
-    picks the maximal proper ones, reads each residue degree f from the
-    norm p^f, and finds each exponent e by valuation against p*order so
-    that the product of prime powers is exactly p*order.
+    The quotient of the order by the p-radical I is a product of g
+    finite fields, one per prime above p, and the x with x^p = x in it
+    form a g-dimensional subalgebra (Cohen, GTM 138, 6.2).  Each such x
+    is a constant c_i modulo the i-th prime, and the c_i are the roots
+    of its characteristic polynomial mod p, so every ideal J between I
+    and the order is split into the proper ideals among J + (x - c).
+    A basis of that subalgebra separates all g primes.  Each residue
+    degree f comes from the norm p^f and each exponent e from the
+    valuation of p*order, so that the product of prime powers is
+    exactly p*order.
 
-    The order must be p-maximal; p**n must not exceed `bound`.
-    Results are sorted by basis matrix and returned as (ideal, e, f).
+    The order must be p-maximal.  Results are sorted by basis matrix
+    and returned as (ideal, e, f).
     """
     if not isinstance(modulus, PrimeModulus):
         modulus = PrimeModulus(modulus)
     p = modulus.p
     n = order.n
-    if p**n > bound:
-        raise ValueError(
-            "p^n = %d exceeds the enumeration bound %d" % (p**n, bound)
-        )
     _require_p_maximal(order, modulus)
 
+    radical = _radical_mod_p(order, p)
+    free, _, shifted = _quotient_frobenius(order, radical, p)
+    split = _left_kernel_mod_p(shifted, p)
+    parts = [radical]
+    for x in split:
+        if len(parts) == len(split):
+            break
+        coords = [0] * n
+        for i, c in zip(free, x):
+            coords[i] = c
+        cp = reduce_mod(char_poly(OrderElement(order, coords)), modulus)
+        refined = []
+        for linear, _ in fp_factor(cp):
+            c = -linear.coeffs[0]  # the root of t - c
+            generators = order.mul_matrix([coords[0] - c] + coords[1:])
+            for rows in parts:
+                ideal = hnf(list(rows) + generators, n)
+                if any(r[i] != 1 for i, r in enumerate(ideal)):
+                    refined.append(ideal)
+        parts = refined
+    if len(parts) != len(split):
+        raise AssertionError("the split subalgebra does not separate the primes")
+    maximal = [LatticeIdeal(order, rows, _trusted=True) for rows in sorted(parts)]
+
     p_ideal = ideal_from_generators(order, [order.identity() * p])
-    candidates = []  # (cols, mat, ideal)
-    for k in range(n):
-        for cols, mat in _echelon_subspaces(p, n, k):
-            if _closed_mod_p(order, mat, p, cols):
-                rows = [list(r) for r in p_ideal.rows] + [list(r) for r in mat]
-                ideal = LatticeIdeal(order, hnf(rows, n), _trusted=True)
-                candidates.append((mat, ideal))
-
-    maximal = []
-    for mat, ideal in candidates:
-        strictly_above = any(
-            other is not ideal
-            and other != ideal
-            and other.contains_ideal(ideal)
-            for _, other in candidates
-        )
-        if not strictly_above:
-            maximal.append(ideal)
-    maximal.sort(key=lambda ide: ide.rows)
-
     out = []
     total = whole_order(order)
     for ideal in maximal:

@@ -12,7 +12,8 @@ p-enlargement, kept as integer rows over one common denominator.  Next
 to it sits the one GF(p) kernel (echelon form and left kernel of
 integer rows mod p) on which the p-maximal order is built by the
 Pohst-Zassenhaus Round 2: the p-radical is the kernel of a Frobenius
-power, and its ring of multipliers is the next order.
+power, and its ring of multipliers is the next order.  The same radical
+is what ``ideals.factor_p_in_order`` splits into the primes above p.
 
 Orders and elements are immutable; every operation is a pure function.
 Every enlarged order carries the canonical triangular basis of its
@@ -27,7 +28,7 @@ from .criteria import (
     _rational_root_screen,
     factorization_with_cofactor,
 )
-from .fppoly import PrimeModulus, is_prime
+from .fppoly import MAX_MODULUS, PrimeModulus, is_prime
 from .zpoly import ZPoly, bareiss_determinant, discriminant
 
 
@@ -579,25 +580,32 @@ def _pow_mod_p(order, coords, e, p):
 
 # -- p-maximal orders by Round 2 ----------------------------------------------
 
-def _multipliers_mod_p(order, p):
-    """Basis mod p of U/(p*order), U = {x : x*I inside p*I}, I the p-radical.
+def _radical_mod_p(order, p):
+    """Canonical rows of the p-radical: p*order plus the kernel of x -> x^(p^k), p^k >= n.
 
-    The radical I is p*order plus the kernel of x -> x^(p^k) on
-    order/(p*order), p^k >= n.  The ring of multipliers of I is U/p, so
-    an empty result proves the order p-maximal (Cohen, GTM 138, 6.1.8
-    and 6.1.10).
+    The kernel is taken on order/(p*order), where x^(p^k) vanishes
+    exactly on the nilpotents.
     """
     n = order.n
     q = p
     while q < n:
         q *= p
     frobenius = [_pow_mod_p(order, _unit(n, i), q, p) for i in range(n)]
-    radical = hnf(
+    return hnf(
         [[p * c for c in unit] for unit in _identity_rows(n)]
         + _left_kernel_mod_p(frobenius, p)
     )
+
+
+def _multipliers_mod_p(order, p):
+    """Basis mod p of U/(p*order), U = {x : x*I inside p*I}, I the p-radical.
+
+    The ring of multipliers of I is U/p, so an empty result proves the
+    order p-maximal (Cohen, GTM 138, 6.1.8 and 6.1.10).
+    """
+    radical = _radical_mod_p(order, p)
     # row i: basis_i * radical_j for every j, in radical coordinates mod p
-    rows = [[] for _ in range(n)]
+    rows = [[] for _ in range(order.n)]
     for v in radical:
         for row, prod in zip(rows, order.mul_matrix(v)):
             row.extend(c % p for c in _lattice_coords(radical, prod))
@@ -655,20 +663,31 @@ def trial_factor(n, bound):
         if d * d > n or is_prime(n):
             out[n] = out.get(n, 0) + 1
             return out
-        for e in range(n.bit_length(), 1, -1):
-            root = _integer_nth_root(n, e)
-            if root is not None and root**e == n and is_prime(root):
-                out[root] = out.get(root, 0) + e
-                return out
-        raise ValueError(
-            "factorization of %d exceeds the trial-division bound %d" % (n, bound)
-        )
+        power = _prime_power(n)
+        if power is None:
+            raise ValueError(
+                "factorization of %d exceeds the trial-division bound %d" % (n, bound)
+            )
+        root, e = power
+        out[root] = out.get(root, 0) + e
     return out
 
 
+def _prime_power(n):
+    """(q, e) with n = q^e for a prime q < MAX_MODULUS, else None.
+
+    The largest e with an exact e-th root gives the only candidate q,
+    so the cost depends on the bit length of n, not on q.  Above
+    MAX_MODULUS ``is_prime`` is not conclusive, so such a q gives None.
+    """
+    for e in range(n.bit_length(), 0, -1):
+        root = _integer_nth_root(n, e)
+        if root**e == n:
+            return (root, e) if root < MAX_MODULUS and is_prime(root) else None
+    return None
+
+
 def _integer_nth_root(n, e):
-    if n < 1:
-        return None
     lo, hi = 1, 1 << (n.bit_length() // e + 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2

@@ -5,7 +5,18 @@ import random
 from fractions import Fraction
 
 from primesplit.fppoly import FpPoly, PrimeModulus
-from primesplit.ideals import reduce_mod_lattice
+from primesplit.ideals import (
+    LatticeIdeal,
+    _norm_degree,
+    _require_p_maximal,
+    hnf,
+    ideal_from_generators,
+    ideal_power,
+    ideal_product,
+    ideal_valuation,
+    reduce_mod_lattice,
+    whole_order,
+)
 from primesplit.indexform import MultiPoly, parse_multipoly_vars
 from primesplit.orders import (
     Order,
@@ -409,3 +420,94 @@ def exhaustive_common_value_divisor(f, p):
         if f.evaluate(point) % p:
             return False
     return True
+
+
+def _echelon_subspaces(p, n, k):
+    """Reduced echelon bases of all k-dimensional subspaces of GF(p)^n."""
+    for cols in itertools.combinations(range(n), k):
+        free_positions = []
+        for i, c in enumerate(cols):
+            for j in range(c + 1, n):
+                if j not in cols:
+                    free_positions.append((i, j))
+        for values in itertools.product(range(p), repeat=len(free_positions)):
+            mat = [[0] * n for _ in range(k)]
+            for i, c in enumerate(cols):
+                mat[i][c] = 1
+            for (i, j), val in zip(free_positions, values):
+                mat[i][j] = val
+            yield cols, mat
+
+
+def _closed_mod_p(order, mat, p, cols):
+    """Closure of the rowspace under multiplication by the non-identity basis."""
+    n = order.n
+    table = order.table
+    pivot_of = {c: i for i, c in enumerate(cols)}
+    for row in mat:
+        for g in range(1, n):
+            prod = [0] * n
+            for i, ri in enumerate(row):
+                if ri:
+                    tig = table[i][g]
+                    for m in range(n):
+                        prod[m] = (prod[m] + ri * tig[m]) % p
+            for c in range(n):
+                x = prod[c] % p
+                if x:
+                    if c in pivot_of:
+                        r = mat[pivot_of[c]]
+                        for m in range(c, n):
+                            prod[m] = (prod[m] - x * r[m]) % p
+                    else:
+                        return False
+    return True
+
+
+def enumerate_primes_above(order, p):
+    """Oracle: (ideal, e, f) for each prime above p, by enumerating subspaces.
+
+    Enumerates the sublattices between p*order and order through echelon
+    forms over GF(p) (all subspaces of GF(p)^n, so p^n must be small),
+    keeps those closed under ring multiplication, picks the maximal
+    proper ones, reads each residue degree f from the norm p^f, and
+    finds each exponent e by valuation against p*order.  The order must
+    be p-maximal; results are sorted by basis matrix.
+    """
+    modulus = PrimeModulus(p)
+    n = order.n
+    _require_p_maximal(order, modulus)
+
+    p_ideal = ideal_from_generators(order, [order.identity() * p])
+    candidates = []  # (cols, mat, ideal)
+    for k in range(n):
+        for cols, mat in _echelon_subspaces(p, n, k):
+            if _closed_mod_p(order, mat, p, cols):
+                rows = [list(r) for r in p_ideal.rows] + [list(r) for r in mat]
+                ideal = LatticeIdeal(order, hnf(rows, n), _trusted=True)
+                candidates.append((mat, ideal))
+
+    maximal = []
+    for mat, ideal in candidates:
+        strictly_above = any(
+            other is not ideal
+            and other != ideal
+            and other.contains_ideal(ideal)
+            for _, other in candidates
+        )
+        if not strictly_above:
+            maximal.append(ideal)
+    maximal.sort(key=lambda ide: ide.rows)
+
+    out = []
+    total = whole_order(order)
+    for ideal in maximal:
+        f = _norm_degree(ideal.norm(), p)
+        e = ideal_valuation(p_ideal, ideal)
+        out.append((ideal, e, f))
+        total = ideal_product(total, ideal_power(ideal, e))
+    if total != p_ideal:
+        raise AssertionError("prime power product does not reconstruct p*order")
+    if sum(e * f for _, e, f in out) != n:
+        raise AssertionError("sum of e*f does not equal the rank")
+    return out

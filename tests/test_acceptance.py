@@ -281,7 +281,7 @@ def test_criterion_9f_ramification_iff_divides_fundamental_number():
     for order, disc, primes in corpus:
         assert order_discriminant(order) == disc
         for p in primes:
-            result = factor_p_in_order(order, p, bound=503**3)
+            result = factor_p_in_order(order, p)
             assert any(e > 1 for _, e, _ in result) == (disc % p == 0)
     _report("9f", "p | D exactly when some e > 1, across the fixture corpus")
 

@@ -108,6 +108,25 @@ class TestSplitPrime:
             "[2, a, w2]",
         ]
 
+    def test_sextic_index_divisor(self):
+        # p^n = 117649: the order route must not depend on p^n
+        status, out, _ = run_cli("--json", "split-prime", "t^6+343", "7")
+        assert status == 0
+        results = json.loads(out)["results"]
+        assert results["index_divisible"] is True
+        assert results["parts"] == [{"f": 1, "e": 2}] * 3
+        assert results["fundamental_number"] == -3087
+
+    def test_rank9_totally_ramified(self):
+        status, out, _ = run_cli("--json", "split-prime", "t^9-54", "3")
+        assert status == 0
+        assert json.loads(out)["results"]["parts"] == [{"f": 1, "e": 9}]
+
+    def test_bound_caps_trial_division(self):
+        status, _, err = run_cli("--bound", "1", "split-prime", "t^3-t^2-2t-8", "2")
+        assert status == 2
+        assert "trial-division bound 1" in err
+
 
 class TestCommonIndexDivisorCommand:
     def test_shapes(self):

@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from conftest import (
+    enumerate_primes_above,
     random_irreducible_cubic,
     random_irreducible_quartic,
     random_power_basis_orders,
@@ -262,12 +264,8 @@ class TestFactorPInOrder:
         ]
 
     def test_cubic_at_503_ramified(self):
-        result = factor_p_in_order(MAX_CUBIC, 503, bound=503**3)
+        result = factor_p_in_order(MAX_CUBIC, 503)
         assert sorted((e, f) for _, e, f in result) == [(1, 1), (2, 1)]
-
-    def test_bound_guard(self):
-        with pytest.raises(ValueError):
-            factor_p_in_order(MAX_CUBIC, 503)
 
     def test_requires_p_maximal(self):
         power = fixtures.cubic_power_order()
@@ -282,6 +280,53 @@ class TestFactorPInOrder:
     def test_ramified_in_sqrt2(self):
         result = factor_p_in_order(SQRT2, 2)
         assert [(e, f) for _, e, f in result] == [(2, 1)]
+
+    def test_matches_enumeration_oracle(self):
+        rng = random.Random(211)
+        orders_ = []
+        for rank in (2, 3, 4, 5):
+            orders_ += [(rank, o) for o in random_power_basis_orders(rng, rank, 30)]
+        families = [cubic_family(2, 2, 1, -1)[0], cubic_family(1, 3, -2, 5)[0]]
+        cases = []
+        for p in (2, 3, 5, 7):
+            cases += [(family, p) for family in families]
+            for rank in (2, 3, 4, 5):
+                if p**rank > 10**4:
+                    continue
+                # the oracle's cost grows like the number of subspaces of GF(p)^n
+                count = 30 if p**rank < 200 else 10 if p**rank < 3000 else 2
+                pool = [o for r, o in orders_ if r == rank]
+                cases += [(o, p) for o in rng.sample(pool, count)]
+        several = below_rank = 0
+        for order, p in cases:
+            order = p_enlarge(order, p)
+            result = [(ide.rows, e, f) for ide, e, f in factor_p_in_order(order, p)]
+            expected = [(ide.rows, e, f) for ide, e, f in enumerate_primes_above(order, p)]
+            assert result == expected, (order.table, p)
+            several += len(result) > 1
+            below_rank += p < order.n
+        assert len(cases) >= 300 and several >= 100 and below_rank >= 100
+
+    def test_large_index_divisors_time_bound(self):
+        # p^n = 19683 and 117649: the cost must not depend on p^n
+        for poly, p, disc in (("t^9 - 54", 3, 11019960576), ("t^6 + 343", 7, -3087)):
+            order, d = maximal_order(ZPoly.from_text(poly))
+            assert d == disc
+            start = time.perf_counter()
+            result = factor_p_in_order(order, p)
+            assert time.perf_counter() - start < 2.0, poly
+            assert any(e > 1 for _, e, _ in result) == (disc % p == 0)
+            assert sum(e * f for _, e, f in result) == order.n
+
+    def test_large_prime_time_bound(self):
+        # the cost must depend on the bit length of p, not on p (the norm
+        # p^f of each prime is recognised as a prime power in valuations)
+        p = 2**31 - 1
+        start = time.perf_counter()
+        result = factor_p_in_order(MAX_CUBIC, p)
+        assert time.perf_counter() - start < 2.0
+        shape, _ = factor_prime_via_polynomial(fixtures.cubic_poly(), PrimeModulus(p))
+        assert sorted((f, e) for _, e, f in result) == sorted(shape.parts)
 
 
 class TestIdealValuation:
@@ -368,7 +413,7 @@ class TestShapeOracleAgreement:
             except IndexDivisorError:
                 continue
             order = p_enlarge(order_from_polynomial(f), p)
-            via_ideals = factor_p_in_order(order, p, bound=10**5)
+            via_ideals = factor_p_in_order(order, p)
             assert sorted((fx, e) for _, e, fx in via_ideals) == sorted(shape.parts)
             done += 1
 
@@ -385,7 +430,7 @@ class TestRamificationMatchesDiscriminant:
         for order, disc, primes in corpus:
             assert order_discriminant(order) == disc
             for p in primes:
-                result = factor_p_in_order(order, p, bound=503**3)
+                result = factor_p_in_order(order, p)
                 ramified = any(e > 1 for _, e, _ in result)
                 assert ramified == (disc % p == 0), (disc, p)
 

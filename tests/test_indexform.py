@@ -247,7 +247,7 @@ class TestCommonValueDivisor:
             form = index_form(order)
             for p in ps:
                 modulus = PrimeModulus(p)
-                primes = factor_p_in_order(order, modulus, bound=10**5)
+                primes = factor_p_in_order(order, modulus)
                 shape = SplittingShape(modulus, [(f, e) for _, e, f in primes])
                 divisor, _ = common_index_divisor(modulus, shape)
                 assert common_value_divisor(form, modulus) == divisor, (p,)

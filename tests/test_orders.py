@@ -22,6 +22,7 @@ from primesplit.criteria import index_divisible
 from primesplit.fppoly import PrimeModulus, fp_is_irreducible
 from primesplit.orders import (
     Order,
+    _prime_power,
     char_poly,
     charpoly_matrix,
     cubic_family,
@@ -409,6 +410,16 @@ class TestMaximalOrder:
         assert trial_factor(6 * 1000003**2, 10) == {2: 1, 3: 1, 1000003: 2}
         assert trial_factor(6 * 1000003, 10) == {2: 1, 3: 1, 1000003: 1}
         assert trial_factor(6 * 1000003**2, 2 * 10**6) == {2: 1, 3: 1, 1000003: 2}
+
+    def test_prime_power_by_exact_roots(self):
+        q = 2**31 - 1
+        assert _prime_power(q) == (q, 1)
+        assert _prime_power(q**5) == (q, 5)
+        assert _prime_power(2**40) == (2, 40)
+        for n in (0, 1, 36, 1000003 * 1000033, q * (q - 2)):
+            assert _prime_power(n) is None
+        # 2^31 + 11 is prime, but is_prime is only conclusive below 2^31
+        assert _prime_power((2**31 + 11) ** 2) is None
 
 
 class TestCubicFamily:
