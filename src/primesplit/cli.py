@@ -232,14 +232,14 @@ def cmd_maximal_order(args):
 
 def cmd_index_form(args):
     f = _parse_poly_arg(args.poly)
-    if args.maximal:
-        try:
+    try:
+        if args.maximal:
             order, _ = maximal_order(f, bound=args.bound or DEFAULT_TRIAL_BOUND)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    else:
-        order = order_from_polynomial(f)
-    form = index_form(order)
+        else:
+            order = order_from_polynomial(f)
+        form = index_form(order)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     results = {"index_form": format_multipoly(form)}
     if args.divisor is not None:
         modulus = _parse_prime_arg(args.divisor)

@@ -23,6 +23,26 @@ MAX_MODULUS = 2**31
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def binary_power(base, e, mul, one):
+    """base**e for e >= 0 by left-to-right binary powering with product `mul`.
+
+    Returns `one` only when e == 0.  Scanning the bits of e from the top
+    takes floor(lg e) squarings and popcount(e) - 1 multiplications by
+    base (Cohen, GTM 138, Alg. 1.2.2), so e == 1 makes no product at
+    all.  `mul` must be associative on the powers of base.
+    """
+    if e < 0:
+        raise ValueError("negative exponent")
+    if e == 0:
+        return one
+    result = base
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
 def is_prime(n):
     """Deterministic primality test for n < 2**31 (strong tests to base 2,3,5,7)."""
     if n < 2:
@@ -197,16 +217,7 @@ class FpPoly:
         return divmod(self, other)[1]
 
     def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = FpPoly(self.modulus, (1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, FpPoly.__mul__, fp_one(self.modulus))
 
     def derivative(self):
         return FpPoly(
@@ -244,14 +255,9 @@ def fp_one(modulus):
 
 def fp_powmod(base, e, mod):
     """base**e reduced mod the polynomial `mod` (binary powering)."""
-    result = fp_one(mod.modulus)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = result * base % mod
-        base = base * base % mod
-        e >>= 1
-    return result
+    return binary_power(
+        base % mod, e, lambda a, b: a * b % mod, fp_one(mod.modulus)
+    )
 
 
 def fp_gcd(a, b):

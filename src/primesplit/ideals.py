@@ -13,7 +13,7 @@ all operations pure.
 
 import itertools
 
-from .fppoly import FpPoly, PrimeModulus, fp_factor, fp_is_irreducible
+from .fppoly import FpPoly, PrimeModulus, binary_power, fp_factor, fp_is_irreducible
 from .orders import (
     Order,
     OrderElement,
@@ -183,14 +183,7 @@ def ideal_product(a, b):
 
 
 def ideal_power(a, e):
-    result = whole_order(a.order)
-    base = a
-    while e:
-        if e & 1:
-            result = ideal_product(result, base)
-        base = ideal_product(base, base)
-        e >>= 1
-    return result
+    return binary_power(a, e, ideal_product, whole_order(a.order))
 
 
 def ideal_norm(a):
@@ -283,9 +276,11 @@ def factor_p_in_order(order, modulus):
         modulus = PrimeModulus(modulus)
     p = modulus.p
     n = order.n
-    _require_p_maximal(order, modulus)
-
     radical = _radical_mod_p(order, p)
+    # one Round 2 step: the ring of multipliers of the radical must be the order
+    if _multipliers_mod_p(order, p, radical):
+        raise ValueError("order is not %d-maximal" % p)
+
     free, _, shifted = _quotient_frobenius(order, radical, p)
     split = _left_kernel_mod_p(shifted, p)
     parts = [radical]
@@ -313,7 +308,9 @@ def factor_p_in_order(order, modulus):
     out = []
     total = whole_order(order)
     for ideal in maximal:
-        f = _norm_degree(ideal.norm(), p)
+        q, f = _prime_power(ideal.norm())
+        if q != p:
+            raise AssertionError("ideal norm is not a power of %d" % p)
         e = ideal_valuation(p_ideal, ideal)
         out.append((ideal, e, f))
         total = ideal_product(total, ideal_power(ideal, e))
@@ -322,23 +319,6 @@ def factor_p_in_order(order, modulus):
     if sum(e * f for _, e, f in out) != n:
         raise AssertionError("sum of e*f does not equal the rank")
     return out
-
-
-def _norm_degree(nrm, p):
-    f = 0
-    while nrm > 1:
-        if nrm % p:
-            raise AssertionError("ideal norm is not a power of %d" % p)
-        nrm //= p
-        f += 1
-    return f
-
-
-def _require_p_maximal(order, modulus):
-    """One Round 2 step: the ring of multipliers of the p-radical must be the order."""
-    p = int(modulus)
-    if _multipliers_mod_p(order, p):
-        raise ValueError("order is not %d-maximal" % p)
 
 
 # -- good generators via lattice CRT ----------------------------------------

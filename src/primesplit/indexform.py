@@ -1,11 +1,13 @@
 """Symbolic index form of an order.
 
-For a generic element z + x1*w2 + ... the coordinate matrix of its
-powers 1, w, ..., w^(n-1) has a determinant that is homogeneous of
-degree n(n-1)/2 in the non-identity coordinates and free of z; its
-value at a concrete element's coordinates is (up to sign) that
-element's index.  The form is computed with z symbolic and the
-z-independence asserted, which catches multiplication-table bugs.
+For a generic element w = x*e1 + y*e2 + ... of an order with basis
+e0 = 1, e1, ..., e(n-1), the coordinate matrix of its powers 1, w, ...,
+w^(n-1) has a determinant that is homogeneous of degree n(n-1)/2 in the
+non-identity coordinates; its value at a concrete element's
+coordinates is (up to sign) that element's index.  Adding an integer
+to w changes the matrix by a unimodular row operation, so the identity
+coordinate is left out: ``Order`` checks that the first basis element
+is the identity and that the table is commutative and associative.
 
 The kernel does not use MultiPoly.  It holds each polynomial as a dict
 from a packed exponent (one fixed-width bit field per variable, so a
@@ -199,9 +201,10 @@ def _det_packed(m):
 def index_form(order):
     """Index of the generic element as a polynomial in its non-identity coordinates.
 
-    Homogeneous of degree n(n-1)/2; the identity coordinate is carried
-    symbolically and asserted absent from the result.  Evaluating at a
-    concrete element's coordinates gives that element's index up to sign.
+    Homogeneous of degree n(n-1)/2.  The index does not depend on the
+    identity coordinate, so the generic element has none.  Evaluating
+    at a concrete element's coordinates gives that element's index up
+    to sign.
     """
     n = order.n
     if n > 5:
@@ -209,8 +212,8 @@ def index_form(order):
     names = parse_multipoly_vars(n)
     table = order.table
 
-    # powers of the generic element z*e0 + x*e1 + ..., coordinate i of
-    # the generic element being the packed variable 1 << (_FIELD * i)
+    # powers of the generic element x*e1 + y*e2 + ..., coordinate i >= 1 of
+    # the generic element being the packed variable 1 << (_FIELD * (i - 1))
     acc = [{0: 1}] + [{}] * (n - 1)
     powers = []
     for _ in range(n - 1):
@@ -218,9 +221,9 @@ def index_form(order):
         for i, ai in enumerate(acc):
             if not ai:
                 continue
-            for j, tij in enumerate(table[i]):
-                var = 1 << (_FIELD * j)
-                for k, t in enumerate(tij):
+            for j in range(1, n):
+                var = 1 << (_FIELD * (j - 1))
+                for k, t in enumerate(table[i][j]):
                     if t:
                         _add_product(out[k], ai, {var: t}, 1)
         acc = [_nonzero(o) for o in out]
@@ -228,32 +231,25 @@ def index_form(order):
     # the power 1 = (1, 0, ..., 0) leads the full matrix: its determinant is
     # the minor of the higher powers on the non-identity coordinates
     det = _det_packed([row[1:] for row in powers])
-    if any(e & _FIELD_MASK for e in det):
-        raise AssertionError("index form depends on the identity coordinate")
     return MultiPoly(
         names,
         {
-            tuple((e >> (_FIELD * i)) & _FIELD_MASK for i in range(1, n)): c
+            tuple((e >> (_FIELD * i)) & _FIELD_MASK for i in range(n - 1)): c
             for e, c in det.items()
         },
     )
 
 
-def common_value_divisor(f, modulus, bound=10**6):
+def common_value_divisor(f, modulus):
     """True when f vanishes at every point of GF(p)^v, for a prime p.
 
     Over GF(p), x^p = x, so each nonzero exponent e reduces to
     1 + (e-1) mod (p-1); the reduced polynomial is the unique one of
     degree < p in each variable with the same values, so f vanishes
-    everywhere exactly when every reduced coefficient is 0 mod p.  The
-    bound on p^v (the number of points) is kept as the caller's limit.
+    everywhere exactly when every reduced coefficient is 0 mod p.  No
+    point is evaluated, so the cost does not grow with p^v.
     """
     p = int(modulus)
-    v = len(f.vars)
-    if p**v > bound:
-        raise ValueError(
-            "p^v = %d exceeds the evaluation bound %d" % (p**v, bound)
-        )
     if not is_prime(p):
         raise ValueError("modulus %d is not prime" % p)
     reduced = {}

@@ -28,7 +28,7 @@ from .criteria import (
     _rational_root_screen,
     factorization_with_cofactor,
 )
-from .fppoly import MAX_MODULUS, PrimeModulus, is_prime
+from .fppoly import MAX_MODULUS, PrimeModulus, binary_power, is_prime
 from .zpoly import ZPoly, bareiss_determinant, discriminant
 
 
@@ -192,16 +192,7 @@ class OrderElement:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = self.order.identity()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, OrderElement.__mul__, self.order.identity())
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -567,15 +558,12 @@ def _left_kernel_mod_p(rows, p):
 
 def _pow_mod_p(order, coords, e, p):
     """Coordinates of (coords-combination)^e modulo p*order."""
-    result = _unit(order.n, 0)
-    base = tuple(c % p for c in coords)
-    while e:
-        if e & 1:
-            result = tuple(c % p for c in order.vec_mul(result, base))
-        e >>= 1
-        if e:
-            base = tuple(c % p for c in order.vec_mul(base, base))
-    return result
+    return binary_power(
+        tuple(c % p for c in coords),
+        e,
+        lambda a, b: tuple(c % p for c in order.vec_mul(a, b)),
+        _unit(order.n, 0),
+    )
 
 
 # -- p-maximal orders by Round 2 ----------------------------------------------
@@ -597,13 +585,13 @@ def _radical_mod_p(order, p):
     )
 
 
-def _multipliers_mod_p(order, p):
+def _multipliers_mod_p(order, p, radical):
     """Basis mod p of U/(p*order), U = {x : x*I inside p*I}, I the p-radical.
 
-    The ring of multipliers of I is U/p, so an empty result proves the
-    order p-maximal (Cohen, GTM 138, 6.1.8 and 6.1.10).
+    `radical` holds the canonical rows of I.  The ring of multipliers of
+    I is U/p, so an empty result proves the order p-maximal (Cohen,
+    GTM 138, 6.1.8 and 6.1.10).
     """
-    radical = _radical_mod_p(order, p)
     # row i: basis_i * radical_j for every j, in radical coordinates mod p
     rows = [[] for _ in range(order.n)]
     for v in radical:
@@ -618,7 +606,7 @@ def _p_maximal_lattice(order, p):
     basis, d = _identity_rows(n), 1
     current = order
     while True:
-        kernel = _multipliers_mod_p(current, p)
+        kernel = _multipliers_mod_p(current, p, _radical_mod_p(current, p))
         if not kernel:
             return basis, d
         # the next order is (p*current + kernel)/p, written over order's basis

@@ -10,7 +10,7 @@ Zero has no degree here; ``degree`` is None for the zero polynomial and
 callers must treat that case explicitly.
 """
 
-from .fppoly import FpPoly, PrimeModulus
+from .fppoly import FpPoly, PrimeModulus, binary_power
 from .textfmt import DEFAULT_VAR, format_poly, parse_poly
 
 
@@ -79,16 +79,7 @@ class ZPoly:
         return ZPoly([c * x for x in self.coeffs])
 
     def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = ZPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, ZPoly.__mul__, ZPoly((1,)))
 
     def __divmod__(self, other):
         """Quotient and remainder; the divisor must be monic."""

@@ -7,8 +7,6 @@ from fractions import Fraction
 from primesplit.fppoly import FpPoly, PrimeModulus
 from primesplit.ideals import (
     LatticeIdeal,
-    _norm_degree,
-    _require_p_maximal,
     hnf,
     ideal_from_generators,
     ideal_power,
@@ -23,8 +21,11 @@ from primesplit.orders import (
     _identity_rows,
     _lattice,
     _lowest_terms,
+    _multipliers_mod_p,
     _order_on_lattice,
     _over_common_denominator,
+    _prime_power,
+    _radical_mod_p,
     _rational_rows,
     _unit,
     charpoly_matrix,
@@ -474,9 +475,9 @@ def enumerate_primes_above(order, p):
     finds each exponent e by valuation against p*order.  The order must
     be p-maximal; results are sorted by basis matrix.
     """
-    modulus = PrimeModulus(p)
     n = order.n
-    _require_p_maximal(order, modulus)
+    if _multipliers_mod_p(order, p, _radical_mod_p(order, p)):
+        raise ValueError("order is not %d-maximal" % p)
 
     p_ideal = ideal_from_generators(order, [order.identity() * p])
     candidates = []  # (cols, mat, ideal)
@@ -502,7 +503,8 @@ def enumerate_primes_above(order, p):
     out = []
     total = whole_order(order)
     for ideal in maximal:
-        f = _norm_degree(ideal.norm(), p)
+        q, f = _prime_power(ideal.norm())
+        assert q == p
         e = ideal_valuation(p_ideal, ideal)
         out.append((ideal, e, f))
         total = ideal_product(total, ideal_power(ideal, e))

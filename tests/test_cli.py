@@ -199,6 +199,22 @@ class TestIndexFormCommand:
             "divides_all_values": exhaustive_common_value_divisor(expected, 3),
         }
 
+    def test_divisor_beyond_a_million_points(self):
+        status, out, _ = run_cli("--json", "index-form", "t^5+t+1", "--divisor", "101")
+        payload = json.loads(out)
+        assert status == 0
+        # the generator t has index 1, so 101 cannot divide every value
+        assert payload["results"]["common_value_divisor"] == {
+            "p": 101,
+            "divides_all_values": False,
+        }
+
+    def test_unsupported_orders_are_usage_errors(self):
+        for poly in ("t^6+1", "2t^3+1", "t+1"):
+            status, out, err = run_cli("index-form", poly)
+            assert status == 2, poly
+            assert out == "" and err.startswith("error: "), poly
+
 
 class TestPaperExamples:
     def test_all_pass(self):

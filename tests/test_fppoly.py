@@ -1,19 +1,27 @@
+import operator
 import random
 
 import pytest
 
 from conftest import random_fp_poly
+from primesplit import fixtures
 from primesplit.fppoly import (
     FpPoly,
     PrimeModulus,
+    binary_power,
     count_monic_irreducibles,
     enumerate_monic_irreducibles,
     fp_extgcd,
     fp_factor,
     fp_gcd,
     fp_is_irreducible,
+    fp_one,
+    fp_powmod,
     is_prime,
 )
+from primesplit.ideals import LatticeIdeal, ideal_power, ideal_product, whole_order
+from primesplit.orders import OrderElement, _pow_mod_p, _unit
+from primesplit.zpoly import ZPoly
 
 M2 = PrimeModulus(2)
 M7 = PrimeModulus(7)
@@ -83,6 +91,72 @@ class TestArithmetic:
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.is_zero() or r.degree < b.degree
+
+
+def _powering_sites():
+    """(name, power(base, e), base, mul, one) for every caller of binary_power."""
+    mod = FpPoly(M7, (2, 0, 1, 1))
+    order = fixtures.maximal_cubic_order()
+    return [
+        ("int", lambda b, e: binary_power(b, e, operator.mul, 1), 3, operator.mul, 1),
+        ("FpPoly", operator.pow, FpPoly(M7, (3, 1, 5)), operator.mul, fp_one(M7)),
+        (
+            "fp_powmod",
+            lambda b, e: fp_powmod(b, e, mod),
+            FpPoly(M7, (3, 1, 5, 6, 2)),
+            lambda a, b: a * b % mod,
+            fp_one(M7),
+        ),
+        ("ZPoly", operator.pow, ZPoly((2, -1, 1)), operator.mul, ZPoly((1,))),
+        (
+            "OrderElement",
+            operator.pow,
+            OrderElement(order, (1, 1, -1)),
+            operator.mul,
+            order.identity(),
+        ),
+        (
+            "_pow_mod_p",
+            lambda c, e: _pow_mod_p(order, c, e, 5),
+            (1, 3, 4),
+            lambda a, b: tuple(c % 5 for c in order.vec_mul(a, b)),
+            _unit(3, 0),
+        ),
+        (
+            "ideal_power",
+            ideal_power,
+            LatticeIdeal(order, fixtures.CUBIC_PRIMES_ABOVE_2["a"]),
+            ideal_product,
+            whole_order(order),
+        ),
+    ]
+
+
+class TestBinaryPower:
+    @pytest.mark.parametrize(
+        "site", _powering_sites(), ids=lambda site: site[0]
+    )
+    def test_matches_repeated_products(self, site):
+        _, power, base, mul, one = site
+        naive = one
+        for e in range(131):
+            assert power(base, e) == naive, e
+            naive = mul(naive, base)
+        with pytest.raises(ValueError, match="negative exponent"):
+            power(base, -1)
+
+    def test_product_count(self):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return a * b
+
+        assert binary_power(2, 0, counting, 1) == 1 and not calls
+        for e in range(1, 131):
+            del calls[:]
+            assert binary_power(2, e, counting, 1) == 2**e
+            assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
 
 
 class TestGcd:

@@ -11,7 +11,7 @@ from conftest import (
     random_power_basis_orders,
     scan_is_maximal,
 )
-from primesplit import fixtures
+from primesplit import fixtures, ideals
 from primesplit.criteria import IndexDivisorError, factor_prime_via_polynomial
 from primesplit.fppoly import FpPoly, PrimeModulus
 from primesplit.ideals import (
@@ -188,6 +188,19 @@ class TestIdealProduct:
         left = ideal_product(ab, IDEAL_C)
         right = ideal_product(IDEAL_A, ideal_product(IDEAL_B, IDEAL_C))
         assert left == right
+
+    def test_first_power_makes_no_product(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return ideal_product(a, b)
+
+        monkeypatch.setattr(ideals, "ideal_product", counting)
+        assert ideal_power(IDEAL_A, 1) == IDEAL_A
+        assert calls == []
+        assert ideal_power(IDEAL_A, 2) == ideal_product(IDEAL_A, IDEAL_A)
+        assert len(calls) == 1
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 import random
 import time
-import types
 
 import pytest
 
@@ -189,19 +188,6 @@ class TestAgainstCofactorOracle:
         index_form(order)
         assert time.perf_counter() - start < 2.0
 
-    def test_identity_coordinate_dependence_raises(self):
-        # power basis 1, a, a^2 of t^3 - 2, but with e0*e1 = e1 + e2 in
-        # both slots: e0 is no longer the identity, so the determinant
-        # keeps the identity coordinate
-        table = [
-            [(1, 0, 0), (0, 1, 1), (0, 0, 1)],
-            [(0, 1, 1), (0, 0, 1), (2, 0, 0)],
-            [(0, 0, 1), (2, 0, 0), (0, 2, 0)],
-        ]
-        order = types.SimpleNamespace(n=3, table=table)
-        with pytest.raises(AssertionError, match="identity coordinate"):
-            index_form(order)
-
 
 class TestCommonValueDivisor:
     def test_matches_exhaustive_oracle(self, oracle_corpus):
@@ -229,11 +215,6 @@ class TestCommonValueDivisor:
         x = MultiPoly.variable(("x",), "x")
         for p in (2, 3, 5):
             assert common_value_divisor(x, p) is False
-
-    def test_bound_guard(self):
-        form = MultiPoly(("x", "y"), fixtures.CUBIC_INDEX_FORM_TERMS)
-        with pytest.raises(ValueError):
-            common_value_divisor(form, PrimeModulus(1009), bound=10**6)
 
     def test_consistency_with_splitting_criterion(self):
         # common divisor of index-form values == common index divisor from
