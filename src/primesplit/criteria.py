@@ -28,7 +28,7 @@ from .fppoly import (
     enumerate_monic_irreducibles,
     fp_factor,
 )
-from .zpoly import ZPoly, cofactor_m, lift, reduce_mod
+from .zpoly import ZPoly, cofactor_m, integer_roots, lift, reduce_mod
 
 
 class IndexDivisorError(ValueError):
@@ -182,7 +182,8 @@ def index_divisible(f, modulus, seed=0):
     True exactly when some irreducible P with P^2 dividing f mod p also
     divides the cofactor M mod p.  Callers are responsible for the
     irreducibility of f; a rational-root screen rejects the obvious
-    failures.
+    failures, finding the integer roots by Hensel lifting in time
+    polynomial in the bit length of f (``zpoly.integer_roots``).
     """
     if not isinstance(modulus, PrimeModulus):
         modulus = PrimeModulus(modulus)
@@ -207,10 +208,9 @@ def _rational_root_screen(f):
         raise ValueError("polynomial is divisible by t, hence reducible")
     if f.degree < 2:
         raise ValueError("expected degree >= 2")
-    for d in range(1, abs(const) + 1):
-        if const % d == 0 and (f(d) == 0 or f(-d) == 0):
-            root = d if f(d) == 0 else -d
-            raise ValueError("polynomial is reducible (integer root %d)" % root)
+    roots = integer_roots(f)
+    if roots:
+        raise ValueError("polynomial is reducible (integer root %d)" % roots[0])
 
 
 def factor_prime_via_polynomial(f, modulus, seed=0):

@@ -306,14 +306,15 @@ def factor_p_in_order(order, modulus):
 
     p_ideal = ideal_from_generators(order, [order.identity() * p])
     out = []
-    total = whole_order(order)
     for ideal in maximal:
         q, f = _prime_power(ideal.norm())
         if q != p:
             raise AssertionError("ideal norm is not a power of %d" % p)
         e = ideal_valuation(p_ideal, ideal)
         out.append((ideal, e, f))
-        total = ideal_product(total, ideal_power(ideal, e))
+    total, *rest = [ideal_power(ideal, e) for ideal, e, _ in out]
+    for power in rest:
+        total = ideal_product(total, power)
     if total != p_ideal:
         raise AssertionError("prime power product does not reconstruct p*order")
     if sum(e * f for _, e, f in out) != n:

@@ -1,8 +1,9 @@
 """Integer-coefficient univariate polynomials with exact arithmetic.
 
-Provides the discriminant through a fraction-free resultant, reduction
-to and lifting from prime fields, and the cofactor polynomial of a
-lifted factorization: the integer polynomial M with
+Provides the discriminant through a fraction-free resultant, the
+integer roots by Hensel lifting, reduction to and lifting from prime
+fields, and the cofactor polynomial of a lifted factorization: the
+integer polynomial M with
 
     f = (product of the lifted factors to their exponents) - p*M.
 
@@ -10,7 +11,9 @@ Zero has no degree here; ``degree`` is None for the zero polynomial and
 callers must treat that case explicitly.
 """
 
-from .fppoly import FpPoly, PrimeModulus, binary_power
+from math import gcd
+
+from .fppoly import FpPoly, PrimeModulus, binary_power, fp_gcd, is_prime
 from .textfmt import DEFAULT_VAR, format_poly, parse_poly
 
 
@@ -188,6 +191,85 @@ def discriminant(f):
         return 1
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(f, f.derivative())
+
+
+def _primitive(cs):
+    """Coefficients divided by their content, leading coefficient positive."""
+    c = gcd(*cs)
+    if cs[-1] < 0:
+        c = -c
+    return [x // c for x in cs]
+
+
+def _primitive_gcd(a, b):
+    """gcd of two nonzero integer polynomials by a primitive PRS.
+
+    Each pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b has its
+    content removed before the next step, which keeps the coefficients
+    polynomial in the bit length of the inputs.  The result is the
+    primitive gcd with positive leading coefficient, which ignores the
+    contents of a and b.
+    """
+    a, b = _primitive(a.coeffs), _primitive(b.coeffs)
+    while len(b) > 1:
+        r, lb, db = list(a), b[-1], len(b) - 1
+        while len(r) > db:
+            c, shift = r[-1], len(r) - 1 - db
+            r = [lb * x for x in r]
+            for j, bj in enumerate(b):
+                r[shift + j] -= c * bj
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            return ZPoly(b)
+        a, b = b, _primitive(r)
+    return ZPoly((1,))
+
+
+def integer_roots(f):
+    """Distinct integer roots of a monic f with nonzero constant term a0.
+
+    Takes the first prime q at which f mod q is squarefree, finds the
+    roots of f mod q by evaluation (each is simple) and Newton-lifts
+    each one to a modulus m > 2|a0|; every integer root divides a0, so
+    its symmetric residue mod m is the root itself (Cohen, GTM 138, 3.5;
+    von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).  When f
+    has a repeated factor no q works: the first failing q replaces f by
+    f / gcd(f, f'), which is squarefree with the same roots.  Only the
+    primes dividing its nonzero discriminant fail afterwards, so the
+    cost is polynomial in the bit length of f.
+
+    Returns the roots in the order |r| ascending, r before -r.
+    """
+    if not f.is_monic():
+        raise ValueError("integer roots require a monic polynomial")
+    a0 = f.coeffs[0]
+    if a0 == 0:
+        raise ValueError("integer roots require a nonzero constant term")
+    g, reduced, q = f, False, 1
+    while True:
+        q += 1
+        if not is_prime(q):
+            continue
+        g_q = reduce_mod(g, q)
+        if fp_gcd(g_q, g_q.derivative()).is_one():
+            break
+        if not reduced:
+            reduced = True
+            g = g // _primitive_gcd(g, g.derivative())
+    dg = g.derivative()
+    roots = []
+    for r in range(q):
+        if g(r) % q:
+            continue
+        m = q
+        while m <= 2 * abs(a0):
+            m *= m
+            r = (r - g(r) * pow(dg(r), -1, m)) % m
+        c = r - m if 2 * r > m else r
+        if c and a0 % c == 0 and f(c) == 0:
+            roots.append(c)
+    return sorted(roots, key=lambda r: (abs(r), -r))
 
 
 def reduce_mod(f, modulus):

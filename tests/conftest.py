@@ -51,14 +51,22 @@ def random_monic_zpoly(rng, degree, bound):
     return ZPoly([rng.randrange(-bound, bound + 1) for _ in range(degree)] + [1])
 
 
-def has_integer_root(f):
+def divisor_scan_roots(f):
+    """Oracle for integer_roots: every integer root of f (nonzero constant
+    term) found by trying each divisor d of the constant term, in scan
+    order (d before -d, |d| ascending)."""
     const = f.coeffs[0]
-    if const == 0:
-        return True
-    for d in range(1, abs(const) + 1):
-        if const % d == 0 and (f(d) == 0 or f(-d) == 0):
-            return True
-    return False
+    return [
+        r
+        for d in range(1, abs(const) + 1)
+        if const % d == 0
+        for r in (d, -d)
+        if f(r) == 0
+    ]
+
+
+def has_integer_root(f):
+    return f.coeffs[0] == 0 or bool(divisor_scan_roots(f))
 
 
 def _divisor_pairs(n):

@@ -76,6 +76,10 @@ class TestDedekindCriterion:
         assert status == 0
         assert payload["results"]["index_divisible"] is False
 
+    def test_large_constant_term(self):
+        status, _, _ = run_cli("dedekind-criterion", "t^3 - 1000000000000000001", "3")
+        assert status == 0
+
 
 class TestSplitPrime:
     def test_good_path(self):

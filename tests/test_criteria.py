@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -102,6 +103,17 @@ class TestIndexDivisible:
             index_divisible(ZPoly.from_text("t^3 - t^2 + 2*t - 8"), M2)  # root 2
         with pytest.raises(ValueError):
             index_divisible(ZPoly.from_text("t^2 - t"), M2)  # divisible by t
+
+    def test_screen_time_depends_on_bit_length(self):
+        # the cost must follow the bit length of the constant term, not its value
+        for c in (10**9 + 1, 10**18 + 1):
+            start = time.perf_counter()
+            index_divisible(ZPoly((-c, 0, 0, 1)), PrimeModulus(3))
+            assert time.perf_counter() - start < 1.0, c
+
+    def test_screen_names_large_root(self):
+        with pytest.raises(ValueError, match=r"integer root 1000000\)"):
+            index_divisible(ZPoly((-10**18, 0, 0, 1)), PrimeModulus(3))
 
 
 class TestFactorPrimeViaPolynomial:

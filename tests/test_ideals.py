@@ -294,6 +294,22 @@ class TestFactorPInOrder:
         result = factor_p_in_order(SQRT2, 2)
         assert [(e, f) for _, e, f in result] == [(2, 1)]
 
+    def test_product_check_never_multiplies_by_the_order(self, monkeypatch):
+        operands = []
+
+        def recording(a, b):
+            operands.append((a, b))
+            return ideal_product(a, b)
+
+        monkeypatch.setattr(ideals, "ideal_product", recording)
+        result = factor_p_in_order(MAX_CUBIC, 2)
+        monkeypatch.undo()
+        assert [(ide.rows, e, f) for ide, e, f in result] == [
+            (fixtures.CUBIC_PRIMES_ABOVE_2[name], 1, 1) for name in "cab"
+        ]
+        whole = whole_order(MAX_CUBIC)
+        assert operands and all(whole not in pair for pair in operands)
+
     def test_matches_enumeration_oracle(self):
         rng = random.Random(211)
         orders_ = []

@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fraction_determinant, random_monic_zpoly
+from conftest import divisor_scan_roots, fraction_determinant, random_monic_zpoly
+from primesplit import criteria
 from primesplit.fppoly import FpPoly, PrimeModulus, fp_factor
 from primesplit.zpoly import (
     ZPoly,
     bareiss_determinant,
     cofactor_m,
     discriminant,
+    integer_roots,
     lift,
     reduce_mod,
     resultant,
@@ -222,3 +226,74 @@ class TestLiftIndependence:
             pmod = reduce_mod(P, mp)
             assert diff.is_zero() or (diff % pmod).is_zero()
             done += 1
+
+
+def _planted(roots, cofactor):
+    """The monic polynomial prod(t - r) * cofactor (ascending coefficients)."""
+    f = ZPoly(cofactor)
+    for r in roots:
+        f = f * ZPoly((-r, 1))
+    return f
+
+
+class TestIntegerRoots:
+    FIXED = [
+        ((1,), (1, 1, 1)),
+        ((-1,), (3, 0, 1)),
+        ((1, -1), (5, 1, 1)),
+        ((5, -5), (2, 1)),  # the screen names +5
+        ((3, 3), (1, 0, 1)),  # (t-3)^2 (t^2+1), discriminant 0
+        ((-2, -2, -2), (1, 1)),
+        ((313, -317), (1, 0, 1)),  # |a0| = 99221
+        ((), (1, 0, 1)),
+        ((), (-2, 0, 0, 1)),
+        ((), (1, 0, 1, 0, 1)),  # (t^2+t+1)(t^2-t+1), no integer root
+        ((), (1, 0, 2, 0, 1)),  # (t^2+1)^2: discriminant 0 and no root
+    ]
+
+    def test_agrees_with_divisor_scan(self):
+        rng = random.Random(43)
+        cases = [_planted(roots, cofactor) for roots, cofactor in self.FIXED]
+        while len(cases) < 400:
+            roots = [
+                rng.choice((1, -1, rng.randrange(-40, 41)))
+                for _ in range(rng.randrange(0, 4))
+            ]
+            if roots and rng.random() < 0.2:
+                roots.append(-roots[0])
+            cofactor = [rng.randrange(-20, 21) for _ in range(rng.randrange(0, 4))]
+            f = _planted(roots, cofactor + [1])
+            if f.degree >= 2 and 0 < abs(f.coeffs[0]) <= 10**5:
+                cases.append(f)
+        verdicts = set()
+        for f in cases:
+            expected = divisor_scan_roots(f)
+            assert integer_roots(f) == expected, f
+            if expected:
+                with pytest.raises(ValueError) as exc:
+                    criteria._rational_root_screen(f)
+                assert str(exc.value) == (
+                    "polynomial is reducible (integer root %d)" % expected[0]
+                )
+            else:
+                criteria._rational_root_screen(f)
+            verdicts.add(bool(expected))
+        assert verdicts == {True, False}
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        roots=st.lists(st.integers(-10**6, 10**6).filter(bool), max_size=3),
+        constant=st.integers(-1000, 1000).filter(bool),
+        middle=st.lists(st.integers(-1000, 1000), max_size=3),
+    )
+    def test_planted_roots_are_found(self, roots, constant, middle):
+        f = _planted(roots, [constant] + middle + [1])
+        found = integer_roots(f)
+        assert set(roots) <= set(found)
+        assert all(f(r) == 0 for r in found)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            integer_roots(ZPoly((1, 1, 2)))
+        with pytest.raises(ValueError):
+            integer_roots(ZPoly((0, 1, 1)))
