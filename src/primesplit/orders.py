@@ -601,14 +601,18 @@ def _multipliers_mod_p(order, p, radical):
 
 
 def _p_maximal_lattice(order, p):
-    """Canonical (rows, d) of the p-maximal order over `order`, in its coordinates."""
+    """Canonical (rows, d) of the p-maximal order over `order`, in its coordinates.
+
+    Returns (rows, d, built): `built` is that order as Round 2's last
+    step constructed it, or `order` itself when it is already p-maximal.
+    """
     n = order.n
     basis, d = _identity_rows(n), 1
     current = order
     while True:
         kernel = _multipliers_mod_p(current, p, _radical_mod_p(current, p))
         if not kernel:
-            return basis, d
+            return basis, d, current
         # the next order is (p*current + kernel)/p, written over order's basis
         rows = [[p * c for c in row] for row in basis] + [
             [sum(x * row[j] for x, row in zip(u, basis)) for j in range(n)]
@@ -628,7 +632,8 @@ def p_enlarge(order, modulus):
     """
     if not isinstance(modulus, PrimeModulus):
         modulus = PrimeModulus(modulus)
-    return _order_on_lattice(order, *_p_maximal_lattice(order, modulus.p))
+    basis, d, _ = _p_maximal_lattice(order, modulus.p)
+    return _order_on_lattice(order, basis, d)
 
 
 def trial_factor(n, bound):
@@ -704,9 +709,8 @@ def maximal_order(f, bound=10**6, labels=None):
     if disc == 0:
         raise ValueError("polynomial has a repeated root (discriminant 0)")
     factors = trial_factor(disc, bound)
-    order = order_from_polynomial(f, labels=labels)
-    n = order.n
-    lattices = [(_identity_rows(n), 1)]
+    power_basis = order_from_polynomial(f, labels=labels)
+    enlarged = []
     for q in sorted(factors):
         if factors[q] < 2:
             continue
@@ -715,11 +719,17 @@ def maximal_order(f, bound=10**6, labels=None):
         # q does not divide the index of Z[t]/(f) Round 2 finds nothing.
         verdict = _dedekind_verdict(modulus, *factorization_with_cofactor(f, modulus))
         if verdict.divisible:
-            lattices.append(_p_maximal_lattice(order, q))
-    # the maximal order is the sum of the q-maximal ones
-    d = lcm(*(dq for _, dq in lattices))
-    rows = [[c * (d // dq) for c in row] for basis, dq in lattices for row in basis]
-    order = _order_on_lattice(order, *_lattice(rows, d))
+            enlarged.append(_p_maximal_lattice(power_basis, q))
+    if len(enlarged) > 1:
+        # the maximal order is the sum of the q-maximal ones
+        d = lcm(*(dq for _, dq, _ in enlarged))
+        rows = [[c * (d // dq) for c in row] for basis, dq, _ in enlarged for row in basis]
+        order = _order_on_lattice(power_basis, *_lattice(rows, d))
+    elif enlarged:
+        order = enlarged[0][2]  # Round 2 already built the one q-maximal order
+    else:
+        order = power_basis
+        order.basis_in_parent = _rational_rows(_identity_rows(order.n), 1)
     return order, order_discriminant(order)
 
 

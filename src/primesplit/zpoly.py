@@ -16,6 +16,10 @@ from math import gcd
 from .fppoly import FpPoly, PrimeModulus, binary_power, fp_gcd, is_prime
 from .textfmt import DEFAULT_VAR, format_poly, parse_poly
 
+# integer_roots takes the squarefree part of f, a gcd over Z, only when
+# f mod q has a repeated factor at every prime q up to this one
+_LAST_PRIME_BEFORE_GCD = 29
+
 
 class ZPoly:
     """Dense univariate polynomial over the rational integers."""
@@ -234,10 +238,11 @@ def integer_roots(f):
     each one to a modulus m > 2|a0|; every integer root divides a0, so
     its symmetric residue mod m is the root itself (Cohen, GTM 138, 3.5;
     von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).  When f
-    has a repeated factor no q works: the first failing q replaces f by
-    f / gcd(f, f'), which is squarefree with the same roots.  Only the
-    primes dividing its nonzero discriminant fail afterwards, so the
-    cost is polynomial in the bit length of f.
+    has a repeated factor no q works, but a squarefree f seldom fails at
+    every prime up to 29, so only then is f replaced by f / gcd(f, f'),
+    which is squarefree with the same roots.  Only the primes dividing
+    its nonzero discriminant fail afterwards, so the cost is polynomial
+    in the bit length of f.
 
     Returns the roots in the order |r| ascending, r before -r.
     """
@@ -246,7 +251,7 @@ def integer_roots(f):
     a0 = f.coeffs[0]
     if a0 == 0:
         raise ValueError("integer roots require a nonzero constant term")
-    g, reduced, q = f, False, 1
+    g, q = f, 1
     while True:
         q += 1
         if not is_prime(q):
@@ -254,8 +259,7 @@ def integer_roots(f):
         g_q = reduce_mod(g, q)
         if fp_gcd(g_q, g_q.derivative()).is_one():
             break
-        if not reduced:
-            reduced = True
+        if q == _LAST_PRIME_BEFORE_GCD:
             g = g // _primitive_gcd(g, g.derivative())
     dg = g.derivative()
     roots = []

@@ -4,7 +4,16 @@ import itertools
 import random
 from fractions import Fraction
 
-from primesplit.fppoly import FpPoly, PrimeModulus
+from primesplit.fppoly import (
+    FpPoly,
+    PrimeModulus,
+    _prime_divisors,
+    _pth_root,
+    fp_gcd,
+    fp_one,
+    fp_powmod,
+    fp_x,
+)
 from primesplit.ideals import (
     LatticeIdeal,
     hnf,
@@ -521,3 +530,115 @@ def enumerate_primes_above(order, p):
     if sum(e * f for _, e, f in out) != n:
         raise AssertionError("sum of e*f does not equal the rank")
     return out
+
+
+# -- oracle: factoring over GF(p) with one powering per p-th power ------------
+#
+# fp_factor's distinct-degree step before the Frobenius matrix: x**(p**d)
+# by a fresh powering at every degree d, and equal-degree splitting by
+# one (p**d - 1)/2 powering.
+
+
+def _frobenius_iterate(d, f):
+    """x**(p**d) mod f, by applying the p-th power map d times."""
+    p = f.p
+    r = fp_x(f.modulus) % f
+    for _ in range(d):
+        r = fp_powmod(r, p, f)
+    return r
+
+
+def powering_is_irreducible(f):
+    """Oracle for fp_is_irreducible: the same test with _frobenius_iterate.
+
+    f is irreducible of degree n iff x**(p**n) == x mod f and
+    gcd(x**(p**(n/q)) - x, f) = 1 for every prime q dividing n.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    n = f.degree
+    if n == 0:
+        raise ValueError("constant polynomials are not classified")
+    if n == 1:
+        return True
+    f = f.monic()
+    x = fp_x(f.modulus)
+    for q in _prime_divisors(n):
+        h = _frobenius_iterate(n // q, f)
+        if not fp_gcd(h - x, f).is_one():
+            return False
+    return _frobenius_iterate(n, f) == x % f
+
+
+def _factor_squarefree(f, rng):
+    """Factor a squarefree monic f: distinct-degree then equal-degree split."""
+    factors = []
+    x = fp_x(f.modulus)
+    r = x % f
+    p = f.p
+    d = 0
+    while not f.is_one():
+        d += 1
+        if 2 * d > (f.degree or 0):
+            factors.append(f)
+            break
+        r = fp_powmod(r, p, f)
+        g = fp_gcd(r - x, f) if not (r - x).is_zero() else f.monic()
+        if not g.is_one():
+            factors.extend(_equal_degree_split(g, d, rng))
+            f = (f // g).monic()
+            r = r % f
+    return factors
+
+
+def _equal_degree_split(g, d, rng):
+    """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles."""
+    if g.degree == d:
+        return [g]
+    p = g.p
+    mod = g.modulus
+    n = g.degree
+    while True:
+        a = FpPoly(mod, [rng.randrange(p) for _ in range(n)])
+        if a.degree is None or a.degree < 1:
+            continue
+        if p == 2:
+            # trace map a + a^2 + a^4 + ... + a^(2^(d-1))
+            t = a % g
+            acc = t
+            for _ in range(d - 1):
+                t = t * t % g
+                acc = acc + t
+            h = fp_gcd(acc, g) if not acc.is_zero() else g
+        else:
+            b = fp_powmod(a, (p**d - 1) // 2, g) - fp_one(mod)
+            h = fp_gcd(b, g) if not b.is_zero() else g
+        if h.is_one() or h.degree == g.degree:
+            continue
+        rest = (g // h).monic()
+        return _equal_degree_split(h, d, rng) + _equal_degree_split(rest, d, rng)
+
+
+def _powering_factor_monic(f, rng):
+    """Factor monic f into {irreducible: multiplicity} by separating repeated parts."""
+    if f.is_one():
+        return {}
+    fd = f.derivative()
+    if fd.is_zero():
+        inner = _powering_factor_monic(_pth_root(f), rng)
+        return {g: e * f.p for g, e in inner.items()}
+    u = fp_gcd(f, fd)
+    if u.is_one():
+        return {g: 1 for g in _factor_squarefree(f, rng)}
+    out = _powering_factor_monic(u, rng)
+    for g, e in _powering_factor_monic((f // u).monic(), rng).items():
+        out[g] = out.get(g, 0) + e
+    return out
+
+
+def powering_fp_factor(f, seed=0):
+    """Oracle for fp_factor, from the powering-per-step splitting above."""
+    if f.degree == 0:
+        return []
+    fac = _powering_factor_monic(f.monic(), random.Random(seed))
+    return sorted(fac.items(), key=lambda ge: ge[0].sort_key())

@@ -1,13 +1,19 @@
+import itertools
 import operator
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_fp_poly
-from primesplit import fixtures
+from conftest import powering_fp_factor, powering_is_irreducible, random_fp_poly
+from primesplit import fixtures, fppoly
 from primesplit.fppoly import (
     FpPoly,
     PrimeModulus,
+    _frobenius,
+    _frobenius_rows,
     binary_power,
     count_monic_irreducibles,
     enumerate_monic_irreducibles,
@@ -17,6 +23,7 @@ from primesplit.fppoly import (
     fp_is_irreducible,
     fp_one,
     fp_powmod,
+    fp_x,
     is_prime,
 )
 from primesplit.ideals import LatticeIdeal, ideal_power, ideal_product, whole_order
@@ -25,6 +32,7 @@ from primesplit.zpoly import ZPoly
 
 M2 = PrimeModulus(2)
 M7 = PrimeModulus(7)
+ORACLE_PRIMES = (2, 3, 5, 7, 65537, 2**31 - 1)
 
 
 class TestPrimeModulus:
@@ -253,6 +261,126 @@ class TestFactor:
         assert all(r == results[0] for r in results)
 
 
+def _product(mp, factors, lc=1):
+    out = FpPoly(mp, (lc,))
+    for g in factors:
+        out = out * g
+    return out
+
+
+def _random_monic(rng, mp, degree):
+    return FpPoly(mp, [rng.randrange(mp.p) for _ in range(degree)] + [1])
+
+
+def _distinct_irreducibles(rng, mp, degree, count):
+    """`count` distinct monic irreducibles of one degree, accepted by the oracle."""
+    count = min(count, count_monic_irreducibles(mp, degree))
+    found = set()
+    while len(found) < count:
+        g = _random_monic(rng, mp, degree)
+        if powering_is_irreducible(g):
+            found.add(g)
+    return sorted(found, key=FpPoly.sort_key)
+
+
+def _oracle_cases(rng, mp):
+    """Seeded polynomials of degree 1-40 over GF(p), by kind."""
+    p = mp.p
+    lc = rng.randrange(1, p)
+    for _ in range(4):
+        yield "random", _random_monic(rng, mp, rng.randrange(1, 41)).scale(lc)
+    g = _random_monic(rng, mp, rng.randrange(1, 6))
+    h = _random_monic(rng, mp, rng.randrange(0, 11))
+    yield "repeated", _product(mp, [g] * rng.randrange(2, 5) + [h], lc)
+    if 2 * p <= 40:
+        # f = g(x**p) has f' = 0: the p-th root path
+        inner = [rng.randrange(p) for _ in range(rng.randrange(1, 40 // p))] + [1]
+        coeffs = [0] * ((len(inner) - 1) * p + 1)
+        coeffs[::p] = inner
+        yield "pth power", FpPoly(mp, coeffs)
+    # distinct irreducibles of degrees 1 and 2: a divisor of x**(p**2) - x
+    small = _distinct_irreducibles(rng, mp, 1, 6) + _distinct_irreducibles(rng, mp, 2, 6)
+    yield "equal degree", _product(mp, small, lc)
+    d = rng.randrange(3, 6)
+    yield "equal degree", _product(mp, _distinct_irreducibles(rng, mp, d, 30 // d), lc)
+
+
+class TestFrobenius:
+    def test_rows_are_pth_powers_of_x(self):
+        rng = random.Random(29)
+        for p in ORACLE_PRIMES:
+            mp = PrimeModulus(p)
+            for _ in range(3):
+                f = _random_monic(rng, mp, rng.randrange(1, 13))
+                rows = _frobenius_rows(f)
+                assert len(rows) == f.degree
+                for i, row in enumerate(rows):
+                    assert row == fp_powmod(fp_x(mp), i * p, f)
+                r = FpPoly(mp, [rng.randrange(p) for _ in range(f.degree)])
+                assert _frobenius(r, rows) == fp_powmod(r, p, f)
+
+    def test_matches_powering_oracle(self):
+        rng = random.Random(31)
+        kinds, shapes = set(), set()
+        for p in ORACLE_PRIMES:
+            mp = PrimeModulus(p)
+            for trial, (kind, f) in enumerate(_oracle_cases(rng, mp)):
+                assert 1 <= f.degree <= 40
+                fac = fp_factor(f, seed=trial)
+                assert fac == powering_fp_factor(f, seed=trial), (p, kind, f)
+                kinds.add(kind)
+                shapes.add(len(fac) == 1 and fac[0][1] == 1)
+        assert kinds == {"random", "repeated", "pth power", "equal degree"}
+        assert shapes == {True, False}
+
+    def test_one_powering_by_p_per_factorization(self, monkeypatch):
+        p = 2**31 - 1
+        f = _random_monic(random.Random(12), PrimeModulus(p), 12)
+        assert fp_gcd(f, f.derivative()).is_one()
+        exponents = []
+        real = fppoly.fp_powmod
+
+        def counting(base, e, mod):
+            exponents.append(e)
+            return real(base, e, mod)
+
+        monkeypatch.setattr(fppoly, "fp_powmod", counting)
+        fac = fp_factor(f)
+        assert len(fac) > 1
+        assert exponents.count(p) == 1
+        assert set(exponents) <= {p, (p - 1) // 2}
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        p=st.sampled_from(ORACLE_PRIMES),
+        coeffs=st.lists(st.integers(0, 2**31 - 2), min_size=1, max_size=20),
+        repeated=st.lists(st.integers(0, 2**31 - 2), max_size=4),
+        seed=st.integers(0, 9),
+    )
+    def test_factorization_properties(self, p, coeffs, repeated, seed):
+        mp = PrimeModulus(p)
+        square = FpPoly(mp, repeated + [1]) ** 2
+        f = FpPoly(mp, coeffs) * square
+        assume(f.degree is not None and f.degree >= 1)
+        fac = fp_factor(f, seed)
+        prod = FpPoly(mp, (f.leading(),))
+        for g, e in fac:
+            assert g.is_monic() and fp_is_irreducible(g)
+            prod = prod * g**e
+        assert prod == f
+        keys = [g.sort_key() for g, _ in fac]
+        assert keys == sorted(set(keys))
+
+    def test_degree_100_time_bound(self):
+        # one powering per degree step took about 3-7 s here
+        p = 2**31 - 1
+        f = _random_monic(random.Random(100), PrimeModulus(p), 100)
+        start = time.perf_counter()
+        fac = fp_factor(f)
+        assert time.perf_counter() - start < 1.5
+        assert sum(g.degree * e for g, e in fac) == 100
+
+
 class TestIrreducible:
     def test_examples(self):
         assert fp_is_irreducible(FpPoly(M2, (1, 1, 1)))
@@ -275,6 +403,19 @@ class TestIrreducible:
                 for x in (0, 1)
             )
             assert fp_is_irreducible(f) == (not has_root)
+
+    def test_classifies_like_count_and_oracle(self):
+        for p, top in ((2, 8), (3, 5), (5, 4), (7, 3)):
+            mp = PrimeModulus(p)
+            for n in range(1, top + 1):
+                irreducible = 0
+                for lower in itertools.product(range(p), repeat=n):
+                    f = FpPoly(mp, lower + (1,))
+                    verdict = fp_is_irreducible(f)
+                    assert verdict == powering_is_irreducible(f), f
+                    irreducible += verdict
+                assert irreducible == count_monic_irreducibles(mp, n)
+                assert irreducible == sum(1 for _ in enumerate_monic_irreducibles(mp, n))
 
     def test_matches_factor_count(self):
         rng = random.Random(17)
