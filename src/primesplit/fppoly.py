@@ -6,6 +6,24 @@ polynomial).  Everything here is a pure function, so values can be
 shared freely; the only randomized step (equal-degree splitting) draws
 from a caller-supplied seed.
 
+Products use Kronecker substitution (von zur Gathen-Gerhard, Modern
+Computer Algebra, ch. 8; Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 44 (2009)).
+A polynomial with coefficients c_i in [0, p) is packed little-endian
+into the integer sum c_i * 2**(w*i), one w-bit slot per coefficient.
+The integer product of two packed polynomials is the packed polynomial
+product as long as no coefficient sum overflows its slot, so a product
+of polynomials with at most n coefficients costs O(n) interpreter steps
+to pack and unpack plus one big-integer multiplication.
+
+ResidueRing computes in GF(p)[x]/(f) for monic f of degree n, on
+packed elements.  It precomputes the reduction table T_k = x**k mod f
+for n <= k <= 2n - 2, packed.  A product is one integer product c, an
+unpack of its n - 1 high slots mod p into a_k, and the packed sum of
+c's n low slots and a_k * T_k, whose n slots one more unpack mod p
+reduces.  Each of those slots holds at most (2n - 1) * (p - 1)**2, so
+the slot width is w = 2 * bitlen(p - 1) + bitlen(n) + 1.
+
 Factorization runs squarefree separation, then distinct-degree
 splitting, then seeded equal-degree splitting (with the trace-map
 variant in characteristic 2).  Factors are reported in a canonical
@@ -14,23 +32,35 @@ reproducible across runs and seeds.
 
 The p-th power map is GF(p)-linear on GF(p)[x]/(f), so each
 factorization computes x**p mod f once and builds the Frobenius matrix
-with rows x**(i*p) mod f (Berlekamp's Q-matrix; Cohen, GTM 138, 3.4).
-Distinct-degree splitting then takes x**(p**d) from x**(p**(d-1)) by
-one matrix-vector product, and equal-degree splitting for odd p takes
-a**((p**d - 1)/2) as a (p-1)/2 power and d - 1 such products (von zur
-Gathen-Shoup, "Computing Frobenius maps and factoring polynomials",
-Comput. Complexity 2 (1992)).  For f of degree n that is one x**p and
-about n products in place of about n/2 powerings by p.
+with rows x**(i*p) mod f (Berlekamp's Q-matrix; Cohen, GTM 138, 3.4),
+kept packed.  Distinct-degree splitting then takes x**(p**d) from
+x**(p**(d-1)) as one linear combination of the packed rows, and
+equal-degree splitting for odd p takes a**((p**d - 1)/2) as a
+(p-1)/2 power and d - 1 such steps (von zur Gathen-Shoup, "Computing
+Frobenius maps and factoring polynomials", Comput. Complexity 2
+(1992)).  For f of degree n that is one x**p and about n products in
+place of about n/2 powerings by p.
 """
 
 import itertools
+import operator
 import random
 
 from .textfmt import DEFAULT_VAR, format_poly, parse_poly
 
 MAX_MODULUS = 2**31
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (bound, bases): strong tests to these bases are conclusive below the
+# bound (Pomerance-Selfridge-Wagstaff, Math. Comp. 35 (1980);
+# Sorenson-Webster, Math. Comp. 86 (2017)).  is_prime raises at and
+# above the last bound, PRIMALITY_BOUND.
+_MILLER_RABIN_BASES = (
+    (3215031751, (2, 3, 5, 7)),
+    (3317044064679887385961981, _SMALL_PRIMES),
+)
+PRIMALITY_BOUND = _MILLER_RABIN_BASES[-1][0]
 
 
 def binary_power(base, e, mul, one):
@@ -53,20 +83,50 @@ def binary_power(base, e, mul, one):
     return result
 
 
+def _slot_width(p, n):
+    """Bits per packed coefficient: room for 2n - 1 products of residues mod p."""
+    return 2 * (p - 1).bit_length() + n.bit_length() + 1
+
+
+def _pack(coeffs, w):
+    """sum c_i * 2**(w*i) for coefficients 0 <= c_i < 2**w."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << w) | c
+    return v
+
+
+def _unpack(v, w, count, p):
+    """The first `count` w-bit slots of v, each reduced mod p."""
+    mask = (1 << w) - 1
+    return [((v >> s) & mask) % p for s in range(0, count * w, w)]
+
+
 def is_prime(n):
-    """Deterministic primality test for n < 2**31 (strong tests to base 2,3,5,7)."""
+    """Deterministic primality test for n < PRIMALITY_BOUND; raises from there on.
+
+    Strong tests to the bases 2, 3, 5 and 7 below 3215031751, and to the
+    13 primes up to 41 below PRIMALITY_BOUND (about 3.317e24).
+    """
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
+    for bound, bases in _MILLER_RABIN_BASES:
+        if n < bound:
+            break
+    else:
+        raise ValueError(
+            "primality of %d is not decided: the test is conclusive only "
+            "below %d" % (n, PRIMALITY_BOUND)
+        )
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    # bases 2,3,5,7 are conclusive below 3215031751 > 2**31
-    for a in (2, 3, 5, 7):
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -191,12 +251,10 @@ class FpPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return FpPoly(self.modulus, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return FpPoly(self.modulus, out)
+        p = self.p
+        w = _slot_width(p, min(len(a), len(b)))
+        c = _pack(a, w) * _pack(b, w)
+        return FpPoly(self.modulus, _unpack(c, w, len(a) + len(b) - 1, p))
 
     def scale(self, c):
         return FpPoly(self.modulus, [c * x for x in self.coeffs])
@@ -263,11 +321,77 @@ def fp_one(modulus):
     return FpPoly(modulus, (1,))
 
 
+class ResidueRing:
+    """GF(p)[x]/(f) for monic f of degree n >= 1, on packed elements.
+
+    An element is the int packing its n coefficients in [0, p) into
+    w-bit slots; the module docstring gives the product, its reduction
+    table and the slot width.
+    """
+
+    __slots__ = ("f", "p", "n", "w", "_mask", "_low", "_high", "_down", "_table")
+
+    def __init__(self, f):
+        if f.degree is None or f.degree < 1 or not f.is_monic():
+            raise ValueError("a residue ring needs a monic modulus of degree >= 1")
+        p, n = f.p, f.degree
+        w = _slot_width(p, n)
+        self.f, self.p, self.n, self.w = f, p, n, w
+        self._mask = (1 << w) - 1
+        self._low = (1 << (n * w)) - 1
+        self._high = range(n * w, (2 * n - 1) * w, w)
+        self._down = range((n - 1) * w, -1, -w)
+        # T_n = x**n = -(f_0 + ... + f_(n-1) x**(n-1)); T_(k+1) is x * T_k
+        # with its x**n term replaced by a multiple of T_n
+        xn = [-c % p for c in f.coeffs[:-1]]
+        row, table = xn, []
+        for _ in range(n - 1):
+            table.append(_pack(row, w))
+            top = row[-1]
+            row = [(c + top * t) % p for c, t in zip([0] + row[:-1], xn)]
+        self._table = table
+
+    def pack(self, coeffs):
+        """The element with these coefficients, which must lie in [0, p)."""
+        return _pack(coeffs, self.w)
+
+    def unpack(self, v):
+        """The n coefficients, reduced mod p, of a packed sum with slots below 2**w."""
+        return _unpack(v, self.w, self.n, self.p)
+
+    def element(self, poly):
+        """poly mod f, packed."""
+        self.f._check(poly)
+        if len(poly.coeffs) > self.n:
+            poly = poly % self.f
+        return _pack(poly.coeffs, self.w)
+
+    def poly(self, v):
+        """The FpPoly of a packed sum with slots below 2**w, reduced mod p."""
+        return FpPoly(self.f.modulus, self.unpack(v))
+
+    def mul(self, a, b):
+        """a * b mod f for packed elements a, b."""
+        c = a * b
+        mask, p = self._mask, self.p
+        high = [((c >> s) & mask) % p for s in self._high]
+        v = sum(map(operator.mul, high, self._table), c & self._low)
+        # unpack mod p and repack in one pass, top slot first
+        w = self.w
+        out = 0
+        for s in self._down:
+            out = (out << w) | ((v >> s) & mask) % p
+        return out
+
+    def power(self, a, e):
+        """a**e mod f for a packed element a and e >= 0."""
+        return binary_power(a, e, self.mul, 1)
+
+
 def fp_powmod(base, e, mod):
-    """base**e reduced mod the polynomial `mod` (binary powering)."""
-    return binary_power(
-        base % mod, e, lambda a, b: a * b % mod, fp_one(mod.modulus)
-    )
+    """base**e reduced mod the polynomial `mod` of degree >= 1."""
+    ring = ResidueRing(mod.monic())
+    return ring.poly(ring.power(ring.element(base), e))
 
 
 def fp_gcd(a, b):
@@ -275,9 +399,22 @@ def fp_gcd(a, b):
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
     a._check(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    p = a.p
+    r, m = list(a.coeffs), list(b.coeffs)
+    while m:
+        # r mod m on coefficient lists: each step subtracts q * x**k * m
+        # to clear the top coefficient of r
+        inv = pow(m[-1], -1, p)
+        low, n = m[:-1], len(m) - 1
+        while len(r) > n:
+            q = r.pop() * inv % p
+            if q:
+                k = len(r) - n
+                r[k:] = [(x - q * y) % p for x, y in zip(r[k:], low)]
+        while r and not r[-1]:
+            r.pop()
+        r, m = m, r
+    return FpPoly(a.modulus, r).monic()
 
 
 def fp_extgcd(a, b):
@@ -301,30 +438,30 @@ def fp_extgcd(a, b):
     return r0, u0, v0
 
 
-def _frobenius_rows(f):
-    """Rows x**(i*p) mod f for i < deg f: the matrix of r -> r**p on GF(p)[x]/(f).
+def _x_to_the_p(ring):
+    """x**p mod f, packed: the one powering by p a factorization makes."""
+    return ring.power(ring.element(fp_x(ring.f.modulus)), ring.p)
 
-    One powering builds x**p; every further row is one product by it.
+
+def _frobenius_rows(ring, xp):
+    """Packed rows x**(i*p) mod f for i < deg f: the matrix of r -> r**p on ring.
+
+    `xp` is x**p mod f, packed; every row after it is one product by it.
     """
-    xp = fp_powmod(fp_x(f.modulus), f.p, f)
-    rows = [fp_one(f.modulus)]
-    for _ in range(f.degree - 1):
-        rows.append(rows[-1] * xp % f)
+    rows = [1, xp][: ring.n]
+    while len(rows) < ring.n:
+        rows.append(ring.mul(rows[-1], xp))
     return rows
 
 
-def _frobenius(r, rows):
-    """r**p mod f from f's Frobenius rows, for r reduced mod f.
+def _frobenius(ring, rows, coeffs):
+    """The coefficients of r**p mod f, from those of r reduced mod f.
 
     Over GF(p), (sum r_i x**i)**p = sum r_i x**(i*p), so the p-th power
-    is one matrix-vector product with no powering.
+    is one linear combination of the packed rows and one unpack.  Its
+    slots hold at most n * (p - 1)**2.
     """
-    out = [0] * len(rows)
-    for c, row in zip(r.coeffs, rows):
-        if c:
-            for j, a in enumerate(row.coeffs):
-                out[j] += c * a
-    return FpPoly(r.modulus, out)
+    return ring.unpack(sum(map(operator.mul, coeffs, rows)))
 
 
 def fp_is_irreducible(f):
@@ -341,15 +478,16 @@ def fp_is_irreducible(f):
     if n == 1:
         return True
     f = f.monic()
-    rows = _frobenius_rows(f)
+    ring = ResidueRing(f)
+    rows = _frobenius_rows(ring, _x_to_the_p(ring))
     x = fp_x(f.modulus)
     checked = {n // q for q in _prime_divisors(n)}
-    r = x
+    r = x.coeffs
     for d in range(1, n + 1):
-        r = _frobenius(r, rows)  # x**(p**d) mod f
-        if d in checked and not fp_gcd(r - x, f).is_one():
+        r = _frobenius(ring, rows, r)  # x**(p**d) mod f
+        if d in checked and not fp_gcd(FpPoly(f.modulus, r) - x, f).is_one():
             return False
-    return r == x
+    return FpPoly(f.modulus, r) == x
 
 
 def _prime_divisors(n):
@@ -381,61 +519,67 @@ def _factor_squarefree(f, rng):
     if f.degree < 2:
         return [f]
     factors = []
-    rows = _frobenius_rows(f)
-    r = x = fp_x(f.modulus)
+    ring = ResidueRing(f)
+    xp = _x_to_the_p(ring)
+    rows = _frobenius_rows(ring, xp)
+    x = fp_x(f.modulus)
+    r = x.coeffs
     d = 0
     while not f.is_one():
         d += 1
         if 2 * d > (f.degree or 0):
             factors.append(f)
             break
-        r = _frobenius(r, rows)
-        g = fp_gcd(r - x, f) if not (r - x).is_zero() else f.monic()
+        r = _frobenius(ring, rows, r)
+        rx = FpPoly(f.modulus, r) - x
+        g = fp_gcd(rx, f) if not rx.is_zero() else f.monic()
         if not g.is_one():
-            factors.extend(_equal_degree_split(g, d, rng, rows))
+            factors.extend(_equal_degree_split(g, d, rng, ring.poly(xp)))
             f = (f // g).monic()
     return factors
 
 
-def _equal_degree_split(g, d, rng, rows):
+def _equal_degree_split(g, d, rng, xp):
     """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles.
 
-    `rows` are the Frobenius rows of a multiple of g.  For odd p,
-    a**((p**d - 1)/2) is the product of c**(p**i) for i < d with
-    c = a**((p - 1)/2), so one short powering and d - 1 Frobenius steps
-    replace a powering by a d*lg(p)-bit exponent.
+    `xp` is x**p mod a multiple of g.  For odd p, a**((p**d - 1)/2) is
+    the product of c**(p**i) for i < d with c = a**((p - 1)/2), so one
+    short powering and d - 1 Frobenius steps, on rows built from xp mod
+    g, replace a powering by a d*lg(p)-bit exponent.
     """
     if g.degree == d:
         return [g]
     p = g.p
     mod = g.modulus
     n = g.degree
+    ring = ResidueRing(g)
     if p != 2 and d > 1:
-        rows = [row % g for row in rows[:n]]
+        xp = xp % g
+        rows = _frobenius_rows(ring, ring.element(xp))
     while True:
         a = FpPoly(mod, [rng.randrange(p) for _ in range(n)])
         if a.degree is None or a.degree < 1:
             continue
         if p == 2:
-            # trace map a + a^2 + a^4 + ... + a^(2^(d-1))
-            t = a % g
-            acc = t
+            # trace map a + a^2 + a^4 + ... + a^(2^(d-1)); slots stay below d
+            t = acc = ring.element(a)
             for _ in range(d - 1):
-                t = t * t % g
-                acc = acc + t
-            h = fp_gcd(acc, g) if not acc.is_zero() else g
+                t = ring.mul(t, t)
+                acc += t
+            b = ring.poly(acc)
         else:
-            t = acc = fp_powmod(a, (p - 1) // 2, g)
+            acc = ring.power(ring.element(a), (p - 1) // 2)
+            c = ring.unpack(acc)
             for _ in range(d - 1):
-                t = _frobenius(t, rows)
-                acc = acc * t % g
-            b = acc - fp_one(mod)
-            h = fp_gcd(b, g) if not b.is_zero() else g
+                c = _frobenius(ring, rows, c)
+                acc = ring.mul(acc, ring.pack(c))
+            b = ring.poly(acc) - fp_one(mod)
+        h = fp_gcd(b, g) if not b.is_zero() else g
         if h.is_one() or h.degree == g.degree:
             continue
         rest = (g // h).monic()
-        return _equal_degree_split(h, d, rng, rows) + _equal_degree_split(
-            rest, d, rng, rows
+        return _equal_degree_split(h, d, rng, xp) + _equal_degree_split(
+            rest, d, rng, xp
         )
 
 

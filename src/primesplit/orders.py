@@ -28,7 +28,7 @@ from .criteria import (
     _rational_root_screen,
     factorization_with_cofactor,
 )
-from .fppoly import MAX_MODULUS, PrimeModulus, binary_power, is_prime
+from .fppoly import MAX_MODULUS, PRIMALITY_BOUND, PrimeModulus, binary_power, is_prime
 from .zpoly import ZPoly, bareiss_determinant, discriminant
 
 
@@ -639,8 +639,9 @@ def p_enlarge(order, modulus):
 def trial_factor(n, bound):
     """Factor |n| by trial division up to `bound`; raises when the tail resists.
 
-    The tail after trial division is accepted when it is 1, a prime, or
-    a prime power (detected exactly); anything else exceeds the bound.
+    The tail after trial division is accepted when it is 1, a prime
+    that ``is_prime`` decides (below PRIMALITY_BOUND), or a prime power
+    (detected exactly); anything else exceeds the bound.
     """
     n = abs(n)
     if n == 0:
@@ -653,7 +654,7 @@ def trial_factor(n, bound):
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        if d * d > n or is_prime(n):
+        if d * d > n or n < PRIMALITY_BOUND and is_prime(n):
             out[n] = out.get(n, 0) + 1
             return out
         power = _prime_power(n)
@@ -670,8 +671,8 @@ def _prime_power(n):
     """(q, e) with n = q^e for a prime q < MAX_MODULUS, else None.
 
     The largest e with an exact e-th root gives the only candidate q,
-    so the cost depends on the bit length of n, not on q.  Above
-    MAX_MODULUS ``is_prime`` is not conclusive, so such a q gives None.
+    so the cost depends on the bit length of n, not on q.  A q of
+    MAX_MODULUS or more is no usable modulus, so it gives None.
     """
     for e in range(n.bit_length(), 0, -1):
         root = _integer_nth_root(n, e)

@@ -9,9 +9,7 @@ from primesplit.fppoly import (
     PrimeModulus,
     _prime_divisors,
     _pth_root,
-    fp_gcd,
     fp_one,
-    fp_powmod,
     fp_x,
 )
 from primesplit.ideals import (
@@ -532,6 +530,46 @@ def enumerate_primes_above(order, p):
     return out
 
 
+# -- oracle: schoolbook products over GF(p) -----------------------------------
+#
+# FpPoly.__mul__, products mod f and fp_gcd before Kronecker substitution:
+# the double loop over coefficient pairs, long division by f, and Euclid
+# on FpPoly remainders.
+
+
+def schoolbook_mul(a, b):
+    """a * b by the double loop over coefficient pairs."""
+    if a.is_zero() or b.is_zero():
+        return FpPoly(a.modulus, ())
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] += ai * bj
+    return FpPoly(a.modulus, out)
+
+
+def schoolbook_mulmod(a, b, f):
+    return schoolbook_mul(a, b) % f
+
+
+def schoolbook_powmod(base, e, f):
+    """base**e mod f by right-to-left square-and-multiply on schoolbook products."""
+    result, square = fp_one(f.modulus) % f, base % f
+    while e:
+        if e & 1:
+            result = schoolbook_mulmod(result, square, f)
+        square = schoolbook_mulmod(square, square, f)
+        e >>= 1
+    return result
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by Euclid's algorithm on FpPoly remainders."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
 # -- oracle: factoring over GF(p) with one powering per p-th power ------------
 #
 # fp_factor's distinct-degree step before the Frobenius matrix: x**(p**d)
@@ -544,7 +582,7 @@ def _frobenius_iterate(d, f):
     p = f.p
     r = fp_x(f.modulus) % f
     for _ in range(d):
-        r = fp_powmod(r, p, f)
+        r = schoolbook_powmod(r, p, f)
     return r
 
 
@@ -565,7 +603,7 @@ def powering_is_irreducible(f):
     x = fp_x(f.modulus)
     for q in _prime_divisors(n):
         h = _frobenius_iterate(n // q, f)
-        if not fp_gcd(h - x, f).is_one():
+        if not euclid_gcd(h - x, f).is_one():
             return False
     return _frobenius_iterate(n, f) == x % f
 
@@ -582,8 +620,8 @@ def _factor_squarefree(f, rng):
         if 2 * d > (f.degree or 0):
             factors.append(f)
             break
-        r = fp_powmod(r, p, f)
-        g = fp_gcd(r - x, f) if not (r - x).is_zero() else f.monic()
+        r = schoolbook_powmod(r, p, f)
+        g = euclid_gcd(r - x, f) if not (r - x).is_zero() else f.monic()
         if not g.is_one():
             factors.extend(_equal_degree_split(g, d, rng))
             f = (f // g).monic()
@@ -607,12 +645,12 @@ def _equal_degree_split(g, d, rng):
             t = a % g
             acc = t
             for _ in range(d - 1):
-                t = t * t % g
+                t = schoolbook_mulmod(t, t, g)
                 acc = acc + t
-            h = fp_gcd(acc, g) if not acc.is_zero() else g
+            h = euclid_gcd(acc, g) if not acc.is_zero() else g
         else:
-            b = fp_powmod(a, (p**d - 1) // 2, g) - fp_one(mod)
-            h = fp_gcd(b, g) if not b.is_zero() else g
+            b = schoolbook_powmod(a, (p**d - 1) // 2, g) - fp_one(mod)
+            h = euclid_gcd(b, g) if not b.is_zero() else g
         if h.is_one() or h.degree == g.degree:
             continue
         rest = (g // h).monic()
@@ -627,7 +665,7 @@ def _powering_factor_monic(f, rng):
     if fd.is_zero():
         inner = _powering_factor_monic(_pth_root(f), rng)
         return {g: e * f.p for g, e in inner.items()}
-    u = fp_gcd(f, fd)
+    u = euclid_gcd(f, fd)
     if u.is_one():
         return {g: 1 for g in _factor_squarefree(f, rng)}
     out = _powering_factor_monic(u, rng)

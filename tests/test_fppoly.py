@@ -7,13 +7,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import powering_fp_factor, powering_is_irreducible, random_fp_poly
+from conftest import (
+    euclid_gcd,
+    powering_fp_factor,
+    powering_is_irreducible,
+    random_fp_poly,
+    schoolbook_mul,
+    schoolbook_mulmod,
+    schoolbook_powmod,
+)
 from primesplit import fixtures, fppoly
 from primesplit.fppoly import (
+    PRIMALITY_BOUND,
     FpPoly,
     PrimeModulus,
+    ResidueRing,
     _frobenius,
     _frobenius_rows,
+    _x_to_the_p,
     binary_power,
     count_monic_irreducibles,
     enumerate_monic_irreducibles,
@@ -60,6 +71,20 @@ class TestPrimeModulus:
         for n in range(2000):
             assert is_prime(n) == sieve[n]
 
+    def test_is_prime_bases_by_size(self):
+        # the least strong pseudoprimes to the bases up to 7, 23 and 37
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+        for n in (2**31 - 1, 2**61 - 1, 3215031749, 2**79 - 67):
+            assert is_prime(n)
+        assert not is_prime((2**31 - 1) * 3215031749)
+        assert not is_prime(PRIMALITY_BOUND - 1)
+
+    def test_is_prime_raises_above_its_bound(self):
+        for n in (PRIMALITY_BOUND, 2**89 - 1):
+            with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+                is_prime(n)
+
 
 class TestArithmetic:
     def test_mul_example(self):
@@ -100,6 +125,19 @@ class TestArithmetic:
             assert q * b + r == a
             assert r.is_zero() or r.degree < b.degree
 
+    def test_mul_matches_schoolbook(self):
+        rng = random.Random(4)
+        for p in ORACLE_PRIMES:
+            mp = PrimeModulus(p)
+            top = FpPoly(mp, [p - 1] * 40)
+            for _ in range(30):
+                a = random_fp_poly(rng, mp, 40)
+                b = random_fp_poly(rng, mp, 40)
+                assert a * b == schoolbook_mul(a, b)
+                assert a * top == schoolbook_mul(a, top)
+            assert top * top == schoolbook_mul(top, top)
+            assert (top * FpPoly(mp, ())).is_zero()
+
 
 def _powering_sites():
     """(name, power(base, e), base, mul, one) for every caller of binary_power."""
@@ -107,12 +145,12 @@ def _powering_sites():
     order = fixtures.maximal_cubic_order()
     return [
         ("int", lambda b, e: binary_power(b, e, operator.mul, 1), 3, operator.mul, 1),
-        ("FpPoly", operator.pow, FpPoly(M7, (3, 1, 5)), operator.mul, fp_one(M7)),
+        ("FpPoly", operator.pow, FpPoly(M7, (3, 1, 5)), schoolbook_mul, fp_one(M7)),
         (
             "fp_powmod",
             lambda b, e: fp_powmod(b, e, mod),
             FpPoly(M7, (3, 1, 5, 6, 2)),
-            lambda a, b: a * b % mod,
+            lambda a, b: schoolbook_mulmod(a, b, mod),
             fp_one(M7),
         ),
         ("ZPoly", operator.pow, ZPoly((2, -1, 1)), operator.mul, ZPoly((1,))),
@@ -196,6 +234,17 @@ class TestGcd:
             assert u * a + v * b == g
             assert g.is_monic()
             assert (a % g).is_zero() and (b % g).is_zero()
+
+    def test_matches_euclid_oracle(self):
+        rng = random.Random(13)
+        for p in ORACLE_PRIMES:
+            mp = PrimeModulus(p)
+            for _ in range(40):
+                c = random_fp_poly(rng, mp, 6)
+                a = random_fp_poly(rng, mp, 20) * c
+                b = random_fp_poly(rng, mp, 20) * c
+                assert fp_gcd(a, b) == euclid_gcd(a, b)
+                assert fp_gcd(b, FpPoly(mp, ())) == euclid_gcd(b, FpPoly(mp, ()))
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -305,6 +354,93 @@ def _oracle_cases(rng, mp):
     yield "equal degree", _product(mp, _distinct_irreducibles(rng, mp, d, 30 // d), lc)
 
 
+def _kernel_moduli(rng, mp, degrees=range(1, 65)):
+    """(f, top, half, a) for each degree n: f a seeded monic, or the monic
+    whose other coefficients are all p - 1; top all p - 1; half like top
+    but with leading coefficient (p - 1)/2; a random.
+
+    top * half fills the low slots of the product almost to n * (p - 1)**2
+    while its high slots are about p/2 mod p, so with a seeded f its
+    reduction comes near the (2n - 1) * (p - 1)**2 the slot width allows.
+    """
+    p = mp.p
+    for n in degrees:
+        top = FpPoly(mp, [p - 1] * n)
+        half = FpPoly(mp, [p - 1] * (n - 1) + [(p - 1) // 2])
+        for f in (_random_monic(rng, mp, n), FpPoly(mp, [p - 1] * n + [1])):
+            yield f, top, half, FpPoly(mp, [rng.randrange(p) for _ in range(n)])
+
+
+# the powering checks cost about lg p schoolbook products each
+SAMPLED_DEGREES = (1, 2, 3, 5, 16, 31, 64)
+
+
+class TestResidueRing:
+    def test_product_matches_schoolbook(self):
+        rng = random.Random(37)
+        for p in ORACLE_PRIMES:
+            mp = PrimeModulus(p)
+            for f, top, half, a in _kernel_moduli(rng, mp):
+                ring = ResidueRing(f)
+                for u, v in ((top, top), (top, half), (top, a), (a, a)):
+                    product = ring.mul(ring.element(u), ring.element(v))
+                    assert ring.poly(product) == schoolbook_mulmod(u, v, f), (p, f)
+                    assert ring.pack(ring.unpack(product)) == product
+
+    def test_powmod_matches_repeated_products(self):
+        rng = random.Random(41)
+        for p in ORACLE_PRIMES:
+            mp = PrimeModulus(p)
+            for f, top, _, a in _kernel_moduli(rng, mp, SAMPLED_DEGREES):
+                for base in (top, a, top * a + f):  # the last needs reducing mod f
+                    naive = fp_one(mp) % f
+                    for e in range(6):
+                        assert fp_powmod(base, e, f) == naive, (p, f, e)
+                        naive = schoolbook_mulmod(naive, base, f)
+                e = rng.randrange(p, 2 * p)
+                power = fp_powmod(a, e, f)
+                assert power == schoolbook_powmod(a, e, f)
+                assert fp_powmod(a, e, f.scale(p - 1)) == power
+
+    def test_edge_cases(self):
+        for p in ORACLE_PRIMES:
+            mp = PrimeModulus(p)
+            for f in (FpPoly(mp, (p - 1, 1)), FpPoly(mp, (p - 1, p - 1, 1))):
+                ring = ResidueRing(f)
+                for base in (FpPoly(mp, ()), f, f.scale(3)):  # base = 0 mod f
+                    assert fp_powmod(base, 0, f) == fp_one(mp)
+                    assert fp_powmod(base, 1, f).is_zero()
+                    assert fp_powmod(base, p, f).is_zero()
+                    assert ring.element(base) == 0
+                x = fp_x(mp)
+                assert fp_powmod(x, 1, f) == x % f
+                assert ring.power(ring.element(x), 0) == ring.pack([1])
+
+    def test_rejects_bad_moduli(self):
+        for f in (FpPoly(M7, ()), FpPoly(M7, (3,)), FpPoly(M7, (1, 2))):
+            with pytest.raises(ValueError, match="monic modulus of degree >= 1"):
+                ResidueRing(f)
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            fp_powmod(FpPoly(M2, (1, 1)), 3, FpPoly(M7, (1, 1, 1)))
+
+    def test_frobenius_matches_schoolbook(self):
+        rng = random.Random(43)
+        for p in ORACLE_PRIMES:
+            mp = PrimeModulus(p)
+            for f, top, _, a in _kernel_moduli(rng, mp, SAMPLED_DEGREES):
+                ring = ResidueRing(f)
+                rows = [ring.poly(row) for row in _frobenius_rows(ring, _x_to_the_p(ring))]
+                assert len(rows) == f.degree
+                assert rows[0] == fp_one(mp)
+                if f.degree > 1:
+                    assert rows[1] == schoolbook_powmod(fp_x(mp), p, f)
+                for i in range(2, f.degree):
+                    assert rows[i] == schoolbook_mulmod(rows[i - 1], rows[1], f)
+                packed = [ring.element(row) for row in rows]
+                frob = FpPoly(mp, _frobenius(ring, packed, top.coeffs))
+                assert frob == schoolbook_powmod(top, p, f), (p, f)
+
+
 class TestFrobenius:
     def test_rows_are_pth_powers_of_x(self):
         rng = random.Random(29)
@@ -312,12 +448,15 @@ class TestFrobenius:
             mp = PrimeModulus(p)
             for _ in range(3):
                 f = _random_monic(rng, mp, rng.randrange(1, 13))
-                rows = _frobenius_rows(f)
+                ring = ResidueRing(f)
+                rows = _frobenius_rows(ring, _x_to_the_p(ring))
                 assert len(rows) == f.degree
                 for i, row in enumerate(rows):
-                    assert row == fp_powmod(fp_x(mp), i * p, f)
+                    assert ring.poly(row) == schoolbook_powmod(fp_x(mp), i * p, f)
                 r = FpPoly(mp, [rng.randrange(p) for _ in range(f.degree)])
-                assert _frobenius(r, rows) == fp_powmod(r, p, f)
+                assert FpPoly(mp, _frobenius(ring, rows, r.coeffs)) == schoolbook_powmod(
+                    r, p, f
+                )
 
     def test_matches_powering_oracle(self):
         rng = random.Random(31)
@@ -338,13 +477,13 @@ class TestFrobenius:
         f = _random_monic(random.Random(12), PrimeModulus(p), 12)
         assert fp_gcd(f, f.derivative()).is_one()
         exponents = []
-        real = fppoly.fp_powmod
+        real = ResidueRing.power
 
-        def counting(base, e, mod):
+        def counting(ring, a, e):
             exponents.append(e)
-            return real(base, e, mod)
+            return real(ring, a, e)
 
-        monkeypatch.setattr(fppoly, "fp_powmod", counting)
+        monkeypatch.setattr(ResidueRing, "power", counting)
         fac = fp_factor(f)
         assert len(fac) > 1
         assert exponents.count(p) == 1
@@ -378,6 +517,15 @@ class TestFrobenius:
         start = time.perf_counter()
         fac = fp_factor(f)
         assert time.perf_counter() - start < 1.5
+        assert sum(g.degree * e for g, e in fac) == 100
+
+    def test_degree_100_kernel_time_bound(self):
+        # schoolbook products mod f took 0.6-0.75 s here
+        p = 2**31 - 1
+        f = _random_monic(random.Random(100), PrimeModulus(p), 100)
+        start = time.perf_counter()
+        fac = fp_factor(f)
+        assert time.perf_counter() - start < 0.4
         assert sum(g.degree * e for g, e in fac) == 100
 
 

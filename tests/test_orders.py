@@ -411,6 +411,15 @@ class TestMaximalOrder:
         assert trial_factor(6 * 1000003, 10) == {2: 1, 3: 1, 1000003: 1}
         assert trial_factor(6 * 1000003**2, 2 * 10**6) == {2: 1, 3: 1, 1000003: 2}
 
+    def test_pseudoprime_tail_is_not_accepted(self):
+        # 3215031751 = 151 * 751 * 28351 passes strong tests to bases 2, 3, 5, 7
+        with pytest.raises(ValueError, match="exceeds the trial-division bound 100$"):
+            trial_factor(3215031751, 100)
+        assert trial_factor(3215031751, 1000) == {151: 1, 751: 1, 28351: 1}
+        # a tail is_prime cannot decide exceeds the bound
+        with pytest.raises(ValueError, match="trial-division bound 10$"):
+            trial_factor(2**89 - 1, 10)
+
     def test_prime_power_by_exact_roots(self):
         q = 2**31 - 1
         assert _prime_power(q) == (q, 1)
@@ -418,7 +427,7 @@ class TestMaximalOrder:
         assert _prime_power(2**40) == (2, 40)
         for n in (0, 1, 36, 1000003 * 1000033, q * (q - 2)):
             assert _prime_power(n) is None
-        # 2^31 + 11 is prime, but is_prime is only conclusive below 2^31
+        # 2^31 + 11 is prime, but no modulus: PrimeModulus takes p < 2^31
         assert _prime_power((2**31 + 11) ** 2) is None
 
 
