@@ -236,21 +236,31 @@ def _is_maximal(order, ideal, p):
 
 def ideal_valuation(a, prime):
     """Largest v with prime**v containing a (the exponent of the prime in a)."""
+    return _valuation_power(a, prime)[0]
+
+
+def _valuation_power(a, prime):
+    """The valuation v of a at prime, with the ideal prime**v.
+
+    A power is built only when its norm does not already exceed the norm
+    of a, which rules it out.
+    """
     if a.order != prime.order:
         raise ValueError("ideals belong to different orders")
     nrm = prime.norm()
     base = _prime_power(nrm)
     if base is None or not _is_maximal(prime.order, prime, base[0]):
         raise ValueError("valuation requires a maximal ideal")
-    v = 0
-    power = prime
+    v, power = 0, whole_order(prime.order)
     target_norm = a.norm()
     pw_norm = nrm
-    while pw_norm <= target_norm and power.contains_ideal(a):
-        v += 1
-        power = ideal_product(power, prime)
+    while pw_norm <= target_norm:
+        above = ideal_product(power, prime) if v else prime
+        if not above.contains_ideal(a):
+            break
+        v, power = v + 1, above
         pw_norm *= nrm
-    return v
+    return v, power
 
 
 # -- factoring p by splitting order/rad(p) ------------------------------------
@@ -305,14 +315,15 @@ def factor_p_in_order(order, modulus):
     maximal = [LatticeIdeal(order, rows, _trusted=True) for rows in sorted(parts)]
 
     p_ideal = ideal_from_generators(order, [order.identity() * p])
-    out = []
+    out, powers = [], []
     for ideal in maximal:
         q, f = _prime_power(ideal.norm())
         if q != p:
             raise AssertionError("ideal norm is not a power of %d" % p)
-        e = ideal_valuation(p_ideal, ideal)
+        e, power = _valuation_power(p_ideal, ideal)
         out.append((ideal, e, f))
-    total, *rest = [ideal_power(ideal, e) for ideal, e, _ in out]
+        powers.append(power)
+    total, *rest = powers
     for power in rest:
         total = ideal_product(total, power)
     if total != p_ideal:

@@ -41,7 +41,7 @@ from primesplit.orders import (
     order_from_polynomial,
     trial_factor,
 )
-from primesplit.zpoly import ZPoly, discriminant
+from primesplit.zpoly import ZPoly, bareiss_determinant, discriminant
 
 
 def random_fp_poly(rng, modulus, max_degree, nonzero=True):
@@ -140,6 +140,26 @@ def fraction_determinant(matrix):
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     assert det.denominator == 1
     return int(det)
+
+
+def sylvester_resultant(f, g):
+    """Oracle for resultant: the Bareiss determinant of the Sylvester matrix."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of a zero polynomial")
+    n, m = f.degree, g.degree
+    if n == 0:
+        return f.coeffs[0] ** m
+    if m == 0:
+        return g.coeffs[0] ** n
+    size = n + m
+    fs = list(reversed(f.coeffs))
+    gs = list(reversed(g.coeffs))
+    rows = []
+    for i in range(m):
+        rows.append([0] * i + fs + [0] * (size - n - 1 - i))
+    for i in range(n):
+        rows.append([0] * i + gs + [0] * (size - m - 1 - i))
+    return bareiss_determinant(rows)
 
 
 def cofactor_charpoly(a):

@@ -240,6 +240,19 @@ class TestPaperExamples:
         assert "FAIL cubic_cofactor_m" in out
         assert "expected" in out and "computed" in out
 
+    def test_matches_golden_report(self):
+        golden = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "perfbench",
+            "golden",
+            "paper_examples.json",
+        )
+        with open(golden, encoding="utf-8") as fh:
+            expected = fh.read()
+        status, out, _ = run_cli("--json", "paper-examples")
+        assert status == 0
+        assert out == expected
+
     def test_golden_stability(self):
         runs = [run_cli("--json", "paper-examples") for _ in range(2)]
         assert runs[0] == runs[1]

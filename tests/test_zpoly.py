@@ -1,10 +1,16 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import divisor_scan_roots, fraction_determinant, random_monic_zpoly
+from conftest import (
+    divisor_scan_roots,
+    fraction_determinant,
+    random_monic_zpoly,
+    sylvester_resultant,
+)
 from primesplit import criteria
 from primesplit.fppoly import FpPoly, PrimeModulus, fp_factor
 from primesplit.zpoly import (
@@ -128,6 +134,47 @@ class TestResultantDeterminant:
         f = ZPoly((-a, 1))
         g = ZPoly((-b, 1))
         assert resultant(f, g) == g(a)
+
+    def test_matches_sylvester_bareiss_oracle(self):
+        rng = random.Random(37)
+
+        def draw(degree):
+            # non-monic, with contents up to 6 and either leading sign
+            content = rng.choice((1, 1, 2, 3, -6))
+            lead = rng.choice((-1, 1)) * rng.randrange(1, 10)
+            cs = [rng.randrange(-30, 31) for _ in range(degree)] + [lead]
+            return ZPoly([content * c for c in cs])
+
+        for trial in range(500):
+            n, m = rng.randrange(0, 13), rng.randrange(0, 13)
+            if trial % 5 == 0:
+                # deg f < deg g with both degrees odd: the sign of the swap
+                n, m = sorted(rng.sample(range(1, 13, 2), 2))
+            f, g = draw(n), draw(m)
+            if trial % 5 == 1:
+                common = draw(rng.randrange(1, 4))
+                f, g = f * common, g * common
+                assert resultant(f, g) == 0
+            assert resultant(f, g) == sylvester_resultant(f, g), (f, g)
+
+    def test_zero_input_rejected(self):
+        for f, g in ((ZPoly(()), ZPoly((1, 1))), (ZPoly((1, 1)), ZPoly(()))):
+            with pytest.raises(ValueError):
+                resultant(f, g)
+
+    def test_discriminant_matches_oracle_at_poly_route_size(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randrange(4, 17)
+            f = random_monic_zpoly(rng, n, 2**20)
+            sign = -1 if (n * (n - 1) // 2) % 2 else 1
+            assert discriminant(f) == sign * sylvester_resultant(f, f.derivative())
+
+    def test_degree_64_discriminant_time_bound(self):
+        f = random_monic_zpoly(random.Random(64), 64, 2**20)
+        start = time.perf_counter()
+        discriminant(f)
+        assert time.perf_counter() - start < 0.3
 
 
 class TestReduceLift:
