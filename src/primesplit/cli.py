@@ -36,6 +36,7 @@ from .ideals import (
 )
 from .indexform import common_value_divisor, format_multipoly, index_form
 from .orders import (
+    DEFAULT_TRIAL_BOUND,
     char_poly,
     cubic_family,
     element_index,
@@ -44,8 +45,6 @@ from .orders import (
     order_from_polynomial,
 )
 from .zpoly import ZPoly, discriminant, reduce_mod
-
-DEFAULT_TRIAL_BOUND = 10**6
 
 
 class UsageError(ValueError):
@@ -137,11 +136,11 @@ def cmd_discriminant(args):
     f = _parse_poly_arg(args.poly)
     if not f.is_monic():
         raise UsageError("polynomial must be monic")
-    return RunReport(
-        "discriminant",
-        {"poly": str(f)},
-        {"discriminant": discriminant(f)},
-    )
+    try:
+        disc = discriminant(f)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return RunReport("discriminant", {"poly": str(f)}, {"discriminant": disc})
 
 
 def cmd_dedekind_criterion(args):
@@ -178,7 +177,7 @@ def cmd_split_prime(args):
         return RunReport("split-prime", inputs, results)
 
     try:
-        order, fundamental = maximal_order(f, bound=args.bound or DEFAULT_TRIAL_BOUND)
+        order, fundamental = maximal_order(f, bound=args.bound)
         primes = factor_p_in_order(order, modulus)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -210,9 +209,7 @@ def cmd_common_index_divisor(args):
 def cmd_maximal_order(args):
     f = _parse_poly_arg(args.poly)
     try:
-        order, fundamental = maximal_order(
-            f, bound=args.bound or DEFAULT_TRIAL_BOUND
-        )
+        order, fundamental = maximal_order(f, bound=args.bound)
     except ValueError as exc:
         raise UsageError(str(exc))
     basis = [
@@ -234,7 +231,7 @@ def cmd_index_form(args):
     f = _parse_poly_arg(args.poly)
     try:
         if args.maximal:
-            order, _ = maximal_order(f, bound=args.bound or DEFAULT_TRIAL_BOUND)
+            order, _ = maximal_order(f, bound=args.bound)
         else:
             order = order_from_polynomial(f)
         form = index_form(order)
@@ -459,7 +456,7 @@ def build_parser():
     parser.add_argument(
         "--bound",
         type=int,
-        default=None,
+        default=DEFAULT_TRIAL_BOUND,
         help="trial-division bound for factoring discriminants (default 10^6)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -616,34 +616,19 @@ def fp_factor(f, seed=0):
     return sorted(fac.items(), key=lambda ge: ge[0].sort_key())
 
 
-def _mobius(n):
-    m = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if n > 1:
-        m = -m
-    return m
-
-
 def count_monic_irreducibles(modulus, f):
-    """Number of monic irreducibles of degree f over GF(p) (Mobius/necklace count)."""
+    """Number of monic irreducibles of degree f over GF(p) (Mobius/necklace count).
+
+    (1/f) sum_{d | f} mu(d) p^(f/d); mu(d) vanishes unless d is a
+    product of k distinct primes dividing f, and is then (-1)^k.
+    """
     if f < 1:
         raise ValueError("degree must be >= 1")
     p = int(modulus)
-    total = 0
-    d = 1
-    while d * d <= f:
-        if f % d == 0:
-            total += _mobius(d) * p ** (f // d)
-            if d != f // d:
-                total += _mobius(f // d) * p**d
-        d += 1
+    signed = [(1, 1)]  # (squarefree divisor d, mu(d))
+    for q in _prime_divisors(f):
+        signed += [(d * q, -mu) for d, mu in signed]
+    total = sum(mu * p ** (f // d) for d, mu in signed)
     assert total % f == 0
     return total // f
 

@@ -81,10 +81,9 @@ class LatticeIdeal:
             self._check_closure()
 
     def _check_closure(self):
-        n = self.order.n
         for row in self.rows:
-            for g in range(1, n):
-                prod = self.order.vec_mul(row, _unit(n, g))
+            # row * basis_g for g >= 1; row * 1 is row itself
+            for prod in self.order.mul_matrix(row)[1:]:
                 if not lattice_contains(self.rows, prod):
                     raise ValueError("lattice is not closed under ring multiplication")
 
@@ -139,15 +138,10 @@ def whole_order(order):
 def ideal_from_generators(order, gens):
     """Smallest ideal containing the generators: HNF of all gen * basis products."""
     rows = []
-    n = order.n
     for g in gens:
-        if isinstance(g, OrderElement):
-            coords = g.coords
-        else:
-            coords = tuple(g)
-        for j in range(n):
-            rows.append(order.vec_mul(coords, _unit(n, j)))
-    return LatticeIdeal(order, hnf(rows, n), _trusted=True)
+        coords = g.coords if isinstance(g, OrderElement) else tuple(g)
+        rows.extend(order.mul_matrix(coords))
+    return LatticeIdeal(order, hnf(rows, order.n), _trusted=True)
 
 
 def principal_ideal(order, elem):
@@ -204,7 +198,7 @@ def _quotient_frobenius(order, rows, p):
     free = [i for i in range(n) if rows[i][i] != 1]
     frobenius = []
     for i in free:
-        image = reduce_mod_lattice(rows, _pow_mod_p(order, _unit(n, i), p, p))
+        image = reduce_mod_lattice(rows, _pow_mod_p(order.table, _unit(n, i), p, p))
         frobenius.append([image[j] for j in free])
     shifted = [
         [c - (j == k) for k, c in enumerate(row)] for j, row in enumerate(frobenius)
@@ -286,9 +280,9 @@ def factor_p_in_order(order, modulus):
         modulus = PrimeModulus(modulus)
     p = modulus.p
     n = order.n
-    radical = _radical_mod_p(order, p)
+    radical = _radical_mod_p(order.table, p)
     # one Round 2 step: the ring of multipliers of the radical must be the order
-    if _multipliers_mod_p(order, p, radical):
+    if _multipliers_mod_p(order.table, p, radical):
         raise ValueError("order is not %d-maximal" % p)
 
     free, _, shifted = _quotient_frobenius(order, radical, p)

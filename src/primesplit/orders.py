@@ -15,11 +15,15 @@ Pohst-Zassenhaus Round 2: the p-radical is the kernel of a Frobenius
 power, and its ring of multipliers is the next order.  The same radical
 is what ``ideals.factor_p_in_order`` splits into the primes above p.
 
+Round 2 runs on bare multiplication tables, carried from prime to prime
+by ``maximal_order``; only the order a call returns is an Order.
+
 Orders and elements are immutable; every operation is a pure function.
 Every enlarged order carries the canonical triangular basis of its
 lattice, so equal orders have equal bases.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -61,44 +65,26 @@ class Order:
                     raise ValueError("multiplication table is not symmetric")
         self.n = n
         self.table = table
-        self.labels = tuple(labels) if labels else _default_labels(n)
-        if len(self.labels) != n:
-            raise ValueError("need %d basis labels" % n)
+        self.labels = _basis_labels(labels, n)
         self.basis_in_parent = basis_in_parent
         self._check_associativity()
 
     def _check_associativity(self):
-        n = self.n
-        for i in range(n):
-            for j in range(i, n):
-                ij = self.table[i][j]
-                for k in range(j, n):
-                    jk = self.table[j][k]
-                    left = self.vec_mul(ij, _unit(n, k))
-                    right = self.vec_mul(_unit(n, i), jk)
-                    if left != right:
-                        raise ValueError(
-                            "multiplication table is not associative at (%d,%d,%d)"
-                            % (i, j, k)
-                        )
+        products = {
+            (i, j): self.mul_matrix(self.table[i][j])
+            for i, j in itertools.combinations_with_replacement(range(self.n), 2)
+        }
+        for i, j, k in itertools.combinations_with_replacement(range(self.n), 3):
+            # (e_i e_j) e_k against (e_j e_k) e_i
+            if products[i, j][k] != products[j, k][i]:
+                raise ValueError(
+                    "multiplication table is not associative at (%d,%d,%d)"
+                    % (i, j, k)
+                )
 
     def vec_mul(self, u, v):
         """Product of two coordinate vectors through the table."""
-        n = self.n
-        out = [0] * n
-        table = self.table
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            ti = table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = ui * vj
-                tij = ti[j]
-                for k in range(n):
-                    out[k] += c * tij[k]
-        return tuple(out)
+        return _vec_mul(self.table, u, v)
 
     def element(self, coords):
         return OrderElement(self, coords)
@@ -113,19 +99,8 @@ class Order:
         return OrderElement(self, (0,) * self.n)
 
     def mul_matrix(self, coords):
-        """Rows are the coordinate vectors of coords * (each basis element).
-
-        Row j is sum_i coords_i * table[i][j].
-        """
-        n = self.n
-        rows = [[0] * n for _ in range(n)]
-        for ci, ti in zip(coords, self.table):
-            if not ci:
-                continue
-            for row, tij in zip(rows, ti):
-                for k in range(n):
-                    row[k] += ci * tij[k]
-        return rows
+        """Rows are the coordinate vectors of coords * (each basis element)."""
+        return _mul_matrix(self.table, coords)
 
     def __eq__(self, other):
         return isinstance(other, Order) and self.table == other.table
@@ -137,15 +112,53 @@ class Order:
         return "Order(rank=%d, basis=%s)" % (self.n, "/".join(self.labels))
 
 
+def _vec_mul(table, u, v):
+    """Product of two coordinate vectors through a multiplication table."""
+    n = len(table)
+    out = [0] * n
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        ti = table[i]
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            c = ui * vj
+            tij = ti[j]
+            for k in range(n):
+                out[k] += c * tij[k]
+    return tuple(out)
+
+
+def _mul_matrix(table, coords):
+    """Rows are the coordinate vectors of coords * (each basis element).
+
+    Row j is sum_i coords_i * table[i][j].
+    """
+    n = len(table)
+    rows = [[0] * n for _ in range(n)]
+    for ci, ti in zip(coords, table):
+        if not ci:
+            continue
+        for row, tij in zip(rows, ti):
+            for k in range(n):
+                row[k] += ci * tij[k]
+    return rows
+
+
 def _unit(n, i):
     return tuple(1 if k == i else 0 for k in range(n))
 
 
-def _default_labels(n):
-    out = ["1"]
-    for i in range(1, n):
-        out.append("a" if i == 1 else "a^%d" % i)
-    return tuple(out)
+def _basis_labels(labels, n):
+    """The given basis labels as a tuple, or 1, a, a^2, ... when none are given."""
+    if labels:
+        labels = tuple(labels)
+    else:
+        labels = ("1", "a")[:n] + tuple("a^%d" % i for i in range(2, n))
+    if len(labels) != n:
+        raise ValueError("need %d basis labels" % n)
+    return labels
 
 
 class OrderElement:
@@ -298,21 +311,20 @@ def order_from_polynomial(f, labels=None):
     """Power-basis order Z[t]/(f) for a monic f of degree >= 2."""
     if not f.is_monic():
         raise ValueError("order requires a monic polynomial")
-    n = f.degree
-    if n < 2:
+    if f.degree < 2:
         raise ValueError("order requires degree >= 2")
-    powers = [[0] * n for _ in range(2 * n - 1)]
+    return Order(_power_table(f), labels=labels)
+
+
+def _power_table(f):
+    """Multiplication table of the power basis of Z[t]/(f): t^i * t^j = t^(i+j) mod f."""
+    n = f.degree
+    powers = []
     acc = ZPoly((1,))
-    tpoly = ZPoly((0, 1))
-    for k in range(2 * n - 1):
-        for i, c in enumerate(acc.coeffs):
-            powers[k][i] = c
-        acc = (acc * tpoly) % f
-    table = [
-        [tuple(powers[i + j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return Order(table, labels=labels)
+    for _ in range(2 * n - 1):
+        powers.append(acc.coeffs + (0,) * (n - len(acc.coeffs)))
+        acc = (acc * ZPoly((0, 1))) % f
+    return [[powers[i + j] for j in range(n)] for i in range(n)]
 
 
 def element_index(order, theta):
@@ -480,37 +492,42 @@ def order_from_rational_basis(order, rows, labels=None):
     integral and pass the usual construction checks).  The result
     carries the canonical triangular basis in ``basis_in_parent``.
     """
-    return _order_on_lattice(order, *_lattice(*_over_common_denominator(rows)), labels)
+    basis, d = _lattice(*_over_common_denominator(rows))
+    table = _table_on_lattice(order.table, basis, d)
+    return _order_on_lattice(order.labels, basis, d, table, labels)
 
 
-def _order_on_lattice(order, basis, d, labels=None):
-    """Order on the lattice basis/d of `order`; its table comes from triangular solves."""
-    n = order.n
+def _table_on_lattice(table, basis, d):
+    """Multiplication table of the lattice basis/d of a ring, from triangular solves."""
+    n = len(table)
     # (basis_i/d) * (basis_j/d) has integer coordinates y in the new basis
     # exactly when y * (d*basis) = basis_i * basis_j has an integer solution
     scaled = [[d * c for c in row] for row in basis]
-    table = []
-    for i in range(n):
-        row_entries = []
-        for j in range(n):
-            coords = _lattice_coords(scaled, order.vec_mul(basis[i], basis[j]))
-            if coords is None:
-                raise ValueError("span is not closed under multiplication")
-            row_entries.append(coords)
-        table.append(row_entries)
+    out = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        coords = _lattice_coords(scaled, _vec_mul(table, basis[i], basis[j]))
+        if coords is None:
+            raise ValueError("span is not closed under multiplication")
+        out[i][j] = out[j][i] = tuple(coords)  # the parent ring is commutative
+    return out
+
+
+def _order_on_lattice(parent_labels, basis, d, table, labels=None):
+    """The Order with multiplication table `table` on the lattice basis/d of a parent."""
     return Order(
         table,
-        labels=labels or _enlarged_labels(order, basis, d),
+        labels=labels or _enlarged_labels(parent_labels, basis, d),
         basis_in_parent=_rational_rows(basis, d),
     )
 
 
-def _enlarged_labels(order, basis, d):
+def _enlarged_labels(parent_labels, basis, d):
+    """A parent label for each basis row equal to d times a unit vector, else w<i>."""
     out = []
     for i, row in enumerate(basis):
-        for j in range(order.n):
+        for j, label in enumerate(parent_labels):
             if all(c == (d if k == j else 0) for k, c in enumerate(row)):
-                out.append(order.labels[j])
+                out.append(label)
                 break
         else:
             out.append("w%d" % i)
@@ -556,36 +573,41 @@ def _left_kernel_mod_p(rows, p):
     return out
 
 
-def _pow_mod_p(order, coords, e, p):
-    """Coordinates of (coords-combination)^e modulo p*order."""
+def _pow_mod_p(table, coords, e, p):
+    """Coordinates of (coords-combination)^e modulo p, through a multiplication table."""
     return binary_power(
         tuple(c % p for c in coords),
         e,
-        lambda a, b: tuple(c % p for c in order.vec_mul(a, b)),
-        _unit(order.n, 0),
+        lambda a, b: tuple(c % p for c in _vec_mul(table, a, b)),
+        _unit(len(table), 0),
     )
 
 
 # -- p-maximal orders by Round 2 ----------------------------------------------
+#
+# The rings of Round 2 are tables, not Orders.  ``_table_on_lattice``
+# checks each one closed under the parent's multiplication, so it is a
+# subring and inherits commutativity and associativity; the Order built
+# from the last one checks everything again.
 
-def _radical_mod_p(order, p):
+def _radical_mod_p(table, p):
     """Canonical rows of the p-radical: p*order plus the kernel of x -> x^(p^k), p^k >= n.
 
     The kernel is taken on order/(p*order), where x^(p^k) vanishes
     exactly on the nilpotents.
     """
-    n = order.n
+    n = len(table)
     q = p
     while q < n:
         q *= p
-    frobenius = [_pow_mod_p(order, _unit(n, i), q, p) for i in range(n)]
+    frobenius = [_pow_mod_p(table, _unit(n, i), q, p) for i in range(n)]
     return hnf(
         [[p * c for c in unit] for unit in _identity_rows(n)]
         + _left_kernel_mod_p(frobenius, p)
     )
 
 
-def _multipliers_mod_p(order, p, radical):
+def _multipliers_mod_p(table, p, radical):
     """Basis mod p of U/(p*order), U = {x : x*I inside p*I}, I the p-radical.
 
     `radical` holds the canonical rows of I.  The ring of multipliers of
@@ -593,33 +615,32 @@ def _multipliers_mod_p(order, p, radical):
     GTM 138, 6.1.8 and 6.1.10).
     """
     # row i: basis_i * radical_j for every j, in radical coordinates mod p
-    rows = [[] for _ in range(order.n)]
+    rows = [[] for _ in table]
     for v in radical:
-        for row, prod in zip(rows, order.mul_matrix(v)):
+        for row, prod in zip(rows, _mul_matrix(table, v)):
             row.extend(c % p for c in _lattice_coords(radical, prod))
     return _left_kernel_mod_p(rows, p)
 
 
-def _p_maximal_lattice(order, p):
-    """Canonical (rows, d) of the p-maximal order over `order`, in its coordinates.
+def _p_maximal_lattice(table, p, basis, d, current):
+    """Continue Round 2 at p from the ring on the lattice basis/d of `table`.
 
-    Returns (rows, d, built): `built` is that order as Round 2's last
-    step constructed it, or `order` itself when it is already p-maximal.
+    `current` is that ring's own multiplication table.  Returns
+    (rows, d, table'): the canonical lattice of the p-maximal ring over
+    it, in `table`'s coordinates, and that ring's multiplication table.
     """
-    n = order.n
-    basis, d = _identity_rows(n), 1
-    current = order
+    n = len(table)
     while True:
         kernel = _multipliers_mod_p(current, p, _radical_mod_p(current, p))
         if not kernel:
             return basis, d, current
-        # the next order is (p*current + kernel)/p, written over order's basis
+        # the next ring is (p*current + kernel)/p, written over table's basis
         rows = [[p * c for c in row] for row in basis] + [
             [sum(x * row[j] for x, row in zip(u, basis)) for j in range(n)]
             for u in kernel
         ]
         basis, d = _lattice(rows, d * p)
-        current = _order_on_lattice(order, basis, d)
+        current = _table_on_lattice(table, basis, d)
 
 
 def p_enlarge(order, modulus):
@@ -632,8 +653,13 @@ def p_enlarge(order, modulus):
     """
     if not isinstance(modulus, PrimeModulus):
         modulus = PrimeModulus(modulus)
-    basis, d, _ = _p_maximal_lattice(order, modulus.p)
-    return _order_on_lattice(order, basis, d)
+    enlarged = _p_maximal_lattice(
+        order.table, modulus.p, _identity_rows(order.n), 1, order.table
+    )
+    return _order_on_lattice(order.labels, *enlarged)
+
+
+DEFAULT_TRIAL_BOUND = 10**6  # for the discriminant in maximal_order and the CLI
 
 
 def trial_factor(n, bound):
@@ -692,15 +718,16 @@ def _integer_nth_root(n, e):
     return lo
 
 
-def maximal_order(f, bound=10**6, labels=None):
+def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, labels=None):
     """Maximal order of Q[t]/(f) and its discriminant (the fundamental number).
 
-    Sums the q-maximal orders over Z[t]/(f) at every prime q whose square
-    divides disc(f) and that Dedekind's criterion says divides the index
-    of Z[t]/(f); at the other primes the power basis is already
-    q-maximal.  The discriminant must factor by trial division at the
-    given bound.  Returns (order, D); the order's ``basis_in_parent`` is
-    its canonical triangular basis in power-basis coordinates (identity
+    Runs Round 2 from Z[t]/(f) at every prime q whose square divides
+    disc(f) and that Dedekind's criterion says divides the index of
+    Z[t]/(f), each prime continuing from the ring the last one left;
+    at the other primes the power basis is already q-maximal.  The
+    discriminant must factor by trial division at the given bound.
+    Returns (order, D); the order's ``basis_in_parent`` is its
+    canonical triangular basis in power-basis coordinates (identity
     rows when no prime enlarges it).
     """
     if not f.is_monic():
@@ -710,8 +737,9 @@ def maximal_order(f, bound=10**6, labels=None):
     if disc == 0:
         raise ValueError("polynomial has a repeated root (discriminant 0)")
     factors = trial_factor(disc, bound)
-    power_basis = order_from_polynomial(f, labels=labels)
-    enlarged = []
+    labels = _basis_labels(labels, f.degree)
+    table = _power_table(f)
+    enlarged = (_identity_rows(f.degree), 1, table)
     for q in sorted(factors):
         if factors[q] < 2:
             continue
@@ -720,17 +748,8 @@ def maximal_order(f, bound=10**6, labels=None):
         # q does not divide the index of Z[t]/(f) Round 2 finds nothing.
         verdict = _dedekind_verdict(modulus, *factorization_with_cofactor(f, modulus))
         if verdict.divisible:
-            enlarged.append(_p_maximal_lattice(power_basis, q))
-    if len(enlarged) > 1:
-        # the maximal order is the sum of the q-maximal ones
-        d = lcm(*(dq for _, dq, _ in enlarged))
-        rows = [[c * (d // dq) for c in row] for basis, dq, _ in enlarged for row in basis]
-        order = _order_on_lattice(power_basis, *_lattice(rows, d))
-    elif enlarged:
-        order = enlarged[0][2]  # Round 2 already built the one q-maximal order
-    else:
-        order = power_basis
-        order.basis_in_parent = _rational_rows(_identity_rows(order.n), 1)
+            enlarged = _p_maximal_lattice(table, q, *enlarged)
+    order = _order_on_lattice(labels, *enlarged)
     return order, order_discriminant(order)
 
 

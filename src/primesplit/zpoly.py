@@ -133,10 +133,6 @@ class ZPoly:
         return format_poly(self.coeffs)
 
 
-def z_x():
-    return ZPoly((0, 1))
-
-
 def bareiss_determinant(matrix):
     """Exact determinant of a square integer matrix by fraction-free elimination."""
     a = [list(row) for row in matrix]

@@ -29,11 +29,11 @@ from primesplit.orders import (
     _lattice,
     _lowest_terms,
     _multipliers_mod_p,
-    _order_on_lattice,
     _over_common_denominator,
     _prime_power,
     _radical_mod_p,
     _rational_rows,
+    _table_on_lattice,
     _unit,
     charpoly_matrix,
     lattice_contains,
@@ -257,7 +257,7 @@ def scan_p_enlarge(order, modulus):
         if found is None:
             break
         basis, d = _adjoin_element(current, found, p)
-        current = _order_on_lattice(current, basis, d)
+        current = Order(_table_on_lattice(current.table, basis, d))
         emb = _compose((basis, d), emb)
     return Order(
         current.table, labels=current.labels, basis_in_parent=_rational_rows(*emb)
@@ -511,7 +511,7 @@ def enumerate_primes_above(order, p):
     be p-maximal; results are sorted by basis matrix.
     """
     n = order.n
-    if _multipliers_mod_p(order, p, _radical_mod_p(order, p)):
+    if _multipliers_mod_p(order.table, p, _radical_mod_p(order.table, p)):
         raise ValueError("order is not %d-maximal" % p)
 
     p_ideal = ideal_from_generators(order, [order.identity() * p])

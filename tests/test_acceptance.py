@@ -287,14 +287,14 @@ def test_criterion_9f_ramification_iff_divides_fundamental_number():
 
 
 def test_criterion_9g_necklace_identity():
-    for p in (2, 3, 5, 7):
-        for f in range(1, 7):
+    for p in (2, 3, 5, 7, 65537, 2**31 - 1):
+        for f in range(1, 41):
             assert sum(
                 d * count_monic_irreducibles(p, d)
                 for d in range(1, f + 1)
                 if f % d == 0
             ) == p**f
-    _report("9g", "necklace identity for p <= 7, f <= 6")
+    _report("9g", "necklace identity for p in {2, 3, 5, 7, 65537, 2^31 - 1}, f <= 40")
 
 
 # -- criterion 10: non-gating stretch check ---------------------------------

@@ -60,6 +60,13 @@ class TestDiscriminant:
         assert status == 0
         assert "discriminant: -2012" in out
 
+    def test_constant_is_usage_error(self):
+        # a monic constant has no discriminant
+        status, out, err = run_cli("discriminant", "1")
+        assert status == 2
+        assert out == ""
+        assert err == "error: discriminant requires degree >= 1\n"
+
 
 class TestDedekindCriterion:
     def test_cubic(self):
@@ -169,6 +176,20 @@ class TestMaximalOrderCommand:
         )
         assert status == 2
         assert "bound" in err
+
+    def test_bound_zero_is_not_the_default(self):
+        # with the default bound the cubic's discriminant -2012 factors
+        status, _, _ = run_cli("maximal-order", "t^3-t^2-2t-8")
+        assert status == 0
+        for command in (
+            ["maximal-order", "t^3-t^2-2t-8"],
+            ["split-prime", "t^3-t^2-2t-8", "2"],
+            ["index-form", "t^3-t^2-2t-8", "--maximal"],
+        ):
+            status, _, err = run_cli("--bound", "0", *command)
+            assert status == 2
+            assert err.startswith("error: ")
+            assert "trial-division bound 0" in err
 
 
 class TestIndexFormCommand:

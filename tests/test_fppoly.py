@@ -163,7 +163,7 @@ def _powering_sites():
         ),
         (
             "_pow_mod_p",
-            lambda c, e: _pow_mod_p(order, c, e, 5),
+            lambda c, e: _pow_mod_p(order.table, c, e, 5),
             (1, 3, 4),
             lambda a, b: tuple(c % 5 for c in order.vec_mul(a, b)),
             _unit(3, 0),

@@ -68,7 +68,7 @@ class TestOrderConstruction:
             [(0, 1, 0), (2, 1, 2), (5, 0, 0)],
             [(0, 0, 1), (5, 0, 0), (-2, 2, -1)],
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"not associative at \(1,1,2\)"):
             Order(bad)
 
 
@@ -276,27 +276,27 @@ class TestPEnlarge:
         assert enlarged.basis_in_parent[4] == (0, 0, Fraction(1, 2), 0, Fraction(1, 2))
 
     def test_round2_matches_scan_oracle(self):
-        rng = random.Random(101)
-        orders_ = []
-        for rank, count in ((2, 40), (3, 40), (4, 30), (5, 20)):
-            orders_ += random_power_basis_orders(rng, rank, count, bound=12)
-        while len(orders_) < 170:
-            vals = [rng.randrange(-8, 9) for _ in range(4)]
-            if gcd(*vals) == 1:
-                order, disc = cubic_family(*vals)
-                if disc:
-                    orders_.append(order)
         strict = 0
-        for order in orders_:
-            for p in (2, 3, 5):
-                if p**order.n > 1000:
-                    continue
-                enlarged = p_enlarge(order, PrimeModulus(p))
-                oracle = scan_p_enlarge(order, PrimeModulus(p))
-                assert enlarged.basis_in_parent == canonical_rows(oracle.basis_in_parent)
-                assert order_discriminant(enlarged) == order_discriminant(oracle)
-                strict += order_discriminant(enlarged) != order_discriminant(order)
+        for order, p in _round2_oracle_cases():
+            enlarged = p_enlarge(order, p)
+            oracle = scan_p_enlarge(order, p)
+            assert enlarged.basis_in_parent == canonical_rows(oracle.basis_in_parent)
+            assert order_discriminant(enlarged) == order_discriminant(oracle)
+            strict += order_discriminant(enlarged) != order_discriminant(order)
         assert strict >= 50
+
+    def test_round2_tables_pass_order_checks(self, monkeypatch):
+        # Round 2's intermediate rings are bare tables; each must still be
+        # a valid order (identity first, symmetric, associative)
+        tables = _record_tables(monkeypatch)
+        for order, p in _round2_oracle_cases():
+            p_enlarge(order, p)
+        for text in ("t^2 - 45", "t^3 - 108", "t^4 - 180"):
+            maximal_order(ZPoly.from_text(text))
+        monkeypatch.undo()
+        assert len(tables) >= 50
+        for table in tables:
+            Order(table)
 
 
 class TestMaximalOrder:
@@ -387,6 +387,16 @@ class TestMaximalOrder:
         assert d == 11019960576
         assert order.basis_in_parent == canonical_rows(order.basis_in_parent)
 
+    def test_rank32_time_bound(self):
+        # Round 2 takes 21 steps here; only the returned order is an Order
+        f = ZPoly.from_text("t^32 - 54")
+        start = time.perf_counter()
+        order, d = maximal_order(f)
+        assert time.perf_counter() - start < 2.0
+        assert order.basis_in_parent == canonical_rows(order.basis_in_parent)
+        index = 1 / abs(_fraction_rows_det(order.basis_in_parent))
+        assert discriminant(f) == index**2 * d
+
     def test_sextic_at_7(self):
         order, d = maximal_order(ZPoly.from_text("t^6 + 343"))
         assert d == -3087
@@ -429,6 +439,38 @@ class TestMaximalOrder:
             assert _prime_power(n) is None
         # 2^31 + 11 is prime, but no modulus: PrimeModulus takes p < 2^31
         assert _prime_power((2**31 + 11) ** 2) is None
+
+
+class TestOneOrderPerCall:
+    """Round 2 runs on tables, so a call builds only the Order it returns."""
+
+    @pytest.mark.parametrize(
+        "text, primes",
+        [
+            ("t^3 - t - 1", []),
+            ("t^5 - 2", []),
+            ("t^3 - t^2 - 2*t - 8", [2]),
+            ("t^9 - 54", [3]),
+            ("t^2 - 45", [2, 3]),
+            ("t^3 - 108", [2, 3]),
+        ],
+    )
+    def test_maximal_order(self, monkeypatch, text, primes):
+        enlarging = _count_p_maximal_lattice(monkeypatch)
+        built = _count_orders(monkeypatch)
+        maximal_order(ZPoly.from_text(text))
+        assert enlarging == primes
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "order, p, steps", [(POWER_CUBIC, 2, True), (SQRT2, 2, False)]
+    )
+    def test_p_enlarge(self, monkeypatch, order, p, steps):
+        tables = _record_tables(monkeypatch)
+        built = _count_orders(monkeypatch)
+        p_enlarge(order, PrimeModulus(p))
+        assert bool(tables) == steps
+        assert len(built) == 1
 
 
 class TestCubicFamily:
@@ -537,12 +579,58 @@ def _count_p_maximal_lattice(monkeypatch):
     primes = []
     real = orders._p_maximal_lattice
 
-    def counting(order, p):
+    def counting(table, p, *lattice):
         primes.append(p)
-        return real(order, p)
+        return real(table, p, *lattice)
 
     monkeypatch.setattr(orders, "_p_maximal_lattice", counting)
     return primes
+
+
+def _count_orders(monkeypatch):
+    """Record every Order construction."""
+    built = []
+    real = Order.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Order, "__init__", counting)
+    return built
+
+
+def _record_tables(monkeypatch):
+    """Record every multiplication table Round 2 derives."""
+    tables = []
+    real = orders._table_on_lattice
+
+    def recording(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(orders, "_table_on_lattice", recording)
+    return tables
+
+
+def _round2_oracle_cases():
+    """Seeded (order, p) pairs small enough for the p^n scan oracle."""
+    rng = random.Random(101)
+    orders_ = []
+    for rank, count in ((2, 40), (3, 40), (4, 30), (5, 20)):
+        orders_ += random_power_basis_orders(rng, rank, count, bound=12)
+    while len(orders_) < 170:
+        vals = [rng.randrange(-8, 9) for _ in range(4)]
+        if gcd(*vals) == 1:
+            order, disc = cubic_family(*vals)
+            if disc:
+                orders_.append(order)
+    return [
+        (order, PrimeModulus(p))
+        for order in orders_
+        for p in (2, 3, 5)
+        if p**order.n <= 1000
+    ]
 
 
 def _random_irreducible_quintic(rng, bound):
