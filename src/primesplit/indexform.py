@@ -9,18 +9,22 @@ to w changes the matrix by a unimodular row operation, so the identity
 coordinate is left out: ``Order`` checks that the first basis element
 is the identity and that the table is commutative and associative.
 
-The kernel does not use MultiPoly.  It holds each polynomial as a dict
-from a packed exponent (one fixed-width bit field per variable, so a
-monomial product is a single int addition) to its coefficient, and
-takes the determinant by a Laplace expansion that builds each minor on
-the trailing columns once per row subset: 2^(n-1) minors instead of
-the (n-1)! sub-expansions of a cofactor recursion.  Only the finished
-form is converted to a MultiPoly.
+The kernel does not use MultiPoly.  Coordinate k of w^r is homogeneous
+of degree r, and a minor of the power matrix has the sum of its rows'
+degrees, so every kernel polynomial is a dense list of coefficients over
+the monomials of one known degree.  A product walks a table of monomial
+positions built once per (variables, degree, degree); with at most four
+variables and degree at most ten that is a fixed, small set.  The
+determinant is a Laplace expansion that builds each minor on the
+trailing columns once per row subset: 2^(n-1) minors instead of the
+(n-1)! sub-expansions of a cofactor recursion.  Only the finished form
+is converted to a MultiPoly.
 
 common_value_divisor decides whether p divides every value by reducing
 exponents with x^p = x, not by evaluating at all p^v points.
 """
 
+import functools
 import itertools
 
 from .fppoly import is_prime
@@ -150,52 +154,68 @@ def parse_multipoly_vars(n):
     return _VAR_ALPHABET[: n - 1]
 
 
-# Kernel polynomials are {packed exponent: coefficient} dicts: variable i
-# owns bits [_FIELD*i, _FIELD*(i+1)) of the key, so a monomial product is
-# one int addition.  Total degree is at most n(n-1)/2 = 10 < 2^_FIELD.
-_FIELD = 16
-_FIELD_MASK = (1 << _FIELD) - 1
+# A kernel polynomial of degree d in v variables is a list of coefficients
+# over _monomials(v, d); its degree follows from its place in the matrix and
+# is never stored.  index_form needs only v <= 4 and d <= n(n-1)/2 <= 10, so
+# the memoised tables below are a fixed set of a few hundred.
 
 
-def _add_product(out, a, b, sign):
-    """out += sign * a * b on packed polynomials (zero coefficients may remain)."""
-    get = out.get
-    for e1, c1 in a.items():
-        c1 *= sign
-        for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = get(e, 0) + c1 * c2
+@functools.cache
+def _monomials(v, d):
+    """Exponent tuples of the degree-d monomials in v variables, in a fixed order."""
+    if v == 0:
+        return ((),) if d == 0 else ()
+    return tuple(
+        (e,) + rest for e in range(d, -1, -1) for rest in _monomials(v - 1, d - e)
+    )
 
 
-def _nonzero(poly):
-    return {e: c for e, c in poly.items() if c}
+@functools.cache
+def _product_table(v, d1, d2):
+    """Row i, column j: the position of monomial i of degree d1 times monomial j of degree d2."""
+    position = {e: k for k, e in enumerate(_monomials(v, d1 + d2))}
+    right = _monomials(v, d2)
+    return tuple(
+        tuple(position[tuple(a + b for a, b in zip(e1, e2))] for e2 in right)
+        for e1 in _monomials(v, d1)
+    )
 
 
-def _det_packed(m):
-    """Determinant of a square matrix of packed polynomials.
+def _mul_into(out, a, b, table, sign=1):
+    """out += sign * a * b, where table = _product_table(v, deg a, deg b)."""
+    for c, row in zip(a, table):
+        if c:
+            c *= sign
+            for k, bj in zip(row, b):
+                out[k] += c * bj
+
+
+def _determinant(m, v):
+    """Determinant of the power matrix m, whose row r has degree r + 1.
 
     Laplace expansion along the leading column of each trailing block:
     the minor on the trailing k columns is built once per k-row subset
     (keyed by its bitmask) from the minors on k-1 columns, so an s x s
     matrix costs 2^s minors rather than s! recursive sub-expansions.
+    Zero minors are left out.
     """
     size = len(m)
-    minors = {0: {0: 1}}
+    minors = {0: [1]}
     for col in range(size - 1, -1, -1):
         built = {}
         for rows in itertools.combinations(range(size), size - col):
             mask = sum(1 << r for r in rows)
-            acc = {}
+            degree = sum(rows) + len(rows)
+            acc = [0] * len(_monomials(v, degree))
             for pos, r in enumerate(rows):
-                entry = m[r][col]
                 rest = minors.get(mask ^ (1 << r))
-                if entry and rest:
-                    _add_product(acc, entry, rest, -1 if pos % 2 else 1)
-            acc = _nonzero(acc)
-            if acc:
+                if rest is not None:
+                    table = _product_table(v, r + 1, degree - r - 1)
+                    _mul_into(acc, m[r][col], rest, table, -1 if pos % 2 else 1)
+            if any(acc):
                 built[mask] = acc
         minors = built
-    return minors.get((1 << size) - 1, {})
+    return minors.get((1 << size) - 1)
 
 
 def index_form(order):
@@ -210,34 +230,29 @@ def index_form(order):
     if n > 5:
         raise ValueError("index form is limited to rank <= 5")
     names = parse_multipoly_vars(n)
+    v = n - 1
     table = order.table
 
-    # powers of the generic element x*e1 + y*e2 + ..., coordinate i >= 1 of
-    # the generic element being the packed variable 1 << (_FIELD * (i - 1))
-    acc = [{0: 1}] + [{}] * (n - 1)
+    # w * e_i = sum_k L[i][k] e_k for the generic element w = x*e1 + y*e2 + ...,
+    # each L[i][k] a linear form: coefficient j-1 is table[i][j][k]
+    linear = [
+        [[table[i][j][k] for j in range(1, n)] for k in range(n)] for i in range(n)
+    ]
+    acc = [[1]] + [[0]] * (n - 1)
     powers = []
-    for _ in range(n - 1):
-        out = [{} for _ in range(n)]
-        for i, ai in enumerate(acc):
-            if not ai:
-                continue
-            for j in range(1, n):
-                var = 1 << (_FIELD * (j - 1))
-                for k, t in enumerate(table[i][j]):
-                    if t:
-                        _add_product(out[k], ai, {var: t}, 1)
-        acc = [_nonzero(o) for o in out]
+    for degree in range(1, n):
+        step = _product_table(v, 1, degree - 1)
+        out = [[0] * len(_monomials(v, degree)) for _ in range(n)]
+        for ai, forms in zip(acc, linear):
+            if any(ai):
+                for o, form in zip(out, forms):
+                    _mul_into(o, form, ai, step)
+        acc = out
         powers.append(acc)
     # the power 1 = (1, 0, ..., 0) leads the full matrix: its determinant is
     # the minor of the higher powers on the non-identity coordinates
-    det = _det_packed([row[1:] for row in powers])
-    return MultiPoly(
-        names,
-        {
-            tuple((e >> (_FIELD * i)) & _FIELD_MASK for i in range(n - 1)): c
-            for e, c in det.items()
-        },
-    )
+    det = _determinant([row[1:] for row in powers], v)
+    return MultiPoly(names, dict(zip(_monomials(v, v * n // 2), det or ())))
 
 
 def common_value_divisor(f, modulus):
@@ -252,8 +267,13 @@ def common_value_divisor(f, modulus):
     p = int(modulus)
     if not is_prime(p):
         raise ValueError("modulus %d is not prime" % p)
+    # total degree bounds every exponent; exponent[e] is e reduced by x^p = x
+    top = max(map(sum, f.terms), default=0)
+    exponent = [0] + [1 + (e - 1) % (p - 1) for e in range(1, top + 1)]
     reduced = {}
     for exps, c in f.terms.items():
-        key = tuple(1 + (e - 1) % (p - 1) if e else 0 for e in exps)
-        reduced[key] = (reduced.get(key, 0) + c) % p
-    return not any(reduced.values())
+        c %= p
+        if c:
+            key = tuple(map(exponent.__getitem__, exps))
+            reduced[key] = reduced.get(key, 0) + c
+    return not any(c % p for c in reduced.values())

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import (
     cofactor_index_form,
     exhaustive_common_value_divisor,
+    random_monic_zpoly,
     random_power_basis_orders,
 )
 from primesplit import fixtures
@@ -14,17 +16,20 @@ from primesplit.fppoly import PrimeModulus
 from primesplit.ideals import factor_p_in_order
 from primesplit.indexform import (
     MultiPoly,
+    _monomials,
+    _product_table,
     common_value_divisor,
     format_multipoly,
     index_form,
 )
 from primesplit.orders import (
+    _identity_rows,
     cubic_family,
     element_index,
     maximal_order,
     order_from_polynomial,
 )
-from primesplit.zpoly import ZPoly
+from primesplit.zpoly import ZPoly, discriminant
 
 MAX_CUBIC = fixtures.maximal_cubic_order()
 
@@ -43,9 +48,27 @@ def _coprime_cubic_family(rng, count):
     return out
 
 
+def _enlarged_quintics(rng, count):
+    """Maximal orders of seeded quintics whose power basis is not maximal."""
+    out = []
+    while len(out) < count:
+        f = random_monic_zpoly(rng, 5, 9)
+        disc = discriminant(f)
+        if not f.coeffs[0] or not disc:
+            continue
+        try:
+            order, fundamental = maximal_order(f)
+        except ValueError:  # an integer root
+            continue
+        if fundamental != disc:
+            out.append(order)
+    return out
+
+
 @pytest.fixture(scope="module")
 def oracle_corpus():
-    """(order, oracle form) pairs: seeded power bases of rank 2-5, cubic family, fixtures."""
+    """(order, oracle form) pairs: seeded power bases of rank 2-5, cubic family,
+    enlarged quintic maximal orders, fixtures."""
     rng = random.Random(2024)
     orders = []
     for rank, count in ((2, 10), (3, 10), (4, 10), (5, 6)):
@@ -56,6 +79,11 @@ def oracle_corpus():
         fixtures.sqrt2_order(),
         MAX_CUBIC,
     ]
+    # the forms benchmark range, |a_i| <= 9, and bases that are not power bases
+    rng = random.Random(2025)
+    for rank, count in ((4, 20), (5, 8)):
+        orders += random_power_basis_orders(rng, rank, count, bound=9)
+    orders += _enlarged_quintics(rng, 6)
     return [(order, cofactor_index_form(order)) for order in orders]
 
 
@@ -181,12 +209,46 @@ class TestAgainstCofactorOracle:
             assert form.vars == expected.vars
             assert form.terms == expected.terms, order.table
 
+    def test_corpus_reaches_every_rank_and_enlarged_quintics(self, oracle_corpus):
+        ranks = [order.n for order, _ in oracle_corpus]
+        assert {2, 3, 4, 5} <= set(ranks)
+        assert ranks.count(5) >= 20
+        identity = tuple(tuple(row) for row in _identity_rows(5))
+        enlarged = [
+            order
+            for order, _ in oracle_corpus
+            if order.n == 5 and order.basis_in_parent not in (None, identity)
+        ]
+        assert len(enlarged) >= 6
+
     def test_rank5_time_bound(self):
         f = ZPoly.from_text("t^5 - 7*t^4 + 3*t^3 - 9*t^2 + 5*t - 8")
         order = order_from_polynomial(f)
         start = time.perf_counter()
         index_form(order)
         assert time.perf_counter() - start < 2.0
+
+
+class TestProductTables:
+    def test_tables_match_exponent_addition(self):
+        for v in range(5):
+            for d in range(11):
+                expected = {
+                    e for e in itertools.product(range(d + 1), repeat=v) if sum(e) == d
+                }
+                assert len(_monomials(v, d)) == len(expected)
+                assert set(_monomials(v, d)) == expected
+            for d1 in range(11):
+                left = _monomials(v, d1)
+                for d2 in range(11 - d1):
+                    right = _monomials(v, d2)
+                    product = _monomials(v, d1 + d2)
+                    table = _product_table(v, d1, d2)
+                    assert len(table) == len(left)
+                    for e1, row in zip(left, table):
+                        assert len(row) == len(right)
+                        for e2, k in zip(right, row):
+                            assert product[k] == tuple(a + b for a, b in zip(e1, e2))
 
 
 class TestCommonValueDivisor:

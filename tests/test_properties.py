@@ -1,0 +1,84 @@
+"""Cross-route properties on seeded monic cubics to sextics.
+
+For each drawn field and small prime p, the maximal order and the ideals
+above p must satisfy sum(e*f) = n, prod P^e = pO and
+disc(f) = index^2 * disc(O), and wherever Dedekind's criterion says p
+does not divide the index, the splitting read off f mod p must equal the
+one found in the maximal order.
+"""
+
+from math import lcm
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from primesplit.criteria import factor_prime_via_polynomial, index_divisible
+from primesplit.fppoly import PrimeModulus, fp_factor
+from primesplit.ideals import (
+    factor_p_in_order,
+    ideal_from_generators,
+    ideal_power,
+    ideal_product,
+)
+from primesplit.orders import maximal_order, order_discriminant
+from primesplit.zpoly import ZPoly, bareiss_determinant, discriminant, reduce_mod
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# primes whose factorization patterns of f screen out reducible f
+SCREEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _provably_irreducible(f, disc):
+    """True when the factor degrees of f mod q rule out every proper factor over Z.
+
+    A factor of degree d over Z gives a sum of factor degrees equal to d
+    at every prime q not dividing disc(f); a False is inconclusive.
+    """
+    n = f.degree
+    possible = set(range(1, n))
+    for q in SCREEN_PRIMES:
+        if disc % q == 0:
+            continue
+        sums = {0}
+        for g, _ in fp_factor(reduce_mod(f, PrimeModulus(q))):
+            sums |= {s + g.degree for s in sums}
+        possible &= sums
+        if not possible:
+            return True
+    return False
+
+
+class TestCrossRoute:
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        coeffs=st.lists(st.integers(-9, 9), min_size=3, max_size=6),
+        p=st.sampled_from(SMALL_PRIMES),
+    )
+    def test_routes_agree(self, coeffs, p):
+        f = ZPoly(coeffs + [1])
+        disc = discriminant(f)
+        assume(coeffs[0] and disc and _provably_irreducible(f, disc))
+        n = f.degree
+        order, disc_o = maximal_order(f)
+
+        # disc(f) = index^2 * disc(O), the index read off the basis
+        d = lcm(*(c.denominator for row in order.basis_in_parent for c in row))
+        scaled = [[int(c * d) for c in row] for row in order.basis_in_parent]
+        index, rest = divmod(d**n, abs(bareiss_determinant(scaled)))
+        assert rest == 0
+        assert disc_o == order_discriminant(order)
+        assert disc == index**2 * disc_o
+
+        primes = factor_p_in_order(order, p)
+        assert sum(e * fx for _, e, fx in primes) == n
+        product = ideal_from_generators(order, [order.identity()])
+        for ideal, e, _ in primes:
+            product = ideal_product(product, ideal_power(ideal, e))
+        assert product == ideal_from_generators(order, [order.identity() * p])
+
+        if not index_divisible(f, p).divisible:
+            assert index % p
+            shape, _ = factor_prime_via_polynomial(f, p)
+            assert sorted(shape.parts) == sorted((fx, e) for _, e, fx in primes)
+        else:
+            assert index % p == 0
