@@ -23,7 +23,7 @@ Three decision surfaces:
 
 from .fppoly import (
     FpPoly,
-    PrimeModulus,
+    as_modulus,
     count_monic_irreducibles,
     enumerate_monic_irreducibles,
     fp_factor,
@@ -49,8 +49,7 @@ class SplittingShape:
     __slots__ = ("p", "n", "parts")
 
     def __init__(self, modulus, parts):
-        if not isinstance(modulus, PrimeModulus):
-            modulus = PrimeModulus(modulus)
+        modulus = as_modulus(modulus)
         parts = tuple((int(f), int(e)) for f, e in parts)
         if any(f < 1 or e < 1 for f, e in parts):
             raise ValueError("degrees and exponents must be positive")
@@ -94,8 +93,7 @@ class PrimeIdealSymbol:
     __slots__ = ("p", "generator_poly", "e", "f")
 
     def __init__(self, modulus, generator_poly, e, f):
-        if not isinstance(modulus, PrimeModulus):
-            modulus = PrimeModulus(modulus)
+        modulus = as_modulus(modulus)
         reduced = reduce_mod(generator_poly, modulus)
         if not reduced.is_monic() or reduced.degree != f:
             raise ValueError("generator must reduce to a monic polynomial of degree f")
@@ -167,8 +165,7 @@ def factorization_with_cofactor(f, modulus, seed=0):
     Returns (factors, M) where factors is the canonical fp_factor list
     and M comes from balanced lifts of the factors.
     """
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
     factors = fp_factor(reduce_mod(f, modulus), seed=seed)
@@ -185,8 +182,7 @@ def index_divisible(f, modulus, seed=0):
     failures, finding the integer roots by Hensel lifting in time
     polynomial in the bit length of f (``zpoly.integer_roots``).
     """
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
     _rational_root_screen(f)
@@ -221,8 +217,7 @@ def factor_prime_via_polynomial(f, modulus, seed=0):
     order must be used.  Returns (shape, symbols) where the symbols
     carry canonical [0, p) lifts of the irreducible factors.
     """
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     verdict = index_divisible(f, modulus, seed=seed)
     if verdict.divisible:
         raise IndexDivisorError(verdict)
@@ -244,8 +239,7 @@ def common_index_divisor(modulus, shape):
     more distinct irreducible polynomials of degree d than exist over
     GF(p).  The report lists required versus available counts per degree.
     """
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     report = []
     verdict = False
     for d in sorted(shape.degree_counts()):
@@ -264,8 +258,7 @@ def assign_prime_functions(modulus, shape):
     aligned with shape.parts; the result is None exactly when
     common_index_divisor holds.
     """
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     divisor, _ = common_index_divisor(modulus, shape)
     if divisor:
         return None

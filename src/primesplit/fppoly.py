@@ -166,14 +166,20 @@ class PrimeModulus:
         return "PrimeModulus(%d)" % self.p
 
 
+def as_modulus(modulus):
+    """`modulus` itself if it is a PrimeModulus, else PrimeModulus(modulus)."""
+    if isinstance(modulus, PrimeModulus):
+        return modulus
+    return PrimeModulus(modulus)
+
+
 class FpPoly:
     """Dense univariate polynomial over GF(p), canonical reduced form."""
 
     __slots__ = ("modulus", "coeffs")
 
     def __init__(self, modulus, coeffs):
-        if not isinstance(modulus, PrimeModulus):
-            modulus = PrimeModulus(modulus)
+        modulus = as_modulus(modulus)
         p = modulus.p
         cs = [c % p for c in coeffs]
         while cs and cs[-1] == 0:
@@ -637,8 +643,7 @@ def enumerate_monic_irreducibles(modulus, f):
     """Yield all monic irreducibles of degree f in lexicographic coefficient order."""
     if f < 1:
         raise ValueError("degree must be >= 1")
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     p = modulus.p
     # ascending-coefficient tuples compared position 0 first
     for lower in itertools.product(range(p), repeat=f):

@@ -7,13 +7,14 @@ the shape of bracket bases like [2, a, 1+b]: equal ideals have equal
 matrices, so verification tables reduce to matrix comparisons.
 
 Ideals are stored relative to the order's basis; two-element
-representations are constructors only.  All values are immutable and
-all operations pure.
+representations are constructors only.  Good generators are combined
+by lattice CRT: one reduction modulo the canonical basis of a lattice
+of rank 2n.  All values are immutable and all operations pure.
 """
 
 import itertools
 
-from .fppoly import FpPoly, PrimeModulus, binary_power, fp_factor, fp_is_irreducible
+from .fppoly import FpPoly, as_modulus, binary_power, fp_factor, fp_is_irreducible
 from .orders import (
     Order,
     OrderElement,
@@ -25,31 +26,12 @@ from .orders import (
     _prime_power,
     _radical_mod_p,
     _unit,
-    _upper_hnf,
     char_poly,
     element_index,
     hnf,
     lattice_contains,
 )
 from .zpoly import lift, reduce_mod
-
-
-def solve_in_rowspan(rows, target):
-    """Integer coefficients y with sum(y_i * rows_i) = target, or None."""
-    h, combos = _upper_hnf([list(r) for r in rows], transform=True)
-    v = list(target)
-    coeff = [0] * len(rows)
-    for r, rc in zip(h, combos):
-        j = next(c for c, x in enumerate(r) if x)
-        if v[j] % r[j]:
-            return None
-        q = v[j] // r[j]
-        if q:
-            v = [x - q * y for x, y in zip(v, r)]
-            coeff = [x + q * y for x, y in zip(coeff, rc)]
-    if any(v):
-        return None
-    return coeff
 
 
 def reduce_mod_lattice(basis, vec):
@@ -276,8 +258,7 @@ def factor_p_in_order(order, modulus):
     The order must be p-maximal.  Results are sorted by basis matrix
     and returned as (ideal, e, f).
     """
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     p = modulus.p
     n = order.n
     radical = _radical_mod_p(order.table, p)
@@ -330,20 +311,22 @@ def factor_p_in_order(order, modulus):
 # -- good generators via lattice CRT ----------------------------------------
 
 def _crt_pair(order, a, la, b, lb):
-    """theta with theta = a mod la and theta = b mod lb, for comaximal lattices."""
-    rows = [list(r) for r in la.rows] + [list(r) for r in lb.rows]
-    diff = [x - y for x, y in zip(b.coords, a.coords)]
-    combo = solve_in_rowspan(rows, diff)
-    if combo is None:
-        raise ValueError("congruences are not compatible")
+    """theta with theta = a mod la and theta = b mod lb.
+
+    The rows (u, u) for u in la and (0, w) for w in lb span the rank-2n
+    lattice {(u, u + w)}.  Reducing (0, b - a) modulo its canonical
+    basis leaves a zero second half exactly when b - a lies in la + lb,
+    and then a first half -u with u in la and b - a - u in lb, so that
+    theta = a + u.
+    """
     n = order.n
-    u = [0] * n
-    for i in range(n):
-        if combo[i]:
-            for j in range(n):
-                u[j] += combo[i] * la.rows[i][j]
-    theta = OrderElement(order, [x + y for x, y in zip(a.coords, u)])
-    return theta
+    zero = (0,) * n
+    rows = [r + r for r in la.rows] + [zero + r for r in lb.rows]
+    diff = tuple(y - x for x, y in zip(a.coords, b.coords))
+    residue = reduce_mod_lattice(hnf(rows), zero + diff)
+    if any(residue[n:]):
+        raise ValueError("congruences are not compatible")
+    return OrderElement(order, [x - u for x, u in zip(a.coords, residue)])
 
 
 def crt_good_generator(order, modulus, primes, polys):
@@ -361,8 +344,7 @@ def crt_good_generator(order, modulus, primes, polys):
     of the squared primes; its index is not divisible by p and its
     characteristic polynomial reduces to the chosen factorization mod p.
     """
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     p = modulus.p
     if len(primes) != len(polys):
         raise ValueError("need one prime function per prime ideal")

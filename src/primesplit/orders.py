@@ -7,13 +7,14 @@ Commutativity, the identity law, and associativity on all basis triples
 are checked eagerly at construction, so a bad table fails fast.
 
 Integer lattices in canonical triangular (Hermite normal) form live
-here too: the HNF kernel that ideals use, and the rational lattices of
-p-enlargement, kept as integer rows over one common denominator.  Next
-to it sits the one GF(p) kernel (echelon form and left kernel of
-integer rows mod p) on which the p-maximal order is built by the
-Pohst-Zassenhaus Round 2: the p-radical is the kernel of a Frobenius
-power, and its ring of multipliers is the next order.  The same radical
-is what ``ideals.factor_p_in_order`` splits into the primes above p.
+here too: ``hnf``, the one HNF routine, which ideals use, and the
+rational lattices of p-enlargement, kept as integer rows over one
+common denominator.  Next to it sits the one GF(p) kernel (echelon
+form and left kernel of integer rows mod p) on which the p-maximal
+order is built by the Pohst-Zassenhaus Round 2: the p-radical is the
+kernel of a Frobenius power, and its ring of multipliers is the next
+order.  The same radical is what ``ideals.factor_p_in_order`` splits
+into the primes above p.
 
 Round 2 runs on bare multiplication tables, carried from prime to prime
 by ``maximal_order``; only the order a call returns is an Order.
@@ -32,7 +33,7 @@ from .criteria import (
     _rational_root_screen,
     factorization_with_cofactor,
 )
-from .fppoly import MAX_MODULUS, PRIMALITY_BOUND, PrimeModulus, binary_power, is_prime
+from .fppoly import MAX_MODULUS, PRIMALITY_BOUND, PrimeModulus, as_modulus, binary_power, is_prime
 from .zpoly import ZPoly, bareiss_determinant, discriminant
 
 
@@ -358,69 +359,15 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def _upper_hnf(rows, transform=False):
-    """Row-style HNF with leftmost pivots; optionally track the row transform."""
-    basis = {}  # pivot column -> (row, combo)
-    nrows = len(rows)
-    for idx, vec in enumerate(rows):
-        v = list(vec)
-        combo = [0] * nrows
-        if transform:
-            combo[idx] = 1
-        while True:
-            j = next((c for c, x in enumerate(v) if x), None)
-            if j is None:
-                break
-            if j not in basis:
-                basis[j] = (v, combo)
-                break
-            r, rc = basis[j]
-            a, b = r[j], v[j]
-            if b % a == 0:
-                q = b // a
-                v = [x - q * y for x, y in zip(v, r)]
-                if transform:
-                    combo = [x - q * y for x, y in zip(combo, rc)]
-            else:
-                g, s, t = _xgcd(a, b)
-                new_r = [s * x + t * y for x, y in zip(r, v)]
-                new_rc = (
-                    [s * x + t * y for x, y in zip(rc, combo)]
-                    if transform
-                    else combo
-                )
-                q = a // g
-                w = b // g
-                v = [q * y - w * x for x, y in zip(r, v)]
-                if transform:
-                    combo = [q * y - w * x for x, y in zip(rc, combo)]
-                basis[j] = (new_r, new_rc)
-    # normalize pivot signs, then reduce entries above each pivot
-    for j in sorted(basis):
-        r, rc = basis[j]
-        if r[j] < 0:
-            basis[j] = ([-x for x in r], [-x for x in rc])
-    pivots = sorted(basis)
-    for pos, j in enumerate(pivots):
-        r, rc = basis[j]
-        for jj in pivots[:pos]:
-            s, sc = basis[jj]
-            q = s[j] // r[j]
-            if q:
-                basis[jj] = (
-                    [x - q * y for x, y in zip(s, r)],
-                    [x - q * y for x, y in zip(sc, rc)],
-                )
-    out = [basis[j][0] for j in pivots]
-    combos = [basis[j][1] for j in pivots]
-    return (out, combos) if transform else out
-
-
 def hnf(rows, n=None):
     """Canonical triangular basis of the lattice spanned by integer rows.
 
-    Requires the span to have full rank n (defaults to the row width);
-    raises ValueError on rank deficiency.
+    Each row is reduced by extended gcds of pivots (last nonzero
+    entries) against the basis until it vanishes or takes a free column
+    (Cohen, GTM 138, 2.4).  Then, from the highest column down, each
+    pivot is made positive and the later rows' entries in its column
+    are reduced into [0, pivot).  Requires the span to have full rank n
+    (defaults to the row width); raises ValueError on rank deficiency.
     """
     rows = [list(r) for r in rows]
     if not rows:
@@ -429,11 +376,40 @@ def hnf(rows, n=None):
         n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ValueError("rows have inconsistent width")
-    flipped = [r[::-1] for r in rows]
-    h = _upper_hnf(flipped)
-    if len(h) != n:
-        raise ValueError("generators span a rank-%d lattice, need %d" % (len(h), n))
-    return tuple(tuple(r[::-1]) for r in reversed(h))
+    basis = [None] * n  # basis[j]: the row with pivot j, cut after its pivot
+    for v in rows:
+        j = n - 1
+        while True:
+            while j >= 0 and not v[j]:
+                j -= 1
+            if j < 0:
+                break
+            r = basis[j]
+            if r is None:
+                basis[j] = v[: j + 1]
+                break
+            a, b = r[j], v[j]
+            if b % a:
+                g, s, t = _xgcd(a, b)
+                basis[j] = [s * x + t * y for x, y in zip(r, v)]
+                a, b = a // g, b // g
+                v = [a * y - b * x for x, y in zip(r, v)]
+            else:
+                q = b // a
+                v = [y - q * x for x, y in zip(r, v)]
+    rank = n - basis.count(None)
+    if rank != n:
+        raise ValueError("generators span a rank-%d lattice, need %d" % (rank, n))
+    for c in range(n - 1, -1, -1):
+        r = basis[c]
+        if r[c] < 0:
+            r[:] = [-x for x in r]
+        pivot = r[c]
+        for s in basis[c + 1 :]:
+            q = s[c] // pivot
+            if q:
+                s[: c + 1] = [x - q * y for x, y in zip(s, r)]
+    return tuple(tuple(r) + (0,) * (n - 1 - i) for i, r in enumerate(basis))
 
 
 def _lattice_coords(basis, vec):
@@ -651,8 +627,7 @@ def p_enlarge(order, modulus):
     ``basis_in_parent`` holds its canonical triangular basis in the
     coordinates of the input order.
     """
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     enlarged = _p_maximal_lattice(
         order.table, modulus.p, _identity_rows(order.n), 1, order.table
     )

@@ -14,7 +14,7 @@ callers must treat that case explicitly.
 
 from math import gcd
 
-from .fppoly import FpPoly, PrimeModulus, binary_power, fp_gcd, is_prime
+from .fppoly import FpPoly, as_modulus, binary_power, fp_gcd, is_prime
 from .textfmt import DEFAULT_VAR, format_poly, parse_poly
 
 # integer_roots takes the squarefree part of f, a gcd over Z, only when
@@ -308,8 +308,7 @@ def integer_roots(f):
 
 def reduce_mod(f, modulus):
     """Reduce an integer polynomial to canonical form over GF(p)."""
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     return FpPoly(modulus, f.coeffs)
 
 
@@ -326,8 +325,7 @@ def cofactor_m(f, modulus, lifts):
     just coefficients in [0, p).  Raises ValueError when the congruence
     fails (the division by p is then not exact).
     """
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     if not f.is_monic():
         raise ValueError("cofactor requires monic f")
     p = modulus.p

@@ -8,6 +8,7 @@ from primesplit.fppoly import (
     FpPoly,
     PrimeModulus,
     _prime_divisors,
+    as_modulus,
     _pth_root,
     fp_one,
     fp_x,
@@ -35,6 +36,7 @@ from primesplit.orders import (
     _rational_rows,
     _table_on_lattice,
     _unit,
+    _xgcd,
     charpoly_matrix,
     lattice_contains,
     order_discriminant,
@@ -234,8 +236,7 @@ def scan_p_enlarge(order, modulus):
     ``basis_in_parent`` composes the bases of the adjoin steps, which
     spans the right lattice but need not be its canonical basis.
     """
-    if not isinstance(modulus, PrimeModulus):
-        modulus = PrimeModulus(modulus)
+    modulus = as_modulus(modulus)
     p = modulus.p
     n = order.n
     current = order
@@ -292,6 +293,55 @@ def _compose(new, old):
         for i in range(n)
     ]
     return _lowest_terms(rows, d_new * d_old)
+
+
+def leftmost_pivot_hnf(rows):
+    """Oracle for hnf: row HNF with leftmost pivots, taken on reversed columns.
+
+    Each row is reduced against the basis row with the same first
+    nonzero column; afterwards the pivots are made positive and the
+    entries above each pivot reduced, and reversing the columns and the
+    row order back gives the canonical triangular basis.
+    """
+    rows = [list(r) for r in rows]
+    if not rows:
+        raise ValueError("no generators given")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise ValueError("rows have inconsistent width")
+    basis = {}  # pivot column -> row
+    for vec in rows:
+        v = vec[::-1]
+        while True:
+            j = next((c for c, x in enumerate(v) if x), None)
+            if j is None:
+                break
+            if j not in basis:
+                basis[j] = v
+                break
+            r = basis[j]
+            a, b = r[j], v[j]
+            if b % a == 0:
+                q = b // a
+                v = [x - q * y for x, y in zip(v, r)]
+            else:
+                g, s, t = _xgcd(a, b)
+                basis[j] = [s * x + t * y for x, y in zip(r, v)]
+                v = [a // g * y - b // g * x for x, y in zip(r, v)]
+    pivots = sorted(basis)
+    for j in pivots:
+        if basis[j][j] < 0:
+            basis[j] = [-x for x in basis[j]]
+    for pos, j in enumerate(pivots):
+        r = basis[j]
+        for jj in pivots[:pos]:
+            s = basis[jj]
+            q = s[j] // r[j]
+            if q:
+                basis[jj] = [x - q * y for x, y in zip(s, r)]
+    if len(pivots) != n:
+        raise ValueError("generators span a rank-%d lattice, need %d" % (len(pivots), n))
+    return tuple(tuple(basis[j][::-1]) for j in reversed(pivots))
 
 
 def canonical_rows(rows):

@@ -6,16 +6,23 @@ import pytest
 
 from conftest import (
     enumerate_primes_above,
+    leftmost_pivot_hnf,
     random_irreducible_cubic,
     random_irreducible_quartic,
     random_power_basis_orders,
     scan_is_maximal,
 )
 from primesplit import fixtures, ideals
-from primesplit.criteria import IndexDivisorError, factor_prime_via_polynomial
+from primesplit.criteria import (
+    IndexDivisorError,
+    SplittingShape,
+    assign_prime_functions,
+    factor_prime_via_polynomial,
+)
 from primesplit.fppoly import FpPoly, PrimeModulus
 from primesplit.ideals import (
     LatticeIdeal,
+    _crt_pair,
     _is_maximal,
     bracket_str,
     crt_good_generator,
@@ -98,6 +105,52 @@ class TestHnf:
             hnf([(1, 2, 3), (2, 4, 6)])
         with pytest.raises(ValueError):
             hnf([(0, 0, 0)])
+
+    def test_matches_leftmost_pivot_oracle(self):
+        def outcome(fn, rows):
+            try:
+                return fn(rows)
+            except ValueError as exc:
+                return str(exc)
+
+        deficient = 0
+        for width, rows in _hnf_oracle_inputs():
+            got = outcome(hnf, rows)
+            assert got == outcome(leftmost_pivot_hnf, rows), (width, rows)
+            deficient += isinstance(got, str)
+        assert deficient >= 100  # every fifth input by construction
+
+
+def _hnf_oracle_inputs():
+    """500 seeded (width, rows): widths 1-12 (the 2n-wide CRT lattices
+    included), width to width^2 + width rows of signed entries up to
+    2^20, with zero rows, repeated rows and every fifth input of lower
+    rank."""
+    rng = random.Random(15)
+    for k in range(500):
+        width = k % 12 + 1
+        count = rng.randint(width, width * width + width)
+        bound = rng.choice((1, 9, 2**10, 2**20))
+        if k % 5 == 4:
+            gens = [
+                [rng.randint(-bound, bound) // (2 * width) for _ in range(width)]
+                for _ in range(rng.randrange(width))
+            ]
+            rows = []
+            for _ in range(count):
+                coeffs = [rng.randint(-2, 2) for _ in gens]
+                rows.append(
+                    [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(width)]
+                )
+        else:
+            rows = [
+                [rng.randint(-bound, bound) for _ in range(width)] for _ in range(count)
+            ]
+        for _ in range(rng.randrange(3)):
+            rows.insert(rng.randrange(count), [0] * width)
+        for _ in range(rng.randrange(3)):
+            rows.insert(rng.randrange(count), list(rng.choice(rows)))
+        yield width, rows
 
 
 class TestIdealFromGenerators:
@@ -526,3 +579,72 @@ class TestCrtGoodGenerator:
         square = ideal_product(prime, prime)
         assert prime.contains_element(theta)
         assert not square.contains_element(theta)
+
+    def test_incompatible_congruences(self):
+        square = ideal_product(IDEAL_A, IDEAL_A)
+        zero, one = MAX_CUBIC.zero(), MAX_CUBIC.identity()
+        with pytest.raises(ValueError, match="congruences are not compatible"):
+            _crt_pair(MAX_CUBIC, zero, square, one, square)
+
+    def test_pinned_multi_prime_generators(self):
+        # maximal orders of seeded irreducible cubics to quintics, each at
+        # a p with at least two primes above it
+        ranks, ramified = [], 0
+        for coeffs, p, expected in CRT_CASES:
+            order, _ = maximal_order(ZPoly(list(coeffs)))
+            primes = factor_p_in_order(order, p)
+            assert len(primes) >= 2
+            shape = SplittingShape(p, [(f, e) for _, e, f in primes])
+            polys = assign_prime_functions(p, shape)
+            theta = crt_good_generator(order, p, primes, polys)
+            assert theta.coords == expected, (coeffs, p)
+            ranks.append(order.n)
+            ramified += any(e >= 2 for _, e, _ in primes)
+        assert sorted(set(ranks)) == [3, 4, 5]
+        assert ramified == 13
+
+
+# (f ascending, p, theta): the canonical generator, pinned so that no
+# change to the lattice CRT can move it
+CRT_CASES = (
+    ((-4, -9, -2, 1), 2, (0, 1, 0)),
+    ((-7, 1, -6, 1), 7, (0, 7, 38)),
+    ((4, 5, 6, 1), 2, (3, 1, 1)),
+    ((6, 1, 3, 1), 11, (83, 112, 80)),
+    ((-7, -6, -9, 1), 11, (21, 102, 4)),
+    ((4, -6, -4, 1), 2, (2, 0, 1)),
+    ((-7, -4, 2, 1), 7, (42, 17, 11)),
+    ((6, -7, 3, 1), 2, (2, 3, 2)),
+    ((-8, 0, -6, 1), 5, (1, 2, 1)),
+    ((-5, -5, -6, 1), 11, (17, 58, 92)),
+    ((-1, -6, -9, 1), 7, (27, 13, 13)),
+    ((3, 1, -9, 1), 11, (26, 1, 0)),
+    ((4, 1, 5, 1), 2, (0, 1, 0)),
+    ((5, -7, 6, 1), 7, (17, 47, 35)),
+    ((-6, 9, -5, -4, 1), 3, (0, 1, 0, 0)),
+    ((-9, 8, -7, -8, 1), 5, (13, 6, 24, 16)),
+    ((-8, -3, 9, 4, 1), 5, (21, 22, 7, 19)),
+    ((1, 5, -4, 9, 1), 11, (21, 80, 12, 82)),
+    ((1, -8, -8, -1, 1), 3, (1, 4, 3, 6)),
+    ((-9, -5, 6, -7, 1), 2, (2, 0, 1, 1)),
+    ((1, -3, -7, -6, 1), 5, (23, 13, 21, 24)),
+    ((8, 7, -1, 4, 1), 3, (5, 3, 2, 7)),
+    ((6, -4, -1, -4, 1), 2, (0, 1, 0, 0)),
+    ((-8, -3, 6, -4, 1), 3, (5, 6, 3, 2)),
+    ((-2, -1, 1, 6, 1), 7, (7, 22, 5, 4)),
+    ((4, -2, -2, 6, 1), 5, (12, 10, 9, 16)),
+    ((3, -1, -7, -1, 1), 5, (24, 13, 7, 6)),
+    ((-6, 2, -1, 6, 1), 11, (40, 58, 26, 23)),
+    ((-3, -9, -4, 6, 8, 1), 3, (6, 7, 5, 0, 1)),
+    ((-2, -5, 3, 4, 2, 1), 3, (6, 1, 1, 6, 6)),
+    ((3, -4, -2, -2, 7, 1), 3, (3, 5, 0, 2, 1)),
+    ((-4, -4, 4, 5, 8, 1), 5, (0, 13, 18, 16, 13)),
+    ((-1, 2, -6, -6, -8, 1), 3, (6, 7, 5, 0, 2)),
+    ((2, 9, -6, -8, -6, 1), 3, (5, 1, 4, 8, 2)),
+    ((3, 1, 6, -6, 2, 1), 3, (6, 5, 7, 6, 0)),
+    ((-2, -3, -2, 6, 9, 1), 13, (157, 89, 116, 10, 5)),
+    ((7, 0, 4, 1, 1, 1), 3, (0, 5, 6, 0, 2)),
+    ((-2, 1, 9, -4, -8, 1), 7, (28, 1, 5, 1, 5)),
+    ((-1, -7, -3, -2, 1, 1), 5, (20, 5, 24, 23, 9)),
+    ((-6, 5, -6, -9, -2, 1), 2, (2, 1, 0, 0, 0)),
+)
