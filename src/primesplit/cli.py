@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -35,8 +36,8 @@ from .ideals import (
     whole_order,
 )
 from .indexform import common_value_divisor, format_multipoly, index_form
+from .integers import DEFAULT_TRIAL_BOUND
 from .orders import (
-    DEFAULT_TRIAL_BOUND,
     char_poly,
     cubic_family,
     element_index,
@@ -510,22 +511,41 @@ def build_parser():
 _PARSER = build_parser()
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift the interpreter's int-to-str digit limit, then restore it.
+
+    Exact answers may have any number of digits.  The limit exists from
+    Python 3.10.7 on and is shared by everything in the interpreter, so
+    it is lifted only for the duration of the block.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None):
     # Output is unconditionally plain ASCII; PLAIN_OUTPUT is accepted for
     # interface compatibility but changes nothing.
     args = _PARSER.parse_args(argv)
-    try:
-        report = args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.json:
-        print(report.to_json())
-    elif report.command == "paper-examples":
-        print(_paper_examples_text(report))
-    else:
-        print(report.to_text())
-    return report.status
+    with _int_digits_unlimited():
+        try:
+            report = args.func(args)
+        except UsageError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        if args.json:
+            print(report.to_json())
+        elif report.command == "paper-examples":
+            print(_paper_examples_text(report))
+        else:
+            print(report.to_text())
+        return report.status
 
 
 if __name__ == "__main__":

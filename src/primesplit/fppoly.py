@@ -1,5 +1,7 @@
 """Univariate polynomial arithmetic and factorization over prime fields.
 
+A modulus is a PrimeModulus: a prime below MAX_MODULUS = 2**31, the
+package's one modulus cap, as ``integers.is_prime`` decides.
 Polynomials are immutable: a modulus and an ascending tuple of
 coefficients in [0, p) with no trailing zero (empty tuple for the zero
 polynomial).  Everything here is a pure function, so values can be
@@ -46,21 +48,10 @@ import itertools
 import operator
 import random
 
+from .integers import is_prime, trial_factor
 from .textfmt import DEFAULT_VAR, format_poly, parse_poly
 
 MAX_MODULUS = 2**31
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-# (bound, bases): strong tests to these bases are conclusive below the
-# bound (Pomerance-Selfridge-Wagstaff, Math. Comp. 35 (1980);
-# Sorenson-Webster, Math. Comp. 86 (2017)).  is_prime raises at and
-# above the last bound, PRIMALITY_BOUND.
-_MILLER_RABIN_BASES = (
-    (3215031751, (2, 3, 5, 7)),
-    (3317044064679887385961981, _SMALL_PRIMES),
-)
-PRIMALITY_BOUND = _MILLER_RABIN_BASES[-1][0]
 
 
 def binary_power(base, e, mul, one):
@@ -100,43 +91,6 @@ def _unpack(v, w, count, p):
     """The first `count` w-bit slots of v, each reduced mod p."""
     mask = (1 << w) - 1
     return [((v >> s) & mask) % p for s in range(0, count * w, w)]
-
-
-def is_prime(n):
-    """Deterministic primality test for n < PRIMALITY_BOUND; raises from there on.
-
-    Strong tests to the bases 2, 3, 5 and 7 below 3215031751, and to the
-    13 primes up to 41 below PRIMALITY_BOUND (about 3.317e24).
-    """
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
-    for bound, bases in _MILLER_RABIN_BASES:
-        if n < bound:
-            break
-    else:
-        raise ValueError(
-            "primality of %d is not decided: the test is conclusive only "
-            "below %d" % (n, PRIMALITY_BOUND)
-        )
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class PrimeModulus:
@@ -487,27 +441,13 @@ def fp_is_irreducible(f):
     ring = ResidueRing(f)
     rows = _frobenius_rows(ring, _x_to_the_p(ring))
     x = fp_x(f.modulus)
-    checked = {n // q for q in _prime_divisors(n)}
+    checked = {n // q for q in trial_factor(n, n)}
     r = x.coeffs
     for d in range(1, n + 1):
         r = _frobenius(ring, rows, r)  # x**(p**d) mod f
         if d in checked and not fp_gcd(FpPoly(f.modulus, r) - x, f).is_one():
             return False
     return FpPoly(f.modulus, r) == x
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _pth_root(f):
@@ -632,7 +572,7 @@ def count_monic_irreducibles(modulus, f):
         raise ValueError("degree must be >= 1")
     p = int(modulus)
     signed = [(1, 1)]  # (squarefree divisor d, mu(d))
-    for q in _prime_divisors(f):
+    for q in trial_factor(f, f):
         signed += [(d * q, -mu) for d, mu in signed]
     total = sum(mu * p ** (f // d) for d, mu in signed)
     assert total % f == 0

@@ -9,12 +9,15 @@ matrices, so verification tables reduce to matrix comparisons.
 Ideals are stored relative to the order's basis; two-element
 representations are constructors only.  Good generators are combined
 by lattice CRT: one reduction modulo the canonical basis of a lattice
-of rank 2n.  All values are immutable and all operations pure.
+of rank 2n.  A prime's residue degree comes from its norm by
+``integers.prime_power``.  All values are immutable and all operations
+pure.
 """
 
 import itertools
 
 from .fppoly import FpPoly, as_modulus, binary_power, fp_factor, fp_is_irreducible
+from .integers import prime_power
 from .orders import (
     Order,
     OrderElement,
@@ -23,7 +26,6 @@ from .orders import (
     _left_kernel_mod_p,
     _multipliers_mod_p,
     _pow_mod_p,
-    _prime_power,
     _radical_mod_p,
     _unit,
     char_poly,
@@ -224,7 +226,7 @@ def _valuation_power(a, prime):
     if a.order != prime.order:
         raise ValueError("ideals belong to different orders")
     nrm = prime.norm()
-    base = _prime_power(nrm)
+    base = prime_power(nrm)
     if base is None or not _is_maximal(prime.order, prime, base[0]):
         raise ValueError("valuation requires a maximal ideal")
     v, power = 0, whole_order(prime.order)
@@ -292,7 +294,7 @@ def factor_p_in_order(order, modulus):
     p_ideal = ideal_from_generators(order, [order.identity() * p])
     out, powers = [], []
     for ideal in maximal:
-        q, f = _prime_power(ideal.norm())
+        q, f = prime_power(ideal.norm())
         if q != p:
             raise AssertionError("ideal norm is not a power of %d" % p)
         e, power = _valuation_power(p_ideal, ideal)

@@ -27,7 +27,7 @@ exponents with x^p = x, not by evaluating at all p^v points.
 import functools
 import itertools
 
-from .fppoly import is_prime
+from .integers import is_prime
 
 _VAR_ALPHABET = ("x", "y", "w", "v")
 

@@ -21,7 +21,8 @@ by ``maximal_order``; only the order a call returns is an Order.
 
 Orders and elements are immutable; every operation is a pure function.
 Every enlarged order carries the canonical triangular basis of its
-lattice, so equal orders have equal bases.
+lattice, so equal orders have equal bases.  Trial factoring of the
+discriminant and the extended gcd of ``hnf`` come from ``integers``.
 """
 
 import itertools
@@ -33,7 +34,8 @@ from .criteria import (
     _rational_root_screen,
     factorization_with_cofactor,
 )
-from .fppoly import MAX_MODULUS, PRIMALITY_BOUND, PrimeModulus, as_modulus, binary_power, is_prime
+from .fppoly import PrimeModulus, as_modulus, binary_power
+from .integers import DEFAULT_TRIAL_BOUND, trial_factor, xgcd
 from .zpoly import ZPoly, bareiss_determinant, discriminant
 
 
@@ -349,16 +351,6 @@ def element_index(order, theta):
 # equal (rows, d).
 
 
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def hnf(rows, n=None):
     """Canonical triangular basis of the lattice spanned by integer rows.
 
@@ -390,7 +382,7 @@ def hnf(rows, n=None):
                 break
             a, b = r[j], v[j]
             if b % a:
-                g, s, t = _xgcd(a, b)
+                g, s, t = xgcd(a, b)
                 basis[j] = [s * x + t * y for x, y in zip(r, v)]
                 a, b = a // g, b // g
                 v = [a * y - b * x for x, y in zip(r, v)]
@@ -634,65 +626,6 @@ def p_enlarge(order, modulus):
     return _order_on_lattice(order.labels, *enlarged)
 
 
-DEFAULT_TRIAL_BOUND = 10**6  # for the discriminant in maximal_order and the CLI
-
-
-def trial_factor(n, bound):
-    """Factor |n| by trial division up to `bound`; raises when the tail resists.
-
-    The tail after trial division is accepted when it is 1, a prime
-    that ``is_prime`` decides (below PRIMALITY_BOUND), or a prime power
-    (detected exactly); anything else exceeds the bound.
-    """
-    n = abs(n)
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    out = {}
-    d = 2
-    while d * d <= n and d <= bound:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if d * d > n or n < PRIMALITY_BOUND and is_prime(n):
-            out[n] = out.get(n, 0) + 1
-            return out
-        power = _prime_power(n)
-        if power is None:
-            raise ValueError(
-                "factorization of %d exceeds the trial-division bound %d" % (n, bound)
-            )
-        root, e = power
-        out[root] = out.get(root, 0) + e
-    return out
-
-
-def _prime_power(n):
-    """(q, e) with n = q^e for a prime q < MAX_MODULUS, else None.
-
-    The largest e with an exact e-th root gives the only candidate q,
-    so the cost depends on the bit length of n, not on q.  A q of
-    MAX_MODULUS or more is no usable modulus, so it gives None.
-    """
-    for e in range(n.bit_length(), 0, -1):
-        root = _integer_nth_root(n, e)
-        if root**e == n:
-            return (root, e) if root < MAX_MODULUS and is_prime(root) else None
-    return None
-
-
-def _integer_nth_root(n, e):
-    lo, hi = 1, 1 << (n.bit_length() // e + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**e <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, labels=None):
     """Maximal order of Q[t]/(f) and its discriminant (the fundamental number).
 
@@ -738,9 +671,7 @@ def cubic_family(a, b, ap, bp):
     ap^2*bp^2 + 18*a*b*ap*bp - 4*a*ap^3 - 4*b*bp^3 - 27*a^2*b^2,
     cross-checked against the trace form.
     """
-    g = 0
-    for v in (a, b, ap, bp):
-        g = gcd(g, v)
+    g = gcd(a, b, ap, bp)
     if g != 1:
         raise ValueError("parameters must be coprime, gcd is %d" % g)
     table = [

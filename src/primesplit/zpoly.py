@@ -14,7 +14,8 @@ callers must treat that case explicitly.
 
 from math import gcd
 
-from .fppoly import FpPoly, as_modulus, binary_power, fp_gcd, is_prime
+from .fppoly import FpPoly, as_modulus, binary_power, fp_gcd
+from .integers import is_prime
 from .textfmt import DEFAULT_VAR, format_poly, parse_poly
 
 # integer_roots takes the squarefree part of f, a gcd over Z, only when

@@ -7,7 +7,6 @@ from fractions import Fraction
 from primesplit.fppoly import (
     FpPoly,
     PrimeModulus,
-    _prime_divisors,
     as_modulus,
     _pth_root,
     fp_one,
@@ -24,6 +23,7 @@ from primesplit.ideals import (
     whole_order,
 )
 from primesplit.indexform import MultiPoly, parse_multipoly_vars
+from primesplit.integers import prime_power, trial_factor, xgcd
 from primesplit.orders import (
     Order,
     _identity_rows,
@@ -31,17 +31,14 @@ from primesplit.orders import (
     _lowest_terms,
     _multipliers_mod_p,
     _over_common_denominator,
-    _prime_power,
     _radical_mod_p,
     _rational_rows,
     _table_on_lattice,
     _unit,
-    _xgcd,
     charpoly_matrix,
     lattice_contains,
     order_discriminant,
     order_from_polynomial,
-    trial_factor,
 )
 from primesplit.zpoly import ZPoly, bareiss_determinant, discriminant
 
@@ -325,7 +322,7 @@ def leftmost_pivot_hnf(rows):
                 q = b // a
                 v = [x - q * y for x, y in zip(v, r)]
             else:
-                g, s, t = _xgcd(a, b)
+                g, s, t = xgcd(a, b)
                 basis[j] = [s * x + t * y for x, y in zip(r, v)]
                 v = [a // g * y - b // g * x for x, y in zip(r, v)]
     pivots = sorted(basis)
@@ -588,7 +585,7 @@ def enumerate_primes_above(order, p):
     out = []
     total = whole_order(order)
     for ideal in maximal:
-        q, f = _prime_power(ideal.norm())
+        q, f = prime_power(ideal.norm())
         assert q == p
         e = ideal_valuation(p_ideal, ideal)
         out.append((ideal, e, f))
@@ -656,6 +653,21 @@ def _frobenius_iterate(d, f):
     return r
 
 
+def prime_divisors(n):
+    """The primes dividing n >= 1, ascending, by trial division by every d."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def powering_is_irreducible(f):
     """Oracle for fp_is_irreducible: the same test with _frobenius_iterate.
 
@@ -671,7 +683,7 @@ def powering_is_irreducible(f):
         return True
     f = f.monic()
     x = fp_x(f.modulus)
-    for q in _prime_divisors(n):
+    for q in prime_divisors(n):
         h = _frobenius_iterate(n // q, f)
         if not euclid_gcd(h - x, f).is_one():
             return False

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 import primesplit
 from conftest import cofactor_index_form, exhaustive_common_value_divisor
-from primesplit.cli import main
+from primesplit.cli import _int_digits_unlimited, main
 from primesplit.indexform import format_multipoly
 from primesplit.orders import order_from_polynomial
-from primesplit.zpoly import ZPoly
+from primesplit.zpoly import ZPoly, discriminant
 
 
 def run_cli(*argv):
@@ -66,6 +69,24 @@ class TestDiscriminant:
         assert status == 2
         assert out == ""
         assert err == "error: discriminant requires degree >= 1\n"
+
+    def test_prints_integers_of_any_size(self):
+        # the value has over 10^4 digits, past the interpreter's default
+        # int-to-str limit, which main lifts only while it runs
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        expected = discriminant(ZPoly.from_text("t^3000+t+1"))
+        status, out, _ = run_cli("discriminant", "t^3000+t+1")
+        assert status == 0
+        with _int_digits_unlimited():
+            assert out == "discriminant: %d\n" % expected
+        status, out, _ = run_cli("--json", "discriminant", "t^3000+t+1")
+        assert status == 0
+        with _int_digits_unlimited():
+            assert json.loads(out)["results"]["discriminant"] == expected
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        if limit is not None and 0 < limit < 5000:
+            with pytest.raises(ValueError):
+                str(10**5000)
 
 
 class TestDedekindCriterion:
@@ -190,6 +211,16 @@ class TestMaximalOrderCommand:
             assert status == 2
             assert err.startswith("error: ")
             assert "trial-division bound 0" in err
+
+    def test_prime_square_above_the_modulus_cap(self):
+        # disc = 12 q^2 with q = 2^31 + 11: trial factoring finds q^2 at
+        # once, and PrimeModulus refuses q, naming its cap
+        start = time.perf_counter()
+        status, _, err = run_cli("maximal-order", "t^2 - 13835058197016084843")
+        assert time.perf_counter() - start < 2
+        assert status == 2
+        assert "2**31" in err
+        assert "trial-division" not in err
 
 
 class TestIndexFormCommand:

@@ -18,7 +18,6 @@ from conftest import (
 )
 from primesplit import fixtures, fppoly
 from primesplit.fppoly import (
-    PRIMALITY_BOUND,
     FpPoly,
     PrimeModulus,
     ResidueRing,
@@ -35,9 +34,9 @@ from primesplit.fppoly import (
     fp_one,
     fp_powmod,
     fp_x,
-    is_prime,
 )
 from primesplit.ideals import LatticeIdeal, ideal_power, ideal_product, whole_order
+from primesplit.integers import PRIMALITY_BOUND, is_prime
 from primesplit.orders import OrderElement, _pow_mod_p, _unit
 from primesplit.zpoly import ZPoly
 

@@ -20,9 +20,9 @@ from conftest import (
 from primesplit import fixtures, orders
 from primesplit.criteria import index_divisible
 from primesplit.fppoly import PrimeModulus, fp_is_irreducible
+from primesplit.integers import prime_power, trial_factor
 from primesplit.orders import (
     Order,
-    _prime_power,
     char_poly,
     charpoly_matrix,
     cubic_family,
@@ -34,7 +34,6 @@ from primesplit.orders import (
     order_from_polynomial,
     order_from_rational_basis,
     p_enlarge,
-    trial_factor,
 )
 from primesplit.zpoly import ZPoly, discriminant, reduce_mod
 
@@ -420,6 +419,8 @@ class TestMaximalOrder:
         assert trial_factor(6 * 1000003**2, 10) == {2: 1, 3: 1, 1000003: 2}
         assert trial_factor(6 * 1000003, 10) == {2: 1, 3: 1, 1000003: 1}
         assert trial_factor(6 * 1000003**2, 2 * 10**6) == {2: 1, 3: 1, 1000003: 2}
+        q = 2**31 + 11  # a prime above the modulus cap
+        assert trial_factor(12 * q**2, 10**6) == {2: 2, 3: 1, q: 2}
 
     def test_pseudoprime_tail_is_not_accepted(self):
         # 3215031751 = 151 * 751 * 28351 passes strong tests to bases 2, 3, 5, 7
@@ -432,13 +433,14 @@ class TestMaximalOrder:
 
     def test_prime_power_by_exact_roots(self):
         q = 2**31 - 1
-        assert _prime_power(q) == (q, 1)
-        assert _prime_power(q**5) == (q, 5)
-        assert _prime_power(2**40) == (2, 40)
-        for n in (0, 1, 36, 1000003 * 1000033, q * (q - 2)):
-            assert _prime_power(n) is None
-        # 2^31 + 11 is prime, but no modulus: PrimeModulus takes p < 2^31
-        assert _prime_power((2**31 + 11) ** 2) is None
+        assert prime_power(q) == (q, 1)
+        assert prime_power(q**5) == (q, 5)
+        assert prime_power(2**40) == (2, 40)
+        # 2^89 - 1 is prime, but is_prime cannot decide it
+        for n in (0, 1, 36, 1000003 * 1000033, q * (q - 2), (2**89 - 1) ** 2):
+            assert prime_power(n) is None
+        # 2^31 + 11 is prime; PrimeModulus, not prime_power, applies the 2^31 cap
+        assert prime_power((2**31 + 11) ** 2) == (2**31 + 11, 2)
 
 
 class TestOneOrderPerCall:
