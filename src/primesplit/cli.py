@@ -38,6 +38,7 @@ from .ideals import (
 from .indexform import common_value_divisor, format_multipoly, index_form
 from .integers import DEFAULT_TRIAL_BOUND
 from .orders import (
+    _maximal_order,
     char_poly,
     cubic_family,
     element_index,
@@ -167,8 +168,8 @@ def cmd_split_prime(args):
     inputs = {"poly": str(f), "p": modulus.p}
     try:
         shape, symbols = factor_prime_via_polynomial(f, modulus, seed=args.seed)
-    except IndexDivisorError:
-        pass
+    except IndexDivisorError as exc:
+        verdict = exc.verdict
     except ValueError as exc:
         raise UsageError(str(exc))
     else:
@@ -178,7 +179,9 @@ def cmd_split_prime(args):
         return RunReport("split-prime", inputs, results)
 
     try:
-        order, fundamental = maximal_order(f, bound=args.bound)
+        # f passed the rational-root screen, and its verdict at p holds the
+        # factors of f mod p and the cofactor, so neither is computed again
+        order, fundamental = _maximal_order(f, args.bound, None, {modulus.p: verdict})
         primes = factor_p_in_order(order, modulus)
     except ValueError as exc:
         raise UsageError(str(exc))

@@ -13,8 +13,8 @@ The kernel does not use MultiPoly.  Coordinate k of w^r is homogeneous
 of degree r, and a minor of the power matrix has the sum of its rows'
 degrees, so every kernel polynomial is a dense list of coefficients over
 the monomials of one known degree.  A product walks a table of monomial
-positions built once per (variables, degree, degree); with at most four
-variables and degree at most ten that is a fixed, small set.  The
+positions built once per (variables, degree, degree); with at most five
+variables and degree at most fifteen that is a fixed, small set.  The
 determinant is a Laplace expansion that builds each minor on the
 trailing columns once per row subset: 2^(n-1) minors instead of the
 (n-1)! sub-expansions of a cofactor recursion.  Only the finished form
@@ -29,11 +29,17 @@ import itertools
 
 from .integers import is_prime
 
-_VAR_ALPHABET = ("x", "y", "w", "v")
+_VAR_ALPHABET = ("x", "y", "w", "v", "u")
 
 
 class MultiPoly:
-    """Sparse multivariate integer polynomial with graded-lex term order."""
+    """Sparse multivariate integer polynomial with graded-lex term order.
+
+    A MultiPoly is the value ``index_form`` returns: it is evaluated,
+    printed and tested for common value divisors, and the kernel that
+    computes it works on dense coefficient lists, so it carries no ring
+    arithmetic.
+    """
 
     __slots__ = ("vars", "terms")
 
@@ -45,43 +51,8 @@ class MultiPoly:
                 clean[tuple(exps)] = c
         self.terms = clean
 
-    @classmethod
-    def variable(cls, variables, name):
-        i = tuple(variables).index(name)
-        exps = tuple(1 if k == i else 0 for k in range(len(variables)))
-        return cls(variables, {exps: 1})
-
     def is_zero(self):
         return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MultiPoly(self.vars, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return MultiPoly(self.vars, out)
-
-    def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MultiPoly(
-                self.vars, {e: c * other for e, c in self.terms.items()}
-            )
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.vars, out)
-
-    __rmul__ = __mul__
 
     def evaluate(self, point):
         """Exact integer value at an integer point."""
@@ -156,7 +127,7 @@ def parse_multipoly_vars(n):
 
 # A kernel polynomial of degree d in v variables is a list of coefficients
 # over _monomials(v, d); its degree follows from its place in the matrix and
-# is never stored.  index_form needs only v <= 4 and d <= n(n-1)/2 <= 10, so
+# is never stored.  index_form needs only v <= 5 and d <= n(n-1)/2 <= 15, so
 # the memoised tables below are a fixed set of a few hundred.
 
 
@@ -172,12 +143,22 @@ def _monomials(v, d):
 
 @functools.cache
 def _product_table(v, d1, d2):
-    """Row i, column j: the position of monomial i of degree d1 times monomial j of degree d2."""
-    position = {e: k for k, e in enumerate(_monomials(v, d1 + d2))}
-    right = _monomials(v, d2)
+    """Row i, column j: the position of monomial i of degree d1 times monomial j of degree d2.
+
+    Each exponent tuple is packed as the digits of one integer in base
+    d1 + d2 + 1; no exponent of a product reaches the base, so packed
+    monomials multiply by one integer addition.
+    """
+    base = d1 + d2 + 1
+
+    def packed(e):
+        return functools.reduce(lambda acc, x: acc * base + x, e, 0)
+
+    position = {packed(e): k for k, e in enumerate(_monomials(v, d1 + d2))}
+    right = [packed(e) for e in _monomials(v, d2)]
     return tuple(
-        tuple(position[tuple(a + b for a, b in zip(e1, e2))] for e2 in right)
-        for e1 in _monomials(v, d1)
+        tuple([position[k1 + k2] for k2 in right])
+        for k1 in map(packed, _monomials(v, d1))
     )
 
 
@@ -227,8 +208,8 @@ def index_form(order):
     to sign.
     """
     n = order.n
-    if n > 5:
-        raise ValueError("index form is limited to rank <= 5")
+    if n > 6:
+        raise ValueError("index form is limited to rank <= 6")
     names = parse_multipoly_vars(n)
     v = n - 1
     table = order.table

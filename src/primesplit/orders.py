@@ -16,8 +16,15 @@ kernel of a Frobenius power, and its ring of multipliers is the next
 order.  The same radical is what ``ideals.factor_p_in_order`` splits
 into the primes above p.
 
-Round 2 runs on bare multiplication tables, carried from prime to prime
-by ``maximal_order``; only the order a call returns is an Order.
+``maximal_order`` does not start Round 2 from Z[t]/(f).  At each prime
+q that Dedekind's criterion says divides the index, the factors of
+f mod q and the cofactor the test already read give Dedekind's ring
+O' = Z[t] + (U(t)/q)*Z[t] of index q^m, which is the first Round 2 ring
+(Cohen, GTM 138, 6.1.4).  disc(O') = disc(f)/q^(2m), so where
+v_q(disc f) - 2m < 2 the discriminant proves O' q-maximal and Round 2
+does not run at q at all; elsewhere it continues from O'.  Round 2
+runs on bare multiplication tables, carried from prime to prime by
+``maximal_order``; only the order a call returns is an Order.
 
 Orders and elements are immutable; every operation is a pure function.
 Every enlarged order carries the canonical triangular basis of its
@@ -27,16 +34,16 @@ discriminant and the extended gcd of ``hnf`` come from ``integers``.
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .criteria import (
     _dedekind_verdict,
     _rational_root_screen,
     factorization_with_cofactor,
 )
-from .fppoly import PrimeModulus, as_modulus, binary_power
+from .fppoly import PrimeModulus, as_modulus, binary_power, fp_one
 from .integers import DEFAULT_TRIAL_BOUND, trial_factor, xgcd
-from .zpoly import ZPoly, bareiss_determinant, discriminant
+from .zpoly import ZPoly, bareiss_determinant, discriminant, reduce_mod
 
 
 class Order:
@@ -626,13 +633,69 @@ def p_enlarge(order, modulus):
     return _order_on_lattice(order.labels, *enlarged)
 
 
+def _dedekind_lattice(f, modulus, verdict, basis, d):
+    """Add Dedekind's enlargement at q to the ring on basis/d: (rows, d, m).
+
+    `verdict` is Dedekind's test at q on f, which found q to divide the
+    index of Z[t]/(f).  Let Z be the product of the repeated factors of
+    f mod q that divide the cofactor M mod q, m its degree, and
+    U = (f mod q)/Z.  Then O' = Z[t] + (U(t)/q)*Z[t] is the ring of
+    multipliers of the q-radical of Z[t], the first Round 2 ring, and
+    [O' : Z[t]] = q^m (Cohen, GTM 138, 6.1.4).  The ring on basis/d
+    contains Z[t] with index prime to q, so the sum is a ring that
+    gains exactly O' at q; that q^m is checked on the canonical diagonal.
+    """
+    q = modulus.p
+    n = f.degree
+    m_red = reduce_mod(verdict.cofactor, modulus)
+    z = fp_one(modulus)
+    for g, e in verdict.factors:
+        if e >= 2 and (m_red % g).is_zero():
+            z = z * g
+    u = (reduce_mod(f, modulus) // z).coeffs
+    m = n + 1 - len(u)
+    # modulo Z[t], (U(t)/q)*Z[t] is spanned by the U(t)*t^i/q with i < m,
+    # whose degrees are below n
+    rows = [[q * c for c in row] for row in basis] + [
+        [0] * i + [d * c for c in u] + [0] * (m - 1 - i) for i in range(m)
+    ]
+    basis, d = _lattice(rows, d * q)
+    index = d**n // prod(row[i] for i, row in enumerate(basis))
+    if index % q**m or index // q**m % q == 0:
+        raise AssertionError(
+            "Dedekind's enlargement at %d does not have q-index %d^%d" % (q, q, m)
+        )
+    return basis, d, m
+
+
+def _enlarge_at_prime(f, table, modulus, verdict, v, basis, d):
+    """The q-maximal ring over the ring on basis/d of Z[t]/(f), from Dedekind's data.
+
+    `table` is the power basis's multiplication table, `verdict`
+    Dedekind's test at q (q divides the index) and v = v_q(disc f).
+    The step starts from Dedekind's ring O' (``_dedekind_lattice``).
+    disc(O') = disc(f)/q^(2m), and a ring that is not q-maximal has
+    q^2 dividing its discriminant, so v - 2m < 2 proves O' q-maximal
+    with no Round 2; otherwise Round 2 continues from O'.  Returns
+    (rows, d, table') as ``_p_maximal_lattice`` does.
+    """
+    basis, d, m = _dedekind_lattice(f, modulus, verdict, basis, d)
+    current = _table_on_lattice(table, basis, d)
+    if v - 2 * m < 2:
+        return basis, d, current
+    return _p_maximal_lattice(table, modulus.p, basis, d, current)
+
+
 def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, labels=None):
     """Maximal order of Q[t]/(f) and its discriminant (the fundamental number).
 
-    Runs Round 2 from Z[t]/(f) at every prime q whose square divides
-    disc(f) and that Dedekind's criterion says divides the index of
-    Z[t]/(f), each prime continuing from the ring the last one left;
-    at the other primes the power basis is already q-maximal.  The
+    At every prime q whose square divides disc(f), Dedekind's criterion
+    decides whether q divides the index of Z[t]/(f); where it does not,
+    the power basis is already q-maximal.  Where it does, the factors of
+    f mod q and the cofactor M that the test read give Dedekind's
+    enlargement O' of index q^m directly; O' is q-maximal when
+    v_q(disc f) - 2m < 2, and otherwise Round 2 continues from it.
+    Each prime continues from the ring the last one left.  The
     discriminant must factor by trial division at the given bound.
     Returns (order, D); the order's ``basis_in_parent`` is its
     canonical triangular basis in power-basis coordinates (identity
@@ -641,23 +704,37 @@ def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, labels=None):
     if not f.is_monic():
         raise ValueError("maximal order requires a monic polynomial")
     _rational_root_screen(f)
+    return _maximal_order(f, bound, labels, {})
+
+
+def _maximal_order(f, bound, labels, verdicts):
+    """``maximal_order`` of a monic f that has passed the rational-root screen.
+
+    `verdicts` maps primes to Dedekind verdicts on f a caller already
+    holds (``index_divisible`` screens f), so f is not factored again
+    modulo those primes.
+    """
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("polynomial has a repeated root (discriminant 0)")
     factors = trial_factor(disc, bound)
     labels = _basis_labels(labels, f.degree)
     table = _power_table(f)
-    enlarged = (_identity_rows(f.degree), 1, table)
+    basis, d, current = _identity_rows(f.degree), 1, table
     for q in sorted(factors):
         if factors[q] < 2:
             continue
         modulus = PrimeModulus(q)
         # Enlarging at other primes leaves the q-index alone, so when
-        # q does not divide the index of Z[t]/(f) Round 2 finds nothing.
-        verdict = _dedekind_verdict(modulus, *factorization_with_cofactor(f, modulus))
+        # q does not divide the index of Z[t]/(f) it stays q-maximal.
+        verdict = verdicts.get(q) or _dedekind_verdict(
+            modulus, *factorization_with_cofactor(f, modulus)
+        )
         if verdict.divisible:
-            enlarged = _p_maximal_lattice(table, q, *enlarged)
-    order = _order_on_lattice(labels, *enlarged)
+            basis, d, current = _enlarge_at_prime(
+                f, table, modulus, verdict, factors[q], basis, d
+            )
+    order = _order_on_lattice(labels, basis, d, current)
     return order, order_discriminant(order)
 
 

@@ -421,15 +421,55 @@ def random_power_basis_orders(rng, rank, count, bound=9):
     return out
 
 
+class OraclePoly(MultiPoly):
+    """MultiPoly with the ring arithmetic the cofactor oracle needs.
+
+    ``index_form`` computes on dense coefficient lists, so the package's
+    MultiPoly has no arithmetic of its own.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def variable(cls, variables, name):
+        i = tuple(variables).index(name)
+        exps = tuple(1 if k == i else 0 for k in range(len(variables)))
+        return cls(variables, {exps: 1})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return OraclePoly(self.vars, out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return OraclePoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return OraclePoly(self.vars, {e: c * other for e, c in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return OraclePoly(self.vars, out)
+
+    __rmul__ = __mul__
+
+
 def cofactor_index_form(order):
-    """Oracle: the index form by cofactor expansion over MultiPoly (factorial time)."""
+    """Oracle: the index form by cofactor expansion over OraclePoly (factorial time)."""
     n = order.n
-    if n > 5:
-        raise ValueError("index form is limited to rank <= 5")
+    if n > 6:
+        raise ValueError("index form is limited to rank <= 6")
     names = ("z",) + parse_multipoly_vars(n)
-    coords = [MultiPoly.variable(names, v) for v in names]
-    zero = MultiPoly(names, {})
-    one_vec = [multipoly_constant(names, 1)] + [zero] * (n - 1)
+    coords = [OraclePoly.variable(names, v) for v in names]
+    zero = OraclePoly(names, {})
+    one_vec = [OraclePoly(names, {(0,) * len(names): 1})] + [zero] * (n - 1)
 
     def vec_mul(u, v):
         out = [zero] * n
@@ -455,11 +495,6 @@ def cofactor_index_form(order):
     if max_exponent(det, "z"):
         raise AssertionError("index form depends on the identity coordinate")
     return drop_variable(det, "z")
-
-
-def multipoly_constant(variables, c):
-    z = (0,) * len(variables)
-    return MultiPoly(variables, {z: c} if c else {})
 
 
 def max_exponent(f, name):
@@ -493,7 +528,7 @@ def _det_multipoly(m):
             term = -term
         det = term if det is None else det + term
     if det is None:
-        return MultiPoly(m[0][0].vars, {})
+        return OraclePoly(m[0][0].vars, {})
     return det
 
 

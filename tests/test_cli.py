@@ -8,6 +8,7 @@ import pytest
 
 import primesplit
 from conftest import cofactor_index_form, exhaustive_common_value_divisor
+from primesplit import criteria, orders
 from primesplit.cli import _int_digits_unlimited, main
 from primesplit.indexform import format_multipoly
 from primesplit.orders import order_from_polynomial
@@ -154,6 +155,33 @@ class TestSplitPrime:
         assert status == 0
         assert json.loads(out)["results"]["parts"] == [{"f": 1, "e": 9}]
 
+    @pytest.mark.parametrize(
+        "poly, p",
+        [("t^3-t^2-2t-8", 2), ("t^6+343", 7), ("t^9-54", 3), ("t^3-108", 3), ("t^2-45", 3)],
+    )
+    def test_order_route_factors_f_mod_p_once(self, monkeypatch, poly, p):
+        # the verdict that sends the query to the order route already holds
+        # the factors of f mod p and the cofactor, and f passed the screen
+        factored, screened = [], []
+        real_factor, real_screen = criteria.fp_factor, criteria._rational_root_screen
+
+        def factor(g, seed=0):
+            factored.append(g.p)
+            return real_factor(g, seed=seed)
+
+        def screen(f):
+            screened.append(f)
+            return real_screen(f)
+
+        monkeypatch.setattr(criteria, "fp_factor", factor)
+        for module in (criteria, orders):
+            monkeypatch.setattr(module, "_rational_root_screen", screen)
+        status, out, _ = run_cli("--json", "split-prime", poly, str(p))
+        assert status == 0
+        assert json.loads(out)["results"]["index_divisible"] is True
+        assert factored.count(p) == 1
+        assert len(screened) == 1
+
     def test_bound_caps_trial_division(self):
         status, _, err = run_cli("--bound", "1", "split-prime", "t^3-t^2-2t-8", "2")
         assert status == 2
@@ -266,7 +294,7 @@ class TestIndexFormCommand:
         }
 
     def test_unsupported_orders_are_usage_errors(self):
-        for poly in ("t^6+1", "2t^3+1", "t+1"):
+        for poly in ("t^7+1", "2t^3+1", "t+1"):
             status, out, err = run_cli("index-form", poly)
             assert status == 2, poly
             assert out == "" and err.startswith("error: "), poly

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from conftest import (
+    OraclePoly,
     cofactor_index_form,
     exhaustive_common_value_divisor,
     random_monic_zpoly,
@@ -89,13 +90,14 @@ def oracle_corpus():
 
 class TestMultiPoly:
     def test_zero_coefficients_dropped(self):
-        f = MultiPoly(("x", "y"), {(1, 0): 1}) - MultiPoly(("x", "y"), {(1, 0): 1})
+        f = OraclePoly(("x", "y"), {(1, 0): 1}) - OraclePoly(("x", "y"), {(1, 0): 1})
         assert f.is_zero()
         assert f.terms == {}
+        assert MultiPoly(("x", "y"), {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): 2}
 
     def test_mul_and_evaluate(self):
-        x = MultiPoly.variable(("x", "y"), "x")
-        y = MultiPoly.variable(("x", "y"), "y")
+        x = OraclePoly.variable(("x", "y"), "x")
+        y = OraclePoly.variable(("x", "y"), "y")
         f = (x + y) * (x - y)
         assert f.terms == {(2, 0): 1, (0, 2): -1}
         assert f.evaluate((5, 3)) == 16
@@ -159,8 +161,8 @@ class TestIndexForm:
             assert form.total_degrees() == {n * (n - 1) // 2}
 
     def test_rank_bound(self):
-        big = order_from_polynomial(ZPoly.from_text("t^6 - 2"))
-        with pytest.raises(ValueError):
+        big = order_from_polynomial(ZPoly.from_text("t^7 - 2"))
+        with pytest.raises(ValueError, match="rank <= 6"):
             index_form(big)
 
     def test_evaluation_matches_element_index(self):
@@ -228,6 +230,27 @@ class TestAgainstCofactorOracle:
         index_form(order)
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize(
+        "text, maximal", [("t^6 - 2", False), ("t^6 - t^3 + 1", False), ("t^6 + 108", True)]
+    )
+    def test_rank6_cases(self, text, maximal):
+        f = ZPoly.from_text(text)
+        order = maximal_order(f)[0] if maximal else order_from_polynomial(f)
+        if maximal:
+            assert order.basis_in_parent != tuple(map(tuple, _identity_rows(6)))
+        form = index_form(order)
+        assert form.vars == ("x", "y", "w", "v", "u")
+        assert form == cofactor_index_form(order)
+
+    def test_rank6_time_bound(self):
+        # dense: 3849 terms of degree 15; the monomial tables are built afresh
+        order = order_from_polynomial(ZPoly.from_text("t^6 + 3*t^2 - 7*t + 2"))
+        _product_table.cache_clear()
+        start = time.perf_counter()
+        form = index_form(order)
+        assert time.perf_counter() - start < 2.0
+        assert len(form.terms) == 3849
+
 
 class TestProductTables:
     def test_tables_match_exponent_addition(self):
@@ -274,7 +297,7 @@ class TestCommonValueDivisor:
         assert form.evaluate((1, 1)) == -2
 
     def test_single_variable(self):
-        x = MultiPoly.variable(("x",), "x")
+        x = MultiPoly(("x",), {(1,): 1})
         for p in (2, 3, 5):
             assert common_value_divisor(x, p) is False
 

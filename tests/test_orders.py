@@ -18,7 +18,11 @@ from conftest import (
     scan_p_enlarge,
 )
 from primesplit import fixtures, orders
-from primesplit.criteria import index_divisible
+from primesplit.criteria import (
+    _dedekind_verdict,
+    factorization_with_cofactor,
+    index_divisible,
+)
 from primesplit.fppoly import PrimeModulus, fp_is_irreducible
 from primesplit.integers import prime_power, trial_factor
 from primesplit.orders import (
@@ -35,7 +39,7 @@ from primesplit.orders import (
     order_from_rational_basis,
     p_enlarge,
 )
-from primesplit.zpoly import ZPoly, discriminant, reduce_mod
+from primesplit.zpoly import ZPoly, bareiss_determinant, discriminant, reduce_mod
 
 
 MAX_CUBIC = fixtures.maximal_cubic_order()
@@ -443,6 +447,85 @@ class TestMaximalOrder:
         assert prime_power((2**31 + 11) ** 2) == (2**31 + 11, 2)
 
 
+@pytest.fixture(scope="module")
+def dedekind_cases():
+    """Seeded monic cubics to sextics with (q, v_q(disc), verdict) where q divides the index."""
+    rng = random.Random(1709)
+    cases = []
+    for n, count in ((3, 60), (4, 60), (5, 40), (6, 40)):
+        done = 0
+        while done < count:
+            f = random_monic_zpoly(rng, n, 9)
+            disc = discriminant(f)
+            if not f.coeffs[0] or not disc:
+                continue
+            done += 1
+            for q, v in trial_factor(disc, 10**6).items():
+                if v < 2:
+                    continue
+                modulus = PrimeModulus(q)
+                verdict = _dedekind_verdict(
+                    modulus, *factorization_with_cofactor(f, modulus)
+                )
+                if verdict.divisible:
+                    cases.append((f, modulus, v, verdict))
+    return cases
+
+
+class TestDedekindStep:
+    """Dedekind's enlargement O' = Z[t] + (U(t)/q)Z[t] at the primes dividing the index."""
+
+    def test_equals_one_round2_step_with_index_q_to_the_m(self, dedekind_cases):
+        certified = continued = 0
+        for f, modulus, v, verdict in dedekind_cases:
+            q, n = modulus.p, f.degree
+            table = orders._power_table(f)
+            identity = orders._identity_rows(n)
+            rows, d, m = orders._dedekind_lattice(f, modulus, verdict, identity, 1)
+
+            # one Round 2 step on Z[t]: the ring of multipliers of its q-radical
+            kernel = orders._multipliers_mod_p(table, q, orders._radical_mod_p(table, q))
+            step = orders._lattice([[q * c for c in row] for row in identity] + kernel, q)
+            assert (rows, d) == step, (f, q)
+
+            # m is the degree of the repeated factors dividing M mod q, and
+            # [O' : Z[t]] = d^n / det(rows) is q^m
+            m_red = reduce_mod(verdict.cofactor, modulus)
+            z = [g for g, e in verdict.factors if e >= 2 and (m_red % g).is_zero()]
+            assert m == sum(g.degree for g in z) >= 1
+            assert d**n == q**m * abs(bareiss_determinant(rows)), (f, q)
+
+            if v - 2 * m < 2:
+                enlarged = orders._table_on_lattice(table, rows, d)
+                radical = orders._radical_mod_p(enlarged, q)
+                assert orders._multipliers_mod_p(enlarged, q, radical) == [], (f, q)
+                certified += 1
+            else:
+                continued += 1
+        assert certified >= 20 and continued >= 20, (certified, continued)
+
+    def test_paper_cubic_at_2_runs_no_round2(self, monkeypatch):
+        # v_2(disc) = 2 and m = 1, so O' is 2-maximal by its discriminant
+        calls = []
+
+        def recording(name):
+            real = getattr(orders, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("_p_maximal_lattice", "_radical_mod_p", "_multipliers_mod_p"):
+            monkeypatch.setattr(orders, name, recording(name))
+        order, d = maximal_order(fixtures.cubic_poly())
+        assert calls == []
+        assert d == -503
+        beta = (Fraction(-1), Fraction(-1, 2), Fraction(1, 2))
+        assert _lattice_member(beta, order.basis_in_parent)
+
+
 class TestOneOrderPerCall:
     """Round 2 runs on tables, so a call builds only the Order it returns."""
 
@@ -577,15 +660,15 @@ def _identity_rows(n):
 
 
 def _count_p_maximal_lattice(monkeypatch):
-    """Record the prime of every per-prime Round 2 call maximal_order makes."""
+    """Record the prime of every per-prime enlargement step maximal_order makes."""
     primes = []
-    real = orders._p_maximal_lattice
+    real = orders._enlarge_at_prime
 
-    def counting(table, p, *lattice):
-        primes.append(p)
-        return real(table, p, *lattice)
+    def counting(f, table, modulus, *rest):
+        primes.append(modulus.p)
+        return real(f, table, modulus, *rest)
 
-    monkeypatch.setattr(orders, "_p_maximal_lattice", counting)
+    monkeypatch.setattr(orders, "_enlarge_at_prime", counting)
     return primes
 
 
