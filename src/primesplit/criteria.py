@@ -191,11 +191,19 @@ def index_divisible(f, modulus, seed=0):
 
 def _dedekind_verdict(modulus, factors, m):
     """index_divisible's verdict from the factors of f mod p and the cofactor M."""
+    dividing = _dividing_repeated_factors(modulus, factors, m)
+    witness = dividing[0] if dividing else None
+    return IndexVerdict(bool(dividing), witness, m, factors)
+
+
+def _dividing_repeated_factors(modulus, factors, m):
+    """The (P, e) of f mod p with e >= 2 and P dividing M mod p, in factor order.
+
+    The first is Dedekind's witness; their product is the Z of
+    Dedekind's enlargement (``orders._dedekind_lattice``).
+    """
     m_red = reduce_mod(m, modulus)
-    for g, e in factors:
-        if e >= 2 and (m_red % g).is_zero():
-            return IndexVerdict(True, (g, e), m, factors)
-    return IndexVerdict(False, None, m, factors)
+    return [(g, e) for g, e in factors if e >= 2 and (m_red % g).is_zero()]
 
 
 def _rational_root_screen(f):

@@ -7,11 +7,12 @@ the shape of bracket bases like [2, a, 1+b]: equal ideals have equal
 matrices, so verification tables reduce to matrix comparisons.
 
 Ideals are stored relative to the order's basis; two-element
-representations are constructors only.  Good generators are combined
-by lattice CRT: one reduction modulo the canonical basis of a lattice
-of rank 2n.  A prime's residue degree comes from its norm by
-``integers.prime_power``.  All values are immutable and all operations
-pure.
+representations are constructors only.  The primes above p come
+from splitting order/(p*order) by its idempotents, which ends at each
+P^e; P is P^e plus the p-radical, and f and e come from the norms of P
+and P^e by ``integers.prime_power``.  Good generators are combined by
+lattice CRT: one reduction modulo the canonical basis of a lattice of
+rank 2n.  All values are immutable and all operations pure.
 """
 
 import itertools
@@ -23,9 +24,9 @@ from .orders import (
     OrderElement,
     _bracket_entry,
     _echelon_mod_p,
+    _frobenius_mod_p,
     _left_kernel_mod_p,
     _multipliers_mod_p,
-    _pow_mod_p,
     _radical_mod_p,
     _unit,
     char_poly,
@@ -170,55 +171,35 @@ def ideal_norm(a):
 
 # -- quotient-ring structure ------------------------------------------------
 
-def _quotient_frobenius(order, rows, p):
-    """x -> x^p on order/I over GF(p), for a canonical lattice I containing p*order.
-
-    The quotient's basis is the basis elements at the free positions
-    (diagonal p).  Returns (free positions, Frobenius matrix, Frobenius
-    minus the identity); row k of a matrix is the image of the k-th
-    free basis element.
-    """
-    n = order.n
-    free = [i for i in range(n) if rows[i][i] != 1]
-    frobenius = []
-    for i in free:
-        image = reduce_mod_lattice(rows, _pow_mod_p(order.table, _unit(n, i), p, p))
-        frobenius.append([image[j] for j in free])
-    shifted = [
-        [c - (j == k) for k, c in enumerate(row)] for j, row in enumerate(frobenius)
-    ]
-    return free, frobenius, shifted
-
-
 def _is_maximal(order, ideal, p):
     """True when order/ideal is a field.
 
     The quotient is a GF(p)-algebra when the rows at its free positions
-    are p times a unit vector (p*order lies in the ideal).  It is then a
-    field exactly when the Frobenius x -> x^p is injective on it (no
-    nilpotents) and fixes a 1-dimensional space (one field factor).
+    (diagonal p) are p times a unit vector (p*order lies in the ideal),
+    and the basis elements at those positions are a basis of it.  It is
+    then a field exactly when the Frobenius x -> x^p is injective on it
+    (no nilpotents) and fixes a 1-dimensional space (one field factor).
     """
     n = order.n
-    free = [i for i in range(n) if ideal.rows[i][i] != 1]
+    rows = ideal.rows
+    free = [i for i in range(n) if rows[i][i] != 1]
     if not free:
         return False  # the whole order
-    if any(ideal.rows[i] != tuple(p * c for c in _unit(n, i)) for i in free):
+    if any(rows[i] != tuple(p * c for c in _unit(n, i)) for i in free):
         return False  # p*order is not inside, so no field of characteristic p
-    _, frobenius, shifted = _quotient_frobenius(order, ideal.rows, p)
+    frobenius = _frobenius_mod_p(order.table, p)
+    images = [reduce_mod_lattice(rows, frobenius[i]) for i in free]
+    restricted = [[image[j] for j in free] for image in images]
+    shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(restricted)]
     f = len(free)
     return (
-        len(_echelon_mod_p(frobenius, p)[0]) == f
+        len(_echelon_mod_p(restricted, p)[0]) == f
         and len(_echelon_mod_p(shifted, p)[0]) == f - 1
     )
 
 
 def ideal_valuation(a, prime):
-    """Largest v with prime**v containing a (the exponent of the prime in a)."""
-    return _valuation_power(a, prime)[0]
-
-
-def _valuation_power(a, prime):
-    """The valuation v of a at prime, with the ideal prime**v.
+    """Largest v with prime**v containing a (the exponent of the prime in a).
 
     A power is built only when its norm does not already exceed the norm
     of a, which rules it out.
@@ -229,33 +210,34 @@ def _valuation_power(a, prime):
     base = prime_power(nrm)
     if base is None or not _is_maximal(prime.order, prime, base[0]):
         raise ValueError("valuation requires a maximal ideal")
-    v, power = 0, whole_order(prime.order)
+    v, power = 0, prime
     target_norm = a.norm()
     pw_norm = nrm
     while pw_norm <= target_norm:
-        above = ideal_product(power, prime) if v else prime
-        if not above.contains_ideal(a):
+        if v:
+            power = ideal_product(power, prime)
+        if not power.contains_ideal(a):
             break
-        v, power = v + 1, above
+        v += 1
         pw_norm *= nrm
-    return v, power
+    return v
 
 
-# -- factoring p by splitting order/rad(p) ------------------------------------
+# -- factoring p by splitting order/(p*order) ---------------------------------
 
 def factor_p_in_order(order, modulus):
     """All prime ideals above p with their exponents and degrees.
 
-    The quotient of the order by the p-radical I is a product of g
-    finite fields, one per prime above p, and the x with x^p = x in it
-    form a g-dimensional subalgebra (Cohen, GTM 138, 6.2).  Each such x
-    is a constant c_i modulo the i-th prime, and the c_i are the roots
-    of its characteristic polynomial mod p, so every ideal J between I
-    and the order is split into the proper ideals among J + (x - c).
-    A basis of that subalgebra separates all g primes.  Each residue
-    degree f comes from the norm p^f and each exponent e from the
-    valuation of p*order, so that the product of prime powers is
-    exactly p*order.
+    The quotient of the order by p*order is the product of the local
+    rings order/P^e, one per prime P above p, and the x with x^p = x in
+    it are the GF(p)-combinations of their g idempotents (Cohen, GTM 138,
+    6.2).  Each such x is a constant c_i modulo the i-th P^e, and the c_i
+    are the roots of its characteristic polynomial mod p, so every ideal
+    J between p*order and the order is split into the proper ideals among
+    J + (x - c).  A basis of those x separates all g components, and the
+    split ends at the P^e themselves.  Each P is its P^e plus the
+    p-radical, its residue degree f comes from the norm p^f, and e from
+    the norm p^(e*f) of P^e; the product of the P^e must be p*order.
 
     The order must be p-maximal.  Results are sorted by basis matrix
     and returned as (ideal, e, f).
@@ -263,25 +245,24 @@ def factor_p_in_order(order, modulus):
     modulus = as_modulus(modulus)
     p = modulus.p
     n = order.n
-    radical = _radical_mod_p(order.table, p)
+    frobenius = _frobenius_mod_p(order.table, p)
+    radical = _radical_mod_p(frobenius, p)
     # one Round 2 step: the ring of multipliers of the radical must be the order
     if _multipliers_mod_p(order.table, p, radical):
         raise ValueError("order is not %d-maximal" % p)
 
-    free, _, shifted = _quotient_frobenius(order, radical, p)
+    shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(frobenius)]
     split = _left_kernel_mod_p(shifted, p)
-    parts = [radical]
+    p_rows = tuple(tuple(p * c for c in _unit(n, i)) for i in range(n))
+    parts = [p_rows]
     for x in split:
         if len(parts) == len(split):
             break
-        coords = [0] * n
-        for i, c in zip(free, x):
-            coords[i] = c
-        cp = reduce_mod(char_poly(OrderElement(order, coords)), modulus)
+        cp = reduce_mod(char_poly(OrderElement(order, x)), modulus)
         refined = []
         for linear, _ in fp_factor(cp):
             c = -linear.coeffs[0]  # the root of t - c
-            generators = order.mul_matrix([coords[0] - c] + coords[1:])
+            generators = order.mul_matrix([x[0] - c] + x[1:])
             for rows in parts:
                 ideal = hnf(list(rows) + generators, n)
                 if any(r[i] != 1 for i, r in enumerate(ideal)):
@@ -289,21 +270,24 @@ def factor_p_in_order(order, modulus):
         parts = refined
     if len(parts) != len(split):
         raise AssertionError("the split subalgebra does not separate the primes")
-    maximal = [LatticeIdeal(order, rows, _trusted=True) for rows in sorted(parts)]
 
-    p_ideal = ideal_from_generators(order, [order.identity() * p])
-    out, powers = [], []
-    for ideal in maximal:
-        q, f = prime_power(ideal.norm())
+    powers = [LatticeIdeal(order, rows, _trusted=True) for rows in parts]
+    out = []
+    for power in powers:
+        prime = LatticeIdeal(order, hnf(power.rows + radical, n), _trusted=True)
+        q, f = prime_power(prime.norm())
         if q != p:
             raise AssertionError("ideal norm is not a power of %d" % p)
-        e, power = _valuation_power(p_ideal, ideal)
-        out.append((ideal, e, f))
-        powers.append(power)
+        _, ef = prime_power(power.norm())
+        if ef % f:
+            raise AssertionError("the norm of P^e is not a power of the norm of P")
+        out.append((prime, ef // f, f))
+    out.sort(key=lambda entry: entry[0].rows)
+
     total, *rest = powers
     for power in rest:
         total = ideal_product(total, power)
-    if total != p_ideal:
+    if total.rows != p_rows:
         raise AssertionError("prime power product does not reconstruct p*order")
     if sum(e * f for _, e, f in out) != n:
         raise AssertionError("sum of e*f does not equal the rank")

@@ -12,9 +12,10 @@ rational lattices of p-enlargement, kept as integer rows over one
 common denominator.  Next to it sits the one GF(p) kernel (echelon
 form and left kernel of integer rows mod p) on which the p-maximal
 order is built by the Pohst-Zassenhaus Round 2: the p-radical is the
-kernel of a Frobenius power, and its ring of multipliers is the next
-order.  The same radical is what ``ideals.factor_p_in_order`` splits
-into the primes above p.
+kernel of a power of the Frobenius matrix, and its ring of multipliers
+is the next order.  ``ideals.factor_p_in_order`` shares both: the
+radical checks p-maximality and gives each prime from its power, and
+the Frobenius matrix minus the identity splits order/(p*order).
 
 ``maximal_order`` does not start Round 2 from Z[t]/(f).  At each prime
 q that Dedekind's criterion says divides the index, the factors of
@@ -38,6 +39,7 @@ from math import gcd, lcm, prod
 
 from .criteria import (
     _dedekind_verdict,
+    _dividing_repeated_factors,
     _rational_root_screen,
     factorization_with_cofactor,
 )
@@ -548,14 +550,14 @@ def _left_kernel_mod_p(rows, p):
     return out
 
 
-def _pow_mod_p(table, coords, e, p):
-    """Coordinates of (coords-combination)^e modulo p, through a multiplication table."""
-    return binary_power(
-        tuple(c % p for c in coords),
-        e,
-        lambda a, b: tuple(c % p for c in _vec_mul(table, a, b)),
-        _unit(len(table), 0),
-    )
+def _frobenius_mod_p(table, p):
+    """Matrix of x -> x^p on order/(p*order) over GF(p): row i is basis_i^p mod p."""
+    n = len(table)
+
+    def mul(a, b):
+        return tuple(c % p for c in _vec_mul(table, a, b))
+
+    return [list(binary_power(_unit(n, i), p, mul, _unit(n, 0))) for i in range(n)]
 
 
 # -- p-maximal orders by Round 2 ----------------------------------------------
@@ -565,20 +567,25 @@ def _pow_mod_p(table, coords, e, p):
 # subring and inherits commutativity and associativity; the Order built
 # from the last one checks everything again.
 
-def _radical_mod_p(table, p):
+def _radical_mod_p(frobenius, p):
     """Canonical rows of the p-radical: p*order plus the kernel of x -> x^(p^k), p^k >= n.
 
-    The kernel is taken on order/(p*order), where x^(p^k) vanishes
-    exactly on the nilpotents.
+    `frobenius` is the matrix of x -> x^p on order/(p*order)
+    (``_frobenius_mod_p``); x -> x^(p^k) is its k-th power, which
+    vanishes exactly on the nilpotents.
     """
-    n = len(table)
-    q = p
+    n = len(frobenius)
+    columns = list(zip(*frobenius))
+    power, q = frobenius, p
     while q < n:
+        power = [
+            [sum(x * y for x, y in zip(row, col)) % p for col in columns]
+            for row in power
+        ]
         q *= p
-    frobenius = [_pow_mod_p(table, _unit(n, i), q, p) for i in range(n)]
     return hnf(
         [[p * c for c in unit] for unit in _identity_rows(n)]
-        + _left_kernel_mod_p(frobenius, p)
+        + _left_kernel_mod_p(power, p)
     )
 
 
@@ -606,7 +613,8 @@ def _p_maximal_lattice(table, p, basis, d, current):
     """
     n = len(table)
     while True:
-        kernel = _multipliers_mod_p(current, p, _radical_mod_p(current, p))
+        radical = _radical_mod_p(_frobenius_mod_p(current, p), p)
+        kernel = _multipliers_mod_p(current, p, radical)
         if not kernel:
             return basis, d, current
         # the next ring is (p*current + kernel)/p, written over table's basis
@@ -647,11 +655,8 @@ def _dedekind_lattice(f, modulus, verdict, basis, d):
     """
     q = modulus.p
     n = f.degree
-    m_red = reduce_mod(verdict.cofactor, modulus)
-    z = fp_one(modulus)
-    for g, e in verdict.factors:
-        if e >= 2 and (m_red % g).is_zero():
-            z = z * g
+    dividing = _dividing_repeated_factors(modulus, verdict.factors, verdict.cofactor)
+    z = prod((g for g, _ in dividing), start=fp_one(modulus))
     u = (reduce_mod(f, modulus) // z).coeffs
     m = n + 1 - len(u)
     # modulo Z[t], (U(t)/q)*Z[t] is spanned by the U(t)*t^i/q with i < m,

@@ -9,6 +9,8 @@ from primesplit.fppoly import (
     PrimeModulus,
     as_modulus,
     _pth_root,
+    binary_power,
+    fp_factor,
     fp_one,
     fp_x,
 )
@@ -26,8 +28,10 @@ from primesplit.indexform import MultiPoly, parse_multipoly_vars
 from primesplit.integers import prime_power, trial_factor, xgcd
 from primesplit.orders import (
     Order,
+    _frobenius_mod_p,
     _identity_rows,
     _lattice,
+    _left_kernel_mod_p,
     _lowest_terms,
     _multipliers_mod_p,
     _over_common_denominator,
@@ -35,12 +39,13 @@ from primesplit.orders import (
     _rational_rows,
     _table_on_lattice,
     _unit,
+    char_poly,
     charpoly_matrix,
     lattice_contains,
     order_discriminant,
     order_from_polynomial,
 )
-from primesplit.zpoly import ZPoly, bareiss_determinant, discriminant
+from primesplit.zpoly import ZPoly, bareiss_determinant, discriminant, reduce_mod
 
 
 def random_fp_poly(rng, modulus, max_degree, nonzero=True):
@@ -411,6 +416,30 @@ def _det_mod_p(mat, p):
     return det % p
 
 
+# primes whose factorization patterns of f screen out reducible f
+SCREEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def provably_irreducible(f, disc):
+    """True when the factor degrees of f mod q rule out every proper factor over Z.
+
+    A factor of degree d over Z gives a sum of factor degrees equal to d
+    at every prime q not dividing disc(f); a False is inconclusive.
+    """
+    n = f.degree
+    possible = set(range(1, n))
+    for q in SCREEN_PRIMES:
+        if disc % q == 0:
+            continue
+        sums = {0}
+        for g, _ in fp_factor(reduce_mod(f, PrimeModulus(q))):
+            sums |= {s + g.degree for s in sums}
+        possible &= sums
+        if not possible:
+            return True
+    return False
+
+
 def random_power_basis_orders(rng, rank, count, bound=9):
     """Power-basis orders Z[t]/(f) of monic f, coefficients in [-bound, bound], disc != 0."""
     out = []
@@ -593,7 +622,8 @@ def enumerate_primes_above(order, p):
     be p-maximal; results are sorted by basis matrix.
     """
     n = order.n
-    if _multipliers_mod_p(order.table, p, _radical_mod_p(order.table, p)):
+    radical = _radical_mod_p(_frobenius_mod_p(order.table, p), p)
+    if _multipliers_mod_p(order.table, p, radical):
         raise ValueError("order is not %d-maximal" % p)
 
     p_ideal = ideal_from_generators(order, [order.identity() * p])
@@ -629,6 +659,98 @@ def enumerate_primes_above(order, p):
         raise AssertionError("prime power product does not reconstruct p*order")
     if sum(e * f for _, e, f in out) != n:
         raise AssertionError("sum of e*f does not equal the rank")
+    return out
+
+
+# -- oracle: splitting order/rad(p), then exponents by ideal products ----------
+#
+# factor_p_in_order before it split order/(p*order): the radical from each
+# basis unit raised to p^k >= n, the split of the quotient by the radical
+# (which ends at the primes, not at their powers), and each exponent e as
+# the valuation of p*order, by the chain of products P, P^2, ...
+
+
+def _unit_pow_mod_p(order, coords, e, p):
+    return binary_power(
+        tuple(c % p for c in coords),
+        e,
+        lambda a, b: tuple(c % p for c in order.vec_mul(a, b)),
+        _unit(order.n, 0),
+    )
+
+
+def _quotient_frobenius_minus_identity(order, rows, p):
+    """(free positions, x -> x^p - x on order/I), I canonical and containing p*order."""
+    n = order.n
+    free = [i for i in range(n) if rows[i][i] != 1]
+    shifted = []
+    for k, i in enumerate(free):
+        image = reduce_mod_lattice(rows, _unit_pow_mod_p(order, _unit(n, i), p, p))
+        shifted.append([image[j] - (k == col) for col, j in enumerate(free)])
+    return free, shifted
+
+
+def _valuation_power(a, prime):
+    """(v, prime^v) for the largest v with prime^v containing a, by products."""
+    nrm = prime.norm()
+    v, power = 0, whole_order(prime.order)
+    pw_norm = nrm
+    while pw_norm <= a.norm():
+        above = ideal_product(power, prime) if v else prime
+        if not above.contains_ideal(a):
+            break
+        v, power = v + 1, above
+        pw_norm *= nrm
+    return v, power
+
+
+def radical_split_primes_above(order, p):
+    """Oracle: (ideal, e, f) for each prime above p, by splitting order/rad(p).
+
+    The order must be p-maximal; results are sorted by basis matrix.
+    """
+    modulus = PrimeModulus(p)
+    n = order.n
+    q = p
+    while q < n:
+        q *= p
+    nilpotent = [_unit_pow_mod_p(order, _unit(n, i), q, p) for i in range(n)]
+    radical = hnf(
+        [[p * c for c in _unit(n, i)] for i in range(n)]
+        + _left_kernel_mod_p(nilpotent, p)
+    )
+    free, shifted = _quotient_frobenius_minus_identity(order, radical, p)
+    split = _left_kernel_mod_p(shifted, p)
+    parts = [radical]
+    for x in split:
+        if len(parts) == len(split):
+            break
+        coords = [0] * n
+        for i, c in zip(free, x):
+            coords[i] = c
+        cp = reduce_mod(char_poly(order.element(coords)), modulus)
+        refined = []
+        for linear, _ in fp_factor(cp):
+            c = -linear.coeffs[0]
+            generators = order.mul_matrix([coords[0] - c] + coords[1:])
+            for rows in parts:
+                ideal = hnf(list(rows) + generators, n)
+                if any(r[i] != 1 for i, r in enumerate(ideal)):
+                    refined.append(ideal)
+        parts = refined
+    assert len(parts) == len(split)
+
+    p_ideal = ideal_from_generators(order, [order.identity() * p])
+    out, total = [], None
+    for rows in sorted(parts):
+        ideal = LatticeIdeal(order, rows, _trusted=True)
+        base, f = prime_power(ideal.norm())
+        assert base == p
+        e, power = _valuation_power(p_ideal, ideal)
+        out.append((ideal, e, f))
+        total = power if total is None else ideal_product(total, power)
+    assert total == p_ideal
+    assert sum(e * f for _, e, f in out) == n
     return out
 
 

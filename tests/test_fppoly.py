@@ -37,7 +37,7 @@ from primesplit.fppoly import (
 )
 from primesplit.ideals import LatticeIdeal, ideal_power, ideal_product, whole_order
 from primesplit.integers import PRIMALITY_BOUND, is_prime
-from primesplit.orders import OrderElement, _pow_mod_p, _unit
+from primesplit.orders import OrderElement, _frobenius_mod_p, _unit
 from primesplit.zpoly import ZPoly
 
 M2 = PrimeModulus(2)
@@ -138,34 +138,61 @@ class TestArithmetic:
             assert (top * FpPoly(mp, ())).is_zero()
 
 
+def _exact(value, e):
+    return value
+
+
 def _powering_sites():
-    """(name, power(base, e), base, mul, one) for every caller of binary_power."""
+    """(name, power(base, e), base, mul, one, reduce) for every caller of binary_power.
+
+    power(base, e) must equal reduce(naive, e), naive the product of e
+    copies of base by mul.
+    """
     mod = FpPoly(M7, (2, 0, 1, 1))
     order = fixtures.maximal_cubic_order()
     return [
-        ("int", lambda b, e: binary_power(b, e, operator.mul, 1), 3, operator.mul, 1),
-        ("FpPoly", operator.pow, FpPoly(M7, (3, 1, 5)), schoolbook_mul, fp_one(M7)),
+        (
+            "int",
+            lambda b, e: binary_power(b, e, operator.mul, 1),
+            3,
+            operator.mul,
+            1,
+            _exact,
+        ),
+        (
+            "FpPoly",
+            operator.pow,
+            FpPoly(M7, (3, 1, 5)),
+            schoolbook_mul,
+            fp_one(M7),
+            _exact,
+        ),
         (
             "fp_powmod",
             lambda b, e: fp_powmod(b, e, mod),
             FpPoly(M7, (3, 1, 5, 6, 2)),
             lambda a, b: schoolbook_mulmod(a, b, mod),
             fp_one(M7),
+            _exact,
         ),
-        ("ZPoly", operator.pow, ZPoly((2, -1, 1)), operator.mul, ZPoly((1,))),
+        ("ZPoly", operator.pow, ZPoly((2, -1, 1)), operator.mul, ZPoly((1,)), _exact),
         (
             "OrderElement",
             operator.pow,
             OrderElement(order, (1, 1, -1)),
             operator.mul,
             order.identity(),
+            _exact,
         ),
         (
-            "_pow_mod_p",
-            lambda c, e: _pow_mod_p(order.table, c, e, 5),
-            (1, 3, 4),
-            lambda a, b: tuple(c % 5 for c in order.vec_mul(a, b)),
+            # row i of the matrix mod e is basis_i^e, reduced mod e when e > 1
+            # (e = 0 and e = 1 return the identity and the unit untouched)
+            "_frobenius_mod_p",
+            lambda unit, e: tuple(_frobenius_mod_p(order.table, e)[unit.index(1)]),
+            _unit(3, 2),
+            order.vec_mul,
             _unit(3, 0),
+            lambda value, e: tuple(c % e for c in value) if e > 1 else value,
         ),
         (
             "ideal_power",
@@ -173,6 +200,7 @@ def _powering_sites():
             LatticeIdeal(order, fixtures.CUBIC_PRIMES_ABOVE_2["a"]),
             ideal_product,
             whole_order(order),
+            _exact,
         ),
     ]
 
@@ -182,10 +210,10 @@ class TestBinaryPower:
         "site", _powering_sites(), ids=lambda site: site[0]
     )
     def test_matches_repeated_products(self, site):
-        _, power, base, mul, one = site
+        _, power, base, mul, one, reduce = site
         naive = one
         for e in range(131):
-            assert power(base, e) == naive, e
+            assert power(base, e) == reduce(naive, e), e
             naive = mul(naive, base)
         with pytest.raises(ValueError, match="negative exponent"):
             power(base, -1)

@@ -7,8 +7,11 @@ import pytest
 from conftest import (
     enumerate_primes_above,
     leftmost_pivot_hnf,
+    provably_irreducible,
+    radical_split_primes_above,
     random_irreducible_cubic,
     random_irreducible_quartic,
+    random_monic_zpoly,
     random_power_basis_orders,
     scan_is_maximal,
 )
@@ -388,6 +391,68 @@ class TestFactorPInOrder:
             several += len(result) > 1
             below_rank += p < order.n
         assert len(cases) >= 300 and several >= 100 and below_rank >= 100
+
+    def test_matches_radical_split_oracle(self):
+        rng = random.Random(1801)
+        fields = []
+        for n in (3, 4, 5, 6):
+            while sum(order.n == n for order in fields) < 12:
+                f = random_monic_zpoly(rng, n, 9)
+                disc = discriminant(f)
+                if f.coeffs[0] and disc and provably_irreducible(f, disc):
+                    fields.append(maximal_order(f)[0])
+        ramified = inert = below_rank = 0
+        for order in fields:
+            for p in (2, 3, 5, 7, 11, 13):
+                result = [(ide.rows, e, f) for ide, e, f in factor_p_in_order(order, p)]
+                expected = radical_split_primes_above(order, p)
+                assert result == [(ide.rows, e, f) for ide, e, f in expected], (
+                    order.table,
+                    p,
+                )
+                ramified += any(e >= 2 for _, e, _ in result)
+                inert += any(f >= 2 for _, _, f in result)
+                below_rank += p < order.n
+        assert ramified >= 40 and inert >= 200 and below_rank >= 90
+
+    @pytest.mark.parametrize("c", [54, 243])
+    def test_matches_radical_split_oracle_at_high_degree(self, c):
+        # p^n is far beyond enumerate_primes_above at these degrees
+        for n in (8, 12, 16, 24):
+            order, _ = maximal_order(ZPoly.from_text("t^%d - %d" % (n, c)))
+            result = [(ide.rows, e, f) for ide, e, f in factor_p_in_order(order, 3)]
+            expected = radical_split_primes_above(order, 3)
+            assert result == [(ide.rows, e, f) for ide, e, f in expected], n
+            assert any(e >= 2 for _, e, _ in result)
+
+    def test_one_product_per_extra_prime_and_no_maximality_check(self, monkeypatch):
+        cases = [(MAX_CUBIC, 2, 3), (MAX_CUBIC, 503, 2), (SQRT2, 5, 1)]
+        cases.append((maximal_order(ZPoly.from_text("t^9 - 54"))[0], 3, None))
+        for order, p, g in cases:
+            products, checks = [], []
+
+            def recording_product(a, b):
+                products.append((a, b))
+                return ideal_product(a, b)
+
+            def recording_check(*args):
+                checks.append(args)
+                return _is_maximal(*args)
+
+            monkeypatch.setattr(ideals, "ideal_product", recording_product)
+            monkeypatch.setattr(ideals, "_is_maximal", recording_check)
+            result = factor_p_in_order(order, p)
+            monkeypatch.undo()
+            assert g is None or len(result) == g
+            assert len(products) == len(result) - 1, (order.n, p)
+            assert checks == []
+
+    def test_high_degree_time_bound(self):
+        order, _ = maximal_order(ZPoly.from_text("t^32 - 54"))
+        start = time.perf_counter()
+        result = factor_p_in_order(order, 3)
+        assert time.perf_counter() - start < 0.25
+        assert sum(e * f for _, e, f in result) == 32
 
     def test_large_index_divisors_time_bound(self):
         # p^n = 19683 and 117649: the cost must not depend on p^n

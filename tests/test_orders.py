@@ -484,7 +484,8 @@ class TestDedekindStep:
             rows, d, m = orders._dedekind_lattice(f, modulus, verdict, identity, 1)
 
             # one Round 2 step on Z[t]: the ring of multipliers of its q-radical
-            kernel = orders._multipliers_mod_p(table, q, orders._radical_mod_p(table, q))
+            radical = orders._radical_mod_p(orders._frobenius_mod_p(table, q), q)
+            kernel = orders._multipliers_mod_p(table, q, radical)
             step = orders._lattice([[q * c for c in row] for row in identity] + kernel, q)
             assert (rows, d) == step, (f, q)
 
@@ -497,7 +498,7 @@ class TestDedekindStep:
 
             if v - 2 * m < 2:
                 enlarged = orders._table_on_lattice(table, rows, d)
-                radical = orders._radical_mod_p(enlarged, q)
+                radical = orders._radical_mod_p(orders._frobenius_mod_p(enlarged, q), q)
                 assert orders._multipliers_mod_p(enlarged, q, radical) == [], (f, q)
                 certified += 1
             else:
@@ -517,7 +518,12 @@ class TestDedekindStep:
 
             return wrapper
 
-        for name in ("_p_maximal_lattice", "_radical_mod_p", "_multipliers_mod_p"):
+        for name in (
+            "_p_maximal_lattice",
+            "_frobenius_mod_p",
+            "_radical_mod_p",
+            "_multipliers_mod_p",
+        ):
             monkeypatch.setattr(orders, name, recording(name))
         order, d = maximal_order(fixtures.cubic_poly())
         assert calls == []

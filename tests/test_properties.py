@@ -12,8 +12,8 @@ from math import lcm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import provably_irreducible
 from primesplit.criteria import factor_prime_via_polynomial, index_divisible
-from primesplit.fppoly import PrimeModulus, fp_factor
 from primesplit.ideals import (
     factor_p_in_order,
     ideal_from_generators,
@@ -21,31 +21,9 @@ from primesplit.ideals import (
     ideal_product,
 )
 from primesplit.orders import maximal_order, order_discriminant
-from primesplit.zpoly import ZPoly, bareiss_determinant, discriminant, reduce_mod
+from primesplit.zpoly import ZPoly, bareiss_determinant, discriminant
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-# primes whose factorization patterns of f screen out reducible f
-SCREEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _provably_irreducible(f, disc):
-    """True when the factor degrees of f mod q rule out every proper factor over Z.
-
-    A factor of degree d over Z gives a sum of factor degrees equal to d
-    at every prime q not dividing disc(f); a False is inconclusive.
-    """
-    n = f.degree
-    possible = set(range(1, n))
-    for q in SCREEN_PRIMES:
-        if disc % q == 0:
-            continue
-        sums = {0}
-        for g, _ in fp_factor(reduce_mod(f, PrimeModulus(q))):
-            sums |= {s + g.degree for s in sums}
-        possible &= sums
-        if not possible:
-            return True
-    return False
 
 
 class TestCrossRoute:
@@ -57,7 +35,7 @@ class TestCrossRoute:
     def test_routes_agree(self, coeffs, p):
         f = ZPoly(coeffs + [1])
         disc = discriminant(f)
-        assume(coeffs[0] and disc and _provably_irreducible(f, disc))
+        assume(coeffs[0] and disc and provably_irreducible(f, disc))
         n = f.degree
         order, disc_o = maximal_order(f)
 
