@@ -26,9 +26,11 @@ c's n low slots and a_k * T_k, whose n slots one more unpack mod p
 reduces.  Each of those slots holds at most (2n - 1) * (p - 1)**2, so
 the slot width is w = 2 * bitlen(p - 1) + bitlen(n) + 1.
 
-Factorization runs squarefree separation, then distinct-degree
-splitting, then seeded equal-degree splitting (with the trace-map
-variant in characteristic 2).  Factors are reported in a canonical
+Factorization runs one squarefree decomposition f = prod A_m**m
+(Yun, SYMSAC '76, in the characteristic-p form of Cohen, GTM 138,
+Alg. 3.4.2), then on each A_m once distinct-degree splitting and
+seeded equal-degree splitting (with the trace-map variant in
+characteristic 2).  Factors are reported in a canonical
 order, sorted by (degree, coefficient tuple), so results are
 reproducible across runs and seeds.
 
@@ -529,21 +531,45 @@ def _equal_degree_split(g, d, rng, xp):
         )
 
 
-def _factor_monic(f, rng):
-    """Factor monic f into {irreducible: multiplicity} by separating repeated parts."""
-    if f.is_one():
-        return {}
-    fd = f.derivative()
-    if fd.is_zero():
-        inner = _factor_monic(_pth_root(f), rng)
-        return {g: e * f.p for g, e in inner.items()}
-    u = fp_gcd(f, fd)
-    if u.is_one():
-        return {g: 1 for g in _factor_squarefree(f, rng)}
-    out = _factor_monic(u, rng)
-    for g, e in _factor_monic((f // u).monic(), rng).items():
-        out[g] = out.get(g, 0) + e
-    return out
+def _squarefree_parts(f):
+    """Pairs (A_m, m) with monic f = prod A_m**m, each A_m squarefree and nonconstant.
+
+    The A_m are pairwise coprime and the m distinct, so their product is
+    the radical of f.  Cohen, GTM 138, Alg. 3.4.2: with e = 1 and T0 = f,
+    T = gcd(T0, T0') and V = T0 / T is the product of the A_(e*k) with
+    p not dividing k.  Each gcd(T, V) peels the A_(e*k) of the next k
+    off V; T loses one power of V per step, and a second one where p
+    divides k, when the derivative kept the full power.  Once T = 1, V
+    is the last part.  Once V = 1, T is a p-th power, so T0 becomes its
+    p-th root and e is multiplied by p.  A squarefree f returns after
+    its one gcd.
+    """
+    p = f.p
+    parts = []
+    e = 1
+    while f.degree:
+        t = fp_gcd(f, f.derivative())
+        if t.is_one():
+            parts.append((f, e))
+            break
+        v = f // t
+        k = 0
+        while v.degree:
+            k += 1
+            if k % p == 0:
+                t = t // v
+                k += 1
+            if t.is_one():
+                parts.append((v, e * k))
+                return parts
+            w = fp_gcd(t, v)
+            if w.degree != v.degree:
+                parts.append((v // w, e * k))
+            v = w
+            t = t // v
+        f = _pth_root(t)
+        e *= p
+    return parts
 
 
 def fp_factor(f, seed=0):
@@ -558,8 +584,12 @@ def fp_factor(f, seed=0):
     if f.degree == 0:
         return []
     rng = random.Random(seed)
-    fac = _factor_monic(f.monic(), rng)
-    return sorted(fac.items(), key=lambda ge: ge[0].sort_key())
+    fac = [
+        (g, m)
+        for part, m in _squarefree_parts(f.monic())
+        for g in _factor_squarefree(part, rng)
+    ]
+    return sorted(fac, key=lambda ge: ge[0].sort_key())
 
 
 def count_monic_irreducibles(modulus, f):

@@ -60,24 +60,31 @@ def is_prime(n):
 def trial_factor(n, bound):
     """Factor |n| by trial division up to `bound`; raises when the tail resists.
 
-    The tail after trial division is accepted when it is 1, a prime
-    that ``is_prime`` decides (below PRIMALITY_BOUND), or a prime power
-    (detected exactly); anything else exceeds the bound.  A bound of at
-    least sqrt(|n|), such as |n| itself, always factors completely; the
-    keys come out in increasing order.
+    Division stops as soon as the cofactor is a prime that ``is_prime``
+    decides, tested on |n| and after each divisor is removed, so a prime
+    cofactor costs one primality test rather than division up to
+    min(sqrt(|n|), bound).  The tail after trial division is accepted
+    when it is 1, a prime that ``is_prime`` decides (below
+    PRIMALITY_BOUND), or a prime power (detected exactly); anything else
+    exceeds the bound.  A bound of at least sqrt(|n|), such as |n|
+    itself, always factors completely; the keys come out in increasing
+    order.
     """
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out = {}
+    prime = n < PRIMALITY_BOUND and is_prime(n)
     d = 2
-    while d * d <= n and d <= bound:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+    while not prime and d * d <= n and d <= bound:
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            prime = n < PRIMALITY_BOUND and is_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
-        power = (n, 1) if d * d > n else prime_power(n)
+        power = (n, 1) if prime or d * d > n else prime_power(n)
         if power is None:
             raise ValueError(
                 "factorization of %d exceeds the trial-division bound %d" % (n, bound)

@@ -34,6 +34,7 @@ discriminant and the extended gcd of ``hnf`` come from ``integers``.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -293,12 +294,13 @@ def char_poly(elem):
 
 
 def element_trace(elem):
-    """Trace of multiplication by elem: sum_i coords_i * sum_k table[i][k][k]."""
-    return sum(
-        c * sum(tik[k] for k, tik in enumerate(ti))
-        for c, ti in zip(elem.coords, elem.order.table)
-        if c
-    )
+    """Trace of multiplication by elem: sum_i coords_i * Tr(basis_i)."""
+    return sum(map(operator.mul, elem.coords, _basis_traces(elem.order.table)))
+
+
+def _basis_traces(table):
+    """Tr(basis_k) = sum_j table[k][j][j] for each k."""
+    return [sum(tk[j][j] for j in range(len(tk))) for tk in table]
 
 
 def element_norm(elem):
@@ -308,13 +310,17 @@ def element_norm(elem):
 
 
 def order_discriminant(order):
-    """Determinant of the trace form Tr(basis_i * basis_j), exact."""
-    n = order.n
-    traces = [
-        [element_trace(OrderElement(order, order.table[i][j])) for j in range(n)]
-        for i in range(n)
+    """Determinant of the trace form Tr(basis_i * basis_j), exact.
+
+    With t_k = Tr(basis_k) = sum_j table[k][j][j], linearity of the
+    trace gives Tr(basis_i * basis_j) = sum_k table[i][j][k] * t_k, so
+    the form costs O(n^3) rather than n^2 traces of O(n^2) each.
+    """
+    traces = _basis_traces(order.table)
+    form = [
+        [sum(map(operator.mul, tij, traces)) for tij in ti] for ti in order.table
     ]
-    return bareiss_determinant(traces)
+    return bareiss_determinant(form)
 
 
 # -- constructions ---------------------------------------------------------
@@ -572,21 +578,28 @@ def _radical_mod_p(frobenius, p):
 
     `frobenius` is the matrix of x -> x^p on order/(p*order)
     (``_frobenius_mod_p``); x -> x^(p^k) is its k-th power, which
-    vanishes exactly on the nilpotents.
+    vanishes exactly on the nilpotents.  Each row of the next power is a
+    combination of the rows of `frobenius`, taken over the nonzero
+    coefficients of the row before.
     """
     n = len(frobenius)
-    columns = list(zip(*frobenius))
     power, q = frobenius, p
     while q < n:
-        power = [
-            [sum(x * y for x, y in zip(row, col)) % p for col in columns]
-            for row in power
-        ]
+        power = [_combine_rows_mod_p(row, frobenius, p) for row in power]
         q *= p
     return hnf(
         [[p * c for c in unit] for unit in _identity_rows(n)]
         + _left_kernel_mod_p(power, p)
     )
+
+
+def _combine_rows_mod_p(coeffs, rows, p):
+    """sum_i coeffs[i] * rows[i] mod p, skipping the zero coefficients."""
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * r for a, r in zip(acc, row)]
+    return [a % p for a in acc]
 
 
 def _multipliers_mod_p(table, p, radical):

@@ -42,6 +42,7 @@ from primesplit.orders import (
     char_poly,
     charpoly_matrix,
     lattice_contains,
+    maximal_order,
     order_discriminant,
     order_from_polynomial,
 )
@@ -440,6 +441,22 @@ def provably_irreducible(f, disc):
     return False
 
 
+def seeded_maximal_orders(rng, per_degree):
+    """Maximal orders of `per_degree` fields of each degree 3-6, drawn as in test_properties.
+
+    Monic f with coefficients in [-9, 9], nonzero constant term and a
+    discriminant that proves it irreducible.
+    """
+    fields = []
+    for n in (3, 4, 5, 6):
+        while sum(order.n == n for order in fields) < per_degree:
+            f = random_monic_zpoly(rng, n, 9)
+            disc = discriminant(f)
+            if f.coeffs[0] and disc and provably_irreducible(f, disc):
+                fields.append(maximal_order(f)[0])
+    return fields
+
+
 def random_power_basis_orders(rng, rank, count, bound=9):
     """Power-basis orders Z[t]/(f) of monic f, coefficients in [-bound, bound], disc != 0."""
     out = []
@@ -448,6 +465,36 @@ def random_power_basis_orders(rng, rank, count, bound=9):
         if f.coeffs[0] and discriminant(f):
             out.append(order_from_polynomial(f))
     return out
+
+
+def trace_matrix_discriminant(order):
+    """Oracle for order_discriminant: det of the n^2 traces Tr(basis_i * basis_j).
+
+    Each product's trace is read off the diagonal of its own
+    multiplication matrix, O(n^2) per entry and O(n^4) in all.
+    """
+    form = [
+        [sum(row[k] for k, row in enumerate(order.mul_matrix(prod))) for prod in products]
+        for products in order.table
+    ]
+    return bareiss_determinant(form)
+
+
+def dense_product_radical_mod_p(frobenius, p):
+    """Oracle for _radical_mod_p: the power of the Frobenius matrix by dense products."""
+    n = len(frobenius)
+    columns = list(zip(*frobenius))
+    power, q = frobenius, p
+    while q < n:
+        power = [
+            [sum(x * y for x, y in zip(row, col)) % p for col in columns]
+            for row in power
+        ]
+        q *= p
+    return hnf(
+        [[p * c for c in unit] for unit in _identity_rows(n)]
+        + _left_kernel_mod_p(power, p)
+    )
 
 
 class OraclePoly(MultiPoly):

@@ -556,6 +556,67 @@ class TestFrobenius:
         assert sum(g.degree * e for g, e in fac) == 100
 
 
+class TestSquarefreeDecomposition:
+    """fp_factor splits each part A_m of f = prod A_m**m once."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        p=st.sampled_from((2, 3, 5, 7, 13)),
+        factors=st.lists(
+            st.tuples(st.lists(st.integers(0, 12), min_size=1, max_size=2), st.integers(0, 26)),
+            min_size=1,
+            max_size=3,
+        ),
+        pure=st.booleans(),
+        lc=st.integers(0, 11),
+        seed=st.integers(0, 9),
+    )
+    def test_matches_powering_oracle(self, p, factors, pure, lc, seed):
+        # multiplicities up to 2p + 1; with `pure`, f is a p-th power
+        # whose multiplicities are p or 2p
+        mp = PrimeModulus(p)
+        f = FpPoly(mp, (1 + lc % (p - 1),))
+        for low, m in factors:
+            m = p * (1 + m % 2) if pure else 1 + m % (2 * p + 1)
+            f = f * FpPoly(mp, low + [1]) ** m
+        assert fp_factor(f, seed) == powering_fp_factor(f, seed)
+
+    def test_parts_sum_to_the_radical(self, monkeypatch):
+        degrees = []
+        real = fppoly._factor_squarefree
+
+        def recording(f, rng):
+            degrees.append(f.degree)
+            return real(f, rng)
+
+        monkeypatch.setattr(fppoly, "_factor_squarefree", recording)
+        m3, x3 = PrimeModulus(3), fp_x(PrimeModulus(3))
+        m2, x2 = PrimeModulus(2), fp_x(PrimeModulus(2))
+        one3, one2 = fp_one(m3), fp_one(m2)
+        # the recursive separation passed degrees summing to 7 and 6
+        for f in (
+            x3 * (x3 + one3) ** 8 * (x3 + one3 + one3) ** 2,
+            (x2 + one2) ** 5 * (x2 * x2 + x2 + one2) ** 3,
+        ):
+            degrees.clear()
+            fp_factor(f)
+            assert sum(degrees) == 3, f
+        rng = random.Random(37)
+        for trial in range(200):
+            mp = PrimeModulus(rng.choice((2, 3, 5, 7, 13)))
+            f = _product(
+                mp,
+                [
+                    _random_monic(rng, mp, rng.randrange(1, 4)) ** rng.randrange(1, 2 * mp.p + 2)
+                    for _ in range(rng.randrange(1, 4))
+                ],
+            )
+            degrees.clear()
+            fp_factor(f, trial)
+            radical = sum(g.degree for g, _ in powering_fp_factor(f, trial))
+            assert sum(degrees) == radical, f
+
+
 class TestIrreducible:
     def test_examples(self):
         assert fp_is_irreducible(FpPoly(M2, (1, 1, 1)))

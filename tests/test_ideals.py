@@ -7,13 +7,12 @@ import pytest
 from conftest import (
     enumerate_primes_above,
     leftmost_pivot_hnf,
-    provably_irreducible,
     radical_split_primes_above,
     random_irreducible_cubic,
     random_irreducible_quartic,
-    random_monic_zpoly,
     random_power_basis_orders,
     scan_is_maximal,
+    seeded_maximal_orders,
 )
 from primesplit import fixtures, ideals
 from primesplit.criteria import (
@@ -393,14 +392,7 @@ class TestFactorPInOrder:
         assert len(cases) >= 300 and several >= 100 and below_rank >= 100
 
     def test_matches_radical_split_oracle(self):
-        rng = random.Random(1801)
-        fields = []
-        for n in (3, 4, 5, 6):
-            while sum(order.n == n for order in fields) < 12:
-                f = random_monic_zpoly(rng, n, 9)
-                disc = discriminant(f)
-                if f.coeffs[0] and disc and provably_irreducible(f, disc):
-                    fields.append(maximal_order(f)[0])
+        fields = seeded_maximal_orders(random.Random(1801), 12)
         ramified = inert = below_rank = 0
         for order in fields:
             for p in (2, 3, 5, 7, 11, 13):

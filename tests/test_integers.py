@@ -1,9 +1,14 @@
 import ast
 import pathlib
+import random
+import re
+import time
+
+import pytest
 
 import primesplit
 from conftest import prime_divisors
-from primesplit.integers import trial_factor
+from primesplit.integers import is_prime, trial_factor
 
 SRC = pathlib.Path(primesplit.__file__).parent
 
@@ -12,6 +17,41 @@ def test_complete_trial_factoring_gives_the_prime_divisors():
     # fppoly takes the prime divisors of a degree n from trial_factor(n, n)
     for n in range(1, 5001):
         assert list(trial_factor(n, n)) == prime_divisors(n)
+
+
+def test_prime_cofactor_time_bound():
+    # trial division to 10^6 after the cofactor was already prime took 80 ms
+    start = time.perf_counter()
+    factors = trial_factor(3**5 * 1000000000039, 10**6)
+    assert time.perf_counter() - start < 0.01
+    assert factors == {3: 5, 1000000000039: 1}
+
+
+def test_small_primes_times_a_large_prime_cofactor():
+    rng = random.Random(43)
+    small = [q for q in range(2, 100) if prime_divisors(q) == [q]]
+    for _ in range(6):
+        cofactor = rng.randrange(10**10, 10**12)
+        while not is_prime(cofactor):
+            cofactor += 1
+        n = cofactor
+        for q in rng.sample(small, rng.randrange(1, 5)):
+            n *= q ** rng.randrange(1, 5)
+        expected = {}
+        rest = n
+        for q in prime_divisors(n):
+            while rest % q == 0:
+                expected[q] = expected.get(q, 0) + 1
+                rest //= q
+        assert trial_factor(n, 10**6) == expected
+        assert list(trial_factor(n, n)) == list(expected)
+
+
+def test_composite_tail_past_the_bound_raises():
+    tail = 1000003 * 1000033
+    message = "factorization of %d exceeds the trial-division bound %d" % (tail, 10**6)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        trial_factor(2**3 * 7 * tail, 10**6)
 
 
 def _module_trees():

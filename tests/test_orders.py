@@ -9,6 +9,7 @@ from conftest import (
     always_scan_maximal_order,
     canonical_rows,
     cofactor_charpoly,
+    dense_product_radical_mod_p,
     fraction_determinant,
     has_integer_root,
     random_irreducible_cubic,
@@ -16,6 +17,8 @@ from conftest import (
     random_monic_zpoly,
     random_power_basis_orders,
     scan_p_enlarge,
+    seeded_maximal_orders,
+    trace_matrix_discriminant,
 )
 from primesplit import fixtures, orders
 from primesplit.criteria import (
@@ -171,6 +174,45 @@ class TestOrderDiscriminant:
 
     def test_sqrt2(self):
         assert order_discriminant(SQRT2) == 8
+
+    def test_matches_trace_matrix_oracle(self):
+        rng = random.Random(67)
+        cases = [o for n in (3, 4, 5, 6) for o in random_power_basis_orders(rng, n, 10)]
+        cases += seeded_maximal_orders(random.Random(1801), 6)
+        done = 0
+        while done < 50:
+            vals = [rng.randrange(-10, 11) for _ in range(4)]
+            if gcd(*vals) == 1:
+                order, disc = cubic_family(*vals)
+                assert trace_matrix_discriminant(order) == disc
+                cases.append(order)
+                done += 1
+        for order in cases:
+            assert order_discriminant(order) == trace_matrix_discriminant(order), order.table
+
+
+class TestRadicalModP:
+    """The p-radical from the Frobenius matrix, its power taken by row combinations."""
+
+    def test_matches_dense_product_oracle(self):
+        rng = random.Random(73)
+        cases = [o for n in (3, 4, 5, 6) for o in random_power_basis_orders(rng, n, 8)]
+        cases += seeded_maximal_orders(random.Random(1801), 6)
+        powered = 0
+        for order in cases:
+            for p in (2, 3, 5):
+                frobenius = orders._frobenius_mod_p(order.table, p)
+                expected = dense_product_radical_mod_p(frobenius, p)
+                assert orders._radical_mod_p(frobenius, p) == expected, (order.table, p)
+                powered += p < order.n
+        assert powered >= 100
+
+    def test_matches_dense_product_oracle_at_degree_48(self):
+        # 3^4 >= 48: three products of a 48x48 matrix with 43 nonzero entries
+        order, _ = maximal_order(ZPoly.from_text("t^48 - 54"))
+        frobenius = orders._frobenius_mod_p(order.table, 3)
+        expected = dense_product_radical_mod_p(frobenius, 3)
+        assert orders._radical_mod_p(frobenius, 3) == expected
 
 
 class TestOrderFromPolynomial:
@@ -414,6 +456,15 @@ class TestMaximalOrder:
             maximal_order(ZPoly.from_text("t^3 + t"))
         with pytest.raises(ValueError, match="expected degree >= 2"):
             maximal_order(ZPoly.from_text("t - 3"))
+
+    def test_prime_discriminant_time_bound(self):
+        # the discriminant -270102609743 is prime: trial division to 10^6 took 41 ms
+        f = ZPoly.from_text("t^3 - t - 100019")
+        start = time.perf_counter()
+        order, d = maximal_order(f)
+        assert time.perf_counter() - start < 0.01
+        assert d == discriminant(f) == -270102609743
+        assert order.basis_in_parent == _identity_rows(3)
 
     def test_trial_division_bound(self):
         # a tail that is a product of two distinct large primes is ambiguous
