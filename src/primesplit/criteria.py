@@ -250,8 +250,7 @@ def common_index_divisor(modulus, shape):
     modulus = as_modulus(modulus)
     report = []
     verdict = False
-    for d in sorted(shape.degree_counts()):
-        required = shape.degree_counts()[d]
+    for d, required in sorted(shape.degree_counts().items()):
         available = count_monic_irreducibles(modulus, d)
         report.append({"degree": d, "required": required, "available": available})
         if required > available:

@@ -25,6 +25,7 @@ from .orders import (
     _bracket_entry,
     _echelon_mod_p,
     _frobenius_mod_p,
+    _lattice_divmod,
     _left_kernel_mod_p,
     _multipliers_mod_p,
     _radical_mod_p,
@@ -32,20 +33,8 @@ from .orders import (
     char_poly,
     element_index,
     hnf,
-    lattice_contains,
 )
 from .zpoly import lift, reduce_mod
-
-
-def reduce_mod_lattice(basis, vec):
-    """Canonical residue of a vector modulo the lattice: coords in [0, diag)."""
-    v = list(vec)
-    for i in range(len(basis) - 1, -1, -1):
-        q = v[i] // basis[i][i]
-        if q:
-            for j in range(i + 1):
-                v[j] -= q * basis[i][j]
-    return tuple(v)
 
 
 class LatticeIdeal:
@@ -69,7 +58,7 @@ class LatticeIdeal:
         for row in self.rows:
             # row * basis_g for g >= 1; row * 1 is row itself
             for prod in self.order.mul_matrix(row)[1:]:
-                if not lattice_contains(self.rows, prod):
+                if not self.contains_vec(prod):
                     raise ValueError("lattice is not closed under ring multiplication")
 
     def norm(self):
@@ -79,20 +68,20 @@ class LatticeIdeal:
         return abs(out)
 
     def contains_vec(self, vec):
-        return lattice_contains(self.rows, vec)
+        return not any(_lattice_divmod(self.rows, vec)[1])
 
     def contains_element(self, elem):
-        return lattice_contains(self.rows, elem.coords)
+        return self.contains_vec(elem.coords)
 
     def contains_ideal(self, other):
         """True when other is a sublattice (this ideal divides other)."""
-        return all(lattice_contains(self.rows, r) for r in other.rows)
+        return all(map(self.contains_vec, other.rows))
 
     def residues(self):
         """All canonical residue vectors modulo this lattice, in lex order."""
         ranges = [range(self.rows[i][i]) for i in range(self.order.n)]
         for combo in itertools.product(*ranges):
-            yield reduce_mod_lattice(self.rows, combo)
+            yield _lattice_divmod(self.rows, combo)[1]
 
     def __eq__(self, other):
         return (
@@ -188,7 +177,7 @@ def _is_maximal(order, ideal, p):
     if any(rows[i] != tuple(p * c for c in _unit(n, i)) for i in free):
         return False  # p*order is not inside, so no field of characteristic p
     frobenius = _frobenius_mod_p(order.table, p)
-    images = [reduce_mod_lattice(rows, frobenius[i]) for i in free]
+    images = [_lattice_divmod(rows, frobenius[i])[1] for i in free]
     restricted = [[image[j] for j in free] for image in images]
     shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(restricted)]
     f = len(free)
@@ -309,7 +298,7 @@ def _crt_pair(order, a, la, b, lb):
     zero = (0,) * n
     rows = [r + r for r in la.rows] + [zero + r for r in lb.rows]
     diff = tuple(y - x for x, y in zip(a.coords, b.coords))
-    residue = reduce_mod_lattice(hnf(rows), zero + diff)
+    _, residue = _lattice_divmod(hnf(rows), zero + diff)
     if any(residue[n:]):
         raise ValueError("congruences are not compatible")
     return OrderElement(order, [x - u for x, u in zip(a.coords, residue)])
@@ -380,7 +369,7 @@ def crt_good_generator(order, modulus, primes, polys):
     for value, lat in congruences[1:]:
         theta = _crt_pair(order, theta, lattice, value, lat)
         lattice = ideal_product(lattice, lat)
-    theta = OrderElement(order, reduce_mod_lattice(lattice.rows, theta.coords))
+    theta = OrderElement(order, _lattice_divmod(lattice.rows, theta.coords)[1])
     if element_index(order, theta) % p == 0:
         raise AssertionError("constructed generator has index divisible by %d" % p)
     expected = FpPoly(modulus, (1,))

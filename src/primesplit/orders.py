@@ -17,14 +17,17 @@ is the next order.  ``ideals.factor_p_in_order`` shares both: the
 radical checks p-maximality and gives each prime from its power, and
 the Frobenius matrix minus the identity splits order/(p*order).
 
-``maximal_order`` does not start Round 2 from Z[t]/(f).  At each prime
-q that Dedekind's criterion says divides the index, the factors of
-f mod q and the cofactor the test already read give Dedekind's ring
-O' = Z[t] + (U(t)/q)*Z[t] of index q^m, which is the first Round 2 ring
-(Cohen, GTM 138, 6.1.4).  disc(O') = disc(f)/q^(2m), so where
-v_q(disc f) - 2m < 2 the discriminant proves O' q-maximal and Round 2
-does not run at q at all; elsewhere it continues from O'.  Round 2
-runs on bare multiplication tables, carried from prime to prime by
+Round 2 stops on the discriminant.  An enlargement of index p^k
+divides the discriminant by p^(2k), so a ring with v_p(disc) < 2 is
+p-maximal (Cohen, GTM 138, 6.1); each Round 2 step of index p^k takes
+2k from v, and the loop runs only while v >= 2 (or until the ring of
+multipliers adds nothing).  ``maximal_order`` does not start Round 2
+from Z[t]/(f).  At each prime q that Dedekind's criterion says divides
+the index, the factors of f mod q and the cofactor the test already
+read give Dedekind's ring O' = Z[t] + (U(t)/q)*Z[t] of index q^m, which
+is the first Round 2 ring (Cohen, GTM 138, 6.1.4), and Round 2
+continues from O' with v = v_q(disc f) - 2m.  Round 2 runs on bare
+multiplication tables, carried from prime to prime by
 ``maximal_order``; only the order a call returns is an Order.
 
 Orders and elements are immutable; every operation is a pure function.
@@ -83,11 +86,13 @@ class Order:
         self._check_associativity()
 
     def _check_associativity(self):
+        # a triple holding e_0 = 1 is settled by the identity row and symmetry
+        rest = range(1, self.n)
         products = {
             (i, j): self.mul_matrix(self.table[i][j])
-            for i, j in itertools.combinations_with_replacement(range(self.n), 2)
+            for i, j in itertools.combinations_with_replacement(rest, 2)
         }
-        for i, j, k in itertools.combinations_with_replacement(range(self.n), 3):
+        for i, j, k in itertools.combinations_with_replacement(rest, 3):
             # (e_i e_j) e_k against (e_j e_k) e_i
             if products[i, j][k] != products[j, k][i]:
                 raise ValueError(
@@ -419,24 +424,21 @@ def hnf(rows, n=None):
     return tuple(tuple(r) + (0,) * (n - 1 - i) for i, r in enumerate(basis))
 
 
-def _lattice_coords(basis, vec):
-    """Integer y with sum(y_i * basis_i) = vec in a canonical triangular basis, or None."""
+def _lattice_divmod(basis, vec):
+    """(y, r) with vec = sum(y_i * basis_i) + r in a canonical triangular basis.
+
+    Each entry r_i lies in [0, basis_i[i]), so r is the canonical residue
+    of vec modulo the lattice, and vec is a member exactly when r is zero.
+    """
     v = list(vec)
     y = [0] * len(basis)
     for i in range(len(basis) - 1, -1, -1):
-        q, r = divmod(v[i], basis[i][i])
-        if r:
-            return None
+        q = v[i] // basis[i][i]
         if q:
             y[i] = q
             for j in range(i + 1):
                 v[j] -= q * basis[i][j]
-    return y
-
-
-def lattice_contains(basis, vec):
-    """Membership of an integer vector in a canonical triangular lattice basis."""
-    return _lattice_coords(basis, vec) is not None
+    return y, tuple(v)
 
 
 def _lattice(rows, d):
@@ -488,8 +490,8 @@ def _table_on_lattice(table, basis, d):
     scaled = [[d * c for c in row] for row in basis]
     out = [[None] * n for _ in range(n)]
     for i, j in itertools.combinations_with_replacement(range(n), 2):
-        coords = _lattice_coords(scaled, _vec_mul(table, basis[i], basis[j]))
-        if coords is None:
+        coords, residue = _lattice_divmod(scaled, _vec_mul(table, basis[i], basis[j]))
+        if any(residue):
             raise ValueError("span is not closed under multiplication")
         out[i][j] = out[j][i] = tuple(coords)  # the parent ring is commutative
     return out
@@ -613,23 +615,27 @@ def _multipliers_mod_p(table, p, radical):
     rows = [[] for _ in table]
     for v in radical:
         for row, prod in zip(rows, _mul_matrix(table, v)):
-            row.extend(c % p for c in _lattice_coords(radical, prod))
+            row.extend(c % p for c in _lattice_divmod(radical, prod)[0])
     return _left_kernel_mod_p(rows, p)
 
 
-def _p_maximal_lattice(table, p, basis, d, current):
+def _p_maximal_lattice(table, p, basis, d, current, v):
     """Continue Round 2 at p from the ring on the lattice basis/d of `table`.
 
-    `current` is that ring's own multiplication table.  Returns
-    (rows, d, table'): the canonical lattice of the p-maximal ring over
-    it, in `table`'s coordinates, and that ring's multiplication table.
+    `current` is that ring's own multiplication table and v = v_p of its
+    discriminant.  A ring with v < 2 is p-maximal, so the loop runs
+    while v >= 2 and stops early when the ring of multipliers adds
+    nothing.  A step whose kernel has k rows (independent mod p) has
+    index p^k and takes 2k from v.  Returns (rows, d, table'): the
+    canonical lattice of the p-maximal ring over it, in `table`'s
+    coordinates, and that ring's multiplication table.
     """
     n = len(table)
-    while True:
+    while v >= 2:
         radical = _radical_mod_p(_frobenius_mod_p(current, p), p)
         kernel = _multipliers_mod_p(current, p, radical)
         if not kernel:
-            return basis, d, current
+            break
         # the next ring is (p*current + kernel)/p, written over table's basis
         rows = [[p * c for c in row] for row in basis] + [
             [sum(x * row[j] for x, row in zip(u, basis)) for j in range(n)]
@@ -637,19 +643,33 @@ def _p_maximal_lattice(table, p, basis, d, current):
         ]
         basis, d = _lattice(rows, d * p)
         current = _table_on_lattice(table, basis, d)
+        v -= 2 * len(kernel)
+    return basis, d, current
 
 
 def p_enlarge(order, modulus):
     """Smallest p-maximal order containing this one, by Pohst-Zassenhaus Round 2.
 
     Each step replaces the order by the ring of multipliers of its
-    p-radical, until that ring is the order itself.  The result's
-    ``basis_in_parent`` holds its canonical triangular basis in the
-    coordinates of the input order.
+    p-radical, until that ring is the order itself or the p-part of the
+    discriminant, p^v with v < 2, proves it p-maximal.  An order of
+    discriminant 0 has nilpotents, so no p-maximal order contains it and
+    it is refused with a ValueError.  The result's ``basis_in_parent``
+    holds its canonical triangular basis in the coordinates of the
+    input order.
     """
-    modulus = as_modulus(modulus)
+    p = as_modulus(modulus).p
+    disc = order_discriminant(order)
+    if disc == 0:
+        raise ValueError(
+            "order has discriminant 0 (it has nilpotents), so no p-maximal order contains it"
+        )
+    v = 0
+    while disc % p == 0:
+        disc //= p
+        v += 1
     enlarged = _p_maximal_lattice(
-        order.table, modulus.p, _identity_rows(order.n), 1, order.table
+        order.table, p, _identity_rows(order.n), 1, order.table, v
     )
     return _order_on_lattice(order.labels, *enlarged)
 
@@ -686,24 +706,6 @@ def _dedekind_lattice(f, modulus, verdict, basis, d):
     return basis, d, m
 
 
-def _enlarge_at_prime(f, table, modulus, verdict, v, basis, d):
-    """The q-maximal ring over the ring on basis/d of Z[t]/(f), from Dedekind's data.
-
-    `table` is the power basis's multiplication table, `verdict`
-    Dedekind's test at q (q divides the index) and v = v_q(disc f).
-    The step starts from Dedekind's ring O' (``_dedekind_lattice``).
-    disc(O') = disc(f)/q^(2m), and a ring that is not q-maximal has
-    q^2 dividing its discriminant, so v - 2m < 2 proves O' q-maximal
-    with no Round 2; otherwise Round 2 continues from O'.  Returns
-    (rows, d, table') as ``_p_maximal_lattice`` does.
-    """
-    basis, d, m = _dedekind_lattice(f, modulus, verdict, basis, d)
-    current = _table_on_lattice(table, basis, d)
-    if v - 2 * m < 2:
-        return basis, d, current
-    return _p_maximal_lattice(table, modulus.p, basis, d, current)
-
-
 def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, labels=None):
     """Maximal order of Q[t]/(f) and its discriminant (the fundamental number).
 
@@ -711,8 +713,8 @@ def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, labels=None):
     decides whether q divides the index of Z[t]/(f); where it does not,
     the power basis is already q-maximal.  Where it does, the factors of
     f mod q and the cofactor M that the test read give Dedekind's
-    enlargement O' of index q^m directly; O' is q-maximal when
-    v_q(disc f) - 2m < 2, and otherwise Round 2 continues from it.
+    enlargement O' of index q^m directly, and Round 2 continues from it
+    with v = v_q(disc f) - 2m (none at all when v < 2).
     Each prime continues from the ring the last one left.  The
     discriminant must factor by trial division at the given bound.
     Returns (order, D); the order's ``basis_in_parent`` is its
@@ -749,8 +751,10 @@ def _maximal_order(f, bound, labels, verdicts):
             modulus, *factorization_with_cofactor(f, modulus)
         )
         if verdict.divisible:
-            basis, d, current = _enlarge_at_prime(
-                f, table, modulus, verdict, factors[q], basis, d
+            basis, d, m = _dedekind_lattice(f, modulus, verdict, basis, d)
+            current = _table_on_lattice(table, basis, d)
+            basis, d, current = _p_maximal_lattice(
+                table, q, basis, d, current, factors[q] - 2 * m
             )
     order = _order_on_lattice(labels, basis, d, current)
     return order, order_discriminant(order)

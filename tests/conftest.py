@@ -21,7 +21,6 @@ from primesplit.ideals import (
     ideal_power,
     ideal_product,
     ideal_valuation,
-    reduce_mod_lattice,
     whole_order,
 )
 from primesplit.indexform import MultiPoly, parse_multipoly_vars
@@ -31,6 +30,7 @@ from primesplit.orders import (
     _frobenius_mod_p,
     _identity_rows,
     _lattice,
+    _lattice_divmod,
     _left_kernel_mod_p,
     _lowest_terms,
     _multipliers_mod_p,
@@ -41,7 +41,6 @@ from primesplit.orders import (
     _unit,
     char_poly,
     charpoly_matrix,
-    lattice_contains,
     maximal_order,
     order_discriminant,
     order_from_polynomial,
@@ -280,7 +279,7 @@ def _adjoin_element(order, coords, p):
         for i in range(n):
             for j in range(i, n):
                 prod = order.vec_mul(basis[i], basis[j])
-                if not lattice_contains(scaled, prod):
+                if any(_lattice_divmod(scaled, prod)[1]):
                     extra.append(prod)
         if not extra:
             return basis, d
@@ -390,7 +389,7 @@ def scan_is_maximal(order, ideal, p):
         # multiplication-by-x map on the f-dimensional quotient
         mat = []
         for i in free:
-            prod = reduce_mod_lattice(ideal.rows, order.vec_mul(x, _unit(n, i)))
+            prod = _lattice_divmod(ideal.rows, order.vec_mul(x, _unit(n, i)))[1]
             mat.append([prod[j] % p for j in free])
         if _det_mod_p(mat, p) == 0:
             return False
@@ -732,7 +731,7 @@ def _quotient_frobenius_minus_identity(order, rows, p):
     free = [i for i in range(n) if rows[i][i] != 1]
     shifted = []
     for k, i in enumerate(free):
-        image = reduce_mod_lattice(rows, _unit_pow_mod_p(order, _unit(n, i), p, p))
+        image = _lattice_divmod(rows, _unit_pow_mod_p(order, _unit(n, i), p, p))[1]
         shifted.append([image[j] - (k == col) for col, j in enumerate(free)])
     return free, shifted
 

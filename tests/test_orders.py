@@ -77,6 +77,21 @@ class TestOrderConstruction:
         with pytest.raises(ValueError, match=r"not associative at \(1,1,2\)"):
             Order(bad)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_associativity_check_skips_the_identity(self, monkeypatch, n):
+        # one multiplication matrix per product e_i e_j with 1 <= i <= j < n
+        table = orders._power_table(ZPoly((-2,) + (0,) * (n - 1) + (1,)))
+        built = []
+        real = Order.mul_matrix
+
+        def counting(self, coords):
+            built.append(coords)
+            return real(self, coords)
+
+        monkeypatch.setattr(Order, "mul_matrix", counting)
+        Order(table)
+        assert len(built) == n * (n - 1) // 2
+
 
 class TestElementMul:
     def test_alpha_beta(self):
@@ -312,6 +327,23 @@ class TestPEnlarge:
                 v += 1
             assert abs(ratio) == 1 and v % 2 == 0
             done += 1
+
+    @pytest.mark.parametrize("text", ["t^2", "t^4 + 2*t^2 + 1"])
+    def test_discriminant_zero_refused(self, text):
+        # t, resp. t^2 + 1, is nilpotent, so Round 2 alone would adjoin its
+        # quotients by 2^k for ever
+        order = order_from_polynomial(ZPoly.from_text(text))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="discriminant 0"):
+            p_enlarge(order, PrimeModulus(2))
+        assert time.perf_counter() - start < 1.0
+
+    def test_discriminant_proves_p_maximal_without_round2(self, monkeypatch):
+        # disc(Z[sqrt 2]) = 8 has v_3 = 0, so no Round 2 step runs at 3
+        calls = _record_round2_calls(monkeypatch)
+        enlarged = p_enlarge(SQRT2, PrimeModulus(3))
+        assert calls == []
+        assert enlarged.basis_in_parent == _identity_rows(2)
 
     def test_basis_is_canonical(self):
         # the adjoin-step composition gave row 4 as (a^3 + a^4)/2 here
@@ -558,29 +590,21 @@ class TestDedekindStep:
 
     def test_paper_cubic_at_2_runs_no_round2(self, monkeypatch):
         # v_2(disc) = 2 and m = 1, so O' is 2-maximal by its discriminant
-        calls = []
-
-        def recording(name):
-            real = getattr(orders, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return real(*args)
-
-            return wrapper
-
-        for name in (
-            "_p_maximal_lattice",
-            "_frobenius_mod_p",
-            "_radical_mod_p",
-            "_multipliers_mod_p",
-        ):
-            monkeypatch.setattr(orders, name, recording(name))
+        calls = _record_round2_calls(monkeypatch)
         order, d = maximal_order(fixtures.cubic_poly())
         assert calls == []
         assert d == -503
         beta = (Fraction(-1), Fraction(-1, 2), Fraction(1, 2))
         assert _lattice_member(beta, order.basis_in_parent)
+
+    def test_discriminant_ends_round2_after_an_enlarging_step(self, monkeypatch):
+        # disc = -3^6 * 31 and m = 1 at 3, so v = 4 on Dedekind's ring; one
+        # Round 2 step of index 3^2 leaves v = 0, which proves the ring
+        # 3-maximal with no second step
+        calls = _record_round2_calls(monkeypatch)
+        _, d = maximal_order(ZPoly.from_text("t^3 + 3*t^2 - 18*t + 27"))
+        assert calls.count("_multipliers_mod_p") == 1
+        assert d == -31
 
 
 class TestOneOrderPerCall:
@@ -719,14 +743,32 @@ def _identity_rows(n):
 def _count_p_maximal_lattice(monkeypatch):
     """Record the prime of every per-prime enlargement step maximal_order makes."""
     primes = []
-    real = orders._enlarge_at_prime
+    real = orders._dedekind_lattice
 
-    def counting(f, table, modulus, *rest):
+    def counting(f, modulus, *rest):
         primes.append(modulus.p)
-        return real(f, table, modulus, *rest)
+        return real(f, modulus, *rest)
 
-    monkeypatch.setattr(orders, "_enlarge_at_prime", counting)
+    monkeypatch.setattr(orders, "_dedekind_lattice", counting)
     return primes
+
+
+def _record_round2_calls(monkeypatch):
+    """Record the name of every Frobenius, radical and multiplier call Round 2 makes."""
+    calls = []
+
+    def recording(name):
+        real = getattr(orders, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_frobenius_mod_p", "_radical_mod_p", "_multipliers_mod_p"):
+        monkeypatch.setattr(orders, name, recording(name))
+    return calls
 
 
 def _count_orders(monkeypatch):
