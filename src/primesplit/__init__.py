@@ -24,7 +24,6 @@ from .fppoly import (
     PrimeModulus,
     count_monic_irreducibles,
     enumerate_monic_irreducibles,
-    fp_extgcd,
     fp_factor,
     fp_gcd,
     fp_is_irreducible,
@@ -35,11 +34,8 @@ from .ideals import (
     crt_good_generator,
     factor_p_in_order,
     ideal_from_generators,
-    ideal_norm,
     ideal_product,
-    ideal_valuation,
     principal_ideal,
-    two_element_ideal,
     whole_order,
 )
 from .indexform import MultiPoly, common_value_divisor, index_form
@@ -49,9 +45,6 @@ from .orders import (
     char_poly,
     cubic_family,
     element_index,
-    element_mul,
-    element_norm,
-    element_trace,
     hnf,
     maximal_order,
     order_discriminant,
@@ -85,21 +78,15 @@ __all__ = [
     "cubic_family",
     "discriminant",
     "element_index",
-    "element_mul",
-    "element_norm",
-    "element_trace",
     "enumerate_monic_irreducibles",
     "factor_p_in_order",
     "factor_prime_via_polynomial",
-    "fp_extgcd",
     "fp_factor",
     "fp_gcd",
     "fp_is_irreducible",
     "hnf",
     "ideal_from_generators",
-    "ideal_norm",
     "ideal_product",
-    "ideal_valuation",
     "index_divisible",
     "index_form",
     "lift",
@@ -110,6 +97,5 @@ __all__ = [
     "principal_ideal",
     "reduce_mod",
     "resultant",
-    "two_element_ideal",
     "whole_order",
 ]

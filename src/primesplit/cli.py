@@ -181,7 +181,7 @@ def cmd_split_prime(args):
     try:
         # f passed the rational-root screen, and its verdict at p holds the
         # factors of f mod p and the cofactor, so neither is computed again
-        order, fundamental = _maximal_order(f, args.bound, None, {modulus.p: verdict})
+        order, fundamental = _maximal_order(f, args.bound, {modulus.p: verdict})
         primes = factor_p_in_order(order, modulus)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -409,6 +409,8 @@ def cmd_paper_examples(args):
                 "expected": _jsonable(expected),
             }
         )
+    if args.inject_fault not in {None, *(check["id"] for check in checks)}:
+        raise UsageError("--inject-fault: no check named %r" % args.inject_fault)
     results = {
         "checks": checks,
         "passed": len(checks) - failures,

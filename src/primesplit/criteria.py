@@ -22,7 +22,6 @@ Three decision surfaces:
 """
 
 from .fppoly import (
-    FpPoly,
     as_modulus,
     count_monic_irreducibles,
     enumerate_monic_irreducibles,

@@ -28,10 +28,6 @@ def quartic_poly():
     return ZPoly.from_text(QUARTIC_POLY)
 
 
-def cubic_power_order():
-    return order_from_polynomial(cubic_poly(), labels=("1", "a", "a^2"))
-
-
 def maximal_cubic_order():
     """Basis 1, a, b with b = (a^2 - a - 2)/2: a^2 = 2+a+2b, ab = 4, b^2 = -2+2a-b."""
     table = [

@@ -51,7 +51,7 @@ import operator
 import random
 
 from .integers import is_prime, trial_factor
-from .textfmt import DEFAULT_VAR, format_poly, parse_poly
+from .textfmt import format_poly, parse_poly
 
 MAX_MODULUS = 2**31
 
@@ -144,8 +144,8 @@ class FpPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def from_text(cls, modulus, text, var=DEFAULT_VAR):
-        return cls(modulus, parse_poly(text, var))
+    def from_text(cls, modulus, text):
+        return cls(modulus, parse_poly(text))
 
     @property
     def p(self):
@@ -217,9 +217,6 @@ class FpPoly:
         w = _slot_width(p, min(len(a), len(b)))
         c = _pack(a, w) * _pack(b, w)
         return FpPoly(self.modulus, _unpack(c, w, len(a) + len(b) - 1, p))
-
-    def scale(self, c):
-        return FpPoly(self.modulus, [c * x for x in self.coeffs])
 
     def __divmod__(self, other):
         self._check(other)
@@ -350,12 +347,6 @@ class ResidueRing:
         return binary_power(a, e, self.mul, 1)
 
 
-def fp_powmod(base, e, mod):
-    """base**e reduced mod the polynomial `mod` of degree >= 1."""
-    ring = ResidueRing(mod.monic())
-    return ring.poly(ring.power(ring.element(base), e))
-
-
 def fp_gcd(a, b):
     """Monic greatest common divisor; inputs must not both be zero."""
     if a.is_zero() and b.is_zero():
@@ -377,27 +368,6 @@ def fp_gcd(a, b):
             r.pop()
         r, m = m, r
     return FpPoly(a.modulus, r).monic()
-
-
-def fp_extgcd(a, b):
-    """Return (g, u, v) with u*a + v*b = g, g the monic gcd."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd of two zero polynomials is undefined")
-    a._check(b)
-    mod = a.modulus
-    r0, r1 = a, b
-    u0, u1 = fp_one(mod), FpPoly(mod, ())
-    v0, v1 = FpPoly(mod, ()), fp_one(mod)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    lc = r0.leading()
-    if lc != 1:
-        inv = pow(lc, -1, mod.p)
-        r0, u0, v0 = r0.scale(inv), u0.scale(inv), v0.scale(inv)
-    return r0, u0, v0
 
 
 def _x_to_the_p(ring):

@@ -6,24 +6,23 @@ every entry below a pivot is reduced into [0, pivot).  This is exactly
 the shape of bracket bases like [2, a, 1+b]: equal ideals have equal
 matrices, so verification tables reduce to matrix comparisons.
 
-Ideals are stored relative to the order's basis; two-element
-representations are constructors only.  The primes above p come
-from splitting order/(p*order) by its idempotents, which ends at each
-P^e; P is P^e plus the p-radical, and f and e come from the norms of P
-and P^e by ``integers.prime_power``.  Good generators are combined by
+Ideals are stored relative to the order's basis and are built from
+generators or as products.  The primes above p come from splitting
+order/(p*order) by its idempotents, which ends at each P^e; P is P^e
+plus the p-radical, and f and e come from the norms of P and P^e by
+``integers.prime_power``.  Good generators are combined by
 lattice CRT: one reduction modulo the canonical basis of a lattice of
 rank 2n.  All values are immutable and all operations pure.
 """
 
 import itertools
 
-from .fppoly import FpPoly, as_modulus, binary_power, fp_factor, fp_is_irreducible
+from .fppoly import FpPoly, as_modulus, fp_factor, fp_is_irreducible
 from .integers import prime_power
 from .orders import (
     Order,
     OrderElement,
     _bracket_entry,
-    _echelon_mod_p,
     _frobenius_mod_p,
     _lattice_divmod,
     _left_kernel_mod_p,
@@ -122,14 +121,6 @@ def principal_ideal(order, elem):
     return ideal_from_generators(order, [elem])
 
 
-def two_element_ideal(order, modulus, gen_poly, theta):
-    """Ideal generated by p and gen_poly(theta): Dedekind's gcd of the two principal ideals."""
-    p = int(modulus)
-    rho = evaluate_poly_at(gen_poly, theta)
-    scaled = order.identity() * p
-    return ideal_from_generators(order, [scaled, rho])
-
-
 def evaluate_poly_at(poly, theta):
     """Evaluate an integer polynomial at an order element (Horner)."""
     order = theta.order
@@ -148,68 +139,6 @@ def ideal_product(a, b):
         for s in b.rows:
             rows.append(a.order.vec_mul(r, s))
     return LatticeIdeal(a.order, hnf(rows, a.order.n), _trusted=True)
-
-
-def ideal_power(a, e):
-    return binary_power(a, e, ideal_product, whole_order(a.order))
-
-
-def ideal_norm(a):
-    return a.norm()
-
-
-# -- quotient-ring structure ------------------------------------------------
-
-def _is_maximal(order, ideal, p):
-    """True when order/ideal is a field.
-
-    The quotient is a GF(p)-algebra when the rows at its free positions
-    (diagonal p) are p times a unit vector (p*order lies in the ideal),
-    and the basis elements at those positions are a basis of it.  It is
-    then a field exactly when the Frobenius x -> x^p is injective on it
-    (no nilpotents) and fixes a 1-dimensional space (one field factor).
-    """
-    n = order.n
-    rows = ideal.rows
-    free = [i for i in range(n) if rows[i][i] != 1]
-    if not free:
-        return False  # the whole order
-    if any(rows[i] != tuple(p * c for c in _unit(n, i)) for i in free):
-        return False  # p*order is not inside, so no field of characteristic p
-    frobenius = _frobenius_mod_p(order.table, p)
-    images = [_lattice_divmod(rows, frobenius[i])[1] for i in free]
-    restricted = [[image[j] for j in free] for image in images]
-    shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(restricted)]
-    f = len(free)
-    return (
-        len(_echelon_mod_p(restricted, p)[0]) == f
-        and len(_echelon_mod_p(shifted, p)[0]) == f - 1
-    )
-
-
-def ideal_valuation(a, prime):
-    """Largest v with prime**v containing a (the exponent of the prime in a).
-
-    A power is built only when its norm does not already exceed the norm
-    of a, which rules it out.
-    """
-    if a.order != prime.order:
-        raise ValueError("ideals belong to different orders")
-    nrm = prime.norm()
-    base = prime_power(nrm)
-    if base is None or not _is_maximal(prime.order, prime, base[0]):
-        raise ValueError("valuation requires a maximal ideal")
-    v, power = 0, prime
-    target_norm = a.norm()
-    pw_norm = nrm
-    while pw_norm <= target_norm:
-        if v:
-            power = ideal_product(power, prime)
-        if not power.contains_ideal(a):
-            break
-        v += 1
-        pw_norm *= nrm
-    return v
 
 
 # -- factoring p by splitting order/(p*order) ---------------------------------

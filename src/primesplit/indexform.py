@@ -67,9 +67,6 @@ class MultiPoly:
             total += v
         return total
 
-    def total_degrees(self):
-        return {sum(e) for e in self.terms}
-
     def ordered_terms(self):
         """Terms in graded-lexicographic order (highest first)."""
         return sorted(

@@ -39,7 +39,7 @@ discriminant and the extended gcd of ``hnf`` come from ``integers``.
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .criteria import (
     _dedekind_verdict,
@@ -109,9 +109,6 @@ class Order:
 
     def identity(self):
         return OrderElement(self, _unit(self.n, 0))
-
-    def basis_element(self, i):
-        return OrderElement(self, _unit(self.n, i))
 
     def zero(self):
         return OrderElement(self, (0,) * self.n)
@@ -260,10 +257,6 @@ def _bracket_entry(coords, labels):
     return "".join(parts) if parts else "0"
 
 
-def element_mul(a, b):
-    return a * b
-
-
 # -- characteristic polynomials ------------------------------------------
 
 def charpoly_matrix(a):
@@ -298,22 +291,6 @@ def char_poly(elem):
     return ZPoly(charpoly_matrix(elem.order.mul_matrix(elem.coords)))
 
 
-def element_trace(elem):
-    """Trace of multiplication by elem: sum_i coords_i * Tr(basis_i)."""
-    return sum(map(operator.mul, elem.coords, _basis_traces(elem.order.table)))
-
-
-def _basis_traces(table):
-    """Tr(basis_k) = sum_j table[k][j][j] for each k."""
-    return [sum(tk[j][j] for j in range(len(tk))) for tk in table]
-
-
-def element_norm(elem):
-    cp = charpoly_matrix(elem.order.mul_matrix(elem.coords))
-    n = elem.order.n
-    return cp[0] if n % 2 == 0 else -cp[0]
-
-
 def order_discriminant(order):
     """Determinant of the trace form Tr(basis_i * basis_j), exact.
 
@@ -321,7 +298,7 @@ def order_discriminant(order):
     trace gives Tr(basis_i * basis_j) = sum_k table[i][j][k] * t_k, so
     the form costs O(n^3) rather than n^2 traces of O(n^2) each.
     """
-    traces = _basis_traces(order.table)
+    traces = [sum(tk[j][j] for j in range(len(tk))) for tk in order.table]
     form = [
         [sum(map(operator.mul, tij, traces)) for tij in ti] for ti in order.table
     ]
@@ -451,13 +428,6 @@ def _lowest_terms(rows, d):
     return [[c // g for c in row] for row in rows], d // g
 
 
-def _over_common_denominator(rows):
-    """Rational rows as (integer rows, d), d the least common denominator."""
-    rows = [[Fraction(c) for c in row] for row in rows]
-    d = lcm(*(c.denominator for row in rows for c in row))
-    return [[int(c * d) for c in row] for row in rows], d
-
-
 def _rational_rows(rows, d):
     """(integer rows, d) as exact rational rows, the form of ``basis_in_parent``."""
     return tuple(tuple(Fraction(c, d) for c in row) for row in rows)
@@ -468,19 +438,6 @@ def _identity_rows(n):
 
 
 # -- orders on rational lattices ----------------------------------------------
-
-def order_from_rational_basis(order, rows, labels=None):
-    """Build the order spanned by rational combinations of an existing basis.
-
-    `rows` are coordinate vectors in `order`; the span must be a subring
-    containing 1 (checked: the rebuilt multiplication table must be
-    integral and pass the usual construction checks).  The result
-    carries the canonical triangular basis in ``basis_in_parent``.
-    """
-    basis, d = _lattice(*_over_common_denominator(rows))
-    table = _table_on_lattice(order.table, basis, d)
-    return _order_on_lattice(order.labels, basis, d, table, labels)
-
 
 def _table_on_lattice(table, basis, d):
     """Multiplication table of the lattice basis/d of a ring, from triangular solves."""
@@ -497,11 +454,11 @@ def _table_on_lattice(table, basis, d):
     return out
 
 
-def _order_on_lattice(parent_labels, basis, d, table, labels=None):
+def _order_on_lattice(parent_labels, basis, d, table):
     """The Order with multiplication table `table` on the lattice basis/d of a parent."""
     return Order(
         table,
-        labels=labels or _enlarged_labels(parent_labels, basis, d),
+        labels=_enlarged_labels(parent_labels, basis, d),
         basis_in_parent=_rational_rows(basis, d),
     )
 
@@ -706,7 +663,7 @@ def _dedekind_lattice(f, modulus, verdict, basis, d):
     return basis, d, m
 
 
-def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, labels=None):
+def maximal_order(f, bound=DEFAULT_TRIAL_BOUND):
     """Maximal order of Q[t]/(f) and its discriminant (the fundamental number).
 
     At every prime q whose square divides disc(f), Dedekind's criterion
@@ -724,10 +681,10 @@ def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, labels=None):
     if not f.is_monic():
         raise ValueError("maximal order requires a monic polynomial")
     _rational_root_screen(f)
-    return _maximal_order(f, bound, labels, {})
+    return _maximal_order(f, bound, {})
 
 
-def _maximal_order(f, bound, labels, verdicts):
+def _maximal_order(f, bound, verdicts):
     """``maximal_order`` of a monic f that has passed the rational-root screen.
 
     `verdicts` maps primes to Dedekind verdicts on f a caller already
@@ -738,7 +695,6 @@ def _maximal_order(f, bound, labels, verdicts):
     if disc == 0:
         raise ValueError("polynomial has a repeated root (discriminant 0)")
     factors = trial_factor(disc, bound)
-    labels = _basis_labels(labels, f.degree)
     table = _power_table(f)
     basis, d, current = _identity_rows(f.degree), 1, table
     for q in sorted(factors):
@@ -756,7 +712,7 @@ def _maximal_order(f, bound, labels, verdicts):
             basis, d, current = _p_maximal_lattice(
                 table, q, basis, d, current, factors[q] - 2 * m
             )
-    order = _order_on_lattice(labels, basis, d, current)
+    order = _order_on_lattice(_basis_labels(None, f.degree), basis, d, current)
     return order, order_discriminant(order)
 
 

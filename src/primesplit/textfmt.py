@@ -1,32 +1,19 @@
 """Shared text format for univariate polynomials.
 
-Polynomials are written as sums of terms like ``t^3 - t^2 - 2*t - 8``.
-The ``*`` between a coefficient and the variable is optional on input
-("2t" and "2*t" both parse), whitespace is ignored, and the variable
-letter is configurable.  ``parse_poly`` and ``format_poly`` round-trip
+Polynomials in the variable t are written as sums of terms like
+``t^3 - t^2 - 2*t - 8``.  The ``*`` between a coefficient and the
+variable is optional on input ("2t" and "2*t" both parse) and
+whitespace is ignored.  ``parse_poly`` and ``format_poly`` round-trip
 exactly on canonical coefficient sequences.
 """
 
 import re
 
-DEFAULT_VAR = "t"
-
-_TERM_RE_CACHE = {}
-
-
-def _term_re(var):
-    try:
-        return _TERM_RE_CACHE[var]
-    except KeyError:
-        # sign, optional coefficient, optional variable with optional exponent
-        pat = re.compile(
-            r"([+-]?)(\d+)?(?:\*?(%s)(?:\^(\d+))?)?" % re.escape(var)
-        )
-        _TERM_RE_CACHE[var] = pat
-        return pat
+# sign, optional coefficient, optional variable with optional exponent
+_TERM_RE = re.compile(r"([+-]?)(\d+)?(?:\*?(t)(?:\^(\d+))?)?")
 
 
-def parse_poly(text, var=DEFAULT_VAR):
+def parse_poly(text):
     """Parse polynomial text into an ascending coefficient list.
 
     Returns a list of ints [a0, a1, ...] with no trailing zeros
@@ -37,10 +24,9 @@ def parse_poly(text, var=DEFAULT_VAR):
         raise ValueError("empty polynomial text")
     coeffs = {}
     pos = 0
-    pat = _term_re(var)
     first = True
     while pos < len(s):
-        m = pat.match(s, pos)
+        m = _TERM_RE.match(s, pos)
         if m is None or m.end() == pos:
             raise ValueError("cannot parse polynomial at %r" % s[pos:])
         sign, digits, v, exp = m.groups()
@@ -69,7 +55,7 @@ def parse_poly(text, var=DEFAULT_VAR):
     return out
 
 
-def format_poly(coeffs, var=DEFAULT_VAR):
+def format_poly(coeffs):
     """Render an ascending coefficient sequence as text, highest degree first."""
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -85,7 +71,7 @@ def format_poly(coeffs, var=DEFAULT_VAR):
         if e == 0:
             body = str(mag)
         else:
-            x = var if e == 1 else "%s^%d" % (var, e)
+            x = "t" if e == 1 else "t^%d" % e
             body = x if mag == 1 else "%d*%s" % (mag, x)
         if not parts:
             parts.append("-" + body if c < 0 else body)

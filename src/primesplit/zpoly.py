@@ -16,7 +16,7 @@ from math import gcd
 
 from .fppoly import FpPoly, as_modulus, binary_power, fp_gcd
 from .integers import is_prime
-from .textfmt import DEFAULT_VAR, format_poly, parse_poly
+from .textfmt import format_poly, parse_poly
 
 # integer_roots takes the squarefree part of f, a gcd over Z, only when
 # f mod q has a repeated factor at every prime q up to this one
@@ -35,8 +35,8 @@ class ZPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def from_text(cls, text, var=DEFAULT_VAR):
-        return cls(parse_poly(text, var))
+    def from_text(cls, text):
+        return cls(parse_poly(text))
 
     @property
     def degree(self):

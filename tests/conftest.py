@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from primesplit.fppoly import (
     FpPoly,
@@ -18,9 +19,7 @@ from primesplit.ideals import (
     LatticeIdeal,
     hnf,
     ideal_from_generators,
-    ideal_power,
     ideal_product,
-    ideal_valuation,
     whole_order,
 )
 from primesplit.indexform import MultiPoly, parse_multipoly_vars
@@ -34,7 +33,6 @@ from primesplit.orders import (
     _left_kernel_mod_p,
     _lowest_terms,
     _multipliers_mod_p,
-    _over_common_denominator,
     _radical_mod_p,
     _rational_rows,
     _table_on_lattice,
@@ -348,7 +346,8 @@ def leftmost_pivot_hnf(rows):
 
 def canonical_rows(rows):
     """Canonical triangular basis of the lattice of rational rows, as Fraction rows."""
-    return _rational_rows(*_lattice(*_over_common_denominator(rows)))
+    d = lcm(*(Fraction(c).denominator for row in rows for c in row))
+    return _rational_rows(*_lattice([[int(c * d) for c in row] for row in rows], d))
 
 
 def always_scan_maximal_order(f, bound=10**6):
@@ -368,52 +367,6 @@ def always_scan_maximal_order(f, bound=10**6):
             for row in order.basis_in_parent
         ]
     return canonical_rows(emb), order_discriminant(order)
-
-
-def scan_is_maximal(order, ideal, p):
-    """Oracle: order/ideal is a field, by a determinant mod p for each of the p^f residues."""
-    n = order.n
-    diag = [ideal.rows[i][i] for i in range(n)]
-    free = [i for i in range(n) if diag[i] != 1]
-    if not free:
-        return False  # the whole order
-    if any(d != p for d in diag if d != 1):
-        return False  # norm not p^f, cannot be maximal above p
-    f = len(free)
-    for combo in itertools.product(range(p), repeat=f):
-        if not any(combo):
-            continue
-        x = [0] * n
-        for pos, i in enumerate(free):
-            x[i] = combo[pos]
-        # multiplication-by-x map on the f-dimensional quotient
-        mat = []
-        for i in free:
-            prod = _lattice_divmod(ideal.rows, order.vec_mul(x, _unit(n, i)))[1]
-            mat.append([prod[j] % p for j in free])
-        if _det_mod_p(mat, p) == 0:
-            return False
-    return True
-
-
-def _det_mod_p(mat, p):
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        inv = pow(m[col][col], -1, p)
-        det = det * m[col][col] % p
-        for r in range(col + 1, n):
-            f = m[r][col] * inv % p
-            if f:
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-    return det % p
 
 
 # primes whose factorization patterns of f screen out reducible f
@@ -664,8 +617,9 @@ def enumerate_primes_above(order, p):
     forms over GF(p) (all subspaces of GF(p)^n, so p^n must be small),
     keeps those closed under ring multiplication, picks the maximal
     proper ones, reads each residue degree f from the norm p^f, and
-    finds each exponent e by valuation against p*order.  The order must
-    be p-maximal; results are sorted by basis matrix.
+    finds each exponent e as the largest with P^e containing p*order,
+    by products.  The order must be p-maximal; results are sorted by
+    basis matrix.
     """
     n = order.n
     radical = _radical_mod_p(_frobenius_mod_p(order.table, p), p)
@@ -698,9 +652,9 @@ def enumerate_primes_above(order, p):
     for ideal in maximal:
         q, f = prime_power(ideal.norm())
         assert q == p
-        e = ideal_valuation(p_ideal, ideal)
+        e, power = _valuation_power(p_ideal, ideal)
         out.append((ideal, e, f))
-        total = ideal_product(total, ideal_power(ideal, e))
+        total = ideal_product(total, power)
     if total != p_ideal:
         raise AssertionError("prime power product does not reconstruct p*order")
     if sum(e * f for _, e, f in out) != n:

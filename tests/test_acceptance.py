@@ -34,7 +34,6 @@ from primesplit.ideals import (
     LatticeIdeal,
     crt_good_generator,
     factor_p_in_order,
-    ideal_norm,
     ideal_product,
     principal_ideal,
     whole_order,
@@ -86,7 +85,7 @@ def test_criterion_3_three_primes_above_2():
         ]
     )
     assert got == expected
-    assert all(ideal_norm(ide) == 2 for ide, _, _ in result)
+    assert all(ide.norm() == 2 for ide, _, _ in result)
     assert all((e, f) == (1, 1) for _, e, f in result)
     product = whole_order(order)
     for ide, e, _ in result:
@@ -222,7 +221,7 @@ def test_criterion_9c_norm_multiplicativity():
             ix, iy = principal_ideal(order, x), principal_ideal(order, y)
         except ValueError:
             continue
-        assert ideal_norm(ideal_product(ix, iy)) == ideal_norm(ix) * ideal_norm(iy)
+        assert ideal_product(ix, iy).norm() == ix.norm() * iy.norm()
         done += 1
     _report("9c", "norm multiplicativity on 200 random principal pairs")
 

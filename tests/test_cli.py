@@ -320,6 +320,12 @@ class TestPaperExamples:
         assert "FAIL cubic_cofactor_m" in out
         assert "expected" in out and "computed" in out
 
+    def test_fault_injection_unknown_id_is_a_usage_error(self):
+        status, out, err = run_cli("paper-examples", "--inject-fault", "no_such_check")
+        assert status == 2
+        assert out == ""
+        assert "'no_such_check'" in err
+
     def test_matches_golden_report(self):
         golden = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

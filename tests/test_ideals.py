@@ -11,7 +11,6 @@ from conftest import (
     random_irreducible_cubic,
     random_irreducible_quartic,
     random_power_basis_orders,
-    scan_is_maximal,
     seeded_maximal_orders,
 )
 from primesplit import fixtures, ideals
@@ -21,22 +20,17 @@ from primesplit.criteria import (
     assign_prime_functions,
     factor_prime_via_polynomial,
 )
-from primesplit.fppoly import FpPoly, PrimeModulus
+from primesplit.fppoly import FpPoly, PrimeModulus, binary_power
 from primesplit.ideals import (
     LatticeIdeal,
     _crt_pair,
-    _is_maximal,
     bracket_str,
     crt_good_generator,
     factor_p_in_order,
     hnf,
     ideal_from_generators,
-    ideal_norm,
-    ideal_power,
     ideal_product,
-    ideal_valuation,
     principal_ideal,
-    two_element_ideal,
     whole_order,
 )
 from primesplit.orders import (
@@ -200,33 +194,14 @@ class TestLatticeIdealInvariants:
         assert bracket_str(IDEAL_B) == "[2, 1+a, b]"
 
 
-class TestTwoElementIdeal:
-    def test_cubic_p2_t(self):
-        ideal = two_element_ideal(
-            MAX_CUBIC, 2, ZPoly((0, 1)), MAX_CUBIC.element((0, 1, 0))
-        )
-        assert ideal.rows == ((2, 0, 0), (0, 1, 0), (0, 0, 2))  # = ca
-
-    def test_sqrt2_p7(self):
-        ideal = two_element_ideal(
-            SQRT2, 7, ZPoly((-3, 1)), SQRT2.element((0, 1))
-        )
-        assert ideal.rows == ((7, 0), (4, 1))
-        assert ideal_norm(ideal) == 7
-        assert ideal.contains_element(SQRT2.element((-3, 1)))
-
-    def test_unit_generator(self):
-        ideal = two_element_ideal(
-            MAX_CUBIC, 5, ZPoly((1,)), MAX_CUBIC.element((0, 1, 0))
-        )
-        assert ideal == whole_order(MAX_CUBIC)
-
-
 class TestIdealProduct:
     def test_six_products(self):
         named = {"a": IDEAL_A, "b": IDEAL_B, "c": IDEAL_C}
         for (x, y), rows in fixtures.CUBIC_SIX_PRODUCTS.items():
             assert ideal_product(named[x], named[y]).rows == rows
+        # ca is also the ideal generated by 2 and alpha
+        two_alpha = ideal_from_generators(MAX_CUBIC, [(2, 0, 0), (0, 1, 0)])
+        assert two_alpha.rows == fixtures.CUBIC_SIX_PRODUCTS["c", "a"]
 
     def test_abc_is_2(self):
         abc = ideal_product(ideal_product(IDEAL_A, IDEAL_B), IDEAL_C)
@@ -244,17 +219,17 @@ class TestIdealProduct:
         right = ideal_product(IDEAL_A, ideal_product(IDEAL_B, IDEAL_C))
         assert left == right
 
-    def test_first_power_makes_no_product(self, monkeypatch):
+    def test_first_power_makes_no_product(self):
         calls = []
 
         def counting(a, b):
             calls.append(1)
             return ideal_product(a, b)
 
-        monkeypatch.setattr(ideals, "ideal_product", counting)
-        assert ideal_power(IDEAL_A, 1) == IDEAL_A
+        one = whole_order(MAX_CUBIC)
+        assert binary_power(IDEAL_A, 1, counting, one) == IDEAL_A
         assert calls == []
-        assert ideal_power(IDEAL_A, 2) == ideal_product(IDEAL_A, IDEAL_A)
+        assert binary_power(IDEAL_A, 2, counting, one) == ideal_product(IDEAL_A, IDEAL_A)
         assert len(calls) == 1
 
     def test_order_mismatch(self):
@@ -264,19 +239,19 @@ class TestIdealProduct:
 
 class TestIdealNorm:
     def test_primes(self):
-        assert ideal_norm(IDEAL_A) == ideal_norm(IDEAL_B) == ideal_norm(IDEAL_C) == 2
+        assert IDEAL_A.norm() == IDEAL_B.norm() == IDEAL_C.norm() == 2
 
     def test_principal_2(self):
         two = principal_ideal(MAX_CUBIC, MAX_CUBIC.element((2, 0, 0)))
-        assert ideal_norm(two) == 8
+        assert two.norm() == 8
 
     def test_whole_order(self):
-        assert ideal_norm(whole_order(MAX_CUBIC)) == 1
+        assert whole_order(MAX_CUBIC).norm() == 1
 
     def test_multiplicative_on_fixture_set(self):
         ideals = [IDEAL_A, IDEAL_B, IDEAL_C]
         for x, y in itertools.product(ideals, repeat=2):
-            assert ideal_norm(ideal_product(x, y)) == ideal_norm(x) * ideal_norm(y)
+            assert ideal_product(x, y).norm() == x.norm() * y.norm()
 
     def test_multiplicative_random(self):
         rng = random.Random(71)
@@ -290,7 +265,7 @@ class TestIdealNorm:
                 iy = principal_ideal(order, y)
             except ValueError:
                 continue  # zero divisors of the zero element
-            assert ideal_norm(ideal_product(ix, iy)) == ideal_norm(ix) * ideal_norm(iy)
+            assert ideal_product(ix, iy).norm() == ix.norm() * iy.norm()
             done += 1
 
 
@@ -336,7 +311,7 @@ class TestFactorPInOrder:
         assert sorted((e, f) for _, e, f in result) == [(1, 1), (2, 1)]
 
     def test_requires_p_maximal(self):
-        power = fixtures.cubic_power_order()
+        power = order_from_polynomial(fixtures.cubic_poly())
         with pytest.raises(ValueError):
             factor_p_in_order(power, 2)
 
@@ -421,29 +396,24 @@ class TestFactorPInOrder:
         cases = [(MAX_CUBIC, 2, 3), (MAX_CUBIC, 503, 2), (SQRT2, 5, 1)]
         cases.append((maximal_order(ZPoly.from_text("t^9 - 54"))[0], 3, None))
         for order, p, g in cases:
-            products, checks = [], []
+            products = []
 
             def recording_product(a, b):
                 products.append((a, b))
                 return ideal_product(a, b)
 
-            def recording_check(*args):
-                checks.append(args)
-                return _is_maximal(*args)
-
             monkeypatch.setattr(ideals, "ideal_product", recording_product)
-            monkeypatch.setattr(ideals, "_is_maximal", recording_check)
             result = factor_p_in_order(order, p)
             monkeypatch.undo()
             assert g is None or len(result) == g
             assert len(products) == len(result) - 1, (order.n, p)
-            assert checks == []
 
     def test_high_degree_time_bound(self):
         order, _ = maximal_order(ZPoly.from_text("t^32 - 54"))
-        start = time.perf_counter()
+        # CPU time of this process, so other processes' load does not count
+        start = time.process_time()
         result = factor_p_in_order(order, 3)
-        assert time.perf_counter() - start < 0.25
+        assert time.process_time() - start < 0.25
         assert sum(e * f for _, e, f in result) == 32
 
     def test_large_index_divisors_time_bound(self):
@@ -468,65 +438,16 @@ class TestFactorPInOrder:
         assert sorted((f, e) for _, e, f in result) == sorted(shape.parts)
 
 
-class TestIdealValuation:
-    def test_alpha_at_a(self):
-        assert ideal_valuation(
-            principal_ideal(MAX_CUBIC, MAX_CUBIC.element((0, 1, 0))), IDEAL_A
-        ) == 2
-
-    def test_alpha_at_b(self):
-        assert ideal_valuation(
-            principal_ideal(MAX_CUBIC, MAX_CUBIC.element((0, 1, 0))), IDEAL_B
-        ) == 0
-
-    def test_whole_order_everywhere_zero(self):
-        for prime in (IDEAL_A, IDEAL_B, IDEAL_C):
-            assert ideal_valuation(whole_order(MAX_CUBIC), prime) == 0
-
-    def test_rejects_non_maximal(self):
-        four = principal_ideal(MAX_CUBIC, MAX_CUBIC.element((4, 0, 0)))
-        with pytest.raises(ValueError):
-            ideal_valuation(IDEAL_A, four)
-        with pytest.raises(ValueError):
-            ideal_valuation(IDEAL_A, whole_order(MAX_CUBIC))
-
-    def test_ten_table_valuations(self):
-        named = {"a": IDEAL_A, "b": IDEAL_B, "c": IDEAL_C}
-        for word, _, mu in fixtures.CUBIC_TEN_PRINCIPAL:
-            principal = principal_ideal(MAX_CUBIC, MAX_CUBIC.element(mu))
-            for letter, prime in named.items():
-                assert ideal_valuation(principal, prime) == word.count(letter)
-
-
-class TestIsMaximal:
-    def test_matches_residue_scan_oracle(self):
-        rng = random.Random(107)
-        orders_ = []
-        for rank in (2, 3, 4):
-            orders_ += random_power_basis_orders(rng, rank, 12, bound=9)
-        orders_ += [cubic_family(2, 2, 1, -1)[0], cubic_family(1, 3, -2, 5)[0]]
-        verdicts = []
-        for _ in range(300):
-            order = rng.choice(orders_)
-            p = rng.choice([2, 3, 5])
-            gens = [order.identity() * p]
-            for _ in range(rng.choice([1, 2])):
-                gens.append(order.element([rng.randrange(p) for _ in range(order.n)]))
-            ideal = ideal_from_generators(order, gens)
-            verdict = _is_maximal(order, ideal, p)
-            assert verdict == scan_is_maximal(order, ideal, p)
-            verdicts.append(verdict)
-        assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
-
-
 class TestContainmentIsDivisibility:
     def test_divisor_lattice_of_8(self):
         named = {"a": IDEAL_A, "b": IDEAL_B, "c": IDEAL_C}
+        one = whole_order(MAX_CUBIC)
         ideals = {}
         for i, j, k in itertools.product(range(4), repeat=3):
-            ide = whole_order(MAX_CUBIC)
+            ide = one
             for letter, count in (("a", i), ("b", j), ("c", k)):
-                ide = ideal_product(ide, ideal_power(named[letter], count))
+                power = binary_power(named[letter], count, ideal_product, one)
+                ide = ideal_product(ide, power)
             ideals[(i, j, k)] = ide
         for e1, i1 in ideals.items():
             for e2, i2 in ideals.items():

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import provably_irreducible
 from primesplit.criteria import factor_prime_via_polynomial, index_divisible
+from primesplit.fppoly import binary_power
 from primesplit.ideals import (
     factor_p_in_order,
     ideal_from_generators,
-    ideal_power,
     ideal_product,
+    whole_order,
 )
 from primesplit.orders import maximal_order, order_discriminant
 from primesplit.zpoly import ZPoly, bareiss_determinant, discriminant
@@ -49,9 +50,10 @@ class TestCrossRoute:
 
         primes = factor_p_in_order(order, p)
         assert sum(e * fx for _, e, fx in primes) == n
-        product = ideal_from_generators(order, [order.identity()])
+        one = whole_order(order)
+        product = one
         for ideal, e, _ in primes:
-            product = ideal_product(product, ideal_power(ideal, e))
+            product = ideal_product(product, binary_power(ideal, e, ideal_product, one))
         assert product == ideal_from_generators(order, [order.identity() * p])
 
         if not index_divisible(f, p).divisible:
