@@ -7,7 +7,11 @@ fixture suite and exits nonzero on any mismatch.
 
 Output is plain ASCII (basis labels a, b, ... stand in for Greek
 letters) and deterministic, so reports are usable as golden files.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 refused input.  The
+shell repeats none of the library's input checks: every ValueError is
+printed as ``error: <message>`` on stderr with exit 2, the message
+being the library's own or, for an argument that does not parse, a
+``bad polynomial/prime/shape`` one.
 """
 
 import argparse
@@ -47,10 +51,6 @@ from .orders import (
     order_from_polynomial,
 )
 from .zpoly import ZPoly, discriminant, reduce_mod
-
-
-class UsageError(ValueError):
-    pass
 
 
 @dataclass
@@ -99,14 +99,14 @@ def _parse_poly_arg(text):
     try:
         return ZPoly.from_text(text)
     except ValueError as exc:
-        raise UsageError("bad polynomial %r: %s" % (text, exc))
+        raise ValueError("bad polynomial %r: %s" % (text, exc))
 
 
 def _parse_prime_arg(p):
     try:
-        return PrimeModulus(int(p))
-    except (TypeError, ValueError) as exc:
-        raise UsageError("bad prime %r: %s" % (p, exc))
+        return PrimeModulus(p)
+    except ValueError as exc:
+        raise ValueError("bad prime %r: %s" % (p, exc))
 
 
 def _parse_shape_arg(modulus, text):
@@ -117,14 +117,20 @@ def _parse_shape_arg(modulus, text):
             parts.append((int(f), int(e)))
         return SplittingShape(modulus, parts)
     except ValueError as exc:
-        raise UsageError("bad shape %r (want f:e,f:e,...): %s" % (text, exc))
+        raise ValueError("bad shape %r (want f:e,f:e,...): %s" % (text, exc))
+
+
+def _with_supply(results, modulus, shape):
+    """results with the common-index-divisor verdict for shape and its supply report."""
+    divisor, report = common_index_divisor(modulus, shape)
+    results["common_index_divisor"] = divisor
+    results["supply"] = report
+    return results
 
 
 def cmd_factor_mod_p(args):
     f = _parse_poly_arg(args.poly)
     modulus = _parse_prime_arg(args.p)
-    if not f.is_monic():
-        raise UsageError("polynomial must be monic")
     factors, m = factorization_with_cofactor(f, modulus, seed=args.seed)
     results = {
         "poly_mod_p": str(reduce_mod(f, modulus)),
@@ -136,22 +142,13 @@ def cmd_factor_mod_p(args):
 
 def cmd_discriminant(args):
     f = _parse_poly_arg(args.poly)
-    if not f.is_monic():
-        raise UsageError("polynomial must be monic")
-    try:
-        disc = discriminant(f)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return RunReport("discriminant", {"poly": str(f)}, {"discriminant": disc})
+    return RunReport("discriminant", {"poly": str(f)}, {"discriminant": discriminant(f)})
 
 
 def cmd_dedekind_criterion(args):
     f = _parse_poly_arg(args.poly)
     modulus = _parse_prime_arg(args.p)
-    try:
-        verdict = index_divisible(f, modulus, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    verdict = index_divisible(f, modulus, seed=args.seed)
     results = {"p": modulus.p}
     results.update(verdict.to_json_dict())
     results["cofactor_m"] = str(verdict.cofactor)
@@ -163,59 +160,44 @@ def cmd_dedekind_criterion(args):
 def cmd_split_prime(args):
     f = _parse_poly_arg(args.poly)
     modulus = _parse_prime_arg(args.p)
-    if not f.is_monic():
-        raise UsageError("polynomial must be monic")
     inputs = {"poly": str(f), "p": modulus.p}
     try:
         shape, symbols = factor_prime_via_polynomial(f, modulus, seed=args.seed)
     except IndexDivisorError as exc:
         verdict = exc.verdict
-    except ValueError as exc:
-        raise UsageError(str(exc))
     else:
         results = shape.to_json_dict()
         results["index_divisible"] = False
         results["generators"] = [s.to_json_dict() for s in symbols]
         return RunReport("split-prime", inputs, results)
 
-    try:
-        # f passed the rational-root screen, and its verdict at p holds the
-        # factors of f mod p and the cofactor, so neither is computed again
-        order, fundamental = _maximal_order(f, args.bound, {modulus.p: verdict})
-        primes = factor_p_in_order(order, modulus)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    # f passed the rational-root screen, and its verdict at p holds the
+    # factors of f mod p and the cofactor, so neither is computed again
+    order, fundamental = _maximal_order(f, args.bound, {modulus.p: verdict})
+    primes = factor_p_in_order(order, modulus)
     shape = SplittingShape(modulus, [(fx, e) for _, e, fx in primes])
-    divisor, report = common_index_divisor(modulus, shape)
     results = shape.to_json_dict()
     results["index_divisible"] = True
     results["fundamental_number"] = fundamental
     results["ideals"] = [
         {"basis": bracket_str(ide), "e": e, "f": fx} for ide, e, fx in primes
     ]
-    results["common_index_divisor"] = divisor
-    results["supply"] = report
-    return RunReport("split-prime", inputs, results)
+    return RunReport("split-prime", inputs, _with_supply(results, modulus, shape))
 
 
 def cmd_common_index_divisor(args):
     modulus = _parse_prime_arg(args.p)
     shape = _parse_shape_arg(modulus, args.shape)
-    divisor, report = common_index_divisor(modulus, shape)
-    results = shape.to_json_dict()
-    results["common_index_divisor"] = divisor
-    results["supply"] = report
     return RunReport(
-        "common-index-divisor", {"p": modulus.p, "shape": args.shape}, results
+        "common-index-divisor",
+        {"p": modulus.p, "shape": args.shape},
+        _with_supply(shape.to_json_dict(), modulus, shape),
     )
 
 
 def cmd_maximal_order(args):
     f = _parse_poly_arg(args.poly)
-    try:
-        order, fundamental = maximal_order(f, bound=args.bound)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    order, fundamental = maximal_order(f, bound=args.bound)
     basis = [
         "[%s]" % ", ".join(str(c) for c in row)
         for row in order.basis_in_parent
@@ -233,17 +215,15 @@ def cmd_maximal_order(args):
 
 def cmd_index_form(args):
     f = _parse_poly_arg(args.poly)
-    try:
-        if args.maximal:
-            order, _ = maximal_order(f, bound=args.bound)
-        else:
-            order = order_from_polynomial(f)
-        form = index_form(order)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    # the divisor is refused before the form, which costs far more, is built
+    modulus = None if args.divisor is None else _parse_prime_arg(args.divisor)
+    if args.maximal:
+        order, _ = maximal_order(f, bound=args.bound)
+    else:
+        order = order_from_polynomial(f)
+    form = index_form(order)
     results = {"index_form": format_multipoly(form)}
-    if args.divisor is not None:
-        modulus = _parse_prime_arg(args.divisor)
+    if modulus is not None:
         results["common_value_divisor"] = {
             "p": modulus.p,
             "divides_all_values": common_value_divisor(form, modulus),
@@ -257,59 +237,39 @@ def cmd_index_form(args):
 
 # -- fixture replay ----------------------------------------------------------
 
-def _paper_checks(fault=None):
+def _paper_checks():
     """Yield (check id, computed, expected) triples for the replay suite."""
-
-    def expected_for(check_id, value):
-        if fault == check_id:
-            return "INJECTED-FAULT"
-        return value
-
     f = fixtures.cubic_poly()
     m2 = PrimeModulus(2)
-    yield "cubic_discriminant", discriminant(f), expected_for(
-        "cubic_discriminant", fixtures.CUBIC_DISC
-    )
-    yield "cubic_discriminant_split", fixtures.CUBIC_DISC, expected_for(
-        "cubic_discriminant_split", -(2**2) * 503
-    )
+    yield "cubic_discriminant", discriminant(f), fixtures.CUBIC_DISC
+    yield "cubic_discriminant_split", fixtures.CUBIC_DISC, -(2**2) * 503
 
     factors, m = factorization_with_cofactor(f, m2)
-    yield "cubic_factorization_mod_2", [(str(g), e) for g, e in factors], expected_for(
-        "cubic_factorization_mod_2", [("t", 2), ("t + 1", 1)]
-    )
-    yield "cubic_cofactor_m", str(m), expected_for("cubic_cofactor_m", "t + 4")
+    yield "cubic_factorization_mod_2", [(str(g), e) for g, e in factors], [
+        ("t", 2), ("t + 1", 1)
+    ]
+    yield "cubic_cofactor_m", str(m), "t + 4"
     verdict = index_divisible(f, m2)
     yield "cubic_index_divisible", (
         verdict.divisible,
         str(verdict.witness[0]),
         verdict.witness[1],
-    ), expected_for("cubic_index_divisible", (True, "t", 2))
+    ), (True, "t", 2)
 
     order = fixtures.maximal_cubic_order()
     alpha = order.element((0, 1, 0))
     beta = order.element((0, 0, 1))
-    yield "fundamental_number", order_discriminant(order), expected_for(
-        "fundamental_number", fixtures.CUBIC_FUNDAMENTAL
-    )
-    computed_max, computed_d = maximal_order(f)
-    yield "maximal_order_discriminant", computed_d, expected_for(
-        "maximal_order_discriminant", fixtures.CUBIC_FUNDAMENTAL
-    )
-    yield "index_of_alpha", element_index(order, alpha), expected_for(
-        "index_of_alpha", 2
-    )
-    yield "beta_charpoly", str(char_poly(beta)), expected_for(
-        "beta_charpoly", "t^3 + t^2 + 2*t - 8"
-    )
+    yield "fundamental_number", order_discriminant(order), fixtures.CUBIC_FUNDAMENTAL
+    _, computed_d = maximal_order(f)
+    yield "maximal_order_discriminant", computed_d, fixtures.CUBIC_FUNDAMENTAL
+    yield "index_of_alpha", element_index(order, alpha), 2
+    yield "beta_charpoly", str(char_poly(beta)), "t^3 + t^2 + 2*t - 8"
 
     primes = factor_p_in_order(order, m2)
-    yield "primes_above_2", sorted(ide.rows for ide, _, _ in primes), expected_for(
-        "primes_above_2", sorted(fixtures.CUBIC_PRIMES_ABOVE_2.values())
+    yield "primes_above_2", sorted(ide.rows for ide, _, _ in primes), sorted(
+        fixtures.CUBIC_PRIMES_ABOVE_2.values()
     )
-    yield "primes_above_2_shape", sorted(
-        (fx, e) for _, e, fx in primes
-    ), expected_for("primes_above_2_shape", [(1, 1), (1, 1), (1, 1)])
+    yield "primes_above_2_shape", sorted((fx, e) for _, e, fx in primes), [(1, 1)] * 3
 
     named = {
         name: LatticeIdeal(order, rows)
@@ -317,19 +277,14 @@ def _paper_checks(fault=None):
     }
     for pair, rows in sorted(fixtures.CUBIC_SIX_PRODUCTS.items()):
         prod = ideal_product(named[pair[0]], named[pair[1]])
-        yield "product_%s%s" % pair, prod.rows, expected_for(
-            "product_%s%s" % pair, rows
-        )
+        yield "product_%s%s" % pair, prod.rows, rows
 
     for word, rows, mu in fixtures.CUBIC_TEN_PRINCIPAL:
         acc = whole_order(order)
         for letter in word:
             acc = ideal_product(acc, named[letter])
-        ok_rows = acc.rows
         principal = principal_ideal(order, order.element(mu))
-        yield "principal_%s" % word, (ok_rows, principal.rows), expected_for(
-            "principal_%s" % word, (rows, rows)
-        )
+        yield "principal_%s" % word, (acc.rows, principal.rows), (rows, rows)
 
     for text, lhs, rhs in fixtures.CUBIC_MU_RELATIONS:
         left = order.identity()
@@ -338,44 +293,31 @@ def _paper_checks(fault=None):
         right = order.identity()
         for coords in rhs:
             right = right * order.element(coords)
-        yield "relation %s" % text, left.coords, expected_for(
-            "relation %s" % text, right.coords
-        )
+        yield "relation %s" % text, left.coords, right.coords
 
     form = index_form(order)
     match = form.terms in (
         fixtures.CUBIC_INDEX_FORM_TERMS,
         {e: -c for e, c in fixtures.CUBIC_INDEX_FORM_TERMS.items()},
     )
-    yield "index_form_cubic", (match, format_multipoly(form)), expected_for(
-        "index_form_cubic", (True, format_multipoly(form))
-    )
-    yield "index_form_always_even", common_value_divisor(form, m2), expected_for(
-        "index_form_always_even", True
-    )
-    yield "index_form_not_div_3", common_value_divisor(
-        form, PrimeModulus(3)
-    ), expected_for("index_form_not_div_3", False)
+    form_text = format_multipoly(form)
+    yield "index_form_cubic", (match, form_text), (True, form_text)
+    yield "index_form_always_even", common_value_divisor(form, m2), True
+    yield "index_form_not_div_3", common_value_divisor(form, PrimeModulus(3)), False
 
     family_order, family_disc = cubic_family(2, 2, 1, -1)
-    yield "family_discriminant", family_disc, expected_for(
-        "family_discriminant", -503
-    )
+    yield "family_discriminant", family_disc, -503
     yield "family_alpha_minpoly", str(
         char_poly(family_order.element((0, 1, 0)))
-    ), expected_for("family_alpha_minpoly", str(f))
+    ), str(f)
 
     quartic = fixtures.quartic_poly()
     _, dq = maximal_order(quartic)
-    yield "quartic_fundamental_number", dq, expected_for(
-        "quartic_fundamental_number", fixtures.QUARTIC_FUNDAMENTAL
-    )
-    yield "quartic_fundamental_split", fixtures.QUARTIC_FUNDAMENTAL, expected_for(
-        "quartic_fundamental_split", 13**2 * 17
-    )
+    yield "quartic_fundamental_number", dq, fixtures.QUARTIC_FUNDAMENTAL
+    yield "quartic_fundamental_split", fixtures.QUARTIC_FUNDAMENTAL, 13**2 * 17
     yield "only_one_quadratic_mod_2", [
         str(g) for g in enumerate_monic_irreducibles(m2, 2)
-    ], expected_for("only_one_quadratic_mod_2", ["t^2 + t + 1"])
+    ], ["t^2 + t + 1"]
 
     sq = fixtures.sqrt2_order()
     m7 = PrimeModulus(7)
@@ -383,46 +325,38 @@ def _paper_checks(fault=None):
     theta = crt_good_generator(
         sq, m7, primes7, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))]
     )
-    yield "sqrt2_generator", theta.coords, expected_for(
-        "sqrt2_generator", fixtures.SQRT2_GENERATOR_COORDS
-    )
-    yield "sqrt2_generator_charpoly", str(char_poly(theta)), expected_for(
-        "sqrt2_generator_charpoly", fixtures.SQRT2_GENERATOR_CHARPOLY
-    )
-    yield "sqrt2_generator_index", element_index(sq, theta), expected_for(
-        "sqrt2_generator_index", fixtures.SQRT2_GENERATOR_INDEX
-    )
+    yield "sqrt2_generator", theta.coords, fixtures.SQRT2_GENERATOR_COORDS
+    yield "sqrt2_generator_charpoly", str(char_poly(theta)), fixtures.SQRT2_GENERATOR_CHARPOLY
+    yield "sqrt2_generator_index", element_index(sq, theta), fixtures.SQRT2_GENERATOR_INDEX
 
 
 def cmd_paper_examples(args):
     checks = []
-    failures = 0
-    for check_id, computed, expected in _paper_checks(fault=args.inject_fault):
-        ok = computed == expected
-        if not ok:
-            failures += 1
+    for check_id, computed, expected in _paper_checks():
+        if check_id == args.inject_fault:
+            expected = "INJECTED-FAULT"
         checks.append(
             {
                 "id": check_id,
-                "ok": ok,
+                "ok": computed == expected,
                 "computed": _jsonable(computed),
                 "expected": _jsonable(expected),
             }
         )
     if args.inject_fault not in {None, *(check["id"] for check in checks)}:
-        raise UsageError("--inject-fault: no check named %r" % args.inject_fault)
+        raise ValueError("--inject-fault: no check named %r" % args.inject_fault)
+    failures = sum(not check["ok"] for check in checks)
     results = {
         "checks": checks,
         "passed": len(checks) - failures,
         "failed": failures,
     }
-    report = RunReport(
+    return RunReport(
         "paper-examples",
         {"inject_fault": args.inject_fault},
         results,
         status=1 if failures else 0,
     )
-    return report
 
 
 def _jsonable(value):
@@ -541,7 +475,8 @@ def main(argv=None):
     with _int_digits_unlimited():
         try:
             report = args.func(args)
-        except UsageError as exc:
+        except ValueError as exc:
+            # every refusal, the library's or an argument parser's, ends here
             print("error: %s" % exc, file=sys.stderr)
             return 2
         if args.json:

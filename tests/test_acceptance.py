@@ -48,7 +48,7 @@ from primesplit.orders import (
     order_from_polynomial,
     p_enlarge,
 )
-from primesplit.zpoly import ZPoly, cofactor_m, discriminant, lift, reduce_mod
+from primesplit.zpoly import ZPoly, cofactor_m, discriminant, reduce_mod
 
 
 def _report(number, text):

@@ -8,8 +8,8 @@ import pytest
 
 import primesplit
 from conftest import cofactor_index_form, exhaustive_common_value_divisor
-from primesplit import criteria, orders
-from primesplit.cli import _int_digits_unlimited, main
+from primesplit import cli, criteria, orders
+from primesplit.cli import _int_digits_unlimited, _paper_checks, main
 from primesplit.indexform import format_multipoly
 from primesplit.orders import order_from_polynomial
 from primesplit.zpoly import ZPoly, discriminant
@@ -293,6 +293,15 @@ class TestIndexFormCommand:
             "divides_all_values": False,
         }
 
+    def test_divisor_refused_before_the_form_is_built(self, monkeypatch):
+        def no_form(order):
+            raise AssertionError("index_form ran before --divisor was checked")
+
+        monkeypatch.setattr(cli, "index_form", no_form)
+        status, out, err = run_cli("index-form", "t^6+t+1", "--divisor", "4")
+        assert status == 2
+        assert out == "" and err == "error: bad prime 4: modulus 4 is not prime\n"
+
     def test_unsupported_orders_are_usage_errors(self):
         for poly in ("t^7+1", "2t^3+1", "t+1"):
             status, out, err = run_cli("index-form", poly)
@@ -320,6 +329,17 @@ class TestPaperExamples:
         assert "FAIL cubic_cofactor_m" in out
         assert "expected" in out and "computed" in out
 
+    def test_injecting_each_id_fails_exactly_that_check(self):
+        ids = [check_id for check_id, _, _ in _paper_checks()]
+        assert len(ids) == 43 and len(set(ids)) == 43
+        for check_id in ids:
+            status, out, _ = run_cli("--json", "paper-examples", "--inject-fault", check_id)
+            assert status == 1, check_id
+            results = json.loads(out)["results"]
+            failed = [check["id"] for check in results["checks"] if not check["ok"]]
+            assert failed == [check_id]
+            assert results["failed"] == 1 and results["passed"] == 42
+
     def test_fault_injection_unknown_id_is_a_usage_error(self):
         status, out, err = run_cli("paper-examples", "--inject-fault", "no_such_check")
         assert status == 2
@@ -344,6 +364,27 @@ class TestPaperExamples:
         assert runs[0] == runs[1]
         text_runs = [run_cli("split-prime", "t^2-2", "7") for _ in range(2)]
         assert text_runs[0] == text_runs[1]
+
+
+# one input per subcommand that the library refuses, with its message
+REFUSALS = [
+    (["factor-mod-p", "2t^3+1", "7"], "expected a monic polynomial"),
+    (["discriminant", "2t^2+1"], "discriminant requires a monic polynomial"),
+    (["dedekind-criterion", "t^2-1", "3"], "polynomial is reducible (integer root 1)"),
+    (["split-prime", "2*t^2 + 1", "7"], "expected a monic polynomial"),
+    (["common-index-divisor", "2", "0:1"], "degrees and exponents must be positive"),
+    (["maximal-order", "t^2-2t+1"], "polynomial is reducible (integer root 1)"),
+    (["index-form", "t^7+1"], "index form is limited to rank <= 6"),
+    (["paper-examples", "--inject-fault", "no_such_check"], "no check named"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[argv[0] for argv, _ in REFUSALS])
+def test_every_subcommand_prints_the_library_refusal(argv, message):
+    status, out, err = run_cli(*argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 class TestEntryPoint:

@@ -219,19 +219,6 @@ class TestIdealProduct:
         right = ideal_product(IDEAL_A, ideal_product(IDEAL_B, IDEAL_C))
         assert left == right
 
-    def test_first_power_makes_no_product(self):
-        calls = []
-
-        def counting(a, b):
-            calls.append(1)
-            return ideal_product(a, b)
-
-        one = whole_order(MAX_CUBIC)
-        assert binary_power(IDEAL_A, 1, counting, one) == IDEAL_A
-        assert calls == []
-        assert binary_power(IDEAL_A, 2, counting, one) == ideal_product(IDEAL_A, IDEAL_A)
-        assert len(calls) == 1
-
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
             ideal_product(IDEAL_A, whole_order(SQRT2))

@@ -99,7 +99,11 @@ class TestLayering:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    for name, tree in _module_trees().items():
+    tests = {
+        "tests/" + path.name: ast.parse(path.read_text())
+        for path in pathlib.Path(__file__).parent.glob("*.py")
+    }
+    for name, tree in {**_module_trees(), **tests}.items():
         if name == "__init__":
             continue
         imported = {
