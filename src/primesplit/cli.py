@@ -110,14 +110,15 @@ def _parse_prime_arg(p):
 
 
 def _parse_shape_arg(modulus, text):
-    parts = []
+    bad = "bad shape %r (want f:e,f:e,...)" % text
     try:
-        for chunk in text.split(","):
-            f, e = chunk.split(":")
-            parts.append((int(f), int(e)))
+        parts = [(int(f), int(e)) for f, e in (c.split(":") for c in text.split(","))]
+    except ValueError:
+        raise ValueError(bad)
+    try:
         return SplittingShape(modulus, parts)
     except ValueError as exc:
-        raise ValueError("bad shape %r (want f:e,f:e,...): %s" % (text, exc))
+        raise ValueError("%s: %s" % (bad, exc))
 
 
 def _with_supply(results, modulus, shape):
@@ -131,7 +132,7 @@ def _with_supply(results, modulus, shape):
 def cmd_factor_mod_p(args):
     f = _parse_poly_arg(args.poly)
     modulus = _parse_prime_arg(args.p)
-    factors, m = factorization_with_cofactor(f, modulus, seed=args.seed)
+    factors, m = factorization_with_cofactor(f, modulus)
     results = {
         "poly_mod_p": str(reduce_mod(f, modulus)),
         "factors": [{"poly": str(g), "e": e} for g, e in factors],
@@ -148,7 +149,7 @@ def cmd_discriminant(args):
 def cmd_dedekind_criterion(args):
     f = _parse_poly_arg(args.poly)
     modulus = _parse_prime_arg(args.p)
-    verdict = index_divisible(f, modulus, seed=args.seed)
+    verdict = index_divisible(f, modulus)
     results = {"p": modulus.p}
     results.update(verdict.to_json_dict())
     results["cofactor_m"] = str(verdict.cofactor)
@@ -162,7 +163,7 @@ def cmd_split_prime(args):
     modulus = _parse_prime_arg(args.p)
     inputs = {"poly": str(f), "p": modulus.p}
     try:
-        shape, symbols = factor_prime_via_polynomial(f, modulus, seed=args.seed)
+        shape, symbols = factor_prime_via_polynomial(f, modulus)
     except IndexDivisorError as exc:
         verdict = exc.verdict
     else:
@@ -392,7 +393,6 @@ def build_parser():
         description="Exact prime-splitting computations in number-field orders.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized factor splitting")
     parser.add_argument(
         "--bound",
         type=int,

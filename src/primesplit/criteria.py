@@ -19,6 +19,9 @@ Three decision surfaces:
 * common_index_divisor / assign_prime_functions -- given the true
   splitting shape, p divides every index exactly when some residue
   degree needs more irreducible polynomials than exist over GF(p).
+
+F mod p is factored by ``fp_factor`` at its defaults; its factors come
+out in canonical order, so no result here depends on a random draw.
 """
 
 from .fppoly import (
@@ -158,7 +161,7 @@ def balanced_lift(g):
     return ZPoly(cs)
 
 
-def factorization_with_cofactor(f, modulus, seed=0):
+def factorization_with_cofactor(f, modulus):
     """Factor f mod p and the cofactor M with f = prod(lifts^e) - p*M.
 
     Returns (factors, M) where factors is the canonical fp_factor list
@@ -167,12 +170,12 @@ def factorization_with_cofactor(f, modulus, seed=0):
     modulus = as_modulus(modulus)
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
-    factors = fp_factor(reduce_mod(f, modulus), seed=seed)
+    factors = fp_factor(reduce_mod(f, modulus))
     lifts = [(balanced_lift(g), e) for g, e in factors]
     return factors, cofactor_m(f, modulus, lifts)
 
 
-def index_divisible(f, modulus, seed=0):
+def index_divisible(f, modulus):
     """Index-divisibility test for the root of monic irreducible f at p.
 
     True exactly when some irreducible P with P^2 dividing f mod p also
@@ -185,7 +188,7 @@ def index_divisible(f, modulus, seed=0):
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
     _rational_root_screen(f)
-    return _dedekind_verdict(modulus, *factorization_with_cofactor(f, modulus, seed=seed))
+    return _dedekind_verdict(modulus, *factorization_with_cofactor(f, modulus))
 
 
 def _dedekind_verdict(modulus, factors, m):
@@ -216,7 +219,7 @@ def _rational_root_screen(f):
         raise ValueError("polynomial is reducible (integer root %d)" % roots[0])
 
 
-def factor_prime_via_polynomial(f, modulus, seed=0):
+def factor_prime_via_polynomial(f, modulus):
     """Splitting of p read off from the factorization of f mod p.
 
     Valid only when p does not divide the index of the root of f;
@@ -225,7 +228,7 @@ def factor_prime_via_polynomial(f, modulus, seed=0):
     carry canonical [0, p) lifts of the irreducible factors.
     """
     modulus = as_modulus(modulus)
-    verdict = index_divisible(f, modulus, seed=seed)
+    verdict = index_divisible(f, modulus)
     if verdict.divisible:
         raise IndexDivisorError(verdict)
     factors = verdict.factors

@@ -2,11 +2,12 @@
 
 A modulus is a PrimeModulus: a prime below MAX_MODULUS = 2**31, the
 package's one modulus cap, as ``integers.is_prime`` decides.
-Polynomials are immutable: a modulus and an ascending tuple of
-coefficients in [0, p) with no trailing zero (empty tuple for the zero
-polynomial).  Everything here is a pure function, so values can be
-shared freely; the only randomized step (equal-degree splitting) draws
-from a caller-supplied seed.
+Polynomials are immutable.  DensePoly, the core ``zpoly.ZPoly`` shares,
+holds an ascending coefficient tuple with no trailing zero (empty for
+zero) and every operation that does not depend on the ring; FpPoly adds
+a modulus, coefficients in [0, p), and its own product and division.
+Everything here is a pure function; the only randomized step
+(equal-degree splitting) draws from the seed of ``fp_factor``.
 
 Products use Kronecker substitution (von zur Gathen-Gerhard, Modern
 Computer Algebra, ch. 8; Harvey, "Faster polynomial multiplication via
@@ -129,10 +130,68 @@ def as_modulus(modulus):
     return PrimeModulus(modulus)
 
 
-class FpPoly:
+class DensePoly:
+    """Dense univariate polynomial: the operations that do not depend on the ring.
+
+    A subclass supplies `_new(coeffs)`, the polynomial of its ring with
+    these coefficients, `_check(other)`, which refuses an operand from
+    another ring, and `*` and `divmod`, whose loops are ring arithmetic.
+    """
+
+    __slots__ = ("coeffs",)
+
+    @property
+    def degree(self):
+        """Degree, or None for the zero polynomial."""
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __add__(self, other):
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return self._new(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new([-c for c in self.coeffs])
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __pow__(self, e):
+        return binary_power(self, e, type(self).__mul__, self._new((1,)))
+
+    def derivative(self):
+        return self._new([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __str__(self):
+        return format_poly(self.coeffs)
+
+
+class FpPoly(DensePoly):
     """Dense univariate polynomial over GF(p), canonical reduced form."""
 
-    __slots__ = ("modulus", "coeffs")
+    __slots__ = ("modulus",)
 
     def __init__(self, modulus, coeffs):
         modulus = as_modulus(modulus)
@@ -147,25 +206,21 @@ class FpPoly:
     def from_text(cls, modulus, text):
         return cls(modulus, parse_poly(text))
 
+    def _new(self, coeffs):
+        return FpPoly(self.modulus, coeffs)
+
+    def _check(self, other):
+        if not isinstance(other, FpPoly):
+            raise TypeError("expected FpPoly, got %r" % type(other).__name__)
+        if other.modulus != self.modulus:
+            raise ValueError("modulus mismatch: %d vs %d" % (self.p, other.p))
+
     @property
     def p(self):
         return self.modulus.p
 
-    @property
-    def degree(self):
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self):
-        return not self.coeffs
-
     def is_one(self):
         return self.coeffs == (1,)
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def monic(self):
         if not self.coeffs:
@@ -175,38 +230,6 @@ class FpPoly:
             return self
         inv = pow(lc, -1, self.p)
         return FpPoly(self.modulus, [c * inv for c in self.coeffs])
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def _check(self, other):
-        if not isinstance(other, FpPoly):
-            raise TypeError("expected FpPoly, got %r" % type(other).__name__)
-        if other.modulus != self.modulus:
-            raise ValueError(
-                "modulus mismatch: %d vs %d" % (self.p, other.p)
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return FpPoly(self.modulus, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return FpPoly(self.modulus, out)
-
-    def __neg__(self):
-        return FpPoly(self.modulus, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
@@ -237,20 +260,6 @@ class FpPoly:
                     rem[i - db + j] -= f * bj
         return FpPoly(self.modulus, q), FpPoly(self.modulus, rem[:db])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __pow__(self, e):
-        return binary_power(self, e, FpPoly.__mul__, fp_one(self.modulus))
-
-    def derivative(self):
-        return FpPoly(
-            self.modulus, [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, FpPoly)
@@ -263,9 +272,6 @@ class FpPoly:
 
     def __repr__(self):
         return "FpPoly(%d, %s)" % (self.p, format_poly(self.coeffs))
-
-    def __str__(self):
-        return format_poly(self.coeffs)
 
     def sort_key(self):
         """(degree, coefficient tuple) used for the canonical factor order."""

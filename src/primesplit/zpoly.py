@@ -1,20 +1,19 @@
 """Integer-coefficient univariate polynomials with exact arithmetic.
 
-Provides the discriminant through the subresultant PRS (Collins 1967;
-Brown-Traub 1971; Cohen, GTM 138, Alg. 3.3.7), the
-integer roots by Hensel lifting, reduction to and lifting from prime
-fields, and the cofactor polynomial of a lifted factorization: the
-integer polynomial M with
+ZPoly adds to the shared core ``fppoly.DensePoly`` the schoolbook
+product, division by a monic divisor and evaluation; an operand from
+another ring raises TypeError.  Provides the discriminant through the
+subresultant PRS (Collins 1967; Brown-Traub 1971; Cohen, GTM 138,
+Alg. 3.3.7), the integer roots by Hensel lifting, reduction to and
+lifting from prime fields, and the cofactor polynomial of a lifted
+factorization: the integer polynomial M with
 
     f = (product of the lifted factors to their exponents) - p*M.
-
-Zero has no degree here; ``degree`` is None for the zero polynomial and
-callers must treat that case explicitly.
 """
 
 from math import gcd
 
-from .fppoly import FpPoly, as_modulus, binary_power, fp_gcd
+from .fppoly import DensePoly, FpPoly, as_modulus, fp_gcd
 from .integers import is_prime
 from .textfmt import format_poly, parse_poly
 
@@ -23,10 +22,10 @@ from .textfmt import format_poly, parse_poly
 _LAST_PRIME_BEFORE_GCD = 29
 
 
-class ZPoly:
+class ZPoly(DensePoly):
     """Dense univariate polynomial over the rational integers."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs):
         cs = list(coeffs)
@@ -38,42 +37,15 @@ class ZPoly:
     def from_text(cls, text):
         return cls(parse_poly(text))
 
-    @property
-    def degree(self):
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+    def _new(self, coeffs):
+        return ZPoly(coeffs)
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ZPoly(out)
-
-    def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return ZPoly(out)
-
-    def __neg__(self):
-        return ZPoly([-c for c in self.coeffs])
+    def _check(self, other):
+        if not isinstance(other, ZPoly):
+            raise TypeError("expected ZPoly, got %r" % type(other).__name__)
 
     def __mul__(self, other):
+        self._check(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZPoly(())
@@ -84,14 +56,9 @@ class ZPoly:
                     out[i + j] += ai * bj
         return ZPoly(out)
 
-    def scale(self, c):
-        return ZPoly([c * x for x in self.coeffs])
-
-    def __pow__(self, e):
-        return binary_power(self, e, ZPoly.__mul__, ZPoly((1,)))
-
     def __divmod__(self, other):
         """Quotient and remainder; the divisor must be monic."""
+        self._check(other)
         if not other.is_monic():
             raise ValueError("division requires a monic divisor")
         b = other.coeffs
@@ -105,15 +72,6 @@ class ZPoly:
                 for j, bj in enumerate(b):
                     rem[i - db + j] -= c * bj
         return ZPoly(q), ZPoly(rem[:db])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def derivative(self):
-        return ZPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
         y = 0
@@ -129,9 +87,6 @@ class ZPoly:
 
     def __repr__(self):
         return "ZPoly(%s)" % format_poly(self.coeffs)
-
-    def __str__(self):
-        return format_poly(self.coeffs)
 
 
 def bareiss_determinant(matrix):

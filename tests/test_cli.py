@@ -198,8 +198,18 @@ class TestCommonIndexDivisorCommand:
         assert json.loads(out)["results"]["common_index_divisor"] is False
 
     def test_bad_shape(self):
-        status, _, err = run_cli("common-index-divisor", "2", "nonsense")
-        assert status == 2
+        # the parser's own message, never Python's unpacking or int() one;
+        # a shape that parses keeps SplittingShape's reason
+        for shape, reason in [
+            ("nonsense", ""),
+            ("1:1:1", ""),
+            ("1:1,", ""),
+            ("1:x", ""),
+            ("0:1", ": degrees and exponents must be positive"),
+        ]:
+            status, out, err = run_cli("common-index-divisor", "2", shape)
+            assert (status, out) == (2, "")
+            assert err == "error: bad shape %r (want f:e,f:e,...)%s\n" % (shape, reason)
 
 
 class TestMaximalOrderCommand:

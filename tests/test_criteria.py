@@ -177,7 +177,7 @@ class TestFactorPrimeViaPolynomial:
             f = random_monic_zpoly(rng, rng.randrange(2, 6), 9)
             p = PrimeModulus(rng.choice([2, 3, 5, 7]))
             try:
-                shape, symbols = factor_prime_via_polynomial(f, p, seed=done)
+                shape, symbols = factor_prime_via_polynomial(f, p)
             except (IndexDivisorError, ValueError):
                 continue
             assert shape.n == f.degree
@@ -295,7 +295,7 @@ class TestTheoremIVForward:
             f = random_monic_zpoly(rng, rng.randrange(2, 6), 9)
             p = PrimeModulus(rng.choice([2, 3, 5]))
             try:
-                shape, _ = factor_prime_via_polynomial(f, p, seed=done)
+                shape, _ = factor_prime_via_polynomial(f, p)
             except (IndexDivisorError, ValueError):
                 continue
             divisor, _ = common_index_divisor(p, shape)

@@ -279,7 +279,7 @@ class TestFactor:
             f = random_fp_poly(rng, mp, 8)
             if f.degree == 0:
                 continue
-            prod = FpPoly(mp, (f.leading(),))
+            prod = FpPoly(mp, (f.coeffs[-1],))
             for g, e in fp_factor(f, seed=trial):
                 assert fp_is_irreducible(g)
                 assert g.is_monic()
@@ -498,7 +498,7 @@ class TestFrobenius:
         f = FpPoly(mp, coeffs) * square
         assume(f.degree is not None and f.degree >= 1)
         fac = fp_factor(f, seed)
-        prod = FpPoly(mp, (f.leading(),))
+        prod = FpPoly(mp, (f.coeffs[-1],))
         for g, e in fac:
             assert g.is_monic() and fp_is_irreducible(g)
             prod = prod * g**e

@@ -456,7 +456,7 @@ class TestShapeOracleAgreement:
             if discriminant(f) == 0:
                 continue
             try:
-                shape, _ = factor_prime_via_polynomial(f, p, seed=done)
+                shape, _ = factor_prime_via_polynomial(f, p)
             except IndexDivisorError:
                 continue
             order = p_enlarge(order_from_polynomial(f), p)

@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 
@@ -48,6 +49,16 @@ class TestArithmetic:
     def test_non_monic_divisor_rejected(self):
         with pytest.raises(ValueError):
             divmod(ZPoly((1, 1)), ZPoly((1, 2)))
+
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.sub, operator.mul, operator.floordiv, operator.mod, divmod],
+    )
+    @pytest.mark.parametrize("zpoly_first", [True, False], ids=["ZPoly-first", "FpPoly-first"])
+    def test_mixed_rings_refused(self, op, zpoly_first):
+        z, g = ZPoly.from_text("t^2 + 2*t + 1"), FpPoly(M2, (1, 1))
+        with pytest.raises(TypeError):
+            op(z, g) if zpoly_first else op(g, z)
 
     def test_zero_degree_sentinel(self):
         assert ZPoly(()).degree is None
@@ -227,7 +238,7 @@ class TestCofactor:
             prod = ZPoly((1,))
             for g, e in lifts:
                 prod = prod * g**e
-            assert prod - m.scale(p) == f
+            assert prod - m * ZPoly((p,)) == f
 
 
 def _random_lift_pair(rng, p):
@@ -242,10 +253,10 @@ def _random_lift_pair(rng, p):
         return None
     X = ZPoly([rng.randrange(-2, 3) for _ in range(dp)])
     Y = ZPoly([rng.randrange(-2, 3) for _ in range(ds)])
-    R = P + X.scale(p)
-    T = S + Y.scale(p)
+    R = P + X * ZPoly((p,))
+    T = S + Y * ZPoly((p,))
     W = ZPoly([rng.randrange(-3, 4) for _ in range(e * dp + ds)])
-    f = P**e * S - W.scale(p)
+    f = P**e * S - W * ZPoly((p,))
     return mp, f, P, S, R, T, e
 
 
