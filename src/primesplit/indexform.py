@@ -15,13 +15,15 @@ degrees, so every kernel polynomial is a dense list of coefficients over
 the monomials of one known degree.  A product walks a table of monomial
 positions built once per (variables, degree, degree); with at most five
 variables and degree at most fifteen that is a fixed, small set.  The
-determinant is a Laplace expansion that builds each minor on the
-trailing columns once per row subset: 2^(n-1) minors instead of the
-(n-1)! sub-expansions of a cofactor recursion.  Only the finished form
-is converted to a MultiPoly.
+determinant is a Laplace expansion row by row, in increasing degree:
+the minor on the leading rows is built once per column subset, 2^(n-1)
+minors instead of the (n-1)! sub-expansions of a cofactor recursion.
+Only the finished form is converted to a MultiPoly, and the printed
+text of each index-form monomial is rendered once and memoised.
 
 common_value_divisor decides whether p divides every value by reducing
-exponents with x^p = x, not by evaluating at all p^v points.
+exponents with x^p = x, not by evaluating at all p^v points; when p
+exceeds the total degree no exponent needs reducing.
 """
 
 import functools
@@ -91,17 +93,25 @@ class MultiPoly:
 
 
 def format_multipoly(f):
-    """Compact rendering like ``2x^3 - x^2y - xy^2 - 2y^3``."""
+    """Compact rendering like ``2x^3 - x^2y - xy^2 - 2y^3``, terms in graded-lex order."""
     if f.is_zero():
         return "0"
+    v = len(f.vars)
+    degrees = set(map(sum, f.terms))
+    d = max(degrees)
+    if len(degrees) == 1 and f.vars == _VAR_ALPHABET[:v] and d <= _MAX_FORM_DEGREE:
+        # a form in index-form variables: graded-lex order is the order of
+        # _monomials(v, d), and each monomial's text is rendered once
+        terms = f.terms
+        ordered = [
+            (c, body)
+            for exps, body in zip(_monomials(v, d), _monomial_texts(v, d))
+            if (c := terms.get(exps))
+        ]
+    else:
+        ordered = [(c, _monomial_text(f.vars, exps)) for exps, c in f.ordered_terms()]
     parts = []
-    for exps, c in f.ordered_terms():
-        body = ""
-        for name, e in zip(f.vars, exps):
-            if e == 1:
-                body += name
-            elif e > 1:
-                body += "%s^%d" % (name, e)
+    for c, body in ordered:
         mag = abs(c)
         if not body:
             chunk = str(mag)
@@ -116,6 +126,20 @@ def format_multipoly(f):
     return " ".join(parts)
 
 
+def _monomial_text(names, exps):
+    """``x^2yw`` for names (x, y, w) and exponents (2, 1, 1); empty for a constant."""
+    return "".join(
+        name if e == 1 else "%s^%d" % (name, e) for name, e in zip(names, exps) if e
+    )
+
+
+@functools.cache
+def _monomial_texts(v, d):
+    """The text of each monomial of _monomials(v, d) in the first v index-form variables."""
+    names = _VAR_ALPHABET[:v]
+    return tuple(_monomial_text(names, exps) for exps in _monomials(v, d))
+
+
 def parse_multipoly_vars(n):
     if n - 1 > len(_VAR_ALPHABET):
         raise ValueError("rank %d exceeds the supported variable alphabet" % n)
@@ -125,7 +149,9 @@ def parse_multipoly_vars(n):
 # A kernel polynomial of degree d in v variables is a list of coefficients
 # over _monomials(v, d); its degree follows from its place in the matrix and
 # is never stored.  index_form needs only v <= 5 and d <= n(n-1)/2 <= 15, so
-# the memoised tables below are a fixed set of a few hundred.
+# the memoised tables below and _monomial_texts are a fixed set of a few
+# hundred.
+_MAX_FORM_DEGREE = 15
 
 
 @functools.cache
@@ -171,25 +197,26 @@ def _mul_into(out, a, b, table, sign=1):
 def _determinant(m, v):
     """Determinant of the power matrix m, whose row r has degree r + 1.
 
-    Laplace expansion along the leading column of each trailing block:
-    the minor on the trailing k columns is built once per k-row subset
-    (keyed by its bitmask) from the minors on k-1 columns, so an s x s
-    matrix costs 2^s minors rather than s! recursive sub-expansions.
-    Zero minors are left out.
+    Laplace expansion along the last row of each leading block: the
+    minor on rows 0..k is built once per (k+1)-column subset (keyed by
+    its bitmask) from the minors on rows 0..k-1, so an s x s matrix
+    costs 2^s minors rather than s! recursive sub-expansions.  Rows join
+    in increasing degree, so each large late-row entry meets the small
+    minor of the rows before it.  Zero minors are left out.
     """
     size = len(m)
     minors = {0: [1]}
-    for col in range(size - 1, -1, -1):
+    for k, row in enumerate(m):
+        degree = (k + 1) * (k + 2) // 2
+        table = _product_table(v, degree - k - 1, k + 1)
         built = {}
-        for rows in itertools.combinations(range(size), size - col):
-            mask = sum(1 << r for r in rows)
-            degree = sum(rows) + len(rows)
+        for cols in itertools.combinations(range(size), k + 1):
+            mask = sum(1 << c for c in cols)
             acc = [0] * len(_monomials(v, degree))
-            for pos, r in enumerate(rows):
-                rest = minors.get(mask ^ (1 << r))
+            for pos, c in enumerate(cols):
+                rest = minors.get(mask ^ (1 << c))
                 if rest is not None:
-                    table = _product_table(v, r + 1, degree - r - 1)
-                    _mul_into(acc, m[r][col], rest, table, -1 if pos % 2 else 1)
+                    _mul_into(acc, rest, row[c], table, -1 if (k + pos) % 2 else 1)
             if any(acc):
                 built[mask] = acc
         minors = built
@@ -245,8 +272,10 @@ def common_value_divisor(f, modulus):
     p = int(modulus)
     if not is_prime(p):
         raise ValueError("modulus %d is not prime" % p)
-    # total degree bounds every exponent; exponent[e] is e reduced by x^p = x
+    # total degree bounds every exponent; below p, x^p = x reduces none of them
     top = max(map(sum, f.terms), default=0)
+    if top < p:
+        return not any(c % p for c in f.terms.values())
     exponent = [0] + [1 + (e - 1) % (p - 1) for e in range(1, top + 1)]
     reduced = {}
     for exps, c in f.terms.items():

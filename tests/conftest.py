@@ -560,6 +560,32 @@ def _det_multipoly(m):
     return det
 
 
+def reference_format_multipoly(f):
+    """Oracle: the term-by-term renderer format_multipoly replaced (sorts and renders every term)."""
+    if f.is_zero():
+        return "0"
+    parts = []
+    for exps, c in f.ordered_terms():
+        body = ""
+        for name, e in zip(f.vars, exps):
+            if e == 1:
+                body += name
+            elif e > 1:
+                body += "%s^%d" % (name, e)
+        mag = abs(c)
+        if not body:
+            chunk = str(mag)
+        elif mag == 1:
+            chunk = body
+        else:
+            chunk = "%d%s" % (mag, body)
+        if not parts:
+            parts.append("-" + chunk if c < 0 else chunk)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + chunk)
+    return " ".join(parts)
+
+
 def exhaustive_common_value_divisor(f, p):
     """Oracle: True when f(point) = 0 mod p at every point of GF(p)^v (p^v evaluations)."""
     for point in itertools.product(range(p), repeat=len(f.vars)):

@@ -10,8 +10,9 @@ from conftest import (
     exhaustive_common_value_divisor,
     random_monic_zpoly,
     random_power_basis_orders,
+    reference_format_multipoly,
 )
-from primesplit import fixtures
+from primesplit import fixtures, indexform
 from primesplit.criteria import common_index_divisor, SplittingShape
 from primesplit.fppoly import PrimeModulus
 from primesplit.ideals import factor_p_in_order
@@ -107,6 +108,23 @@ class TestMultiPoly:
             ("x", "y"), {(3, 0): 2, (2, 1): -1, (1, 2): -1, (0, 3): -2}
         )
         assert format_multipoly(f) == "2x^3 - x^2y - xy^2 - 2y^3"
+
+    def test_format_off_the_memoised_monomials(self):
+        # not homogeneous, or not in index-form variables: rendered term by term
+        x = OraclePoly.variable(("x", "y"), "x")
+        y = OraclePoly.variable(("x", "y"), "y")
+        a = OraclePoly.variable(("a", "b"), "a")
+        b = OraclePoly.variable(("a", "b"), "b")
+        one = OraclePoly(("x", "y"), {(0, 0): 1})
+        for f in (
+            -(x * x * y) + 3 * x - one * 7,
+            (x - y) * (x - y) * 12 + y,
+            (a * a * b - b * b * 2) * -1,
+            one * -5,
+            MultiPoly(("x", "y"), {}),
+        ):
+            assert format_multipoly(f) == reference_format_multipoly(f)
+        assert format_multipoly(-(x * x * y) + 3 * x - one * 7) == "-x^2y + 3x - 7"
 
 
 class TestIndexForm:
@@ -211,6 +229,13 @@ class TestAgainstCofactorOracle:
             assert form.vars == expected.vars
             assert form.terms == expected.terms, order.table
 
+    def test_same_text(self, oracle_corpus):
+        # graded-lex order and signs, which form.terms == does not see
+        for order, expected in oracle_corpus:
+            assert format_multipoly(index_form(order)) == reference_format_multipoly(
+                expected
+            )
+
     def test_corpus_reaches_every_rank_and_enlarged_quintics(self, oracle_corpus):
         ranks = [order.n for order, _ in oracle_corpus]
         assert {2, 3, 4, 5} <= set(ranks)
@@ -240,7 +265,9 @@ class TestAgainstCofactorOracle:
             assert order.basis_in_parent != tuple(map(tuple, _identity_rows(6)))
         form = index_form(order)
         assert form.vars == ("x", "y", "w", "v", "u")
-        assert form == cofactor_index_form(order)
+        expected = cofactor_index_form(order)
+        assert form == expected
+        assert format_multipoly(form) == reference_format_multipoly(expected)
 
     def test_rank6_time_bound(self):
         # dense: 3849 terms of degree 15; the monomial tables are built afresh
@@ -250,6 +277,24 @@ class TestAgainstCofactorOracle:
         form = index_form(order)
         assert time.perf_counter() - start < 2.0
         assert len(form.terms) == 3849
+
+    @pytest.mark.parametrize(
+        "text, bound",
+        [("t^5 - 7*t^4 + 3*t^3 - 9*t^2 + 5*t - 8", 16359), ("t^6 + 3*t^2 - 7*t + 2", 813888)],
+    )
+    def test_multiply_add_bound(self, monkeypatch, text, bound):
+        # work, not wall time: each product costs its outer factor's nonzero
+        # coefficients times its inner factor's length in multiply-adds
+        work = []
+        mul_into = indexform._mul_into
+
+        def counted(out, a, b, table, sign=1):
+            work.append(sum(1 for c in a if c) * len(b))
+            mul_into(out, a, b, table, sign)
+
+        monkeypatch.setattr(indexform, "_mul_into", counted)
+        index_form(order_from_polynomial(ZPoly.from_text(text)))
+        assert sum(work) <= bound
 
 
 class TestProductTables:
@@ -282,6 +327,26 @@ class TestCommonValueDivisor:
                 expected = exhaustive_common_value_divisor(form, p)
                 assert common_value_divisor(form, p) is expected, (form, p)
                 verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
+    def test_degree_below_p_matches_exhaustive_oracle(self, oracle_corpus):
+        # every exponent is below p, so no exponent is reduced; the scaled and
+        # nearly scaled copies give True and False verdicts on the same path
+        verdicts = []
+        for _, form in oracle_corpus:
+            if len(form.vars) > 3:
+                continue
+            for p in (11, 13):
+                assert max(map(sum, form.terms)) < p
+                lead, _ = form.ordered_terms()[0]
+                scaled = MultiPoly(form.vars, {e: p * c for e, c in form.terms.items()})
+                nearly = MultiPoly(
+                    form.vars, {e: c if e == lead else p * c for e, c in form.terms.items()}
+                )
+                for f in (form, scaled, nearly):
+                    expected = exhaustive_common_value_divisor(f, p)
+                    assert common_value_divisor(f, p) is expected, (f, p)
+                    verdicts.append(expected)
         assert True in verdicts and False in verdicts
 
     def test_composite_modulus_rejected(self):
