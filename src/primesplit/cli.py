@@ -19,6 +19,7 @@ import contextlib
 import json
 import sys
 from dataclasses import dataclass, field
+from math import prod
 
 from . import fixtures
 from .criteria import (
@@ -32,6 +33,7 @@ from .criteria import (
 from .fppoly import FpPoly, PrimeModulus, enumerate_monic_irreducibles
 from .ideals import (
     LatticeIdeal,
+    _factor_p_in_order,
     bracket_str,
     crt_good_generator,
     factor_p_in_order,
@@ -175,7 +177,8 @@ def cmd_split_prime(args):
     # f passed the rational-root screen, and its verdict at p holds the
     # factors of f mod p and the cofactor, so neither is computed again
     order, fundamental = _maximal_order(f, args.bound, {modulus.p: verdict})
-    primes = factor_p_in_order(order, modulus)
+    # v_p(D) < 2 proves the order p-maximal, so D spares the check's Round 2 step
+    primes = _factor_p_in_order(order, modulus, fundamental)
     shape = SplittingShape(modulus, [(fx, e) for _, e, fx in primes])
     results = shape.to_json_dict()
     results["index_divisible"] = True
@@ -199,15 +202,16 @@ def cmd_common_index_divisor(args):
 def cmd_maximal_order(args):
     f = _parse_poly_arg(args.poly)
     order, fundamental = maximal_order(f, bound=args.bound)
-    basis = [
-        "[%s]" % ", ".join(str(c) for c in row)
-        for row in order.basis_in_parent
-    ]
+    rows = order.basis_in_parent
+    # disc f = [O : Z[t]]^2 * D, and the triangular basis has determinant
+    # 1/[O : Z[t]], so disc f is read off rather than computed a second time
+    disc = fundamental / prod(row[i] for i, row in enumerate(rows)) ** 2
+    basis = ["[%s]" % ", ".join(str(c) for c in row) for row in rows]
     return RunReport(
         "maximal-order",
         {"poly": str(f)},
         {
-            "discriminant_power_basis": discriminant(f),
+            "discriminant_power_basis": int(disc),
             "fundamental_number": fundamental,
             "basis_in_power_coordinates": basis,
         },

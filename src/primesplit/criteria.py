@@ -170,6 +170,11 @@ def factorization_with_cofactor(f, modulus):
     modulus = as_modulus(modulus)
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
+    return _factorization_with_cofactor(f, modulus)
+
+
+def _factorization_with_cofactor(f, modulus):
+    """``factorization_with_cofactor`` of a monic f at a PrimeModulus."""
     factors = fp_factor(reduce_mod(f, modulus))
     lifts = [(balanced_lift(g), e) for g, e in factors]
     return factors, cofactor_m(f, modulus, lifts)
@@ -188,7 +193,7 @@ def index_divisible(f, modulus):
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
     _rational_root_screen(f)
-    return _dedekind_verdict(modulus, *factorization_with_cofactor(f, modulus))
+    return _dedekind_verdict(modulus, *_factorization_with_cofactor(f, modulus))
 
 
 def _dedekind_verdict(modulus, factors, m):
@@ -227,11 +232,12 @@ def factor_prime_via_polynomial(f, modulus):
     order must be used.  Returns (shape, symbols) where the symbols
     carry canonical [0, p) lifts of the irreducible factors.
     """
-    modulus = as_modulus(modulus)
     verdict = index_divisible(f, modulus)
     if verdict.divisible:
         raise IndexDivisorError(verdict)
     factors = verdict.factors
+    # index_divisible checked the modulus, and f mod p has a factor
+    modulus = factors[0][0].modulus
     parts = [(g.degree, e) for g, e in factors]
     shape = SplittingShape(modulus, parts)
     if shape.n != f.degree:

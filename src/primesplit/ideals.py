@@ -10,7 +10,10 @@ Ideals are stored relative to the order's basis and are built from
 generators or as products.  The primes above p come from splitting
 order/(p*order) by its idempotents, which ends at each P^e; P is P^e
 plus the p-radical, and f and e come from the norms of P and P^e by
-``integers.prime_power``.  Good generators are combined by
+``integers.prime_power``.  Between p*order and the order, lattices
+are GF(p) subspaces whose canonical rows come from echelon rows mod p,
+so integer HNF runs there only to check that the P^e multiply to
+p*order.  Good generators are combined by
 lattice CRT: one reduction modulo the canonical basis of a lattice of
 rank 2n.  All values are immutable and all operations pure.
 """
@@ -23,8 +26,10 @@ from .orders import (
     Order,
     OrderElement,
     _bracket_entry,
+    _echelon_mod_p,
     _frobenius_mod_p,
     _lattice_divmod,
+    _lattice_rows_mod_p,
     _left_kernel_mod_p,
     _multipliers_mod_p,
     _radical_mod_p,
@@ -157,55 +162,77 @@ def factor_p_in_order(order, modulus):
     p-radical, its residue degree f comes from the norm p^f, and e from
     the norm p^(e*f) of P^e; the product of the P^e must be p*order.
 
-    The order must be p-maximal.  Results are sorted by basis matrix
-    and returned as (ideal, e, f).
+    Every J, P^e and P is held as a reduced echelon basis mod p, a
+    subspace of order/(p*order), and its canonical rows are read off it.
+
+    The order must be p-maximal, which one Round 2 step checks.  Results
+    are sorted by basis matrix and returned as (ideal, e, f).
     """
-    modulus = as_modulus(modulus)
+    return _factor_p_in_order(order, as_modulus(modulus), None)
+
+
+def _factor_p_in_order(order, modulus, disc):
+    """``factor_p_in_order``, given the order's discriminant when the caller holds it.
+
+    An enlargement of index p^k divides the discriminant by p^(2k), so
+    v_p(disc) < 2 proves the order p-maximal and the Round 2 step that
+    checks it is skipped.  With disc None, or p^2 dividing it, the step
+    runs.
+    """
     p = modulus.p
     n = order.n
     frobenius = _frobenius_mod_p(order.table, p)
     radical = _radical_mod_p(frobenius, p)
     # one Round 2 step: the ring of multipliers of the radical must be the order
-    if _multipliers_mod_p(order.table, p, radical):
+    if (disc is None or disc % (p * p) == 0) and _multipliers_mod_p(
+        order.table, p, radical
+    ):
         raise ValueError("order is not %d-maximal" % p)
+    # the radical's rows with diagonal 1 are its reduced echelon basis mod p
+    pivots = [i for i, r in enumerate(radical) if r[i] == 1]
+    radical_echelon = [radical[i] for i in pivots], pivots
 
     shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(frobenius)]
     split = _left_kernel_mod_p(shifted, p)
-    p_rows = tuple(tuple(p * c for c in _unit(n, i)) for i in range(n))
-    parts = [p_rows]
-    for x in split:
+    # row 0 of shifted is zero, so split[0] is the identity, which splits nothing
+    parts = [[]]  # echelon rows mod p; none for the zero subspace, p*order
+    for x in split[1:]:
         if len(parts) == len(split):
             break
         cp = reduce_mod(char_poly(OrderElement(order, x)), modulus)
         refined = []
         for linear, _ in fp_factor(cp):
             c = -linear.coeffs[0]  # the root of t - c
-            generators = order.mul_matrix([x[0] - c] + x[1:])
+            image = _echelon_mod_p(order.mul_matrix([x[0] - c] + x[1:]), p, last=True)
             for rows in parts:
-                ideal = hnf(list(rows) + generators, n)
-                if any(r[i] != 1 for i, r in enumerate(ideal)):
+                ideal, _ = _echelon_mod_p(rows, p, last=True, start=image)
+                if len(ideal) < n:
                     refined.append(ideal)
         parts = refined
     if len(parts) != len(split):
         raise AssertionError("the split subalgebra does not separate the primes")
 
-    powers = [LatticeIdeal(order, rows, _trusted=True) for rows in parts]
+    powers = []
     out = []
-    for power in powers:
-        prime = LatticeIdeal(order, hnf(power.rows + radical, n), _trusted=True)
+    for rows in parts:
+        power = LatticeIdeal(order, _lattice_rows_mod_p(rows, p, n), _trusted=True)
+        # P^e + radical: only the rows of P^e are reduced
+        prime_rows, _ = _echelon_mod_p(rows, p, last=True, start=radical_echelon)
+        prime = LatticeIdeal(order, _lattice_rows_mod_p(prime_rows, p, n), _trusted=True)
         q, f = prime_power(prime.norm())
         if q != p:
             raise AssertionError("ideal norm is not a power of %d" % p)
         _, ef = prime_power(power.norm())
         if ef % f:
             raise AssertionError("the norm of P^e is not a power of the norm of P")
+        powers.append(power)
         out.append((prime, ef // f, f))
     out.sort(key=lambda entry: entry[0].rows)
 
     total, *rest = powers
     for power in rest:
         total = ideal_product(total, power)
-    if total.rows != p_rows:
+    if total.rows != _lattice_rows_mod_p([], p, n):
         raise AssertionError("prime power product does not reconstruct p*order")
     if sum(e * f for _, e, f in out) != n:
         raise AssertionError("sum of e*f does not equal the rank")

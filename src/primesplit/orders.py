@@ -7,15 +7,18 @@ Commutativity, the identity law, and associativity on all basis triples
 are checked eagerly at construction, so a bad table fails fast.
 
 Integer lattices in canonical triangular (Hermite normal) form live
-here too: ``hnf``, the one HNF routine, which ideals use, and the
-rational lattices of p-enlargement, kept as integer rows over one
+here too: ``hnf``, the one integer HNF routine, which ideals use, and
+the rational lattices of p-enlargement, kept as integer rows over one
 common denominator.  Next to it sits the one GF(p) kernel (echelon
 form and left kernel of integer rows mod p) on which the p-maximal
 order is built by the Pohst-Zassenhaus Round 2: the p-radical is the
 kernel of a power of the Frobenius matrix, and its ring of multipliers
-is the next order.  ``ideals.factor_p_in_order`` shares both: the
-radical checks p-maximality and gives each prime from its power, and
-the Frobenius matrix minus the identity splits order/(p*order).
+is the next order.  A lattice between p*Z^n and Z^n is a subspace of
+GF(p)^n, so its canonical rows are read off a reduced echelon basis
+mod p (``_lattice_rows_mod_p``) with no integer HNF.
+``ideals.factor_p_in_order`` shares all of this: the radical checks
+p-maximality and gives each prime from its power, and the Frobenius
+matrix minus the identity splits order/(p*order).
 
 Round 2 stops on the discriminant.  An enlargement of index p^k
 divides the discriminant by p^(2k), so a ring with v_p(disc) < 2 is
@@ -317,13 +320,21 @@ def order_from_polynomial(f, labels=None):
 
 
 def _power_table(f):
-    """Multiplication table of the power basis of Z[t]/(f): t^i * t^j = t^(i+j) mod f."""
+    """Multiplication table of the power basis of Z[t]/(f): t^i * t^j = t^(i+j) mod f.
+
+    t^(k+1) mod f is t^k mod f shifted up one place, less its top
+    coefficient times f's lower coefficients (f is monic).
+    """
     n = f.degree
-    powers = []
-    acc = ZPoly((1,))
-    for _ in range(2 * n - 1):
-        powers.append(acc.coeffs + (0,) * (n - len(acc.coeffs)))
-        acc = (acc * ZPoly((0, 1))) % f
+    low = f.coeffs[:n]
+    acc = (1,) + (0,) * (n - 1)
+    powers = [acc]
+    for _ in range(2 * n - 2):
+        top = acc[-1]
+        acc = (0,) + acc[:-1]
+        if top:
+            acc = tuple(a - top * c for a, c in zip(acc, low))
+        powers.append(acc)
     return [[powers[i + j] for j in range(n)] for i in range(n)]
 
 
@@ -478,18 +489,25 @@ def _enlarged_labels(parent_labels, basis, d):
 
 # -- linear algebra over GF(p) ----------------------------------------------
 
-def _echelon_mod_p(rows, p):
-    """Reduced row echelon form of integer rows over GF(p): (nonzero rows, pivots)."""
-    out, pivots = [], []
+def _echelon_mod_p(rows, p, last=False, start=((), ())):
+    """Reduced row echelon form of integer rows over GF(p): (nonzero rows, pivots).
+
+    A row's pivot is its first nonzero entry, or its last one when
+    `last` is set.  The rows extend `start`, a reduced echelon form of
+    the same kind, whose own rows are not reduced again: they are only
+    cleared in the columns of the new pivots.
+    """
+    out, pivots = list(start[0]), list(start[1])
     for vec in rows:
         v = [c % p for c in vec]
         for r, j in zip(out, pivots):
             if v[j]:
                 c = v[j]
                 v = [(x - c * y) % p for x, y in zip(v, r)]
-        j = next((k for k, x in enumerate(v) if x), None)
-        if j is None:
+        nonzero = [k for k, x in enumerate(v) if x]
+        if not nonzero:
             continue
+        j = nonzero[-1] if last else nonzero[0]
         inv = pow(v[j], -1, p)
         v = [x * inv % p for x in v]
         for i, r in enumerate(out):
@@ -499,6 +517,23 @@ def _echelon_mod_p(rows, p):
         out.append(v)
         pivots.append(j)
     return out, pivots
+
+
+def _lattice_rows_mod_p(echelon, p, n):
+    """``hnf`` of p*Z^n plus the span of a reduced echelon basis mod p.
+
+    The basis pivots on last nonzero entries, as ``_echelon_mod_p(...,
+    last=True)`` gives, so row j is its row with pivot j, or p*e_j when
+    no row pivots at j (the lattices between p*Z^n and Z^n are the
+    subspaces of GF(p)^n, Cohen, GTM 138, 6.2).
+    """
+    rows = [(0,) * j + (p,) + (0,) * (n - 1 - j) for j in range(n)]
+    for r in echelon:
+        j = n - 1
+        while not r[j]:
+            j -= 1
+        rows[j] = tuple(r)
+    return tuple(rows)
 
 
 def _left_kernel_mod_p(rows, p):
@@ -546,10 +581,9 @@ def _radical_mod_p(frobenius, p):
     while q < n:
         power = [_combine_rows_mod_p(row, frobenius, p) for row in power]
         q *= p
-    return hnf(
-        [[p * c for c in unit] for unit in _identity_rows(n)]
-        + _left_kernel_mod_p(power, p)
-    )
+    # each kernel vector holds 1 at its own free column, its last nonzero
+    # entry, and 0 at the others: a reduced echelon basis as it stands
+    return _lattice_rows_mod_p(_left_kernel_mod_p(power, p), p, n)
 
 
 def _combine_rows_mod_p(coeffs, rows, p):

@@ -8,7 +8,7 @@ import pytest
 
 import primesplit
 from conftest import cofactor_index_form, exhaustive_common_value_divisor
-from primesplit import cli, criteria, orders
+from primesplit import cli, criteria, ideals, orders
 from primesplit.cli import _int_digits_unlimited, _paper_checks, main
 from primesplit.indexform import format_multipoly
 from primesplit.orders import order_from_polynomial
@@ -182,6 +182,32 @@ class TestSplitPrime:
         assert factored.count(p) == 1
         assert len(screened) == 1
 
+    def test_order_route_hands_the_discriminant_to_the_split(self, monkeypatch):
+        # D = -503 has v_2(D) = 0, which proves the order 2-maximal, and
+        # Dedekind's ring already leaves v = 0, so no Round 2 step runs
+        calls = []
+        for module in (orders, ideals):
+            real = module._multipliers_mod_p
+
+            def recording(*args, real=real, name=module.__name__):
+                calls.append((name, args[1]))
+                return real(*args)
+
+            monkeypatch.setattr(module, "_multipliers_mod_p", recording)
+        status, out, _ = run_cli("split-prime", "t^3 - t^2 - 2*t - 8", "2")
+        assert status == 0
+        lines = out.splitlines()
+        assert "fundamental_number: -503" in lines
+        for basis in ("[2, a, w2]", "[2, a, 1+w2]", "[2, 1+a, w2]"):
+            assert "    basis: %s" % basis in lines
+        assert calls == []
+
+        # D = 2^8 * 3^16: 3^2 divides D, so the split checks 3-maximality
+        status, out, _ = run_cli("--json", "split-prime", "t^9-54", "3")
+        assert status == 0
+        assert json.loads(out)["results"]["fundamental_number"] == 2**8 * 3**16
+        assert calls.count((ideals.__name__, 3)) == 1
+
     def test_bound_caps_trial_division(self):
         status, _, err = run_cli("--bound", "1", "split-prime", "t^3-t^2-2t-8", "2")
         assert status == 2
@@ -219,6 +245,21 @@ class TestMaximalOrderCommand:
         assert status == 0
         assert payload["results"]["fundamental_number"] == 2873
         assert payload["results"]["discriminant_power_basis"] == 11492
+
+    def test_discriminant_computed_once(self, monkeypatch):
+        calls = []
+        real = orders.discriminant
+
+        def counting(f):
+            calls.append(f)
+            return real(f)
+
+        for module in (cli, orders):
+            monkeypatch.setattr(module, "discriminant", counting)
+        status, out, _ = run_cli("--json", "maximal-order", "t^3-t^2-2t-8")
+        assert status == 0
+        assert json.loads(out)["results"]["discriminant_power_basis"] == -2012
+        assert len(calls) == 1
 
     def test_squarefree_discriminant(self):
         status, out, _ = run_cli("--json", "maximal-order", "t^3-t-1")

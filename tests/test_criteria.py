@@ -1,4 +1,6 @@
+import contextlib
 import random
+import sys
 import time
 
 import pytest
@@ -14,6 +16,7 @@ from primesplit.criteria import (
     balanced_lift,
     common_index_divisor,
     factor_prime_via_polynomial,
+    factorization_with_cofactor,
     index_divisible,
 )
 from primesplit.fppoly import FpPoly, PrimeModulus, fp_is_irreducible
@@ -199,6 +202,38 @@ class TestFactorPrimeViaPolynomial:
         monkeypatch.setattr(criteria, "fp_factor", counting)
         factor_prime_via_polynomial(ZPoly.from_text(text), PrimeModulus(p))
         assert len(calls) == 1
+
+    def test_each_input_check_runs_once(self, monkeypatch):
+        # the modulus and f's leading coefficient are checked once per call
+        # chain, not again by each criteria function the chain passes through
+        checks = []
+        real_modulus, real_monic = criteria.as_modulus, ZPoly.is_monic
+
+        def modulus(m):
+            checks.append("modulus")
+            return real_modulus(m)
+
+        def monic(f):
+            if sys._getframe(1).f_globals["__name__"] == criteria.__name__:
+                checks.append("monic")
+            return real_monic(f)
+
+        monkeypatch.setattr(criteria, "as_modulus", modulus)
+        monkeypatch.setattr(ZPoly, "is_monic", monic)
+        for call in (index_divisible, factor_prime_via_polynomial):
+            checks.clear()
+            with contextlib.suppress(IndexDivisorError):
+                call(CUBIC, 2)
+            assert checks == ["modulus", "monic"], call
+
+    @pytest.mark.parametrize(
+        "f, p, message",
+        [(ZPoly((1, 1, 2)), 2, "expected a monic polynomial"), (CUBIC, 4, "not prime")],
+    )
+    def test_refusals_keep_their_messages(self, f, p, message):
+        for call in (index_divisible, factor_prime_via_polynomial, factorization_with_cofactor):
+            with pytest.raises(ValueError, match=message):
+                call(f, p)
 
 
 class TestCommonIndexDivisor:

@@ -24,6 +24,7 @@ from primesplit.fppoly import FpPoly, PrimeModulus, binary_power
 from primesplit.ideals import (
     LatticeIdeal,
     _crt_pair,
+    _factor_p_in_order,
     bracket_str,
     crt_good_generator,
     factor_p_in_order,
@@ -326,6 +327,61 @@ class TestFactorPInOrder:
         ]
         whole = whole_order(MAX_CUBIC)
         assert operands and all(whole not in pair for pair in operands)
+
+    def test_work_gate(self, monkeypatch):
+        # g = 3 primes: the constant split vector is skipped, so at most
+        # g - 1 char polys, and hnf runs only inside the g - 1 products of
+        # the product check; every other lattice is written from GF(p) rows
+        charpolys, hnf_calls, open_products = [], [], []
+
+        def recording_charpoly(elem):
+            charpolys.append(elem)
+            return char_poly(elem)
+
+        def recording_hnf(rows, n=None):
+            hnf_calls.append(len(open_products))
+            return hnf(rows, n)
+
+        def recording_product(a, b):
+            open_products.append((a, b))
+            try:
+                return ideal_product(a, b)
+            finally:
+                open_products.pop()
+
+        monkeypatch.setattr(ideals, "char_poly", recording_charpoly)
+        monkeypatch.setattr(ideals, "hnf", recording_hnf)
+        monkeypatch.setattr(ideals, "ideal_product", recording_product)
+        result = factor_p_in_order(MAX_CUBIC, 2)
+        monkeypatch.undo()
+        assert [(ide.rows, e, f) for ide, e, f in result] == [
+            (fixtures.CUBIC_PRIMES_ABOVE_2[name], 1, 1) for name in "cab"
+        ]
+        assert 1 <= len(charpolys) <= 2
+        assert hnf_calls == [1, 1]
+
+    def test_discriminant_proof_replaces_the_maximality_check(self, monkeypatch):
+        # v_p(disc) < 2 proves p-maximality; otherwise the Round 2 step runs
+        calls = []
+        real = ideals._multipliers_mod_p
+
+        def recording(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(ideals, "_multipliers_mod_p", recording)
+        m2 = PrimeModulus(2)
+        expected = factor_p_in_order(MAX_CUBIC, m2)
+        assert calls == [2]
+        calls.clear()
+        assert _factor_p_in_order(MAX_CUBIC, m2, -503) == expected
+        assert calls == []
+        assert _factor_p_in_order(MAX_CUBIC, m2, None) == expected
+        assert calls == [2]
+        # Z[t] has discriminant -2012 = -2^2 * 503, which proves nothing
+        power = order_from_polynomial(fixtures.cubic_poly())
+        with pytest.raises(ValueError, match="not 2-maximal"):
+            _factor_p_in_order(power, m2, order_discriminant(power))
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random(211)

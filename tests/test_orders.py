@@ -34,6 +34,7 @@ from primesplit.orders import (
     charpoly_matrix,
     cubic_family,
     element_index,
+    hnf,
     maximal_order,
     order_discriminant,
     order_from_polynomial,
@@ -218,6 +219,65 @@ class TestRadicalModP:
         assert orders._radical_mod_p(frobenius, 3) == expected
 
 
+class TestLatticeRowsModP:
+    """Canonical rows of a lattice between p*Z^n and Z^n, read off GF(p) echelon rows."""
+
+    PRIMES = (2, 3, 5, 19, 2**31 - 1)
+
+    @staticmethod
+    def _hnf_oracle(vectors, p, n):
+        return hnf([[p * c for c in row] for row in orders._identity_rows(n)] + vectors, n)
+
+    def test_matches_hnf_on_random_subspaces(self):
+        rng = random.Random(47)
+        for p in self.PRIMES:
+            for n in range(1, 9):
+                for dim in range(n + 1):
+                    vectors = []
+                    while len(orders._echelon_mod_p(vectors, p)[0]) < dim:
+                        vectors.append([rng.randrange(p) for _ in range(n)])
+                    # integer entries outside [0, p) reduce the same way
+                    vectors = [[c + p * rng.randrange(-2, 3) for c in v] for v in vectors]
+                    expected = self._hnf_oracle(vectors, p, n)
+                    echelon, pivots = orders._echelon_mod_p(vectors, p, last=True)
+                    assert orders._lattice_rows_mod_p(echelon, p, n) == expected
+                    assert sorted(pivots) == [i for i, r in enumerate(expected) if r[i] == 1]
+
+                    # extending a start echelon gives the same subspace and
+                    # leaves the start as it was
+                    half = len(vectors) // 2
+                    start = orders._echelon_mod_p(vectors[:half], p, last=True)
+                    kept = [list(r) for r in start[0]], list(start[1])
+                    extended, _ = orders._echelon_mod_p(
+                        vectors[half:], p, last=True, start=start
+                    )
+                    assert orders._lattice_rows_mod_p(extended, p, n) == expected
+                    assert ([list(r) for r in start[0]], start[1]) == kept
+
+    def test_left_kernel_needs_no_elimination(self):
+        # a left kernel basis is 1 at its own free column, its last nonzero
+        # entry, and 0 at the other free columns, so it maps as it stands
+        rng = random.Random(53)
+        dims = set()
+        for p in self.PRIMES:
+            for m in range(1, 9):
+                for rank in range(m + 1):
+                    width = rng.randrange(rank, 9) if rank else rng.randrange(1, 9)
+                    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(m)]
+                    right = [[rng.randrange(p) for _ in range(width)] for _ in range(rank)]
+                    rows = [
+                        [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                        if rank else [0] * width
+                        for row in left
+                    ]
+                    kernel = orders._left_kernel_mod_p(rows, p)
+                    assert orders._lattice_rows_mod_p(kernel, p, m) == self._hnf_oracle(
+                        kernel, p, m
+                    ), (rows, p)
+                    dims.add((m, len(kernel)))
+        assert all((m, k) in dims for m in range(1, 9) for k in range(m + 1))
+
+
 class TestOrderFromPolynomial:
     def test_sqrt2_table(self):
         assert SQRT2.table[1][1] == (2, 0)
@@ -235,6 +295,17 @@ class TestOrderFromPolynomial:
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
             order_from_polynomial(ZPoly((1, 1, 3)))
+
+    def test_power_table_matches_polynomial_remainders(self):
+        rng = random.Random(29)
+        for n in range(2, 9):
+            f = random_monic_zpoly(rng, n, 9)
+            powers = [(ZPoly((0,) * k + (1,)) % f).coeffs for k in range(2 * n - 1)]
+            expected = [
+                [powers[i + j] + (0,) * (n - len(powers[i + j])) for j in range(n)]
+                for i in range(n)
+            ]
+            assert orders._power_table(f) == expected, f
 
 
 class TestElementIndex:
