@@ -47,9 +47,12 @@ class LatticeIdeal:
     __slots__ = ("order", "rows")
 
     def __init__(self, order, rows, _trusted=False):
+        # trusted rows are canonical tuples of ints (hnf, _lattice_rows_mod_p
+        # or whole_order) and are stored as given
         if not isinstance(order, Order):
             raise TypeError("expected an Order")
-        rows = tuple(tuple(int(c) for c in r) for r in rows)
+        if not _trusted:
+            rows = tuple(tuple(int(c) for c in r) for r in rows)
         self.order = order
         self.rows = rows
         if not _trusted:
@@ -110,7 +113,7 @@ def bracket_str(ideal):
 
 def whole_order(order):
     n = order.n
-    return LatticeIdeal(order, [_unit(n, i) for i in range(n)], _trusted=True)
+    return LatticeIdeal(order, tuple(_unit(n, i) for i in range(n)), _trusted=True)
 
 
 def ideal_from_generators(order, gens):

@@ -3,23 +3,23 @@
 For a generic element w = x*e1 + y*e2 + ... of an order with basis
 e0 = 1, e1, ..., e(n-1), the coordinate matrix of its powers 1, w, ...,
 w^(n-1) has a determinant that is homogeneous of degree n(n-1)/2 in the
-non-identity coordinates; its value at a concrete element's
-coordinates is (up to sign) that element's index.  Adding an integer
-to w changes the matrix by a unimodular row operation, so the identity
-coordinate is left out: ``Order`` checks that the first basis element
-is the identity and that the table is commutative and associative.
+non-identity coordinates x_1..x_v (v = n-1); its value at an element's
+coordinates is (up to sign) that element's index.  Adding an integer to
+w is a unimodular row operation, so the identity coordinate is left out
+(``Order`` checks e0 is the identity).
 
-The kernel does not use MultiPoly.  Coordinate k of w^r is homogeneous
-of degree r, and a minor of the power matrix has the sum of its rows'
-degrees, so every kernel polynomial is a dense list of coefficients over
-the monomials of one known degree.  A product walks a table of monomial
-positions built once per (variables, degree, degree); with at most five
-variables and degree at most fifteen that is a fixed, small set.  The
-determinant is a Laplace expansion row by row, in increasing degree:
-the minor on the leading rows is built once per column subset, 2^(n-1)
-minors instead of the (n-1)! sub-expansions of a cofactor recursion.
-Only the finished form is converted to a MultiPoly, and the printed
-text of each index-form monomial is rendered once and memoised.
+The kernel substitutes x_(v-1) -> 2^W y and x_v -> y (Kronecker), a ring
+map that commutes with the determinant: slot c of the coefficient at
+y^s holds that of x_(v-1)^c x_v^(s-c).  With A the largest L1 norm of
+multiplication by a basis element on the non-identity coordinates, the
+coordinates of w^r have norms summing to at most A^r, and a determinant
+is at most the product of its rows' norms, so no coefficient exceeds
+A^(n(n-1)/2) < 2^(W-1) in size, and each is read back as a balanced
+base-2^W digit.  In the v-1 outer variables each entry and minor of
+the power matrix is a dense list of ints over the monomials of one
+degree, fixed by its rows, multiplied through memoised monomial-position
+tables; the determinant is a Laplace expansion row by row over 2^(n-1)
+column subsets, not the (n-1)! sub-expansions of a cofactor recursion.
 
 common_value_divisor decides whether p divides every value by reducing
 exponents with x^p = x, not by evaluating at all p^v points; when p
@@ -37,21 +37,15 @@ _VAR_ALPHABET = ("x", "y", "w", "v", "u")
 class MultiPoly:
     """Sparse multivariate integer polynomial with graded-lex term order.
 
-    A MultiPoly is the value ``index_form`` returns: it is evaluated,
-    printed and tested for common value divisors, and the kernel that
-    computes it works on dense coefficient lists, so it carries no ring
-    arithmetic.
+    The value ``index_form`` returns: it is evaluated, printed and tested
+    for common value divisors, and carries no ring arithmetic.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
-        clean = {}
-        for exps, c in (terms or {}).items():
-            if c:
-                clean[tuple(exps)] = c
-        self.terms = clean
+        self.terms = {tuple(exps): c for exps, c in (terms or {}).items() if c}
 
     def is_zero(self):
         return not self.terms
@@ -113,17 +107,10 @@ def format_multipoly(f):
     parts = []
     for c, body in ordered:
         mag = abs(c)
-        if not body:
-            chunk = str(mag)
-        elif mag == 1:
-            chunk = body
-        else:
-            chunk = "%d%s" % (mag, body)
-        if not parts:
-            parts.append("-" + chunk if c < 0 else chunk)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + chunk)
-    return " ".join(parts)
+        chunk = body if mag == 1 and body else "%d%s" % (mag, body)
+        parts.append(("- " if c < 0 else "+ ") + chunk)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _monomial_text(names, exps):
@@ -146,11 +133,8 @@ def parse_multipoly_vars(n):
     return _VAR_ALPHABET[: n - 1]
 
 
-# A kernel polynomial of degree d in v variables is a list of coefficients
-# over _monomials(v, d); its degree follows from its place in the matrix and
-# is never stored.  index_form needs only v <= 5 and d <= n(n-1)/2 <= 15, so
-# the memoised tables below and _monomial_texts are a fixed set of a few
-# hundred.
+# with v <= 5 variables and degree d <= n(n-1)/2 <= 15, the memoised tables
+# below and _monomial_texts are a fixed set of a few hundred
 _MAX_FORM_DEGREE = 15
 
 
@@ -168,9 +152,9 @@ def _monomials(v, d):
 def _product_table(v, d1, d2):
     """Row i, column j: the position of monomial i of degree d1 times monomial j of degree d2.
 
-    Each exponent tuple is packed as the digits of one integer in base
-    d1 + d2 + 1; no exponent of a product reaches the base, so packed
-    monomials multiply by one integer addition.
+    Exponent tuples are packed as the base-(d1 + d2 + 1) digits of one
+    integer, a base no product's exponent reaches, so monomials multiply
+    by one integer addition.
     """
     base = d1 + d2 + 1
 
@@ -197,12 +181,10 @@ def _mul_into(out, a, b, table, sign=1):
 def _determinant(m, v):
     """Determinant of the power matrix m, whose row r has degree r + 1.
 
-    Laplace expansion along the last row of each leading block: the
-    minor on rows 0..k is built once per (k+1)-column subset (keyed by
-    its bitmask) from the minors on rows 0..k-1, so an s x s matrix
-    costs 2^s minors rather than s! recursive sub-expansions.  Rows join
-    in increasing degree, so each large late-row entry meets the small
-    minor of the rows before it.  Zero minors are left out.
+    The minor on rows 0..k is built once per (k+1)-column subset (keyed
+    by its bitmask) from the minors on rows 0..k-1, so each large
+    late-row entry meets the small minor of the rows before it.  Zero
+    minors are left out.
     """
     size = len(m)
     minors = {0: [1]}
@@ -226,38 +208,56 @@ def _determinant(m, v):
 def index_form(order):
     """Index of the generic element as a polynomial in its non-identity coordinates.
 
-    Homogeneous of degree n(n-1)/2.  The index does not depend on the
-    identity coordinate, so the generic element has none.  Evaluating
-    at a concrete element's coordinates gives that element's index up
-    to sign.
+    Homogeneous of degree n(n-1)/2; its value at a concrete element's
+    coordinates is that element's index up to sign.
     """
     n = order.n
     if n > 6:
         raise ValueError("index form is limited to rank <= 6")
     names = parse_multipoly_vars(n)
     v = n - 1
+    u = max(v - 1, 1)  # x_1..x_(v-2), y; the tail x_u..x_v folds into y
+    degree = v * n // 2
     table = order.table
+    a = max(sum(map(abs, itertools.chain.from_iterable(row[1:]))) for row in table)
+    width = (a**degree).bit_length() + 1
 
-    # w * e_i = sum_k L[i][k] e_k for the generic element w = x*e1 + y*e2 + ...,
-    # each L[i][k] a linear form: coefficient j-1 is table[i][j][k]
-    linear = [
-        [[table[i][j][k] for j in range(1, n)] for k in range(n)] for i in range(n)
-    ]
-    acc = [[1]] + [[0]] * (n - 1)
-    powers = []
-    for degree in range(1, n):
-        step = _product_table(v, 1, degree - 1)
-        out = [[0] * len(_monomials(v, degree)) for _ in range(n)]
+    # w * e_i = sum_k L[i][k] e_k, each L[i][k] a linear form in the outer
+    # variables; Horner over the tail puts x_j at 2^(width(v-j)) y
+    linear = []
+    for row in table:
+        tail = row[u]
+        for vec in row[u + 1 :]:
+            tail = [(x << width) + y for x, y in zip(tail, vec)]
+        linear.append(list(zip(*row[1:u], tail)))
+    acc = linear[0]  # w * e0 = w
+    powers = [acc]
+    for r in range(2, n):
+        step = _product_table(u, 1, r - 1)
+        out = [[0] * len(_monomials(u, r)) for _ in range(n)]
         for ai, forms in zip(acc, linear):
             if any(ai):
                 for o, form in zip(out, forms):
                     _mul_into(o, form, ai, step)
         acc = out
         powers.append(acc)
-    # the power 1 = (1, 0, ..., 0) leads the full matrix: its determinant is
-    # the minor of the higher powers on the non-identity coordinates
-    det = _determinant([row[1:] for row in powers], v)
-    return MultiPoly(names, dict(zip(_monomials(v, v * n // 2), det or ())))
+    # power 0 = (1, 0, ..., 0) leads the full matrix, so its determinant is
+    # the minor on the higher powers' non-identity coordinates
+    det = _determinant([row[1:] for row in powers], u)
+
+    # the digits at y^s, top slot first, are the coefficients at x_u^c x_v^(s-c)
+    # for c = s..0 (x_1^s alone at v = 1): the order of _monomials(v, degree)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    coefficients = []
+    for (*_, s), packed in zip(_monomials(u, degree), det or ()):
+        digits = []
+        for _ in _monomials(n - u, s):
+            packed += half
+            digits.append((packed & mask) - half)
+            packed >>= width
+        assert not packed
+        coefficients += reversed(digits)
+    return MultiPoly(names, dict(zip(_monomials(v, degree), coefficients)))
 
 
 def common_value_divisor(f, modulus):
@@ -266,8 +266,7 @@ def common_value_divisor(f, modulus):
     Over GF(p), x^p = x, so each nonzero exponent e reduces to
     1 + (e-1) mod (p-1); the reduced polynomial is the unique one of
     degree < p in each variable with the same values, so f vanishes
-    everywhere exactly when every reduced coefficient is 0 mod p.  No
-    point is evaluated, so the cost does not grow with p^v.
+    everywhere exactly when every reduced coefficient is 0 mod p.
     """
     p = int(modulus)
     if not is_prime(p):

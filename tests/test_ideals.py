@@ -190,6 +190,16 @@ class TestLatticeIdealInvariants:
         with pytest.raises(ValueError):
             LatticeIdeal(MAX_CUBIC, ((3, 0, 0), (0, 1, 0), (0, 0, 1)))
 
+    def test_trusted_rows_stored_as_given(self):
+        # canonical tuples from hnf, _lattice_rows_mod_p or whole_order are not rebuilt
+        rows = hnf([[2, 0, 0], [0, 1, 0], [1, 0, 1]], 3)
+        assert LatticeIdeal(MAX_CUBIC, rows, _trusted=True).rows is rows
+        unit = whole_order(MAX_CUBIC).rows
+        assert unit == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert isinstance(unit, tuple) and all(isinstance(r, tuple) for r in unit)
+        # untrusted rows are still normalised to tuples of ints
+        assert LatticeIdeal(MAX_CUBIC, [list(r) for r in IDEAL_A.rows]).rows == IDEAL_A.rows
+
     def test_bracket_rendering(self):
         assert bracket_str(IDEAL_A) == "[2, a, 1+b]"
         assert bracket_str(IDEAL_B) == "[2, 1+a, b]"

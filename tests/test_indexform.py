@@ -25,6 +25,7 @@ from primesplit.indexform import (
     index_form,
 )
 from primesplit.orders import (
+    Order,
     _identity_rows,
     cubic_family,
     element_index,
@@ -251,9 +252,9 @@ class TestAgainstCofactorOracle:
     def test_rank5_time_bound(self):
         f = ZPoly.from_text("t^5 - 7*t^4 + 3*t^3 - 9*t^2 + 5*t - 8")
         order = order_from_polynomial(f)
-        start = time.perf_counter()
+        start = time.process_time()
         index_form(order)
-        assert time.perf_counter() - start < 2.0
+        assert time.process_time() - start < 2.0
 
     @pytest.mark.parametrize(
         "text, maximal", [("t^6 - 2", False), ("t^6 - t^3 + 1", False), ("t^6 + 108", True)]
@@ -273,18 +274,19 @@ class TestAgainstCofactorOracle:
         # dense: 3849 terms of degree 15; the monomial tables are built afresh
         order = order_from_polynomial(ZPoly.from_text("t^6 + 3*t^2 - 7*t + 2"))
         _product_table.cache_clear()
-        start = time.perf_counter()
+        start = time.process_time()
         form = index_form(order)
-        assert time.perf_counter() - start < 2.0
+        assert time.process_time() - start < 2.0
         assert len(form.terms) == 3849
 
     @pytest.mark.parametrize(
         "text, bound",
-        [("t^5 - 7*t^4 + 3*t^3 - 9*t^2 + 5*t - 8", 16359), ("t^6 + 3*t^2 - 7*t + 2", 813888)],
+        [("t^5 - 7*t^4 + 3*t^3 - 9*t^2 + 5*t - 8", 3193), ("t^6 + 3*t^2 - 7*t + 2", 124326)],
     )
     def test_multiply_add_bound(self, monkeypatch, text, bound):
         # work, not wall time: each product costs its outer factor's nonzero
-        # coefficients times its inner factor's length in multiply-adds
+        # coefficients times its inner factor's length in multiply-adds; the
+        # packed kernel multiplies in one variable fewer
         work = []
         mul_into = indexform._mul_into
 
@@ -295,6 +297,83 @@ class TestAgainstCofactorOracle:
         monkeypatch.setattr(indexform, "_mul_into", counted)
         index_form(order_from_polynomial(ZPoly.from_text(text)))
         assert sum(work) <= bound
+
+
+def _zero_product_order(n):
+    """Z + Z e1 + ... with e_i e_j = 0 for i, j >= 1: every index form value is 0."""
+    zero = (0,) * n
+    rows = [[zero] * n for _ in range(n)]
+    rows[0] = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    for j in range(1, n):
+        rows[j][0] = rows[0][j]
+    return Order(rows)
+
+
+def _slot_width(order):
+    """The packed kernel's slot width: bitlen(A^(n(n-1)/2)) + 1, A the largest
+    L1 norm of a multiplication map on the non-identity coordinates."""
+    n = order.n
+    a = max(sum(abs(c) for vec in row[1:] for c in vec) for row in order.table)
+    return (a ** (n * (n - 1) // 2)).bit_length() + 1
+
+
+def _enlarged_maximal_orders(rng, ranks):
+    """Maximal orders of t^n + 8a t + 4b, |a|, |b| < 10^4, that are not Z[t]."""
+    out = []
+    for n in ranks:
+        while True:
+            a, b = (rng.choice((-1, 1)) * rng.randrange(1, 10**4) for _ in range(2))
+            f = ZPoly([4 * b, 8 * a] + [0] * (n - 2) + [1])
+            try:
+                order, fundamental = maximal_order(f)
+            except ValueError:  # an integer root, or a discriminant beyond trial division
+                continue
+            if fundamental != discriminant(f):
+                out.append(order)
+                break
+    return out
+
+
+@pytest.fixture(scope="module")
+def packed_corpus():
+    """(order, oracle form) pairs with large table entries of both signs, and zero forms."""
+    rng = random.Random(2027)
+    orders = []
+    for rank, count in ((2, 4), (3, 4), (4, 3), (5, 2)):
+        orders += random_power_basis_orders(rng, rank, count, bound=10**6)
+    a, b = (rng.choice((-1, 1)) * rng.randrange(10**5, 10**6) for _ in range(2))
+    orders.append(order_from_polynomial(ZPoly([b, 0, 0, a, 0, 0, 1])))
+    orders += _enlarged_maximal_orders(rng, (3, 4, 5, 5, 6))
+    orders += [_zero_product_order(3), _zero_product_order(6)]
+    return [(order, cofactor_index_form(order)) for order in orders]
+
+
+class TestPackedKernel:
+    def test_same_form_as_cofactor_oracle(self, packed_corpus):
+        for order, expected in packed_corpus:
+            form = index_form(order)
+            assert form == expected, order.table
+            assert format_multipoly(form) == reference_format_multipoly(expected)
+
+    def test_coefficients_fit_the_slots(self, packed_corpus):
+        # every coefficient is a balanced digit of the slot width
+        for order, expected in packed_corpus:
+            top = max(map(abs, expected.terms.values()), default=0)
+            assert top < 1 << (_slot_width(order) - 1)
+
+    def test_corpus_reaches_large_entries_and_zero_forms(self, packed_corpus):
+        ranks = {order.n for order, _ in packed_corpus}
+        assert ranks == {2, 3, 4, 5, 6}
+        entries = [
+            c for order, _ in packed_corpus for row in order.table for vec in row for c in vec
+        ]
+        assert min(entries) < -10**5 and max(entries) > 10**5
+        zero = [order.n for order, form in packed_corpus if form.is_zero()]
+        assert zero == [3, 6]
+        enlarged = [
+            order.n for order, _ in packed_corpus if order.basis_in_parent is not None
+        ]
+        assert enlarged == [3, 4, 5, 5, 6]
 
 
 class TestProductTables:
