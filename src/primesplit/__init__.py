@@ -39,13 +39,13 @@ from .ideals import (
     whole_order,
 )
 from .indexform import MultiPoly, common_value_divisor, index_form
+from .lattice import hnf
 from .orders import (
     Order,
     OrderElement,
     char_poly,
     cubic_family,
     element_index,
-    hnf,
     maximal_order,
     order_discriminant,
     order_from_polynomial,

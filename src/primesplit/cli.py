@@ -33,7 +33,6 @@ from .criteria import (
 from .fppoly import FpPoly, PrimeModulus, enumerate_monic_irreducibles
 from .ideals import (
     LatticeIdeal,
-    _factor_p_in_order,
     bracket_str,
     crt_good_generator,
     factor_p_in_order,
@@ -175,10 +174,10 @@ def cmd_split_prime(args):
         return RunReport("split-prime", inputs, results)
 
     # f passed the rational-root screen, and its verdict at p holds the
-    # factors of f mod p and the cofactor, so neither is computed again
+    # factors of f mod p and the cofactor, so neither is computed again;
+    # _maximal_order, which takes the verdict, is the shell's one private import
     order, fundamental = _maximal_order(f, args.bound, {modulus.p: verdict})
-    # v_p(D) < 2 proves the order p-maximal, so D spares the check's Round 2 step
-    primes = _factor_p_in_order(order, modulus, fundamental)
+    primes = factor_p_in_order(order, modulus)
     shape = SplittingShape(modulus, [(fx, e) for _, e, fx in primes])
     results = shape.to_json_dict()
     results["index_divisible"] = True

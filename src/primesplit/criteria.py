@@ -8,7 +8,9 @@ Three decision surfaces:
   factor of F mod p also divides M.  The verdict does not depend on the
   choice of lifts (a tested property); the reported M uses balanced
   lifts, whose coefficients lie in [-p/2, p/2), matching the worked
-  values (for p = 2 the residue 1 lifts to -1).
+  values (for p = 2 the residue 1 lifts to -1).  Where p divides the
+  index, ``dedekind_lattice`` reads Dedekind's ring, the first Round 2
+  ring of ``orders.maximal_order``, off the same factors and M.
 
 * factor_prime_via_polynomial -- when the index test passes, the shape
   and two-element generators of the primes above p read off directly
@@ -24,12 +26,16 @@ F mod p is factored by ``fp_factor`` at its defaults; its factors come
 out in canonical order, so no result here depends on a random draw.
 """
 
+from math import prod
+
 from .fppoly import (
     as_modulus,
     count_monic_irreducibles,
     enumerate_monic_irreducibles,
     fp_factor,
+    fp_one,
 )
+from .lattice import rational_lattice
 from .zpoly import ZPoly, cofactor_m, integer_roots, lift, reduce_mod
 
 
@@ -192,12 +198,13 @@ def index_divisible(f, modulus):
     modulus = as_modulus(modulus)
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
-    _rational_root_screen(f)
-    return _dedekind_verdict(modulus, *_factorization_with_cofactor(f, modulus))
+    rational_root_screen(f)
+    return dedekind_verdict(f, modulus)
 
 
-def _dedekind_verdict(modulus, factors, m):
-    """index_divisible's verdict from the factors of f mod p and the cofactor M."""
+def dedekind_verdict(f, modulus):
+    """``index_divisible`` on a monic f at a PrimeModulus, with no screen or input check."""
+    factors, m = _factorization_with_cofactor(f, modulus)
     dividing = _dividing_repeated_factors(modulus, factors, m)
     witness = dividing[0] if dividing else None
     return IndexVerdict(bool(dividing), witness, m, factors)
@@ -207,13 +214,46 @@ def _dividing_repeated_factors(modulus, factors, m):
     """The (P, e) of f mod p with e >= 2 and P dividing M mod p, in factor order.
 
     The first is Dedekind's witness; their product is the Z of
-    Dedekind's enlargement (``orders._dedekind_lattice``).
+    Dedekind's enlargement (``dedekind_lattice``).
     """
     m_red = reduce_mod(m, modulus)
     return [(g, e) for g, e in factors if e >= 2 and (m_red % g).is_zero()]
 
 
-def _rational_root_screen(f):
+def dedekind_lattice(f, modulus, verdict, basis, d):
+    """Add Dedekind's enlargement at q to the ring on basis/d: (rows, d, m).
+
+    `verdict` is Dedekind's test at q on f, which found q to divide the
+    index of Z[t]/(f).  Let Z be the product of the repeated factors of
+    f mod q that divide the cofactor M mod q, m its degree, and
+    U = (f mod q)/Z.  Then O' = Z[t] + (U(t)/q)*Z[t] is the ring of
+    multipliers of the q-radical of Z[t], the first Round 2 ring, and
+    [O' : Z[t]] = q^m (Cohen, GTM 138, 6.1.4).  The ring on basis/d
+    contains Z[t] with index prime to q, so the sum is a ring that
+    gains exactly O' at q; that q^m is checked on the canonical diagonal.
+    """
+    q = modulus.p
+    n = f.degree
+    dividing = _dividing_repeated_factors(modulus, verdict.factors, verdict.cofactor)
+    z = prod((g for g, _ in dividing), start=fp_one(modulus))
+    u = (reduce_mod(f, modulus) // z).coeffs
+    m = n + 1 - len(u)
+    # modulo Z[t], (U(t)/q)*Z[t] is spanned by the U(t)*t^i/q with i < m,
+    # whose degrees are below n
+    rows = [[q * c for c in row] for row in basis] + [
+        [0] * i + [d * c for c in u] + [0] * (m - 1 - i) for i in range(m)
+    ]
+    basis, d = rational_lattice(rows, d * q)
+    index = d**n // prod(row[i] for i, row in enumerate(basis))
+    if index % q**m or index // q**m % q == 0:
+        raise AssertionError(
+            "Dedekind's enlargement at %d does not have q-index %d^%d" % (q, q, m)
+        )
+    return basis, d, m
+
+
+def rational_root_screen(f):
+    """Refuse an f of degree < 2, or one with an integer root (t | f included)."""
     const = f.coeffs[0]
     if const == 0:
         raise ValueError("polynomial is divisible by t, hence reducible")

@@ -576,7 +576,7 @@ def count_monic_irreducibles(modulus, f):
     """
     if f < 1:
         raise ValueError("degree must be >= 1")
-    p = int(modulus)
+    p = as_modulus(modulus).p
     signed = [(1, 1)]  # (squarefree divisor d, mu(d))
     for q in trial_factor(f, f):
         signed += [(d * q, -mu) for d, mu in signed]

@@ -11,33 +11,37 @@ generators or as products.  The primes above p come from splitting
 order/(p*order) by its idempotents, which ends at each P^e; P is P^e
 plus the p-radical, and f and e come from the norms of P and P^e by
 ``integers.prime_power``.  Between p*order and the order, lattices
-are GF(p) subspaces whose canonical rows come from echelon rows mod p,
-so integer HNF runs there only to check that the P^e multiply to
-p*order.  Good generators are combined by
-lattice CRT: one reduction modulo the canonical basis of a lattice of
-rank 2n.  All values are immutable and all operations pure.
+are GF(p) subspaces whose canonical rows come from echelon rows mod p
+(``lattice`` holds the canonical form and the GF(p) kernel), so
+integer HNF runs there only to check that the P^e multiply to
+p*order.  Good generators are combined by lattice CRT: one reduction
+modulo the canonical basis of a lattice of rank 2n.  All values are
+immutable and all operations pure.
 """
 
 import itertools
 
 from .fppoly import FpPoly, as_modulus, fp_factor, fp_is_irreducible
 from .integers import prime_power
+from .lattice import (
+    echelon_mod_p,
+    hnf,
+    lattice_divmod,
+    lattice_rows_mod_p,
+    left_kernel_mod_p,
+    unit,
+)
 from .orders import (
     Order,
     OrderElement,
-    _bracket_entry,
-    _echelon_mod_p,
-    _frobenius_mod_p,
-    _lattice_divmod,
-    _lattice_rows_mod_p,
-    _left_kernel_mod_p,
-    _multipliers_mod_p,
-    _radical_mod_p,
-    _unit,
     char_poly,
     element_index,
-    hnf,
+    frobenius_mod_p,
+    multipliers_mod_p,
+    order_discriminant,
+    radical_mod_p,
 )
+from .textfmt import bracket_entry
 from .zpoly import lift, reduce_mod
 
 
@@ -47,7 +51,7 @@ class LatticeIdeal:
     __slots__ = ("order", "rows")
 
     def __init__(self, order, rows, _trusted=False):
-        # trusted rows are canonical tuples of ints (hnf, _lattice_rows_mod_p
+        # trusted rows are canonical tuples of ints (hnf, lattice_rows_mod_p
         # or whole_order) and are stored as given
         if not isinstance(order, Order):
             raise TypeError("expected an Order")
@@ -75,7 +79,7 @@ class LatticeIdeal:
         return abs(out)
 
     def contains_vec(self, vec):
-        return not any(_lattice_divmod(self.rows, vec)[1])
+        return not any(lattice_divmod(self.rows, vec)[1])
 
     def contains_element(self, elem):
         return self.contains_vec(elem.coords)
@@ -88,7 +92,7 @@ class LatticeIdeal:
         """All canonical residue vectors modulo this lattice, in lex order."""
         ranges = [range(self.rows[i][i]) for i in range(self.order.n)]
         for combo in itertools.product(*ranges):
-            yield _lattice_divmod(self.rows, combo)[1]
+            yield lattice_divmod(self.rows, combo)[1]
 
     def __eq__(self, other):
         return (
@@ -107,13 +111,13 @@ class LatticeIdeal:
 def bracket_str(ideal):
     """Paper-style bracket notation, e.g. ``[2, a, 1+b]``."""
     return "[%s]" % ", ".join(
-        _bracket_entry(r, ideal.order.labels) for r in ideal.rows
+        bracket_entry(r, ideal.order.labels) for r in ideal.rows
     )
 
 
 def whole_order(order):
     n = order.n
-    return LatticeIdeal(order, tuple(_unit(n, i) for i in range(n)), _trusted=True)
+    return LatticeIdeal(order, tuple(unit(n, i) for i in range(n)), _trusted=True)
 
 
 def ideal_from_generators(order, gens):
@@ -168,26 +172,19 @@ def factor_p_in_order(order, modulus):
     Every J, P^e and P is held as a reduced echelon basis mod p, a
     subspace of order/(p*order), and its canonical rows are read off it.
 
-    The order must be p-maximal, which one Round 2 step checks.  Results
-    are sorted by basis matrix and returned as (ideal, e, f).
+    The order must be p-maximal.  An enlargement of index p^k divides
+    the discriminant by p^(2k), so v_p(disc) < 2 proves it; otherwise
+    one Round 2 step checks it.  Results are sorted by basis matrix and
+    returned as (ideal, e, f).
     """
-    return _factor_p_in_order(order, as_modulus(modulus), None)
-
-
-def _factor_p_in_order(order, modulus, disc):
-    """``factor_p_in_order``, given the order's discriminant when the caller holds it.
-
-    An enlargement of index p^k divides the discriminant by p^(2k), so
-    v_p(disc) < 2 proves the order p-maximal and the Round 2 step that
-    checks it is skipped.  With disc None, or p^2 dividing it, the step
-    runs.
-    """
+    modulus = as_modulus(modulus)
     p = modulus.p
     n = order.n
-    frobenius = _frobenius_mod_p(order.table, p)
-    radical = _radical_mod_p(frobenius, p)
-    # one Round 2 step: the ring of multipliers of the radical must be the order
-    if (disc is None or disc % (p * p) == 0) and _multipliers_mod_p(
+    frobenius = frobenius_mod_p(order.table, p)
+    radical = radical_mod_p(frobenius, p)
+    # unless v_p(disc) < 2, one Round 2 step: the ring of multipliers of
+    # the radical must be the order
+    if order_discriminant(order) % (p * p) == 0 and multipliers_mod_p(
         order.table, p, radical
     ):
         raise ValueError("order is not %d-maximal" % p)
@@ -196,7 +193,7 @@ def _factor_p_in_order(order, modulus, disc):
     radical_echelon = [radical[i] for i in pivots], pivots
 
     shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(frobenius)]
-    split = _left_kernel_mod_p(shifted, p)
+    split = left_kernel_mod_p(shifted, p)
     # row 0 of shifted is zero, so split[0] is the identity, which splits nothing
     parts = [[]]  # echelon rows mod p; none for the zero subspace, p*order
     for x in split[1:]:
@@ -206,9 +203,9 @@ def _factor_p_in_order(order, modulus, disc):
         refined = []
         for linear, _ in fp_factor(cp):
             c = -linear.coeffs[0]  # the root of t - c
-            image = _echelon_mod_p(order.mul_matrix([x[0] - c] + x[1:]), p, last=True)
+            image = echelon_mod_p(order.mul_matrix([x[0] - c] + x[1:]), p, last=True)
             for rows in parts:
-                ideal, _ = _echelon_mod_p(rows, p, last=True, start=image)
+                ideal, _ = echelon_mod_p(rows, p, last=True, start=image)
                 if len(ideal) < n:
                     refined.append(ideal)
         parts = refined
@@ -218,10 +215,10 @@ def _factor_p_in_order(order, modulus, disc):
     powers = []
     out = []
     for rows in parts:
-        power = LatticeIdeal(order, _lattice_rows_mod_p(rows, p, n), _trusted=True)
+        power = LatticeIdeal(order, lattice_rows_mod_p(rows, p, n), _trusted=True)
         # P^e + radical: only the rows of P^e are reduced
-        prime_rows, _ = _echelon_mod_p(rows, p, last=True, start=radical_echelon)
-        prime = LatticeIdeal(order, _lattice_rows_mod_p(prime_rows, p, n), _trusted=True)
+        prime_rows, _ = echelon_mod_p(rows, p, last=True, start=radical_echelon)
+        prime = LatticeIdeal(order, lattice_rows_mod_p(prime_rows, p, n), _trusted=True)
         q, f = prime_power(prime.norm())
         if q != p:
             raise AssertionError("ideal norm is not a power of %d" % p)
@@ -235,7 +232,7 @@ def _factor_p_in_order(order, modulus, disc):
     total, *rest = powers
     for power in rest:
         total = ideal_product(total, power)
-    if total.rows != _lattice_rows_mod_p([], p, n):
+    if total.rows != lattice_rows_mod_p([], p, n):
         raise AssertionError("prime power product does not reconstruct p*order")
     if sum(e * f for _, e, f in out) != n:
         raise AssertionError("sum of e*f does not equal the rank")
@@ -257,7 +254,7 @@ def _crt_pair(order, a, la, b, lb):
     zero = (0,) * n
     rows = [r + r for r in la.rows] + [zero + r for r in lb.rows]
     diff = tuple(y - x for x, y in zip(a.coords, b.coords))
-    _, residue = _lattice_divmod(hnf(rows), zero + diff)
+    _, residue = lattice_divmod(hnf(rows), zero + diff)
     if any(residue[n:]):
         raise ValueError("congruences are not compatible")
     return OrderElement(order, [x - u for x, u in zip(a.coords, residue)])
@@ -328,7 +325,7 @@ def crt_good_generator(order, modulus, primes, polys):
     for value, lat in congruences[1:]:
         theta = _crt_pair(order, theta, lattice, value, lat)
         lattice = ideal_product(lattice, lat)
-    theta = OrderElement(order, _lattice_divmod(lattice.rows, theta.coords)[1])
+    theta = OrderElement(order, lattice_divmod(lattice.rows, theta.coords)[1])
     if element_index(order, theta) % p == 0:
         raise AssertionError("constructed generator has index divisible by %d" % p)
     expected = FpPoly(modulus, (1,))

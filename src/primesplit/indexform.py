@@ -212,6 +212,8 @@ def index_form(order):
     coordinates is that element's index up to sign.
     """
     n = order.n
+    if n < 2:
+        raise ValueError("index form needs rank >= 2, got rank %d" % n)
     if n > 6:
         raise ValueError("index form is limited to rank <= 6")
     names = parse_multipoly_vars(n)

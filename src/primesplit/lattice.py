@@ -1,0 +1,182 @@
+"""Integer lattices in canonical triangular form, and linear algebra over GF(p).
+
+A lattice of full rank n is kept as integer rows in the canonical
+triangular (Hermite normal) form: row i has its last nonzero entry at
+column i, the diagonal is positive and the entries before each pivot
+are reduced into [0, pivot).  Equal lattices have equal rows, so the
+bracket bases of ideals and the bases of enlarged orders compare as
+matrices.  A rational lattice is such rows over one positive
+denominator d, with (rows, d) in lowest terms.  ``hnf`` is the one
+integer HNF routine.
+
+A lattice between p*Z^n and Z^n is a subspace of GF(p)^n, so its
+canonical rows are read off a reduced echelon basis mod p
+(``lattice_rows_mod_p``) with no integer HNF.  ``echelon_mod_p`` is the
+one elimination loop over GF(p); the left kernel and row combinations
+mod p are built on it.  Orders run Round 2 and ideals split p*O on
+these.
+"""
+
+from math import gcd
+
+from .integers import xgcd
+
+
+def unit(n, i):
+    return tuple(1 if k == i else 0 for k in range(n))
+
+
+def identity_rows(n):
+    return [unit(n, i) for i in range(n)]
+
+
+def hnf(rows, n=None):
+    """Canonical triangular basis of the lattice spanned by integer rows.
+
+    Each row is reduced by extended gcds of pivots (last nonzero
+    entries) against the basis until it vanishes or takes a free column
+    (Cohen, GTM 138, 2.4).  Then, from the highest column down, each
+    pivot is made positive and the later rows' entries in its column
+    are reduced into [0, pivot).  Requires the span to have full rank n
+    (defaults to the row width); raises ValueError on rank deficiency.
+    """
+    rows = [list(r) for r in rows]
+    if not rows:
+        raise ValueError("no generators given")
+    if n is None:
+        n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise ValueError("rows have inconsistent width")
+    basis = [None] * n  # basis[j]: the row with pivot j, cut after its pivot
+    for v in rows:
+        j = n - 1
+        while True:
+            while j >= 0 and not v[j]:
+                j -= 1
+            if j < 0:
+                break
+            r = basis[j]
+            if r is None:
+                basis[j] = v[: j + 1]
+                break
+            a, b = r[j], v[j]
+            if b % a:
+                g, s, t = xgcd(a, b)
+                basis[j] = [s * x + t * y for x, y in zip(r, v)]
+                a, b = a // g, b // g
+                v = [a * y - b * x for x, y in zip(r, v)]
+            else:
+                q = b // a
+                v = [y - q * x for x, y in zip(r, v)]
+    rank = n - basis.count(None)
+    if rank != n:
+        raise ValueError("generators span a rank-%d lattice, need %d" % (rank, n))
+    for c in range(n - 1, -1, -1):
+        r = basis[c]
+        if r[c] < 0:
+            r[:] = [-x for x in r]
+        pivot = r[c]
+        for s in basis[c + 1 :]:
+            q = s[c] // pivot
+            if q:
+                s[: c + 1] = [x - q * y for x, y in zip(s, r)]
+    return tuple(tuple(r) + (0,) * (n - 1 - i) for i, r in enumerate(basis))
+
+
+def lattice_divmod(basis, vec):
+    """(y, r) with vec = sum(y_i * basis_i) + r in a canonical triangular basis.
+
+    Each entry r_i lies in [0, basis_i[i]), so r is the canonical residue
+    of vec modulo the lattice, and vec is a member exactly when r is zero.
+    """
+    v = list(vec)
+    y = [0] * len(basis)
+    for i in range(len(basis) - 1, -1, -1):
+        q = v[i] // basis[i][i]
+        if q:
+            y[i] = q
+            for j in range(i + 1):
+                v[j] -= q * basis[i][j]
+    return y, tuple(v)
+
+
+def rational_lattice(rows, d):
+    """Canonical (rows, d) of the lattice spanned by the integer rows divided by d."""
+    return lowest_terms(hnf(rows), d)
+
+
+def lowest_terms(rows, d):
+    g = gcd(d, *(c for row in rows for c in row))
+    return [[c // g for c in row] for row in rows], d // g
+
+
+# -- linear algebra over GF(p) ----------------------------------------------
+
+def echelon_mod_p(rows, p, last=False, start=((), ())):
+    """Reduced row echelon form of integer rows over GF(p): (nonzero rows, pivots).
+
+    A row's pivot is its first nonzero entry, or its last one when
+    `last` is set.  The rows extend `start`, a reduced echelon form of
+    the same kind, whose own rows are not reduced again: they are only
+    cleared in the columns of the new pivots.
+    """
+    out, pivots = list(start[0]), list(start[1])
+    for vec in rows:
+        v = [c % p for c in vec]
+        for r, j in zip(out, pivots):
+            if v[j]:
+                c = v[j]
+                v = [(x - c * y) % p for x, y in zip(v, r)]
+        nonzero = [k for k, x in enumerate(v) if x]
+        if not nonzero:
+            continue
+        j = nonzero[-1] if last else nonzero[0]
+        inv = pow(v[j], -1, p)
+        v = [x * inv % p for x in v]
+        for i, r in enumerate(out):
+            if r[j]:
+                c = r[j]
+                out[i] = [(x - c * y) % p for x, y in zip(r, v)]
+        out.append(v)
+        pivots.append(j)
+    return out, pivots
+
+
+def lattice_rows_mod_p(echelon, p, n):
+    """``hnf`` of p*Z^n plus the span of a reduced echelon basis mod p.
+
+    The basis pivots on last nonzero entries, as ``echelon_mod_p(...,
+    last=True)`` gives, so row j is its row with pivot j, or p*e_j when
+    no row pivots at j (the lattices between p*Z^n and Z^n are the
+    subspaces of GF(p)^n, Cohen, GTM 138, 6.2).
+    """
+    rows = [(0,) * j + (p,) + (0,) * (n - 1 - j) for j in range(n)]
+    for r in echelon:
+        j = n - 1
+        while not r[j]:
+            j -= 1
+        rows[j] = tuple(r)
+    return tuple(rows)
+
+
+def left_kernel_mod_p(rows, p):
+    """Basis over GF(p) of {x : sum_i x_i * rows_i = 0 mod p}, one vector per free column."""
+    m = len(rows)
+    echelon, pivots = echelon_mod_p(zip(*rows), p)
+    out = []
+    for free in sorted(set(range(m)) - set(pivots)):
+        x = [0] * m
+        x[free] = 1
+        for r, j in zip(echelon, pivots):
+            x[j] = -r[free] % p
+        out.append(x)
+    return out
+
+
+def combine_rows_mod_p(coeffs, rows, p):
+    """sum_i coeffs[i] * rows[i] mod p, skipping the zero coefficients."""
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * r for a, r in zip(acc, row)]
+    return [a % p for a in acc]

@@ -6,17 +6,12 @@ each product of basis elements as an integer coordinate vector.
 Commutativity, the identity law, and associativity on all basis triples
 are checked eagerly at construction, so a bad table fails fast.
 
-Integer lattices in canonical triangular (Hermite normal) form live
-here too: ``hnf``, the one integer HNF routine, which ideals use, and
-the rational lattices of p-enlargement, kept as integer rows over one
-common denominator.  Next to it sits the one GF(p) kernel (echelon
-form and left kernel of integer rows mod p) on which the p-maximal
-order is built by the Pohst-Zassenhaus Round 2: the p-radical is the
-kernel of a power of the Frobenius matrix, and its ring of multipliers
-is the next order.  A lattice between p*Z^n and Z^n is a subspace of
-GF(p)^n, so its canonical rows are read off a reduced echelon basis
-mod p (``_lattice_rows_mod_p``) with no integer HNF.
-``ideals.factor_p_in_order`` shares all of this: the radical checks
+Enlarged orders are rational lattices over the parent in the canonical
+triangular form of ``lattice``, and the p-maximal order is built by the
+Pohst-Zassenhaus Round 2 on ``lattice``'s GF(p) kernel: the p-radical
+is the kernel of a power of the Frobenius matrix (``radical_mod_p``),
+and its ring of multipliers (``multipliers_mod_p``) is the next order.
+``ideals.factor_p_in_order`` shares these steps: the radical checks
 p-maximality and gives each prime from its power, and the Frobenius
 matrix minus the identity splits order/(p*order).
 
@@ -26,33 +21,37 @@ p-maximal (Cohen, GTM 138, 6.1); each Round 2 step of index p^k takes
 2k from v, and the loop runs only while v >= 2 (or until the ring of
 multipliers adds nothing).  ``maximal_order`` does not start Round 2
 from Z[t]/(f).  At each prime q that Dedekind's criterion says divides
-the index, the factors of f mod q and the cofactor the test already
-read give Dedekind's ring O' = Z[t] + (U(t)/q)*Z[t] of index q^m, which
-is the first Round 2 ring (Cohen, GTM 138, 6.1.4), and Round 2
-continues from O' with v = v_q(disc f) - 2m.  Round 2 runs on bare
-multiplication tables, carried from prime to prime by
-``maximal_order``; only the order a call returns is an Order.
+the index, ``criteria.dedekind_lattice`` gives Dedekind's ring O' of
+index q^m, which is the first Round 2 ring, and Round 2 continues from
+O' with v = v_q(disc f) - 2m.  Round 2 runs on bare multiplication
+tables, carried from prime to prime by ``maximal_order``; only the
+order a call returns is an Order.
 
 Orders and elements are immutable; every operation is a pure function.
 Every enlarged order carries the canonical triangular basis of its
 lattice, so equal orders have equal bases.  Trial factoring of the
-discriminant and the extended gcd of ``hnf`` come from ``integers``.
+discriminant comes from ``integers``.
 """
 
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
-from .criteria import (
-    _dedekind_verdict,
-    _dividing_repeated_factors,
-    _rational_root_screen,
-    factorization_with_cofactor,
+from .criteria import dedekind_lattice, dedekind_verdict, rational_root_screen
+from .fppoly import PrimeModulus, as_modulus, binary_power
+from .integers import DEFAULT_TRIAL_BOUND, trial_factor
+from .lattice import (
+    combine_rows_mod_p,
+    identity_rows,
+    lattice_divmod,
+    lattice_rows_mod_p,
+    left_kernel_mod_p,
+    rational_lattice,
+    unit,
 )
-from .fppoly import PrimeModulus, as_modulus, binary_power, fp_one
-from .integers import DEFAULT_TRIAL_BOUND, trial_factor, xgcd
-from .zpoly import ZPoly, bareiss_determinant, discriminant, reduce_mod
+from .textfmt import bracket_entry
+from .zpoly import ZPoly, bareiss_determinant, discriminant
 
 
 class Order:
@@ -111,7 +110,7 @@ class Order:
         return OrderElement(self, coords)
 
     def identity(self):
-        return OrderElement(self, _unit(self.n, 0))
+        return OrderElement(self, unit(self.n, 0))
 
     def zero(self):
         return OrderElement(self, (0,) * self.n)
@@ -162,10 +161,6 @@ def _mul_matrix(table, coords):
             for k in range(n):
                 row[k] += ci * tij[k]
     return rows
-
-
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
 
 
 def _basis_labels(labels, n):
@@ -239,25 +234,7 @@ class OrderElement:
         return hash((self.order, self.coords))
 
     def __repr__(self):
-        return "OrderElement(%s)" % _bracket_entry(self.coords, self.order.labels)
-
-
-def _bracket_entry(coords, labels):
-    """Compact combination of basis labels, e.g. ``2+a-3b``."""
-    parts = []
-    for c, label in zip(coords, labels):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if label == "1":
-            body = str(mag)
-        else:
-            body = label if mag == 1 else "%d%s" % (mag, label)
-        if not parts:
-            parts.append("-" + body if c < 0 else body)
-        else:
-            parts.append(("-" if c < 0 else "+") + body)
-    return "".join(parts) if parts else "0"
+        return "OrderElement(%s)" % bracket_entry(self.coords, self.order.labels)
 
 
 # -- characteristic polynomials ------------------------------------------
@@ -349,105 +326,6 @@ def element_index(order, theta):
     return abs(bareiss_determinant(rows))
 
 
-# -- integer lattices --------------------------------------------------------
-#
-# A lattice of full rank n is kept as integer rows in the canonical
-# triangular form: row i has its last nonzero entry at column i, the
-# diagonal is positive and the entries before each pivot are reduced
-# into [0, pivot).  A rational lattice is such rows over one positive
-# denominator d, with (rows, d) in lowest terms, so equal lattices have
-# equal (rows, d).
-
-
-def hnf(rows, n=None):
-    """Canonical triangular basis of the lattice spanned by integer rows.
-
-    Each row is reduced by extended gcds of pivots (last nonzero
-    entries) against the basis until it vanishes or takes a free column
-    (Cohen, GTM 138, 2.4).  Then, from the highest column down, each
-    pivot is made positive and the later rows' entries in its column
-    are reduced into [0, pivot).  Requires the span to have full rank n
-    (defaults to the row width); raises ValueError on rank deficiency.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        raise ValueError("no generators given")
-    if n is None:
-        n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise ValueError("rows have inconsistent width")
-    basis = [None] * n  # basis[j]: the row with pivot j, cut after its pivot
-    for v in rows:
-        j = n - 1
-        while True:
-            while j >= 0 and not v[j]:
-                j -= 1
-            if j < 0:
-                break
-            r = basis[j]
-            if r is None:
-                basis[j] = v[: j + 1]
-                break
-            a, b = r[j], v[j]
-            if b % a:
-                g, s, t = xgcd(a, b)
-                basis[j] = [s * x + t * y for x, y in zip(r, v)]
-                a, b = a // g, b // g
-                v = [a * y - b * x for x, y in zip(r, v)]
-            else:
-                q = b // a
-                v = [y - q * x for x, y in zip(r, v)]
-    rank = n - basis.count(None)
-    if rank != n:
-        raise ValueError("generators span a rank-%d lattice, need %d" % (rank, n))
-    for c in range(n - 1, -1, -1):
-        r = basis[c]
-        if r[c] < 0:
-            r[:] = [-x for x in r]
-        pivot = r[c]
-        for s in basis[c + 1 :]:
-            q = s[c] // pivot
-            if q:
-                s[: c + 1] = [x - q * y for x, y in zip(s, r)]
-    return tuple(tuple(r) + (0,) * (n - 1 - i) for i, r in enumerate(basis))
-
-
-def _lattice_divmod(basis, vec):
-    """(y, r) with vec = sum(y_i * basis_i) + r in a canonical triangular basis.
-
-    Each entry r_i lies in [0, basis_i[i]), so r is the canonical residue
-    of vec modulo the lattice, and vec is a member exactly when r is zero.
-    """
-    v = list(vec)
-    y = [0] * len(basis)
-    for i in range(len(basis) - 1, -1, -1):
-        q = v[i] // basis[i][i]
-        if q:
-            y[i] = q
-            for j in range(i + 1):
-                v[j] -= q * basis[i][j]
-    return y, tuple(v)
-
-
-def _lattice(rows, d):
-    """Canonical (rows, d) of the lattice spanned by the integer rows divided by d."""
-    return _lowest_terms(hnf(rows), d)
-
-
-def _lowest_terms(rows, d):
-    g = gcd(d, *(c for row in rows for c in row))
-    return [[c // g for c in row] for row in rows], d // g
-
-
-def _rational_rows(rows, d):
-    """(integer rows, d) as exact rational rows, the form of ``basis_in_parent``."""
-    return tuple(tuple(Fraction(c, d) for c in row) for row in rows)
-
-
-def _identity_rows(n):
-    return [_unit(n, i) for i in range(n)]
-
-
 # -- orders on rational lattices ----------------------------------------------
 
 def _table_on_lattice(table, basis, d):
@@ -458,7 +336,7 @@ def _table_on_lattice(table, basis, d):
     scaled = [[d * c for c in row] for row in basis]
     out = [[None] * n for _ in range(n)]
     for i, j in itertools.combinations_with_replacement(range(n), 2):
-        coords, residue = _lattice_divmod(scaled, _vec_mul(table, basis[i], basis[j]))
+        coords, residue = lattice_divmod(scaled, _vec_mul(table, basis[i], basis[j]))
         if any(residue):
             raise ValueError("span is not closed under multiplication")
         out[i][j] = out[j][i] = tuple(coords)  # the parent ring is commutative
@@ -474,6 +352,11 @@ def _order_on_lattice(parent_labels, basis, d, table):
     )
 
 
+def _rational_rows(rows, d):
+    """(integer rows, d) as exact rational rows, the form of ``basis_in_parent``."""
+    return tuple(tuple(Fraction(c, d) for c in row) for row in rows)
+
+
 def _enlarged_labels(parent_labels, basis, d):
     """A parent label for each basis row equal to d times a unit vector, else w<i>."""
     out = []
@@ -487,79 +370,6 @@ def _enlarged_labels(parent_labels, basis, d):
     return tuple(out)
 
 
-# -- linear algebra over GF(p) ----------------------------------------------
-
-def _echelon_mod_p(rows, p, last=False, start=((), ())):
-    """Reduced row echelon form of integer rows over GF(p): (nonzero rows, pivots).
-
-    A row's pivot is its first nonzero entry, or its last one when
-    `last` is set.  The rows extend `start`, a reduced echelon form of
-    the same kind, whose own rows are not reduced again: they are only
-    cleared in the columns of the new pivots.
-    """
-    out, pivots = list(start[0]), list(start[1])
-    for vec in rows:
-        v = [c % p for c in vec]
-        for r, j in zip(out, pivots):
-            if v[j]:
-                c = v[j]
-                v = [(x - c * y) % p for x, y in zip(v, r)]
-        nonzero = [k for k, x in enumerate(v) if x]
-        if not nonzero:
-            continue
-        j = nonzero[-1] if last else nonzero[0]
-        inv = pow(v[j], -1, p)
-        v = [x * inv % p for x in v]
-        for i, r in enumerate(out):
-            if r[j]:
-                c = r[j]
-                out[i] = [(x - c * y) % p for x, y in zip(r, v)]
-        out.append(v)
-        pivots.append(j)
-    return out, pivots
-
-
-def _lattice_rows_mod_p(echelon, p, n):
-    """``hnf`` of p*Z^n plus the span of a reduced echelon basis mod p.
-
-    The basis pivots on last nonzero entries, as ``_echelon_mod_p(...,
-    last=True)`` gives, so row j is its row with pivot j, or p*e_j when
-    no row pivots at j (the lattices between p*Z^n and Z^n are the
-    subspaces of GF(p)^n, Cohen, GTM 138, 6.2).
-    """
-    rows = [(0,) * j + (p,) + (0,) * (n - 1 - j) for j in range(n)]
-    for r in echelon:
-        j = n - 1
-        while not r[j]:
-            j -= 1
-        rows[j] = tuple(r)
-    return tuple(rows)
-
-
-def _left_kernel_mod_p(rows, p):
-    """Basis over GF(p) of {x : sum_i x_i * rows_i = 0 mod p}, one vector per free column."""
-    m = len(rows)
-    echelon, pivots = _echelon_mod_p(zip(*rows), p)
-    out = []
-    for free in sorted(set(range(m)) - set(pivots)):
-        x = [0] * m
-        x[free] = 1
-        for r, j in zip(echelon, pivots):
-            x[j] = -r[free] % p
-        out.append(x)
-    return out
-
-
-def _frobenius_mod_p(table, p):
-    """Matrix of x -> x^p on order/(p*order) over GF(p): row i is basis_i^p mod p."""
-    n = len(table)
-
-    def mul(a, b):
-        return tuple(c % p for c in _vec_mul(table, a, b))
-
-    return [list(binary_power(_unit(n, i), p, mul, _unit(n, 0))) for i in range(n)]
-
-
 # -- p-maximal orders by Round 2 ----------------------------------------------
 #
 # The rings of Round 2 are tables, not Orders.  ``_table_on_lattice``
@@ -567,11 +377,21 @@ def _frobenius_mod_p(table, p):
 # subring and inherits commutativity and associativity; the Order built
 # from the last one checks everything again.
 
-def _radical_mod_p(frobenius, p):
+def frobenius_mod_p(table, p):
+    """Matrix of x -> x^p on order/(p*order) over GF(p): row i is basis_i^p mod p."""
+    n = len(table)
+
+    def mul(a, b):
+        return tuple(c % p for c in _vec_mul(table, a, b))
+
+    return [list(binary_power(unit(n, i), p, mul, unit(n, 0))) for i in range(n)]
+
+
+def radical_mod_p(frobenius, p):
     """Canonical rows of the p-radical: p*order plus the kernel of x -> x^(p^k), p^k >= n.
 
     `frobenius` is the matrix of x -> x^p on order/(p*order)
-    (``_frobenius_mod_p``); x -> x^(p^k) is its k-th power, which
+    (``frobenius_mod_p``); x -> x^(p^k) is its k-th power, which
     vanishes exactly on the nilpotents.  Each row of the next power is a
     combination of the rows of `frobenius`, taken over the nonzero
     coefficients of the row before.
@@ -579,23 +399,14 @@ def _radical_mod_p(frobenius, p):
     n = len(frobenius)
     power, q = frobenius, p
     while q < n:
-        power = [_combine_rows_mod_p(row, frobenius, p) for row in power]
+        power = [combine_rows_mod_p(row, frobenius, p) for row in power]
         q *= p
     # each kernel vector holds 1 at its own free column, its last nonzero
     # entry, and 0 at the others: a reduced echelon basis as it stands
-    return _lattice_rows_mod_p(_left_kernel_mod_p(power, p), p, n)
+    return lattice_rows_mod_p(left_kernel_mod_p(power, p), p, n)
 
 
-def _combine_rows_mod_p(coeffs, rows, p):
-    """sum_i coeffs[i] * rows[i] mod p, skipping the zero coefficients."""
-    acc = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = [a + c * r for a, r in zip(acc, row)]
-    return [a % p for a in acc]
-
-
-def _multipliers_mod_p(table, p, radical):
+def multipliers_mod_p(table, p, radical):
     """Basis mod p of U/(p*order), U = {x : x*I inside p*I}, I the p-radical.
 
     `radical` holds the canonical rows of I.  The ring of multipliers of
@@ -606,8 +417,8 @@ def _multipliers_mod_p(table, p, radical):
     rows = [[] for _ in table]
     for v in radical:
         for row, prod in zip(rows, _mul_matrix(table, v)):
-            row.extend(c % p for c in _lattice_divmod(radical, prod)[0])
-    return _left_kernel_mod_p(rows, p)
+            row.extend(c % p for c in lattice_divmod(radical, prod)[0])
+    return left_kernel_mod_p(rows, p)
 
 
 def _p_maximal_lattice(table, p, basis, d, current, v):
@@ -623,8 +434,8 @@ def _p_maximal_lattice(table, p, basis, d, current, v):
     """
     n = len(table)
     while v >= 2:
-        radical = _radical_mod_p(_frobenius_mod_p(current, p), p)
-        kernel = _multipliers_mod_p(current, p, radical)
+        radical = radical_mod_p(frobenius_mod_p(current, p), p)
+        kernel = multipliers_mod_p(current, p, radical)
         if not kernel:
             break
         # the next ring is (p*current + kernel)/p, written over table's basis
@@ -632,7 +443,7 @@ def _p_maximal_lattice(table, p, basis, d, current, v):
             [sum(x * row[j] for x, row in zip(u, basis)) for j in range(n)]
             for u in kernel
         ]
-        basis, d = _lattice(rows, d * p)
+        basis, d = rational_lattice(rows, d * p)
         current = _table_on_lattice(table, basis, d)
         v -= 2 * len(kernel)
     return basis, d, current
@@ -660,41 +471,9 @@ def p_enlarge(order, modulus):
         disc //= p
         v += 1
     enlarged = _p_maximal_lattice(
-        order.table, p, _identity_rows(order.n), 1, order.table, v
+        order.table, p, identity_rows(order.n), 1, order.table, v
     )
     return _order_on_lattice(order.labels, *enlarged)
-
-
-def _dedekind_lattice(f, modulus, verdict, basis, d):
-    """Add Dedekind's enlargement at q to the ring on basis/d: (rows, d, m).
-
-    `verdict` is Dedekind's test at q on f, which found q to divide the
-    index of Z[t]/(f).  Let Z be the product of the repeated factors of
-    f mod q that divide the cofactor M mod q, m its degree, and
-    U = (f mod q)/Z.  Then O' = Z[t] + (U(t)/q)*Z[t] is the ring of
-    multipliers of the q-radical of Z[t], the first Round 2 ring, and
-    [O' : Z[t]] = q^m (Cohen, GTM 138, 6.1.4).  The ring on basis/d
-    contains Z[t] with index prime to q, so the sum is a ring that
-    gains exactly O' at q; that q^m is checked on the canonical diagonal.
-    """
-    q = modulus.p
-    n = f.degree
-    dividing = _dividing_repeated_factors(modulus, verdict.factors, verdict.cofactor)
-    z = prod((g for g, _ in dividing), start=fp_one(modulus))
-    u = (reduce_mod(f, modulus) // z).coeffs
-    m = n + 1 - len(u)
-    # modulo Z[t], (U(t)/q)*Z[t] is spanned by the U(t)*t^i/q with i < m,
-    # whose degrees are below n
-    rows = [[q * c for c in row] for row in basis] + [
-        [0] * i + [d * c for c in u] + [0] * (m - 1 - i) for i in range(m)
-    ]
-    basis, d = _lattice(rows, d * q)
-    index = d**n // prod(row[i] for i, row in enumerate(basis))
-    if index % q**m or index // q**m % q == 0:
-        raise AssertionError(
-            "Dedekind's enlargement at %d does not have q-index %d^%d" % (q, q, m)
-        )
-    return basis, d, m
 
 
 def maximal_order(f, bound=DEFAULT_TRIAL_BOUND):
@@ -714,7 +493,7 @@ def maximal_order(f, bound=DEFAULT_TRIAL_BOUND):
     """
     if not f.is_monic():
         raise ValueError("maximal order requires a monic polynomial")
-    _rational_root_screen(f)
+    rational_root_screen(f)
     return _maximal_order(f, bound, {})
 
 
@@ -722,26 +501,24 @@ def _maximal_order(f, bound, verdicts):
     """``maximal_order`` of a monic f that has passed the rational-root screen.
 
     `verdicts` maps primes to Dedekind verdicts on f a caller already
-    holds (``index_divisible`` screens f), so f is not factored again
-    modulo those primes.
+    holds, so f is not factored again modulo those primes.  ``cli``'s
+    split-prime passes the verdict at p; no other module calls this.
     """
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("polynomial has a repeated root (discriminant 0)")
     factors = trial_factor(disc, bound)
     table = _power_table(f)
-    basis, d, current = _identity_rows(f.degree), 1, table
+    basis, d, current = identity_rows(f.degree), 1, table
     for q in sorted(factors):
         if factors[q] < 2:
             continue
         modulus = PrimeModulus(q)
         # Enlarging at other primes leaves the q-index alone, so when
         # q does not divide the index of Z[t]/(f) it stays q-maximal.
-        verdict = verdicts.get(q) or _dedekind_verdict(
-            modulus, *factorization_with_cofactor(f, modulus)
-        )
+        verdict = verdicts.get(q) or dedekind_verdict(f, modulus)
         if verdict.divisible:
-            basis, d, m = _dedekind_lattice(f, modulus, verdict, basis, d)
+            basis, d, m = dedekind_lattice(f, modulus, verdict, basis, d)
             current = _table_on_lattice(table, basis, d)
             basis, d, current = _p_maximal_lattice(
                 table, q, basis, d, current, factors[q] - 2 * m

@@ -4,7 +4,8 @@ Polynomials in the variable t are written as sums of terms like
 ``t^3 - t^2 - 2*t - 8``.  The ``*`` between a coefficient and the
 variable is optional on input ("2t" and "2*t" both parse) and
 whitespace is ignored.  ``parse_poly`` and ``format_poly`` round-trip
-exactly on canonical coefficient sequences.
+exactly on canonical coefficient sequences.  ``bracket_entry`` writes
+an element of an order over its basis labels, e.g. ``2+a-3b``.
 """
 
 import re
@@ -78,3 +79,21 @@ def format_poly(coeffs):
         else:
             parts.append(("- " if c < 0 else "+ ") + body)
     return " ".join(parts)
+
+
+def bracket_entry(coords, labels):
+    """Compact combination of basis labels, e.g. ``2+a-3b``."""
+    parts = []
+    for c, label in zip(coords, labels):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if label == "1":
+            body = str(mag)
+        else:
+            body = label if mag == 1 else "%d%s" % (mag, label)
+        if not parts:
+            parts.append("-" + body if c < 0 else body)
+        else:
+            parts.append(("-" if c < 0 else "+") + body)
+    return "".join(parts) if parts else "0"

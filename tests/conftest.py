@@ -17,31 +17,33 @@ from primesplit.fppoly import (
 )
 from primesplit.ideals import (
     LatticeIdeal,
-    hnf,
     ideal_from_generators,
     ideal_product,
     whole_order,
 )
 from primesplit.indexform import MultiPoly, parse_multipoly_vars
 from primesplit.integers import prime_power, trial_factor, xgcd
+from primesplit.lattice import (
+    hnf,
+    identity_rows,
+    lattice_divmod,
+    left_kernel_mod_p,
+    lowest_terms,
+    rational_lattice,
+    unit,
+)
 from primesplit.orders import (
     Order,
-    _frobenius_mod_p,
-    _identity_rows,
-    _lattice,
-    _lattice_divmod,
-    _left_kernel_mod_p,
-    _lowest_terms,
-    _multipliers_mod_p,
-    _radical_mod_p,
     _rational_rows,
     _table_on_lattice,
-    _unit,
     char_poly,
     charpoly_matrix,
+    frobenius_mod_p,
     maximal_order,
+    multipliers_mod_p,
     order_discriminant,
     order_from_polynomial,
+    radical_mod_p,
 )
 from primesplit.zpoly import ZPoly, bareiss_determinant, discriminant, reduce_mod
 
@@ -240,7 +242,7 @@ def scan_p_enlarge(order, modulus):
     p = modulus.p
     n = order.n
     current = order
-    emb = (_identity_rows(n), 1)
+    emb = (identity_rows(n), 1)
     while True:
         found = None
         table = current.table
@@ -268,8 +270,8 @@ def scan_p_enlarge(order, modulus):
 def _adjoin_element(order, coords, p):
     """Lattice (rows, d) of the ring generated by `order` and (coords-combination)/p."""
     n = order.n
-    rows = [[p * c for c in unit] for unit in _identity_rows(n)]
-    basis, d = _lattice(rows + [list(coords)], p)
+    rows = [[p * c for c in unit] for unit in identity_rows(n)]
+    basis, d = rational_lattice(rows + [list(coords)], p)
     while True:
         # products of basis/d lie over d^2: test them against d*basis
         scaled = [[d * c for c in row] for row in basis]
@@ -277,11 +279,11 @@ def _adjoin_element(order, coords, p):
         for i in range(n):
             for j in range(i, n):
                 prod = order.vec_mul(basis[i], basis[j])
-                if any(_lattice_divmod(scaled, prod)[1]):
+                if any(lattice_divmod(scaled, prod)[1]):
                     extra.append(prod)
         if not extra:
             return basis, d
-        basis, d = _lattice(scaled + extra, d * d)
+        basis, d = rational_lattice(scaled + extra, d * d)
 
 
 def _compose(new, old):
@@ -292,7 +294,7 @@ def _compose(new, old):
         [sum(rows_new[i][k] * rows_old[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    return _lowest_terms(rows, d_new * d_old)
+    return lowest_terms(rows, d_new * d_old)
 
 
 def leftmost_pivot_hnf(rows):
@@ -347,7 +349,7 @@ def leftmost_pivot_hnf(rows):
 def canonical_rows(rows):
     """Canonical triangular basis of the lattice of rational rows, as Fraction rows."""
     d = lcm(*(Fraction(c).denominator for row in rows for c in row))
-    return _rational_rows(*_lattice([[int(c * d) for c in row] for row in rows], d))
+    return _rational_rows(*rational_lattice([[int(c * d) for c in row] for row in rows], d))
 
 
 def always_scan_maximal_order(f, bound=10**6):
@@ -433,7 +435,7 @@ def trace_matrix_discriminant(order):
 
 
 def dense_product_radical_mod_p(frobenius, p):
-    """Oracle for _radical_mod_p: the power of the Frobenius matrix by dense products."""
+    """Oracle for radical_mod_p: the power of the Frobenius matrix by dense products."""
     n = len(frobenius)
     columns = list(zip(*frobenius))
     power, q = frobenius, p
@@ -444,8 +446,8 @@ def dense_product_radical_mod_p(frobenius, p):
         ]
         q *= p
     return hnf(
-        [[p * c for c in unit] for unit in _identity_rows(n)]
-        + _left_kernel_mod_p(power, p)
+        [[p * c for c in unit] for unit in identity_rows(n)]
+        + left_kernel_mod_p(power, p)
     )
 
 
@@ -648,8 +650,8 @@ def enumerate_primes_above(order, p):
     basis matrix.
     """
     n = order.n
-    radical = _radical_mod_p(_frobenius_mod_p(order.table, p), p)
-    if _multipliers_mod_p(order.table, p, radical):
+    radical = radical_mod_p(frobenius_mod_p(order.table, p), p)
+    if multipliers_mod_p(order.table, p, radical):
         raise ValueError("order is not %d-maximal" % p)
 
     p_ideal = ideal_from_generators(order, [order.identity() * p])
@@ -701,7 +703,7 @@ def _unit_pow_mod_p(order, coords, e, p):
         tuple(c % p for c in coords),
         e,
         lambda a, b: tuple(c % p for c in order.vec_mul(a, b)),
-        _unit(order.n, 0),
+        unit(order.n, 0),
     )
 
 
@@ -711,7 +713,7 @@ def _quotient_frobenius_minus_identity(order, rows, p):
     free = [i for i in range(n) if rows[i][i] != 1]
     shifted = []
     for k, i in enumerate(free):
-        image = _lattice_divmod(rows, _unit_pow_mod_p(order, _unit(n, i), p, p))[1]
+        image = lattice_divmod(rows, _unit_pow_mod_p(order, unit(n, i), p, p))[1]
         shifted.append([image[j] - (k == col) for col, j in enumerate(free)])
     return free, shifted
 
@@ -740,13 +742,13 @@ def radical_split_primes_above(order, p):
     q = p
     while q < n:
         q *= p
-    nilpotent = [_unit_pow_mod_p(order, _unit(n, i), q, p) for i in range(n)]
+    nilpotent = [_unit_pow_mod_p(order, unit(n, i), q, p) for i in range(n)]
     radical = hnf(
-        [[p * c for c in _unit(n, i)] for i in range(n)]
-        + _left_kernel_mod_p(nilpotent, p)
+        [[p * c for c in unit(n, i)] for i in range(n)]
+        + left_kernel_mod_p(nilpotent, p)
     )
     free, shifted = _quotient_frobenius_minus_identity(order, radical, p)
-    split = _left_kernel_mod_p(shifted, p)
+    split = left_kernel_mod_p(shifted, p)
     parts = [radical]
     for x in split:
         if len(parts) == len(split):

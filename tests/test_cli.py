@@ -163,7 +163,7 @@ class TestSplitPrime:
         # the verdict that sends the query to the order route already holds
         # the factors of f mod p and the cofactor, and f passed the screen
         factored, screened = [], []
-        real_factor, real_screen = criteria.fp_factor, criteria._rational_root_screen
+        real_factor, real_screen = criteria.fp_factor, criteria.rational_root_screen
 
         def factor(g, seed=0):
             factored.append(g.p)
@@ -175,7 +175,7 @@ class TestSplitPrime:
 
         monkeypatch.setattr(criteria, "fp_factor", factor)
         for module in (criteria, orders):
-            monkeypatch.setattr(module, "_rational_root_screen", screen)
+            monkeypatch.setattr(module, "rational_root_screen", screen)
         status, out, _ = run_cli("--json", "split-prime", poly, str(p))
         assert status == 0
         assert json.loads(out)["results"]["index_divisible"] is True
@@ -184,16 +184,17 @@ class TestSplitPrime:
 
     def test_order_route_hands_the_discriminant_to_the_split(self, monkeypatch):
         # D = -503 has v_2(D) = 0, which proves the order 2-maximal, and
-        # Dedekind's ring already leaves v = 0, so no Round 2 step runs
+        # Dedekind's ring already leaves v = 0, so no Round 2 step runs:
+        # the split reads v_2(D) off the order it is given
         calls = []
         for module in (orders, ideals):
-            real = module._multipliers_mod_p
+            real = module.multipliers_mod_p
 
             def recording(*args, real=real, name=module.__name__):
                 calls.append((name, args[1]))
                 return real(*args)
 
-            monkeypatch.setattr(module, "_multipliers_mod_p", recording)
+            monkeypatch.setattr(module, "multipliers_mod_p", recording)
         status, out, _ = run_cli("split-prime", "t^3 - t^2 - 2*t - 8", "2")
         assert status == 0
         lines = out.splitlines()

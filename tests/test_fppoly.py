@@ -34,7 +34,8 @@ from primesplit.fppoly import (
     fp_x,
 )
 from primesplit.integers import PRIMALITY_BOUND, is_prime
-from primesplit.orders import OrderElement, _frobenius_mod_p, _unit
+from primesplit.lattice import unit
+from primesplit.orders import OrderElement, frobenius_mod_p
 from primesplit.zpoly import ZPoly
 
 M2 = PrimeModulus(2)
@@ -185,11 +186,11 @@ def _powering_sites():
         (
             # row i of the matrix mod e is basis_i^e, reduced mod e when e > 1
             # (e = 0 and e = 1 return the identity and the unit untouched)
-            "_frobenius_mod_p",
-            lambda unit, e: tuple(_frobenius_mod_p(order.table, e)[unit.index(1)]),
-            _unit(3, 2),
+            "frobenius_mod_p",
+            lambda u, e: tuple(frobenius_mod_p(order.table, e)[u.index(1)]),
+            unit(3, 2),
             order.vec_mul,
-            _unit(3, 0),
+            unit(3, 0),
             lambda value, e: tuple(c % e for c in value) if e > 1 else value,
         ),
     ]
@@ -644,6 +645,16 @@ class TestCountEnumerate:
     def test_count_rejects_zero(self):
         with pytest.raises(ValueError):
             count_monic_irreducibles(M2, 0)
+
+    @pytest.mark.parametrize(
+        "modulus, degree, message",
+        [(4, 1, "not prime"), (6, 2, "not prime"), (2**61 - 1, 2, "out of range")],
+    )
+    def test_count_checks_the_modulus(self, modulus, degree, message):
+        # as enumerate_monic_irreducibles does: 4 and 6 are not prime, and
+        # 2^61 - 1 is prime but above the 2^31 cap
+        with pytest.raises(ValueError, match=message):
+            count_monic_irreducibles(modulus, degree)
 
     def test_enumerate_examples(self):
         assert [g.coeffs for g in enumerate_monic_irreducibles(M2, 1)] == [

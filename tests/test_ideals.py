@@ -24,16 +24,15 @@ from primesplit.fppoly import FpPoly, PrimeModulus, binary_power
 from primesplit.ideals import (
     LatticeIdeal,
     _crt_pair,
-    _factor_p_in_order,
     bracket_str,
     crt_good_generator,
     factor_p_in_order,
-    hnf,
     ideal_from_generators,
     ideal_product,
     principal_ideal,
     whole_order,
 )
+from primesplit.lattice import hnf
 from primesplit.orders import (
     char_poly,
     cubic_family,
@@ -191,7 +190,7 @@ class TestLatticeIdealInvariants:
             LatticeIdeal(MAX_CUBIC, ((3, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_trusted_rows_stored_as_given(self):
-        # canonical tuples from hnf, _lattice_rows_mod_p or whole_order are not rebuilt
+        # canonical tuples from hnf, lattice_rows_mod_p or whole_order are not rebuilt
         rows = hnf([[2, 0, 0], [0, 1, 0], [1, 0, 1]], 3)
         assert LatticeIdeal(MAX_CUBIC, rows, _trusted=True).rows is rows
         unit = whole_order(MAX_CUBIC).rows
@@ -372,26 +371,30 @@ class TestFactorPInOrder:
 
     def test_discriminant_proof_replaces_the_maximality_check(self, monkeypatch):
         # v_p(disc) < 2 proves p-maximality; otherwise the Round 2 step runs
+        nonic = maximal_order(ZPoly.from_text("t^9 - 54"))[0]
+        power = order_from_polynomial(fixtures.cubic_poly())
         calls = []
-        real = ideals._multipliers_mod_p
+        real = ideals.multipliers_mod_p
 
         def recording(*args):
             calls.append(args[1])
             return real(*args)
 
-        monkeypatch.setattr(ideals, "_multipliers_mod_p", recording)
-        m2 = PrimeModulus(2)
-        expected = factor_p_in_order(MAX_CUBIC, m2)
+        monkeypatch.setattr(ideals, "multipliers_mod_p", recording)
+        # D = -503
+        assert [(ide.rows, e, f) for ide, e, f in factor_p_in_order(MAX_CUBIC, 2)] == [
+            (fixtures.CUBIC_PRIMES_ABOVE_2[name], 1, 1) for name in "cab"
+        ]
+        assert calls == []
+        # Z[t] has discriminant -2012 = -2^2 * 503, which proves nothing
+        with pytest.raises(ValueError, match="not 2-maximal"):
+            factor_p_in_order(power, 2)
         assert calls == [2]
         calls.clear()
-        assert _factor_p_in_order(MAX_CUBIC, m2, -503) == expected
-        assert calls == []
-        assert _factor_p_in_order(MAX_CUBIC, m2, None) == expected
-        assert calls == [2]
-        # Z[t] has discriminant -2012 = -2^2 * 503, which proves nothing
-        power = order_from_polynomial(fixtures.cubic_poly())
-        with pytest.raises(ValueError, match="not 2-maximal"):
-            _factor_p_in_order(power, m2, order_discriminant(power))
+        # D = 2^8 * 3^16
+        assert order_discriminant(nonic) == 2**8 * 3**16
+        assert [(e, f) for _, e, f in factor_p_in_order(nonic, 3)] == [(9, 1)]
+        assert calls == [3]
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random(211)

@@ -24,9 +24,9 @@ from primesplit.indexform import (
     format_multipoly,
     index_form,
 )
+from primesplit.lattice import identity_rows
 from primesplit.orders import (
     Order,
-    _identity_rows,
     cubic_family,
     element_index,
     maximal_order,
@@ -184,6 +184,10 @@ class TestIndexForm:
         with pytest.raises(ValueError, match="rank <= 6"):
             index_form(big)
 
+    def test_rank_one_refused(self):
+        with pytest.raises(ValueError, match="needs rank >= 2, got rank 1"):
+            index_form(Order([[(1,)]]))
+
     def test_evaluation_matches_element_index(self):
         rng = random.Random(11)
         for order in (
@@ -241,7 +245,7 @@ class TestAgainstCofactorOracle:
         ranks = [order.n for order, _ in oracle_corpus]
         assert {2, 3, 4, 5} <= set(ranks)
         assert ranks.count(5) >= 20
-        identity = tuple(tuple(row) for row in _identity_rows(5))
+        identity = tuple(tuple(row) for row in identity_rows(5))
         enlarged = [
             order
             for order, _ in oracle_corpus
@@ -263,7 +267,7 @@ class TestAgainstCofactorOracle:
         f = ZPoly.from_text(text)
         order = maximal_order(f)[0] if maximal else order_from_polynomial(f)
         if maximal:
-            assert order.basis_in_parent != tuple(map(tuple, _identity_rows(6)))
+            assert order.basis_in_parent != tuple(map(tuple, identity_rows(6)))
         form = index_form(order)
         assert form.vars == ("x", "y", "w", "v", "u")
         expected = cofactor_index_form(order)

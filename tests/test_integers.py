@@ -82,7 +82,7 @@ def _bound_names(tree):
 
 
 class TestLayering:
-    """Rational-integer number theory is decided in `integers` alone."""
+    """Each decision has one home module, and modules use only each other's public names."""
 
     def test_integers_imports_nothing_from_the_package(self):
         imported = _imported(_module_trees()["integers"])
@@ -96,6 +96,35 @@ class TestLayering:
     def test_orders_does_not_know_the_modulus_cap(self):
         imported = [name for _, name in _imported(_module_trees()["orders"])]
         assert "MAX_MODULUS" not in imported
+
+    def test_no_module_reaches_into_a_sibling(self):
+        # `cli` alone keeps `orders._maximal_order`, which takes the
+        # Dedekind verdict the shell already holds
+        reached = set()
+        for name, tree in _module_trees().items():
+            siblings = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    for alias in node.names:
+                        if node.module is None:
+                            siblings.add(alias.asname or alias.name)
+                        elif alias.name.startswith("_"):
+                            reached.add((name, node.module, alias.name))
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings
+                    and node.attr.startswith("_")
+                ):
+                    reached.add((name, node.value.id, node.attr))
+        assert reached == {("cli", "orders", "_maximal_order")}
+
+    def test_lattice_imports_only_integers(self):
+        imported = _imported(_module_trees()["lattice"])
+        assert {m for m, _ in imported if m.startswith((".", "primesplit"))} == {
+            ".integers"
+        }
 
 
 def test_no_module_imports_a_name_it_never_uses():

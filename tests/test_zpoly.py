@@ -329,12 +329,12 @@ class TestIntegerRoots:
             assert integer_roots(f) == expected, f
             if expected:
                 with pytest.raises(ValueError) as exc:
-                    criteria._rational_root_screen(f)
+                    criteria.rational_root_screen(f)
                 assert str(exc.value) == (
                     "polynomial is reducible (integer root %d)" % expected[0]
                 )
             else:
-                criteria._rational_root_screen(f)
+                criteria.rational_root_screen(f)
             verdicts.add(bool(expected))
         assert verdicts == {True, False}
 
