@@ -1,7 +1,7 @@
 """Univariate polynomial arithmetic and factorization over prime fields.
 
-A modulus is a PrimeModulus: a prime below MAX_MODULUS = 2**31, the
-package's one modulus cap, as ``integers.is_prime`` decides.
+A modulus is a PrimeModulus: any prime that ``integers.is_prime``
+decides, so the package's one bound on primes is its PRIMALITY_BOUND.
 Polynomials are immutable.  DensePoly, the core ``zpoly.ZPoly`` shares,
 holds an ascending coefficient tuple with no trailing zero (empty for
 zero) and every operation that does not depend on the ring; FpPoly adds
@@ -54,8 +54,6 @@ import random
 from .integers import is_prime, trial_factor
 from .textfmt import format_poly, parse_poly
 
-MAX_MODULUS = 2**31
-
 
 def binary_power(base, e, mul, one):
     """base**e for e >= 0 by left-to-right binary powering with product `mul`.
@@ -97,15 +95,13 @@ def _unpack(v, w, count, p):
 
 
 class PrimeModulus:
-    """A rational prime below 2**31, validated at construction."""
+    """A rational prime below PRIMALITY_BOUND, validated by ``is_prime``."""
 
     __slots__ = ("p",)
 
     def __init__(self, p):
         if not isinstance(p, int):
             raise TypeError("modulus must be an int")
-        if p >= MAX_MODULUS:
-            raise ValueError("modulus %d out of range (must be < 2**31)" % p)
         if not is_prime(p):
             raise ValueError("modulus %d is not prime" % p)
         self.p = p

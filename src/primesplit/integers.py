@@ -2,7 +2,7 @@
 
 The package's one trial-division loop, its prime-power test and the
 extended gcd of ``hnf`` live here.  Nothing here imports from the
-package: a caller that needs a prime modulus applies the modulus cap.
+package.  PRIMALITY_BOUND is the package's one bound on primes.
 """
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -62,7 +62,7 @@ class Order:
     the coordinates of the order this one was enlarged from.
     """
 
-    __slots__ = ("n", "labels", "table", "basis_in_parent")
+    __slots__ = ("n", "labels", "table", "basis_in_parent", "_discriminant")
 
     def __init__(self, table, labels=None, basis_in_parent=None):
         table = tuple(
@@ -85,18 +85,27 @@ class Order:
         self.table = table
         self.labels = _basis_labels(labels, n)
         self.basis_in_parent = basis_in_parent
+        self._discriminant = None  # order_discriminant fills it on first use
         self._check_associativity()
 
     def _check_associativity(self):
-        # a triple holding e_0 = 1 is settled by the identity row and symmetry
-        rest = range(1, self.n)
-        products = {
-            (i, j): self.mul_matrix(self.table[i][j])
-            for i, j in itertools.combinations_with_replacement(rest, 2)
-        }
-        for i, j, k in itertools.combinations_with_replacement(rest, 3):
+        # (e_i e_j) e_k = sum_m table[i][j][m] (e_m e_k), each e_m e_k packed
+        # into col[k][m] with balanced w-bit slots.  A coordinate of either
+        # side is a sum of n products of entries, below 2^(w-1) in size, so
+        # the packed sides are equal exactly when the vectors are.  A triple
+        # holding e_0 = 1 is settled by the identity row and symmetry.
+        table, n = self.table, self.n
+        top = max(abs(c) for row in table for vec in row for c in vec)
+        w = (n * top * top).bit_length() + 2
+        col = [
+            [sum(c << (w * s) for s, c in enumerate(table[m][k])) for m in range(n)]
+            for k in range(n)
+        ]
+        for i, j, k in itertools.combinations_with_replacement(range(1, n), 3):
             # (e_i e_j) e_k against (e_j e_k) e_i
-            if products[i, j][k] != products[j, k][i]:
+            if sum(map(operator.mul, table[i][j], col[k])) != sum(
+                map(operator.mul, table[j][k], col[i])
+            ):
                 raise ValueError(
                     "multiplication table is not associative at (%d,%d,%d)"
                     % (i, j, k)
@@ -276,13 +285,17 @@ def order_discriminant(order):
 
     With t_k = Tr(basis_k) = sum_j table[k][j][j], linearity of the
     trace gives Tr(basis_i * basis_j) = sum_k table[i][j][k] * t_k, so
-    the form costs O(n^3) rather than n^2 traces of O(n^2) each.
+    the form costs O(n^3) rather than n^2 traces of O(n^2) each.  The
+    order keeps the result, so each order computes it once.
     """
+    if order._discriminant is not None:
+        return order._discriminant
     traces = [sum(tk[j][j] for j in range(len(tk))) for tk in order.table]
     form = [
         [sum(map(operator.mul, tij, traces)) for tij in ti] for ti in order.table
     ]
-    return bareiss_determinant(form)
+    order._discriminant = bareiss_determinant(form)
+    return order._discriminant
 
 
 # -- constructions ---------------------------------------------------------

@@ -421,6 +421,32 @@ def random_power_basis_orders(rng, rank, count, bound=9):
     return out
 
 
+def first_nonassociative_triple(table):
+    """Oracle for Order's associativity check: its first failing triple, or None.
+
+    Builds the multiplication matrix of each product e_i e_j and compares
+    (e_i e_j) e_k with (e_j e_k) e_i row by row, over the same triples
+    1 <= i <= j <= k < n in the same order as the check.
+    """
+    n = len(table)
+
+    def mul_matrix(coords):
+        return [
+            [sum(c * table[m][j][k] for m, c in enumerate(coords)) for k in range(n)]
+            for j in range(n)
+        ]
+
+    rest = range(1, n)
+    products = {
+        (i, j): mul_matrix(table[i][j])
+        for i, j in itertools.combinations_with_replacement(rest, 2)
+    }
+    for i, j, k in itertools.combinations_with_replacement(rest, 3):
+        if products[i, j][k] != products[j, k][i]:
+            return i, j, k
+    return None
+
+
 def trace_matrix_discriminant(order):
     """Oracle for order_discriminant: det of the n^2 traces Tr(basis_i * basis_j).
 

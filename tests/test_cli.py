@@ -209,6 +209,58 @@ class TestSplitPrime:
         assert json.loads(out)["results"]["fundamental_number"] == 2**8 * 3**16
         assert calls.count((ideals.__name__, 3)) == 1
 
+    def test_order_route_computes_the_discriminant_once(self, monkeypatch):
+        # the maximal order keeps D, so the split reads v_p(D) off it
+        calls = []
+        real = orders.bareiss_determinant
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(orders, "bareiss_determinant", counting)
+        for argv in (
+            ("split-prime", "t^9 - 54", "3"),
+            ("split-prime", "t^3 - t^2 - 2*t - 8", "2"),
+            ("maximal-order", "t^9 - 54"),
+        ):
+            calls.clear()
+            status, _, _ = run_cli(*argv)
+            assert status == 0
+            assert len(calls) == 1, argv
+
+    def test_primes_above_2_31(self):
+        # 2^32 + 15 = 7 mod 8, so 2 is a square: 2348684638^2 = 2
+        p = 2**32 + 15
+        status, out, _ = run_cli("--json", "split-prime", "t^2 - 2", str(p))
+        assert status == 0
+        results = json.loads(out)["results"]
+        assert [g["generator"] for g in results["generators"]] == [
+            "t + 1946282673",
+            "t + 2348684638",
+        ]
+        assert pow(2348684638, 2, p) == 2
+        # t^2 - 3q^2 with q = 2^31 + 11 = 7 mod 12: 3 is not a square mod q
+        q = 2**31 + 11
+        status, out, _ = run_cli("--json", "split-prime", "t^2 - %d" % (3 * q * q), str(q))
+        assert status == 0
+        results = json.loads(out)["results"]
+        assert (results["index_divisible"], results["fundamental_number"]) == (True, 12)
+        assert results["parts"] == [{"f": 2, "e": 1}]
+        # t^3 - 2q^2 with q = 2^64 - 59 and 2q^2 = -1 mod 9: D = -12q^2
+        q = 2**64 - 59
+        status, out, _ = run_cli("--json", "split-prime", "t^3 - %d" % (2 * q * q), str(q))
+        assert status == 0
+        results = json.loads(out)["results"]
+        assert results["fundamental_number"] == -12 * q * q
+        assert results["parts"] == [{"f": 1, "e": 3}]
+
+    def test_modulus_above_the_primality_bound_is_refused(self):
+        status, _, err = run_cli("factor-mod-p", "t^2 + 1", "3317044064679887385961993")
+        assert status == 2
+        assert err.startswith("error: bad prime 3317044064679887385961993: ")
+        assert "3317044064679887385961981" in err
+
     def test_bound_caps_trial_division(self):
         status, _, err = run_cli("--bound", "1", "split-prime", "t^3-t^2-2t-8", "2")
         assert status == 2
@@ -293,14 +345,15 @@ class TestMaximalOrderCommand:
             assert "trial-division bound 0" in err
 
     def test_prime_square_above_the_modulus_cap(self):
-        # disc = 12 q^2 with q = 2^31 + 11: trial factoring finds q^2 at
-        # once, and PrimeModulus refuses q, naming its cap
-        start = time.perf_counter()
-        status, _, err = run_cli("maximal-order", "t^2 - 13835058197016084843")
-        assert time.perf_counter() - start < 2
-        assert status == 2
-        assert "2**31" in err
-        assert "trial-division" not in err
+        # disc = 12 q^2 with q = 2^31 + 11, a modulus above 2^31: trial
+        # factoring finds q^2 at once, and t^2 - 3q^2 gives Z[sqrt 3]
+        start = time.process_time()
+        status, out, err = run_cli("maximal-order", "t^2 - 13835058197016084843")
+        assert time.process_time() - start < 2
+        assert (status, err) == (0, "")
+        lines = out.splitlines()
+        assert "fundamental_number: 12" in lines
+        assert lines[-2:] == ["  - [1, 0]", "  - [0, 1/2147483659]"]
 
 
 class TestIndexFormCommand:

@@ -110,9 +110,9 @@ class TestIndexDivisible:
     def test_screen_time_depends_on_bit_length(self):
         # the cost must follow the bit length of the constant term, not its value
         for c in (10**9 + 1, 10**18 + 1):
-            start = time.perf_counter()
+            start = time.process_time()
             index_divisible(ZPoly((-c, 0, 0, 1)), PrimeModulus(3))
-            assert time.perf_counter() - start < 1.0, c
+            assert time.process_time() - start < 1.0, c
 
     def test_screen_names_large_root(self):
         with pytest.raises(ValueError, match=r"integer root 1000000\)"):

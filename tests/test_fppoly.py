@@ -40,7 +40,7 @@ from primesplit.zpoly import ZPoly
 
 M2 = PrimeModulus(2)
 M7 = PrimeModulus(7)
-ORACLE_PRIMES = (2, 3, 5, 7, 65537, 2**31 - 1)
+ORACLE_PRIMES = (2, 3, 5, 7, 65537, 2**31 - 1, 2**64 - 59, 2**80 - 65)
 
 
 class TestPrimeModulus:
@@ -55,8 +55,12 @@ class TestPrimeModulus:
                 PrimeModulus(n)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            PrimeModulus(2**31 + 11)
+        # every prime is_prime decides is a modulus; a number above
+        # PRIMALITY_BOUND is refused with a message naming the bound
+        for p in (2**31 + 11, 2**64 - 59, 2**80 - 65):
+            assert PrimeModulus(p).p == p
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            PrimeModulus(3317044064679887385961993)
 
     def test_is_prime_small(self):
         sieve = [True] * 2000
@@ -489,8 +493,8 @@ class TestFrobenius:
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(
         p=st.sampled_from(ORACLE_PRIMES),
-        coeffs=st.lists(st.integers(0, 2**31 - 2), min_size=1, max_size=20),
-        repeated=st.lists(st.integers(0, 2**31 - 2), max_size=4),
+        coeffs=st.lists(st.integers(0, 2**80 - 66), min_size=1, max_size=20),
+        repeated=st.lists(st.integers(0, 2**80 - 66), max_size=4),
         seed=st.integers(0, 9),
     )
     def test_factorization_properties(self, p, coeffs, repeated, seed):
@@ -511,10 +515,23 @@ class TestFrobenius:
         # one powering per degree step took about 3-7 s here
         p = 2**31 - 1
         f = _random_monic(random.Random(100), PrimeModulus(p), 100)
-        start = time.perf_counter()
+        start = time.process_time()
         fac = fp_factor(f)
-        assert time.perf_counter() - start < 1.5
+        assert time.process_time() - start < 1.5
         assert sum(g.degree * e for g, e in fac) == 100
+
+    def test_degree_100_at_80_bits(self):
+        # products size their slots from bitlen(p), so an 80-bit prime
+        # costs a small multiple of a 31-bit one
+        mp = PrimeModulus(2**80 - 65)
+        f = _random_monic(random.Random(100), mp, 100)
+        start = time.process_time()
+        fac = fp_factor(f)
+        assert time.process_time() - start < 1.0
+        prod = fp_one(mp)
+        for g, e in fac:
+            prod = prod * g**e
+        assert prod == f
 
     def test_degree_100_kernel_time_bound(self):
         # schoolbook products mod f took 0.6-0.75 s here
@@ -648,13 +665,24 @@ class TestCountEnumerate:
 
     @pytest.mark.parametrize(
         "modulus, degree, message",
-        [(4, 1, "not prime"), (6, 2, "not prime"), (2**61 - 1, 2, "out of range")],
+        [
+            (4, 1, "not prime"),
+            (6, 2, "not prime"),
+            pytest.param(
+                3317044064679887385961993, 2, "not decided", id="above-primality-bound"
+            ),
+        ],
     )
     def test_count_checks_the_modulus(self, modulus, degree, message):
         # as enumerate_monic_irreducibles does: 4 and 6 are not prime, and
-        # 2^61 - 1 is prime but above the 2^31 cap
+        # 3317044064679887385961993 lies above PRIMALITY_BOUND
         with pytest.raises(ValueError, match=message):
             count_monic_irreducibles(modulus, degree)
+
+    def test_count_takes_large_primes(self):
+        # (p^2 - p)/2 monic irreducible quadratics
+        for p in (2**61 - 1, 2**80 - 65):
+            assert count_monic_irreducibles(p, 2) == (p * p - p) // 2
 
     def test_enumerate_examples(self):
         assert [g.coeffs for g in enumerate_monic_irreducibles(M2, 1)] == [

@@ -93,10 +93,6 @@ class TestLayering:
         for name, tree in _module_trees().items():
             assert name == "integers" or not owned & _bound_names(tree), name
 
-    def test_orders_does_not_know_the_modulus_cap(self):
-        imported = [name for _, name in _imported(_module_trees()["orders"])]
-        assert "MAX_MODULUS" not in imported
-
     def test_no_module_reaches_into_a_sibling(self):
         # `cli` alone keeps `orders._maximal_order`, which takes the
         # Dedekind verdict the shell already holds

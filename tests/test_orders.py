@@ -10,6 +10,7 @@ from conftest import (
     canonical_rows,
     cofactor_charpoly,
     dense_product_radical_mod_p,
+    first_nonassociative_triple,
     fraction_determinant,
     has_integer_root,
     random_irreducible_cubic,
@@ -23,6 +24,7 @@ from conftest import (
 from primesplit import fixtures, lattice, orders
 from primesplit.criteria import dedekind_lattice, dedekind_verdict, index_divisible
 from primesplit.fppoly import PrimeModulus, fp_is_irreducible
+from primesplit.ideals import factor_p_in_order
 from primesplit.integers import prime_power, trial_factor
 from primesplit.orders import (
     Order,
@@ -71,8 +73,8 @@ class TestOrderConstruction:
             Order(bad)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_associativity_check_skips_the_identity(self, monkeypatch, n):
-        # one multiplication matrix per product e_i e_j with 1 <= i <= j < n
+    def test_construction_makes_no_multiplication_matrix(self, monkeypatch, n):
+        # the check compares packed integers, not multiplication matrices
         table = orders._power_table(ZPoly((-2,) + (0,) * (n - 1) + (1,)))
         built = []
         real = Order.mul_matrix
@@ -83,7 +85,51 @@ class TestOrderConstruction:
 
         monkeypatch.setattr(Order, "mul_matrix", counting)
         Order(table)
-        assert len(built) == n * (n - 1) // 2
+        assert built == []
+
+    def test_associativity_check_matches_matrix_oracle(self):
+        # tamper a symmetric pair of entries of an associative table: the
+        # packed check and the matrix check name the same first triple
+        rng = random.Random(47)
+        failures = 0
+        for n in range(2, 9):
+            bound = round(10 ** (6 / (n - 1)))
+            tables = []
+            while len(tables) < 12:
+                f = random_monic_zpoly(rng, n, bound)
+                table = [list(row) for row in orders._power_table(f)]
+                top = max(abs(c) for row in table for vec in row for c in vec)
+                if top <= 10**6:
+                    tables.append(table)
+            for table in tables:
+                i = rng.randrange(1, n)
+                j = rng.randrange(i, n)
+                vec = list(table[i][j])
+                vec[rng.randrange(n)] += rng.choice((-1, 1)) * rng.randint(1, 10**6)
+                table[i][j] = table[j][i] = tuple(vec)
+                expected = first_nonassociative_triple(table)
+                if expected is None:
+                    Order(table)
+                    continue
+                failures += 1
+                message = r"not associative at \(%d,%d,%d\)$" % expected
+                with pytest.raises(ValueError, match=message):
+                    Order(table)
+        assert failures > 50
+
+    def test_associativity_check_sees_defects_that_fill_a_slot(self):
+        # (e1 e1) e2 - (e1 e2) e1 = (2^(a+b), -1, 0): packed into slots of
+        # a + b bits it would read 0, so the slots must be wider
+        for a in range(1, 40):
+            for b in range(1, 40):
+                table = [
+                    [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                    [(0, 1, 0), (0, 2**a, 1), (2**b, 0, 0)],
+                    [(0, 0, 1), (2**b, 0, 0), (0, 2**b - 1, 0)],
+                ]
+                assert first_nonassociative_triple(table) == (1, 1, 2)
+                with pytest.raises(ValueError, match=r"not associative at \(1,1,2\)"):
+                    Order(table)
 
 
 class TestElementMul:
@@ -553,6 +599,22 @@ class TestMaximalOrder:
         assert d == discriminant(f) == -270102609743
         assert order.basis_in_parent == _identity_rows(3)
 
+    def test_index_divisors_above_2_31(self):
+        # t^3 - 2q^2 with 2q^2 = -1 mod 9: q and 3 both divide the index,
+        # and the maximal order has basis 1, a, (2 + a + a^2/q)/3
+        for q in (2**64 - 59, 2**80 - 65):
+            assert 2 * q * q % 9 == 8
+            f = ZPoly((-2 * q * q, 0, 0, 1))
+            order, d = maximal_order(f)
+            assert d == -12 * q * q
+            assert order.basis_in_parent[2] == (
+                Fraction(2, 3),
+                Fraction(1, 3),
+                Fraction(1, 3 * q),
+            )
+            assert discriminant(f) == d * (3 * q) ** 2
+            assert [(e, f) for _, e, f in factor_p_in_order(order, q)] == [(3, 1)]
+
     def test_trial_division_bound(self):
         # a tail that is a product of two distinct large primes is ambiguous
         with pytest.raises(ValueError):
@@ -561,7 +623,7 @@ class TestMaximalOrder:
         assert trial_factor(6 * 1000003**2, 10) == {2: 1, 3: 1, 1000003: 2}
         assert trial_factor(6 * 1000003, 10) == {2: 1, 3: 1, 1000003: 1}
         assert trial_factor(6 * 1000003**2, 2 * 10**6) == {2: 1, 3: 1, 1000003: 2}
-        q = 2**31 + 11  # a prime above the modulus cap
+        q = 2**31 + 11  # a prime above 2^31
         assert trial_factor(12 * q**2, 10**6) == {2: 2, 3: 1, q: 2}
 
     def test_pseudoprime_tail_is_not_accepted(self):
@@ -581,7 +643,7 @@ class TestMaximalOrder:
         # 2^89 - 1 is prime, but is_prime cannot decide it
         for n in (0, 1, 36, 1000003 * 1000033, q * (q - 2), (2**89 - 1) ** 2):
             assert prime_power(n) is None
-        # 2^31 + 11 is prime; PrimeModulus, not prime_power, applies the 2^31 cap
+        # 2^31 + 11 is prime
         assert prime_power((2**31 + 11) ** 2) == (2**31 + 11, 2)
 
 

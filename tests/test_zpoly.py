@@ -183,9 +183,9 @@ class TestResultantDeterminant:
 
     def test_degree_64_discriminant_time_bound(self):
         f = random_monic_zpoly(random.Random(64), 64, 2**20)
-        start = time.perf_counter()
+        start = time.process_time()
         discriminant(f)
-        assert time.perf_counter() - start < 0.3
+        assert time.process_time() - start < 0.3
 
 
 class TestReduceLift:
