@@ -8,9 +8,12 @@ Three decision surfaces:
   factor of F mod p also divides M.  The verdict does not depend on the
   choice of lifts (a tested property); the reported M uses balanced
   lifts, whose coefficients lie in [-p/2, p/2), matching the worked
-  values (for p = 2 the residue 1 lifts to -1).  Where p divides the
-  index, ``dedekind_lattice`` reads Dedekind's ring, the first Round 2
-  ring of ``orders.maximal_order``, off the same factors and M.
+  values (for p = 2 the residue 1 lifts to -1).  The answer is an
+  IndexVerdict(modulus, factors, cofactor) holding just these factors
+  and M; the repeated factors that divide M mod p, its verdict and its
+  witness are all read off them.  Where p divides the index,
+  ``dedekind_lattice`` builds Dedekind's ring, the first Round 2 ring of
+  ``orders.maximal_order``, from those same repeated factors.
 
 * factor_prime_via_polynomial -- when the index test passes, the shape
   and two-element generators of the primes above p read off directly
@@ -128,17 +131,30 @@ class PrimeIdealSymbol:
 
 
 class IndexVerdict:
-    """Outcome of the index-divisibility test, with its repeated-factor witness."""
+    """Dedekind's test at p read off the factors of f mod p and the cofactor M.
 
-    __slots__ = ("divisible", "witness", "cofactor", "factors")
+    `dividing` lists the (P, e) of f mod p with e >= 2 and P dividing
+    M mod p, in factor order; p divides the index exactly when it is
+    nonempty, and its first entry is the witness.
+    """
 
-    def __init__(self, divisible, witness, cofactor, factors=None):
-        if divisible != (witness is not None):
-            raise ValueError("witness must be present exactly when divisible")
-        self.divisible = divisible
-        self.witness = witness  # (FpPoly, exponent) or None
+    __slots__ = ("modulus", "factors", "cofactor", "dividing")
+
+    def __init__(self, modulus, factors, cofactor):
+        self.modulus = modulus  # a PrimeModulus
+        self.factors = factors  # the fp_factor list of f mod p
         self.cofactor = cofactor  # ZPoly M from balanced lifts
-        self.factors = factors  # the fp_factor list of f mod p the test read
+        m_red = reduce_mod(cofactor, modulus)
+        self.dividing = [(g, e) for g, e in factors if e >= 2 and (m_red % g).is_zero()]
+
+    @property
+    def divisible(self):
+        return bool(self.dividing)
+
+    @property
+    def witness(self):
+        """The first (FpPoly, exponent) of `dividing`, or None."""
+        return self.dividing[0] if self.dividing else None
 
     def __repr__(self):
         if self.divisible:
@@ -204,20 +220,7 @@ def index_divisible(f, modulus):
 
 def dedekind_verdict(f, modulus):
     """``index_divisible`` on a monic f at a PrimeModulus, with no screen or input check."""
-    factors, m = _factorization_with_cofactor(f, modulus)
-    dividing = _dividing_repeated_factors(modulus, factors, m)
-    witness = dividing[0] if dividing else None
-    return IndexVerdict(bool(dividing), witness, m, factors)
-
-
-def _dividing_repeated_factors(modulus, factors, m):
-    """The (P, e) of f mod p with e >= 2 and P dividing M mod p, in factor order.
-
-    The first is Dedekind's witness; their product is the Z of
-    Dedekind's enlargement (``dedekind_lattice``).
-    """
-    m_red = reduce_mod(m, modulus)
-    return [(g, e) for g, e in factors if e >= 2 and (m_red % g).is_zero()]
+    return IndexVerdict(modulus, *_factorization_with_cofactor(f, modulus))
 
 
 def dedekind_lattice(f, modulus, verdict, basis, d):
@@ -225,8 +228,8 @@ def dedekind_lattice(f, modulus, verdict, basis, d):
 
     `verdict` is Dedekind's test at q on f, which found q to divide the
     index of Z[t]/(f).  Let Z be the product of the repeated factors of
-    f mod q that divide the cofactor M mod q, m its degree, and
-    U = (f mod q)/Z.  Then O' = Z[t] + (U(t)/q)*Z[t] is the ring of
+    f mod q that divide the cofactor M mod q (`verdict.dividing`), m its
+    degree, and U = (f mod q)/Z.  Then O' = Z[t] + (U(t)/q)*Z[t] is the ring of
     multipliers of the q-radical of Z[t], the first Round 2 ring, and
     [O' : Z[t]] = q^m (Cohen, GTM 138, 6.1.4).  The ring on basis/d
     contains Z[t] with index prime to q, so the sum is a ring that
@@ -234,8 +237,7 @@ def dedekind_lattice(f, modulus, verdict, basis, d):
     """
     q = modulus.p
     n = f.degree
-    dividing = _dividing_repeated_factors(modulus, verdict.factors, verdict.cofactor)
-    z = prod((g for g, _ in dividing), start=fp_one(modulus))
+    z = prod((g for g, _ in verdict.dividing), start=fp_one(modulus))
     u = (reduce_mod(f, modulus) // z).coeffs
     m = n + 1 - len(u)
     # modulo Z[t], (U(t)/q)*Z[t] is spanned by the U(t)*t^i/q with i < m,
@@ -276,8 +278,7 @@ def factor_prime_via_polynomial(f, modulus):
     if verdict.divisible:
         raise IndexDivisorError(verdict)
     factors = verdict.factors
-    # index_divisible checked the modulus, and f mod p has a factor
-    modulus = factors[0][0].modulus
+    modulus = verdict.modulus
     parts = [(g.degree, e) for g, e in factors]
     shape = SplittingShape(modulus, parts)
     if shape.n != f.degree:

@@ -9,8 +9,9 @@ matrices, so verification tables reduce to matrix comparisons.
 Ideals are stored relative to the order's basis and are built from
 generators or as products.  The primes above p come from splitting
 order/(p*order) by its idempotents, which ends at each P^e; P is P^e
-plus the p-radical, and f and e come from the norms of P and P^e by
-``integers.prime_power``.  Between p*order and the order, lattices
+plus the p-radical, and f and e come from the GF(p) dimensions of P
+and P^e, since a k-dimensional subspace of order/(p*order) is an ideal
+of norm p^(n-k).  Between p*order and the order, lattices
 are GF(p) subspaces whose canonical rows come from echelon rows mod p
 (``lattice`` holds the canonical form and the GF(p) kernel), so
 integer HNF runs there only to check that the P^e multiply to
@@ -19,10 +20,10 @@ modulo the canonical basis of a lattice of rank 2n.  All values are
 immutable and all operations pure.
 """
 
+import functools
 import itertools
 
 from .fppoly import FpPoly, as_modulus, fp_factor, fp_is_irreducible
-from .integers import prime_power
 from .lattice import (
     echelon_mod_p,
     hnf,
@@ -166,8 +167,9 @@ def factor_p_in_order(order, modulus):
     J between p*order and the order is split into the proper ideals among
     J + (x - c).  A basis of those x separates all g components, and the
     split ends at the P^e themselves.  Each P is its P^e plus the
-    p-radical, its residue degree f comes from the norm p^f, and e from
-    the norm p^(e*f) of P^e; the product of the P^e must be p*order.
+    p-radical.  A subspace of dimension k has norm p^(n-k), so the
+    residue degree f is n less the dimension of P, and e*f is n less
+    that of P^e; the product of the P^e must be p*order.
 
     Every J, P^e and P is held as a reduced echelon basis mod p, a
     subspace of order/(p*order), and its canonical rows are read off it.
@@ -212,26 +214,23 @@ def factor_p_in_order(order, modulus):
     if len(parts) != len(split):
         raise AssertionError("the split subalgebra does not separate the primes")
 
-    powers = []
     out = []
     for rows in parts:
-        power = LatticeIdeal(order, lattice_rows_mod_p(rows, p, n), _trusted=True)
         # P^e + radical: only the rows of P^e are reduced
         prime_rows, _ = echelon_mod_p(rows, p, last=True, start=radical_echelon)
         prime = LatticeIdeal(order, lattice_rows_mod_p(prime_rows, p, n), _trusted=True)
-        q, f = prime_power(prime.norm())
-        if q != p:
-            raise AssertionError("ideal norm is not a power of %d" % p)
-        _, ef = prime_power(power.norm())
+        ef, f = n - len(rows), n - len(prime_rows)
+        if f < 1:
+            raise AssertionError("P^e plus the %d-radical is the whole order" % p)
         if ef % f:
             raise AssertionError("the norm of P^e is not a power of the norm of P")
-        powers.append(power)
         out.append((prime, ef // f, f))
     out.sort(key=lambda entry: entry[0].rows)
 
-    total, *rest = powers
-    for power in rest:
-        total = ideal_product(total, power)
+    total = functools.reduce(
+        ideal_product,
+        (LatticeIdeal(order, lattice_rows_mod_p(rows, p, n), _trusted=True) for rows in parts),
+    )
     if total.rows != lattice_rows_mod_p([], p, n):
         raise AssertionError("prime power product does not reconstruct p*order")
     if sum(e * f for _, e, f in out) != n:

@@ -29,7 +29,7 @@ exceeds the total degree no exponent needs reducing.
 import functools
 import itertools
 
-from .integers import is_prime
+from .fppoly import as_modulus
 
 _VAR_ALPHABET = ("x", "y", "w", "v", "u")
 
@@ -127,15 +127,11 @@ def _monomial_texts(v, d):
     return tuple(_monomial_text(names, exps) for exps in _monomials(v, d))
 
 
-def parse_multipoly_vars(n):
-    if n - 1 > len(_VAR_ALPHABET):
-        raise ValueError("rank %d exceeds the supported variable alphabet" % n)
-    return _VAR_ALPHABET[: n - 1]
-
-
-# with v <= 5 variables and degree d <= n(n-1)/2 <= 15, the memoised tables
-# below and _monomial_texts are a fixed set of a few hundred
-_MAX_FORM_DEGREE = 15
+# one variable per non-identity coordinate; with v <= 5 variables and degree
+# d <= n(n-1)/2 <= 15, the memoised tables below and _monomial_texts are a
+# fixed set of a few hundred
+_MAX_RANK = len(_VAR_ALPHABET) + 1
+_MAX_FORM_DEGREE = _MAX_RANK * (_MAX_RANK - 1) // 2
 
 
 @functools.cache
@@ -214,9 +210,9 @@ def index_form(order):
     n = order.n
     if n < 2:
         raise ValueError("index form needs rank >= 2, got rank %d" % n)
-    if n > 6:
-        raise ValueError("index form is limited to rank <= 6")
-    names = parse_multipoly_vars(n)
+    if n > _MAX_RANK:
+        raise ValueError("index form is limited to rank <= %d" % _MAX_RANK)
+    names = _VAR_ALPHABET[: n - 1]
     v = n - 1
     u = max(v - 1, 1)  # x_1..x_(v-2), y; the tail x_u..x_v folds into y
     degree = v * n // 2
@@ -270,9 +266,7 @@ def common_value_divisor(f, modulus):
     degree < p in each variable with the same values, so f vanishes
     everywhere exactly when every reduced coefficient is 0 mod p.
     """
-    p = int(modulus)
-    if not is_prime(p):
-        raise ValueError("modulus %d is not prime" % p)
+    p = as_modulus(modulus).p
     # total degree bounds every exponent; below p, x^p = x reduces none of them
     top = max(map(sum, f.terms), default=0)
     if top < p:

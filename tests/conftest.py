@@ -21,7 +21,7 @@ from primesplit.ideals import (
     ideal_product,
     whole_order,
 )
-from primesplit.indexform import MultiPoly, parse_multipoly_vars
+from primesplit.indexform import _VAR_ALPHABET, MultiPoly
 from primesplit.integers import prime_power, trial_factor, xgcd
 from primesplit.lattice import (
     hnf,
@@ -522,7 +522,7 @@ def cofactor_index_form(order):
     n = order.n
     if n > 6:
         raise ValueError("index form is limited to rank <= 6")
-    names = ("z",) + parse_multipoly_vars(n)
+    names = ("z",) + _VAR_ALPHABET[: n - 1]
     coords = [OraclePoly.variable(names, v) for v in names]
     zero = OraclePoly(names, {})
     one_vec = [OraclePoly(names, {(0,) * len(names): 1})] + [zero] * (n - 1)

@@ -492,6 +492,15 @@ def test_every_subcommand_prints_the_library_refusal(argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv", [["maximal-order"], ["split-prime", "3"]], ids=lambda a: a[0])
+def test_repeated_root_refused(argv):
+    # (t^2 + 1)^2 passes the rational-root screen; its discriminant refuses it
+    status, out, err = run_cli(argv[0], "t^4 + 2*t^2 + 1", *argv[1:])
+    assert status == 2
+    assert out == ""
+    assert err == "error: polynomial has a repeated root (discriminant 0)\n"
+
+
 class TestEntryPoint:
     def test_subprocess_invocation(self):
         proc = subprocess.run(

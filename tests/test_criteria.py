@@ -64,11 +64,18 @@ class TestSymbolType:
 
 
 class TestVerdictType:
-    def test_witness_iff_divisible(self):
-        with pytest.raises(ValueError):
-            IndexVerdict(True, None, ZPoly(()))
-        with pytest.raises(ValueError):
-            IndexVerdict(False, (FpPoly(M2, (0, 1)), 2), ZPoly(()))
+    def test_verdict_follows_factors_and_cofactor(self):
+        t = FpPoly(M2, (0, 1))
+        v = IndexVerdict(M2, *factorization_with_cofactor(CUBIC, M2))
+        assert v.dividing == [(t, 2)]
+        assert v.divisible
+        assert v.witness == (t, 2)
+        # at t^2 + t + 2, t + 1 divides M = -t - 1 mod 2 but is a simple factor
+        for text in ("t^2 - 2", "t^2 + t + 2"):
+            v = IndexVerdict(M2, *factorization_with_cofactor(ZPoly.from_text(text), M2))
+            assert v.dividing == [], text
+            assert not v.divisible
+            assert v.witness is None
 
 
 class TestBalancedLift:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -429,7 +430,12 @@ class TestFactorPInOrder:
         ramified = inert = below_rank = 0
         for order in fields:
             for p in (2, 3, 5, 7, 11, 13):
-                result = [(ide.rows, e, f) for ide, e, f in factor_p_in_order(order, p)]
+                primes = factor_p_in_order(order, p)
+                for ideal, e, f in primes:
+                    assert ideal.norm() == p**f
+                    power = functools.reduce(ideal_product, [ideal] * e)
+                    assert power.norm() == p ** (e * f)
+                result = [(ide.rows, e, f) for ide, e, f in primes]
                 expected = radical_split_primes_above(order, p)
                 assert result == [(ide.rows, e, f) for ide, e, f in expected], (
                     order.table,

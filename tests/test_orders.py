@@ -22,7 +22,12 @@ from conftest import (
     trace_matrix_discriminant,
 )
 from primesplit import fixtures, lattice, orders
-from primesplit.criteria import dedekind_lattice, dedekind_verdict, index_divisible
+from primesplit.criteria import (
+    dedekind_lattice,
+    dedekind_verdict,
+    index_divisible,
+    rational_root_screen,
+)
 from primesplit.fppoly import PrimeModulus, fp_is_irreducible
 from primesplit.ideals import factor_p_in_order
 from primesplit.integers import prime_power, trial_factor
@@ -492,6 +497,13 @@ class TestMaximalOrder:
         order, d = maximal_order(ZPoly.from_text("t^2 - 2"))
         assert d == 8
 
+    def test_repeated_root_refused_after_the_screen(self):
+        # (t^2 + 1)^2 has no integer root, so only its discriminant refuses it
+        f = ZPoly.from_text("t^4 + 2*t^2 + 1")
+        rational_root_screen(f)
+        with pytest.raises(ValueError, match=r"repeated root \(discriminant 0\)"):
+            maximal_order(f)
+
     def test_square_consistency(self):
         # for each prime q with q^2 | disc(F): q divides D or q fell in k^2 only;
         # either way disc(F)/D is a perfect square
@@ -691,8 +703,9 @@ class TestDedekindStep:
             # m is the degree of the repeated factors dividing M mod q, and
             # [O' : Z[t]] = d^n / det(rows) is q^m
             m_red = reduce_mod(verdict.cofactor, modulus)
-            z = [g for g, e in verdict.factors if e >= 2 and (m_red % g).is_zero()]
-            assert m == sum(g.degree for g in z) >= 1
+            z = [(g, e) for g, e in verdict.factors if e >= 2 and (m_red % g).is_zero()]
+            assert verdict.dividing == z, (f, q)
+            assert m == sum(g.degree for g, _ in z) >= 1
             assert d**n == q**m * abs(bareiss_determinant(rows)), (f, q)
 
             if v - 2 * m < 2:

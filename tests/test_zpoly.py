@@ -12,7 +12,7 @@ from conftest import (
     random_monic_zpoly,
     sylvester_resultant,
 )
-from primesplit import criteria
+from primesplit import criteria, zpoly
 from primesplit.fppoly import FpPoly, PrimeModulus, fp_factor
 from primesplit.zpoly import (
     ZPoly,
@@ -349,6 +349,28 @@ class TestIntegerRoots:
         found = integer_roots(f)
         assert set(roots) <= set(found)
         assert all(f(r) == 0 for r in found)
+
+    def test_squarefree_part_when_every_small_prime_divides_disc(self, monkeypatch):
+        # P is the product of the primes up to 29 and divides each
+        # discriminant, so f mod q is not squarefree at any q <= 29; the
+        # squarefree part then taken has gcd(f, f') = 1 and is f itself
+        big = 6469693230
+        primitive_gcd = zpoly._primitive_gcd
+        gcds = []
+
+        def recording_gcd(a, b):
+            gcds.append(primitive_gcd(a, b))
+            return gcds[-1]
+
+        monkeypatch.setattr(zpoly, "_primitive_gcd", recording_gcd)
+        cases = [
+            (ZPoly((-1, 1)) * ZPoly((-1 - big, 1)), [1, big + 1]),
+            (ZPoly((-big, 0, 1)), []),
+        ]
+        for f, roots in cases:
+            assert discriminant(f) % big == 0
+            assert integer_roots(f) == roots, f
+        assert gcds == [ZPoly((1,))] * 2
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
