@@ -12,7 +12,6 @@ Round 2 maximal order) handles them in the maximal order.
 from .criteria import (
     IndexDivisorError,
     IndexVerdict,
-    PrimeIdealSymbol,
     SplittingShape,
     assign_prime_functions,
     common_index_divisor,
@@ -63,7 +62,6 @@ __all__ = [
     "MultiPoly",
     "Order",
     "OrderElement",
-    "PrimeIdealSymbol",
     "PrimeModulus",
     "SplittingShape",
     "ZPoly",

@@ -7,6 +7,7 @@ fixture suite and exits nonzero on any mismatch.
 
 Output is plain ASCII (basis labels a, b, ... stand in for Greek
 letters) and deterministic, so reports are usable as golden files.
+Every report field is written here, from the library's plain results.
 Exit codes: 0 success, 1 verification failure, 2 refused input.  The
 shell repeats none of the library's input checks: every ValueError is
 printed as ``error: <message>`` on stderr with exit 2, the message
@@ -26,8 +27,8 @@ from .criteria import (
     IndexDivisorError,
     SplittingShape,
     common_index_divisor,
+    dedekind_verdict,
     factor_prime_via_polynomial,
-    factorization_with_cofactor,
     index_divisible,
 )
 from .fppoly import FpPoly, PrimeModulus, enumerate_monic_irreducibles
@@ -122,6 +123,11 @@ def _parse_shape_arg(modulus, text):
         raise ValueError("%s: %s" % (bad, exc))
 
 
+def _shape_fields(shape):
+    """The report fields of a splitting shape: p and its (f, e) parts."""
+    return {"p": shape.p.p, "parts": [{"f": f, "e": e} for f, e in shape.parts]}
+
+
 def _with_supply(results, modulus, shape):
     """results with the common-index-divisor verdict for shape and its supply report."""
     divisor, report = common_index_divisor(modulus, shape)
@@ -133,11 +139,11 @@ def _with_supply(results, modulus, shape):
 def cmd_factor_mod_p(args):
     f = _parse_poly_arg(args.poly)
     modulus = _parse_prime_arg(args.p)
-    factors, m = factorization_with_cofactor(f, modulus)
+    verdict = dedekind_verdict(f, modulus)
     results = {
         "poly_mod_p": str(reduce_mod(f, modulus)),
-        "factors": [{"poly": str(g), "e": e} for g, e in factors],
-        "cofactor_m": str(m),
+        "factors": [{"poly": str(g), "e": e} for g, e in verdict.factors],
+        "cofactor_m": str(verdict.cofactor),
     }
     return RunReport("factor-mod-p", {"poly": str(f), "p": modulus.p}, results)
 
@@ -151,8 +157,10 @@ def cmd_dedekind_criterion(args):
     f = _parse_poly_arg(args.poly)
     modulus = _parse_prime_arg(args.p)
     verdict = index_divisible(f, modulus)
-    results = {"p": modulus.p}
-    results.update(verdict.to_json_dict())
+    results = {"p": modulus.p, "index_divisible": verdict.divisible}
+    if verdict.divisible:
+        g, e = verdict.witness
+        results["witness"] = {"poly": str(g), "e": e}
     results["cofactor_m"] = str(verdict.cofactor)
     return RunReport(
         "dedekind-criterion", {"poly": str(f), "p": modulus.p}, results
@@ -164,13 +172,18 @@ def cmd_split_prime(args):
     modulus = _parse_prime_arg(args.p)
     inputs = {"poly": str(f), "p": modulus.p}
     try:
-        shape, symbols = factor_prime_via_polynomial(f, modulus)
+        shape, factors = factor_prime_via_polynomial(f, modulus)
     except IndexDivisorError as exc:
         verdict = exc.verdict
     else:
-        results = shape.to_json_dict()
+        results = _shape_fields(shape)
         results["index_divisible"] = False
-        results["generators"] = [s.to_json_dict() for s in symbols]
+        # the prime (p, P(theta)) is written through P's [0, p) lift,
+        # which prints as P does
+        results["generators"] = [
+            {"p": modulus.p, "generator": str(g), "e": e, "f": g.degree}
+            for g, e in factors
+        ]
         return RunReport("split-prime", inputs, results)
 
     # f passed the rational-root screen, and its verdict at p holds the
@@ -179,7 +192,7 @@ def cmd_split_prime(args):
     order, fundamental = _maximal_order(f, args.bound, {modulus.p: verdict})
     primes = factor_p_in_order(order, modulus)
     shape = SplittingShape(modulus, [(fx, e) for _, e, fx in primes])
-    results = shape.to_json_dict()
+    results = _shape_fields(shape)
     results["index_divisible"] = True
     results["fundamental_number"] = fundamental
     results["ideals"] = [
@@ -194,7 +207,7 @@ def cmd_common_index_divisor(args):
     return RunReport(
         "common-index-divisor",
         {"p": modulus.p, "shape": args.shape},
-        _with_supply(shape.to_json_dict(), modulus, shape),
+        _with_supply(_shape_fields(shape), modulus, shape),
     )
 
 
@@ -248,12 +261,11 @@ def _paper_checks():
     yield "cubic_discriminant", discriminant(f), fixtures.CUBIC_DISC
     yield "cubic_discriminant_split", fixtures.CUBIC_DISC, -(2**2) * 503
 
-    factors, m = factorization_with_cofactor(f, m2)
-    yield "cubic_factorization_mod_2", [(str(g), e) for g, e in factors], [
+    verdict = index_divisible(f, m2)
+    yield "cubic_factorization_mod_2", [(str(g), e) for g, e in verdict.factors], [
         ("t", 2), ("t + 1", 1)
     ]
-    yield "cubic_cofactor_m", str(m), "t + 4"
-    verdict = index_divisible(f, m2)
+    yield "cubic_cofactor_m", str(verdict.cofactor), "t + 4"
     yield "cubic_index_divisible", (
         verdict.divisible,
         str(verdict.witness[0]),

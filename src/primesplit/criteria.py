@@ -8,18 +8,22 @@ Three decision surfaces:
   factor of F mod p also divides M.  The verdict does not depend on the
   choice of lifts (a tested property); the reported M uses balanced
   lifts, whose coefficients lie in [-p/2, p/2), matching the worked
-  values (for p = 2 the residue 1 lifts to -1).  The answer is an
+  values (for p = 2 the residue 1 lifts to -1).  ``dedekind_verdict``
+  is the one function that factors F mod p and forms M, and the entry
+  without the rational-root screen; its answer is an
   IndexVerdict(modulus, factors, cofactor) holding just these factors
-  and M; the repeated factors that divide M mod p, its verdict and its
-  witness are all read off them.  Where p divides the index,
+  and M, and the repeated factors that divide M mod p, the verdict and
+  its witness are all read off them.  Where p divides the index,
   ``dedekind_lattice`` builds Dedekind's ring, the first Round 2 ring of
   ``orders.maximal_order``, from those same repeated factors.
 
-* factor_prime_via_polynomial -- when the index test passes, the shape
-  and two-element generators of the primes above p read off directly
-  from the factorization of F mod p.  When it fails, the factorization
-  of p genuinely differs from the polynomial's and the caller must work
-  in the maximal order, so this refuses rather than guess.
+* factor_prime_via_polynomial -- when the index test passes, Dedekind's
+  theorem reads the primes above p off the factorization of F mod p:
+  it returns the splitting shape and the (P, e) factor pairs, each
+  prime being (p, P(theta)) with P written through its [0, p) lift.
+  When the test fails, the factorization of p genuinely differs from
+  the polynomial's and the caller must work in the maximal order, so
+  this refuses rather than guess.
 
 * common_index_divisor / assign_prime_functions -- given the true
   splitting shape, p divides every index exactly when some residue
@@ -39,7 +43,7 @@ from .fppoly import (
     fp_one,
 )
 from .lattice import rational_lattice
-from .zpoly import ZPoly, cofactor_m, integer_roots, lift, reduce_mod
+from .zpoly import ZPoly, cofactor_m, integer_roots, reduce_mod
 
 
 class IndexDivisorError(ValueError):
@@ -91,44 +95,6 @@ class SplittingShape:
     def __repr__(self):
         return "SplittingShape(p=%d, parts=%s)" % (self.p.p, list(self.parts))
 
-    def to_json_dict(self):
-        return {
-            "p": self.p.p,
-            "parts": [{"f": f, "e": e} for f, e in self.parts],
-        }
-
-
-class PrimeIdealSymbol:
-    """Two-element description (p, P(theta)) of a prime ideal above p."""
-
-    __slots__ = ("p", "generator_poly", "e", "f")
-
-    def __init__(self, modulus, generator_poly, e, f):
-        modulus = as_modulus(modulus)
-        reduced = reduce_mod(generator_poly, modulus)
-        if not reduced.is_monic() or reduced.degree != f:
-            raise ValueError("generator must reduce to a monic polynomial of degree f")
-        self.p = modulus
-        self.generator_poly = generator_poly
-        self.e = int(e)
-        self.f = int(f)
-
-    def __repr__(self):
-        return "PrimeIdealSymbol(p=%d, %s, e=%d, f=%d)" % (
-            self.p.p,
-            self.generator_poly,
-            self.e,
-            self.f,
-        )
-
-    def to_json_dict(self):
-        return {
-            "p": self.p.p,
-            "generator": str(self.generator_poly),
-            "e": self.e,
-            "f": self.f,
-        }
-
 
 class IndexVerdict:
     """Dedekind's test at p read off the factors of f mod p and the cofactor M.
@@ -161,12 +127,6 @@ class IndexVerdict:
             return "IndexVerdict(divisible, witness=(%s, %d))" % self.witness
         return "IndexVerdict(not divisible)"
 
-    def to_json_dict(self):
-        out = {"index_divisible": self.divisible}
-        if self.witness is not None:
-            out["witness"] = {"poly": str(self.witness[0]), "e": self.witness[1]}
-        return out
-
 
 def balanced_lift(g):
     """Integer lift with coefficients in [-p/2, p/2), keeping the leading one intact.
@@ -183,23 +143,19 @@ def balanced_lift(g):
     return ZPoly(cs)
 
 
-def factorization_with_cofactor(f, modulus):
-    """Factor f mod p and the cofactor M with f = prod(lifts^e) - p*M.
+def dedekind_verdict(f, modulus):
+    """Dedekind's test at p on monic f, without the rational-root screen.
 
-    Returns (factors, M) where factors is the canonical fp_factor list
-    and M comes from balanced lifts of the factors.
+    Factors f mod p (the canonical fp_factor list) and forms the
+    cofactor M with f = prod(lifts^e) - p*M from balanced lifts of the
+    factors; returns the IndexVerdict on them.
     """
     modulus = as_modulus(modulus)
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
-    return _factorization_with_cofactor(f, modulus)
-
-
-def _factorization_with_cofactor(f, modulus):
-    """``factorization_with_cofactor`` of a monic f at a PrimeModulus."""
     factors = fp_factor(reduce_mod(f, modulus))
     lifts = [(balanced_lift(g), e) for g, e in factors]
-    return factors, cofactor_m(f, modulus, lifts)
+    return IndexVerdict(modulus, factors, cofactor_m(f, modulus, lifts))
 
 
 def index_divisible(f, modulus):
@@ -207,23 +163,17 @@ def index_divisible(f, modulus):
 
     True exactly when some irreducible P with P^2 dividing f mod p also
     divides the cofactor M mod p.  Callers are responsible for the
-    irreducibility of f; a rational-root screen rejects the obvious
-    failures, finding the integer roots by Hensel lifting in time
-    polynomial in the bit length of f (``zpoly.integer_roots``).
+    irreducibility of f; once ``dedekind_verdict`` has checked p and f,
+    a rational-root screen rejects the obvious failures, finding the
+    integer roots by Hensel lifting in time polynomial in the bit length
+    of f (``zpoly.integer_roots``).
     """
-    modulus = as_modulus(modulus)
-    if not f.is_monic():
-        raise ValueError("expected a monic polynomial")
+    verdict = dedekind_verdict(f, modulus)
     rational_root_screen(f)
-    return dedekind_verdict(f, modulus)
+    return verdict
 
 
-def dedekind_verdict(f, modulus):
-    """``index_divisible`` on a monic f at a PrimeModulus, with no screen or input check."""
-    return IndexVerdict(modulus, *_factorization_with_cofactor(f, modulus))
-
-
-def dedekind_lattice(f, modulus, verdict, basis, d):
+def dedekind_lattice(f, verdict, basis, d):
     """Add Dedekind's enlargement at q to the ring on basis/d: (rows, d, m).
 
     `verdict` is Dedekind's test at q on f, which found q to divide the
@@ -235,6 +185,7 @@ def dedekind_lattice(f, modulus, verdict, basis, d):
     contains Z[t] with index prime to q, so the sum is a ring that
     gains exactly O' at q; that q^m is checked on the canonical diagonal.
     """
+    modulus = verdict.modulus
     q = modulus.p
     n = f.degree
     z = prod((g for g, _ in verdict.dividing), start=fp_one(modulus))
@@ -271,22 +222,18 @@ def factor_prime_via_polynomial(f, modulus):
 
     Valid only when p does not divide the index of the root of f;
     otherwise raises IndexDivisorError, signalling that the maximal
-    order must be used.  Returns (shape, symbols) where the symbols
-    carry canonical [0, p) lifts of the irreducible factors.
+    order must be used.  Returns (shape, factors): the (P, e) pairs of
+    f mod p, the prime (p, P(theta)) above p having ramification e and
+    residue degree deg P (Cohen, GTM 138, 6.1.4).
     """
     verdict = index_divisible(f, modulus)
     if verdict.divisible:
         raise IndexDivisorError(verdict)
     factors = verdict.factors
-    modulus = verdict.modulus
-    parts = [(g.degree, e) for g, e in factors]
-    shape = SplittingShape(modulus, parts)
+    shape = SplittingShape(verdict.modulus, [(g.degree, e) for g, e in factors])
     if shape.n != f.degree:
         raise AssertionError("splitting shape degrees do not sum to deg f")
-    symbols = [
-        PrimeIdealSymbol(modulus, lift(g), e, g.degree) for g, e in factors
-    ]
-    return shape, symbols
+    return shape, factors
 
 
 def common_index_divisor(modulus, shape):

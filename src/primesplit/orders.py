@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd
 
 from .criteria import dedekind_lattice, dedekind_verdict, rational_root_screen
-from .fppoly import PrimeModulus, as_modulus, binary_power
+from .fppoly import as_modulus, binary_power
 from .integers import DEFAULT_TRIAL_BOUND, trial_factor
 from .lattice import (
     combine_rows_mod_p,
@@ -526,12 +526,11 @@ def _maximal_order(f, bound, verdicts):
     for q in sorted(factors):
         if factors[q] < 2:
             continue
-        modulus = PrimeModulus(q)
         # Enlarging at other primes leaves the q-index alone, so when
         # q does not divide the index of Z[t]/(f) it stays q-maximal.
-        verdict = verdicts.get(q) or dedekind_verdict(f, modulus)
+        verdict = verdicts.get(q) or dedekind_verdict(f, q)
         if verdict.divisible:
-            basis, d, m = dedekind_lattice(f, modulus, verdict, basis, d)
+            basis, d, m = dedekind_lattice(f, verdict, basis, d)
             current = _table_on_lattice(table, basis, d)
             basis, d, current = _p_maximal_lattice(
                 table, q, basis, d, current, factors[q] - 2 * m

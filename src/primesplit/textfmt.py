@@ -47,8 +47,6 @@ def parse_poly(text):
         coeffs[e] = coeffs.get(e, 0) + c
         pos = m.end()
         first = False
-    if not coeffs:
-        raise ValueError("empty polynomial text")
     deg = max(coeffs)
     out = [coeffs.get(i, 0) for i in range(deg + 1)]
     while out and out[-1] == 0:

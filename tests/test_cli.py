@@ -95,6 +95,7 @@ class TestDedekindCriterion:
         status, out, _ = run_cli("--json", "dedekind-criterion", "t^3-t^2-2t-8", "2")
         assert status == 0
         payload = json.loads(out)
+        assert list(payload["results"]) == ["p", "index_divisible", "witness", "cofactor_m"]
         assert payload["results"]["index_divisible"] is True
         assert payload["results"]["witness"] == {"poly": "t", "e": 2}
         assert payload["results"]["cofactor_m"] == "t + 4"
@@ -103,6 +104,7 @@ class TestDedekindCriterion:
         status, out, _ = run_cli("--json", "dedekind-criterion", "t^2-50t-833", "7")
         payload = json.loads(out)
         assert status == 0
+        assert list(payload["results"]) == ["p", "index_divisible", "cofactor_m"]
         assert payload["results"]["index_divisible"] is False
 
     def test_large_constant_term(self):
@@ -116,9 +118,13 @@ class TestSplitPrime:
         payload = json.loads(out)
         assert status == 0
         results = payload["results"]
+        assert list(results) == ["p", "parts", "index_divisible", "generators"]
         assert results["index_divisible"] is False
         assert results["parts"] == [{"f": 1, "e": 1}, {"f": 1, "e": 1}]
-        assert [g["generator"] for g in results["generators"]] == ["t + 3", "t + 4"]
+        assert [list(g.items()) for g in results["generators"]] == [
+            [("p", 7), ("generator", "t + 3"), ("e", 1), ("f", 1)],
+            [("p", 7), ("generator", "t + 4"), ("e", 1), ("f", 1)],
+        ]
 
     def test_skewed_generator(self):
         status, out, _ = run_cli("--json", "split-prime", "t^2-50t-833", "7")
@@ -275,6 +281,18 @@ class TestCommonIndexDivisorCommand:
         assert payload["results"]["common_index_divisor"] is True
         status, out, _ = run_cli("--json", "common-index-divisor", "3", "1:1,1:1,1:1")
         assert json.loads(out)["results"]["common_index_divisor"] is False
+
+    def test_json_schema(self):
+        # a shape's parts keep their given order, f before e
+        status, out, _ = run_cli("--json", "common-index-divisor", "2", "1:2,1:1")
+        assert status == 0
+        results = json.loads(out)["results"]
+        assert list(results) == ["p", "parts", "common_index_divisor", "supply"]
+        assert results["p"] == 2
+        assert [list(part.items()) for part in results["parts"]] == [
+            [("f", 1), ("e", 2)],
+            [("f", 1), ("e", 1)],
+        ]
 
     def test_bad_shape(self):
         # the parser's own message, never Python's unpacking or int() one;

@@ -10,18 +10,17 @@ from primesplit import criteria
 from primesplit.criteria import (
     IndexDivisorError,
     IndexVerdict,
-    PrimeIdealSymbol,
     SplittingShape,
     assign_prime_functions,
     balanced_lift,
     common_index_divisor,
+    dedekind_verdict,
     factor_prime_via_polynomial,
-    factorization_with_cofactor,
     index_divisible,
 )
 from primesplit.fppoly import FpPoly, PrimeModulus, fp_is_irreducible
 from primesplit.orders import order_discriminant, order_from_polynomial, p_enlarge
-from primesplit.zpoly import ZPoly, discriminant, reduce_mod
+from primesplit.zpoly import ZPoly, discriminant, lift
 
 M2 = PrimeModulus(2)
 M7 = PrimeModulus(7)
@@ -46,36 +45,25 @@ class TestShapeType:
             5, [(2, 1), (1, 2)]
         )
 
-    def test_json_schema(self):
-        s = SplittingShape(2, [(1, 2), (1, 1)])
-        assert s.to_json_dict() == {
-            "p": 2,
-            "parts": [{"f": 1, "e": 2}, {"f": 1, "e": 1}],
-        }
-
-
-class TestSymbolType:
-    def test_validates_reduction(self):
-        PrimeIdealSymbol(M7, ZPoly((3, 1)), 1, 1)
-        with pytest.raises(ValueError):
-            PrimeIdealSymbol(M7, ZPoly((3, 7)), 1, 1)  # reduces to constant
-        with pytest.raises(ValueError):
-            PrimeIdealSymbol(M7, ZPoly((3, 1)), 1, 2)  # degree mismatch
-
 
 class TestVerdictType:
     def test_verdict_follows_factors_and_cofactor(self):
         t = FpPoly(M2, (0, 1))
-        v = IndexVerdict(M2, *factorization_with_cofactor(CUBIC, M2))
+        factors = dedekind_verdict(CUBIC, M2).factors
+        v = IndexVerdict(M2, factors, ZPoly((4, 1)))
         assert v.dividing == [(t, 2)]
         assert v.divisible
         assert v.witness == (t, 2)
+        assert repr(v) == "IndexVerdict(divisible, witness=(t, 2))"
+        # the same factors with a cofactor prime to t: M decides the verdict
+        assert IndexVerdict(M2, factors, ZPoly((1, 1))).dividing == []
         # at t^2 + t + 2, t + 1 divides M = -t - 1 mod 2 but is a simple factor
         for text in ("t^2 - 2", "t^2 + t + 2"):
-            v = IndexVerdict(M2, *factorization_with_cofactor(ZPoly.from_text(text), M2))
+            v = dedekind_verdict(ZPoly.from_text(text), M2)
             assert v.dividing == [], text
             assert not v.divisible
             assert v.witness is None
+            assert repr(v) == "IndexVerdict(not divisible)"
 
 
 class TestBalancedLift:
@@ -128,12 +116,9 @@ class TestIndexDivisible:
 
 class TestFactorPrimeViaPolynomial:
     def test_sqrt2_at_7(self):
-        shape, symbols = factor_prime_via_polynomial(ZPoly.from_text("t^2 - 2"), M7)
+        shape, factors = factor_prime_via_polynomial(ZPoly.from_text("t^2 - 2"), M7)
         assert shape == SplittingShape(7, [(1, 1), (1, 1)])
-        assert [(s.generator_poly, s.e, s.f) for s in symbols] == [
-            (ZPoly((3, 1)), 1, 1),
-            (ZPoly((4, 1)), 1, 1),
-        ]
+        assert factors == [(FpPoly(M7, (3, 1)), 1), (FpPoly(M7, (4, 1)), 1)]
 
     def test_cubic_at_2_refuses(self):
         with pytest.raises(IndexDivisorError) as exc:
@@ -141,7 +126,7 @@ class TestFactorPrimeViaPolynomial:
         assert exc.value.verdict.witness == (FpPoly(M2, (0, 1)), 2)
 
     def test_gaussian_at_2(self):
-        shape, symbols = factor_prime_via_polynomial(ZPoly.from_text("t^2 + 1"), M2)
+        shape, _ = factor_prime_via_polynomial(ZPoly.from_text("t^2 + 1"), M2)
         assert shape == SplittingShape(2, [(1, 2)])
         # brute-force oracle over the 4-element quotient Z[i]/2: residues
         # x + y*i with x, y in {0, 1}; the proper nonzero ideals are found
@@ -187,14 +172,15 @@ class TestFactorPrimeViaPolynomial:
             f = random_monic_zpoly(rng, rng.randrange(2, 6), 9)
             p = PrimeModulus(rng.choice([2, 3, 5, 7]))
             try:
-                shape, symbols = factor_prime_via_polynomial(f, p)
+                shape, factors = factor_prime_via_polynomial(f, p)
             except (IndexDivisorError, ValueError):
                 continue
             assert shape.n == f.degree
-            for s in symbols:
-                reduced = reduce_mod(s.generator_poly, p)
-                assert reduced.is_monic() and fp_is_irreducible(reduced)
-                assert reduced.degree == s.f
+            assert shape.parts == tuple((g.degree, e) for g, e in factors)
+            for g, _ in factors:
+                assert g.is_monic() and fp_is_irreducible(g)
+                # the generator P(theta) is P's [0, p) lift, printed as P
+                assert str(lift(g)) == str(g)
             done += 1
 
     @pytest.mark.parametrize("text, p", [("t^2 - 2", 7), ("t^2 + 1", 2), ("t^3 - 5", 11)])
@@ -227,7 +213,7 @@ class TestFactorPrimeViaPolynomial:
 
         monkeypatch.setattr(criteria, "as_modulus", modulus)
         monkeypatch.setattr(ZPoly, "is_monic", monic)
-        for call in (index_divisible, factor_prime_via_polynomial):
+        for call in (dedekind_verdict, index_divisible, factor_prime_via_polynomial):
             checks.clear()
             with contextlib.suppress(IndexDivisorError):
                 call(CUBIC, 2)
@@ -238,7 +224,7 @@ class TestFactorPrimeViaPolynomial:
         [(ZPoly((1, 1, 2)), 2, "expected a monic polynomial"), (CUBIC, 4, "not prime")],
     )
     def test_refusals_keep_their_messages(self, f, p, message):
-        for call in (index_divisible, factor_prime_via_polynomial, factorization_with_cofactor):
+        for call in (index_divisible, factor_prime_via_polynomial, dedekind_verdict):
             with pytest.raises(ValueError, match=message):
                 call(f, p)
 

@@ -116,6 +116,11 @@ class TestLayering:
                     reached.add((name, node.value.id, node.attr))
         assert reached == {("cli", "orders", "_maximal_order")}
 
+    def test_only_cli_writes_report_fields(self):
+        # the JSON report has one home: no library type serializes itself
+        for name, tree in _module_trees().items():
+            assert name == "cli" or "to_json_dict" not in _bound_names(tree), name
+
     def test_lattice_imports_only_integers(self):
         imported = _imported(_module_trees()["lattice"])
         assert {m for m, _ in imported if m.startswith((".", "primesplit"))} == {

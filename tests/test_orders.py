@@ -342,6 +342,8 @@ class TestOrderFromPolynomial:
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
             order_from_polynomial(ZPoly((1, 1, 3)))
+        with pytest.raises(ValueError, match="maximal order requires a monic polynomial"):
+            maximal_order(ZPoly((1, 1, 3)))
 
     def test_power_table_matches_polynomial_remainders(self):
         rng = random.Random(29)
@@ -691,7 +693,7 @@ class TestDedekindStep:
             q, n = modulus.p, f.degree
             table = orders._power_table(f)
             identity = lattice.identity_rows(n)
-            rows, d, m = dedekind_lattice(f, modulus, verdict, identity, 1)
+            rows, d, m = dedekind_lattice(f, verdict, identity, 1)
 
             # one Round 2 step on Z[t]: the ring of multipliers of its q-radical
             radical = orders.radical_mod_p(orders.frobenius_mod_p(table, q), q)
@@ -872,9 +874,9 @@ def _count_p_maximal_lattice(monkeypatch):
     primes = []
     real = orders.dedekind_lattice
 
-    def counting(f, modulus, *rest):
-        primes.append(modulus.p)
-        return real(f, modulus, *rest)
+    def counting(f, verdict, *rest):
+        primes.append(verdict.modulus.p)
+        return real(f, verdict, *rest)
 
     monkeypatch.setattr(orders, "dedekind_lattice", counting)
     return primes

@@ -99,10 +99,11 @@ class TestDiscriminant:
 
     def test_matches_sylvester_oracle(self):
         # independent oracle: the Sylvester matrix determinant by exact
-        # fraction elimination, with the same sign normalization
+        # fraction elimination, with the same sign normalization; at n = 1
+        # the matrix is f' = 1 alone
         rng = random.Random(13)
         for _ in range(200):
-            n = rng.randrange(2, 6)
+            n = rng.randrange(1, 6)
             f = random_monic_zpoly(rng, n, 9)
             fp = f.derivative()
             if fp.is_zero():
@@ -224,6 +225,12 @@ class TestCofactor:
     def test_congruence_violation(self):
         with pytest.raises(ValueError):
             cofactor_m(ZPoly.from_text("t^2 - 2"), M2, [(ZPoly((1, 1)), 2)])
+
+    def test_non_monic_refused(self):
+        with pytest.raises(ValueError, match="cofactor requires monic f"):
+            cofactor_m(ZPoly((-2, 0, 3)), M2, [(ZPoly((0, 1)), 2)])
+        with pytest.raises(ValueError, match="lifted factors must be monic"):
+            cofactor_m(ZPoly.from_text("t^2 - 2"), M2, [(ZPoly((0, 3)), 2)])
 
     def test_defining_identity(self):
         # f = prod(lifts^e) - p*M exactly
