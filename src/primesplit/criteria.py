@@ -14,8 +14,10 @@ Three decision surfaces:
   IndexVerdict(modulus, factors, cofactor) holding just these factors
   and M, and the repeated factors that divide M mod p, the verdict and
   its witness are all read off them.  Where p divides the index,
-  ``dedekind_lattice`` builds Dedekind's ring, the first Round 2 ring of
-  ``orders.maximal_order``, from those same repeated factors.
+  ``ore_lattice`` builds Ore's first-order ring from the phi-Newton
+  polygons at those same repeated factors, and says whether f is
+  p-regular; ``orders.maximal_order`` starts Round 2 from that ring,
+  and skips it where f is regular.
 
 * factor_prime_via_polynomial -- when the index test passes, Dedekind's
   theorem reads the primes above p off the factorization of F mod p:
@@ -33,14 +35,15 @@ F mod p is factored by ``fp_factor`` at its defaults; its factors come
 out in canonical order, so no result here depends on a random draw.
 """
 
-from math import prod
+from math import gcd, prod
 
 from .fppoly import (
+    FpPoly,
     as_modulus,
     count_monic_irreducibles,
     enumerate_monic_irreducibles,
     fp_factor,
-    fp_one,
+    fp_gcd,
 )
 from .lattice import rational_lattice
 from .zpoly import ZPoly, cofactor_m, integer_roots, reduce_mod
@@ -173,36 +176,92 @@ def index_divisible(f, modulus):
     return verdict
 
 
-def dedekind_lattice(f, verdict, basis, d):
-    """Add Dedekind's enlargement at q to the ring on basis/d: (rows, d, m).
+def ore_lattice(f, verdict, basis, d):
+    """Add Ore's first-order ring at q to the ring on basis/d: (rows, d, ind, regular).
 
-    `verdict` is Dedekind's test at q on f, which found q to divide the
-    index of Z[t]/(f).  Let Z be the product of the repeated factors of
-    f mod q that divide the cofactor M mod q (`verdict.dividing`), m its
-    degree, and U = (f mod q)/Z.  Then O' = Z[t] + (U(t)/q)*Z[t] is the ring of
-    multipliers of the q-radical of Z[t], the first Round 2 ring, and
-    [O' : Z[t]] = q^m (Cohen, GTM 138, 6.1.4).  The ring on basis/d
-    contains Z[t] with index prime to q, so the sum is a ring that
-    gains exactly O' at q; that q^m is checked on the canonical diagonal.
+    `verdict` is Dedekind's test at q on f.  For each repeated factor
+    (g, l) of f mod q, phi lifts g and f = sum a_i phi^i.  The
+    phi-Newton polygon N is the lower convex hull of the points
+    (i, v_q(a_i)), 0 <= i <= l, and y_j is its ordinate at j.  With the
+    quotients q_j = f div phi^j, the elements t^k q_j(t) / q^floor(y_j),
+    1 <= j < l and k < deg phi, are integral, and with Z[t] they span
+    Ore's ring, of q-index q^ind where ind sums deg phi * floor(y_j)
+    over every phi and j (Montes-Nart, J. Algebra 146, 1992); that q^ind
+    is checked on the canonical diagonal.  The ring on basis/d contains
+    Z[t] with index prime to q, so the sum gains exactly Ore's ring at q.
+
+    f is q-regular when the residual polynomial of every side of every
+    N is squarefree; then q^ind is the q-part of the index of Z[t]/(f)
+    (Ore's theorem of the index), so the ring is q-maximal.  A side of
+    degree 1 has a linear residual polynomial, squarefree over any
+    residue field; a longer side is tested only when phi is linear, so
+    that its residual polynomial lies over GF(q), and is otherwise
+    reported irregular.
     """
     modulus = verdict.modulus
     q = modulus.p
+    elements, ind, regular = [], 0, True
+    for g, l in verdict.factors:
+        if l < 2:
+            continue
+        phi = balanced_lift(g)
+        a, quotients, rest = [], [], f
+        for _ in range(l + 1):
+            rest, r = divmod(rest, phi)
+            a.append(r.coeffs)
+            quotients.append(rest.coeffs)
+        # a zero a_i gives no point; a_0 = 0 (phi divides a reducible,
+        # squarefree f) makes the first side vertical, at abscissa 1
+        hull = []
+        for point in [(i, _valuation(gcd(*c), q)) for i, c in enumerate(a) if c]:
+            while len(hull) > 1 and _on_or_above(hull[-2], hull[-1], point):
+                hull.pop()
+            hull.append(point)
+        m = phi.degree
+        for (i1, y1), (i2, y2) in zip(hull, hull[1:]):
+            for j in range(max(i1, 1), i2):
+                y = y1 + (y2 - y1) * (j - i1) // (i2 - i1)
+                ind += m * y
+                if y:
+                    elements += [((0,) * k + quotients[j - 1], y) for k in range(m)]
+            side = gcd(i2 - i1, y1 - y2)  # the degree of the side
+            if side > 1 and m > 1:
+                regular = False
+            elif side > 1:
+                # the residual polynomial; a linear phi's a_i are integers
+                e, h = (i2 - i1) // side, (y1 - y2) // side
+                r = FpPoly(
+                    modulus,
+                    [sum(a[i1 + k * e]) // q ** (y1 - k * h) for k in range(side + 1)],
+                )
+                regular = regular and fp_gcd(r, r.derivative()).is_one()
     n = f.degree
-    z = prod((g for g, _ in verdict.dividing), start=fp_one(modulus))
-    u = (reduce_mod(f, modulus) // z).coeffs
-    m = n + 1 - len(u)
-    # modulo Z[t], (U(t)/q)*Z[t] is spanned by the U(t)*t^i/q with i < m,
-    # whose degrees are below n
-    rows = [[q * c for c in row] for row in basis] + [
-        [0] * i + [d * c for c in u] + [0] * (m - 1 - i) for i in range(m)
+    top = max((y for _, y in elements), default=0)
+    rows = [[q**top * c for c in row] for row in basis] + [
+        [d * q ** (top - y) * c for c in coeffs] + [0] * (n - len(coeffs))
+        for coeffs, y in elements
     ]
-    basis, d = rational_lattice(rows, d * q)
+    basis, d = rational_lattice(rows, d * q**top)
     index = d**n // prod(row[i] for i, row in enumerate(basis))
-    if index % q**m or index // q**m % q == 0:
+    if index % q**ind or index // q**ind % q == 0:
         raise AssertionError(
-            "Dedekind's enlargement at %d does not have q-index %d^%d" % (q, q, m)
+            "Ore's ring at %d does not have q-index %d^%d" % (q, q, ind)
         )
-    return basis, d, m
+    return basis, d, ind, regular
+
+
+def _valuation(c, q):
+    """The exponent of q in the nonzero integer c."""
+    v = 0
+    while c % q == 0:
+        c //= q
+        v += 1
+    return v
+
+
+def _on_or_above(p0, p1, p2):
+    """Whether p1 lies on or above the segment from p0 to p2 (abscissas increasing)."""
+    return (p1[1] - p0[1]) * (p2[0] - p0[0]) >= (p2[1] - p0[1]) * (p1[0] - p0[0])
 
 
 def rational_root_screen(f):

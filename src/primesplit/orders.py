@@ -21,11 +21,12 @@ p-maximal (Cohen, GTM 138, 6.1); each Round 2 step of index p^k takes
 2k from v, and the loop runs only while v >= 2 (or until the ring of
 multipliers adds nothing).  ``maximal_order`` does not start Round 2
 from Z[t]/(f).  At each prime q that Dedekind's criterion says divides
-the index, ``criteria.dedekind_lattice`` gives Dedekind's ring O' of
-index q^m, which is the first Round 2 ring, and Round 2 continues from
-O' with v = v_q(disc f) - 2m.  Round 2 runs on bare multiplication
-tables, carried from prime to prime by ``maximal_order``; only the
-order a call returns is an Order.
+the index, ``criteria.ore_lattice`` gives Ore's first-order ring, of
+index q^ind, which contains the first Round 2 ring.  Where f is
+q-regular, q^ind is the q-part of the index and Round 2 is skipped;
+elsewhere it continues from Ore's ring with v = v_q(disc f) - 2*ind.
+Round 2 runs on bare multiplication tables, carried from prime to prime
+by ``maximal_order``; only the order a call returns is an Order.
 
 Orders and elements are immutable; every operation is a pure function.
 Every enlarged order carries the canonical triangular basis of its
@@ -38,7 +39,7 @@ import operator
 from fractions import Fraction
 from math import gcd
 
-from .criteria import dedekind_lattice, dedekind_verdict, rational_root_screen
+from .criteria import dedekind_verdict, ore_lattice, rational_root_screen
 from .fppoly import as_modulus, binary_power
 from .integers import DEFAULT_TRIAL_BOUND, trial_factor
 from .lattice import (
@@ -351,7 +352,8 @@ def _table_on_lattice(table, basis, d):
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         coords, residue = lattice_divmod(scaled, _vec_mul(table, basis[i], basis[j]))
         if any(residue):
-            raise ValueError("span is not closed under multiplication")
+            # every lattice here is built by the library, so this is a bug
+            raise AssertionError("span is not closed under multiplication")
         out[i][j] = out[j][i] = tuple(coords)  # the parent ring is commutative
     return out
 
@@ -494,10 +496,11 @@ def maximal_order(f, bound=DEFAULT_TRIAL_BOUND):
 
     At every prime q whose square divides disc(f), Dedekind's criterion
     decides whether q divides the index of Z[t]/(f); where it does not,
-    the power basis is already q-maximal.  Where it does, the factors of
-    f mod q and the cofactor M that the test read give Dedekind's
-    enlargement O' of index q^m directly, and Round 2 continues from it
-    with v = v_q(disc f) - 2m (none at all when v < 2).
+    the power basis is already q-maximal.  Where it does, the repeated
+    factors of f mod q that the test read give Ore's first-order ring
+    of index q^ind (``criteria.ore_lattice``).  Where f is q-regular
+    that ring is q-maximal and no Round 2 runs at q; elsewhere Round 2
+    continues from it with v = v_q(disc f) - 2*ind (none when v < 2).
     Each prime continues from the ring the last one left.  The
     discriminant must factor by trial division at the given bound.
     Returns (order, D); the order's ``basis_in_parent`` is its
@@ -530,11 +533,12 @@ def _maximal_order(f, bound, verdicts):
         # q does not divide the index of Z[t]/(f) it stays q-maximal.
         verdict = verdicts.get(q) or dedekind_verdict(f, q)
         if verdict.divisible:
-            basis, d, m = dedekind_lattice(f, verdict, basis, d)
+            basis, d, ind, regular = ore_lattice(f, verdict, basis, d)
             current = _table_on_lattice(table, basis, d)
-            basis, d, current = _p_maximal_lattice(
-                table, q, basis, d, current, factors[q] - 2 * m
-            )
+            if not regular:
+                basis, d, current = _p_maximal_lattice(
+                    table, q, basis, d, current, factors[q] - 2 * ind
+                )
     order = _order_on_lattice(_basis_labels(None, f.degree), basis, d, current)
     return order, order_discriminant(order)
 

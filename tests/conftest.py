@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from primesplit.fppoly import (
     FpPoly,
@@ -369,6 +369,39 @@ def always_scan_maximal_order(f, bound=10**6):
             for row in order.basis_in_parent
         ]
     return canonical_rows(emb), order_discriminant(order)
+
+
+def dedekind_lattice(f, verdict, basis, d):
+    """Oracle: add Dedekind's enlargement at q to the ring on basis/d: (rows, d, m).
+
+    `verdict` is Dedekind's test at q on f, which found q to divide the
+    index of Z[t]/(f).  Let Z be the product of the repeated factors of
+    f mod q that divide the cofactor M mod q (`verdict.dividing`), m its
+    degree, and U = (f mod q)/Z.  Then O' = Z[t] + (U(t)/q)*Z[t] is the
+    ring of multipliers of the q-radical of Z[t], the first Round 2
+    ring, and [O' : Z[t]] = q^m (Cohen, GTM 138, 6.1.4).  The ring on
+    basis/d contains Z[t] with index prime to q, so the sum is a ring
+    that gains exactly O' at q; that q^m is checked on the canonical
+    diagonal.  Ore's ring, where maximal_order starts, contains O'.
+    """
+    modulus = verdict.modulus
+    q = modulus.p
+    n = f.degree
+    z = prod((g for g, _ in verdict.dividing), start=fp_one(modulus))
+    u = (reduce_mod(f, modulus) // z).coeffs
+    m = n + 1 - len(u)
+    # modulo Z[t], (U(t)/q)*Z[t] is spanned by the U(t)*t^i/q with i < m,
+    # whose degrees are below n
+    rows = [[q * c for c in row] for row in basis] + [
+        [0] * i + [d * c for c in u] + [0] * (m - 1 - i) for i in range(m)
+    ]
+    basis, d = rational_lattice(rows, d * q)
+    index = d**n // prod(row[i] for i, row in enumerate(basis))
+    if index % q**m or index // q**m % q == 0:
+        raise AssertionError(
+            "Dedekind's enlargement at %d does not have q-index %d^%d" % (q, q, m)
+        )
+    return basis, d, m
 
 
 # primes whose factorization patterns of f screen out reducible f

@@ -190,8 +190,8 @@ class TestSplitPrime:
 
     def test_order_route_hands_the_discriminant_to_the_split(self, monkeypatch):
         # D = -503 has v_2(D) = 0, which proves the order 2-maximal, and
-        # Dedekind's ring already leaves v = 0, so no Round 2 step runs:
-        # the split reads v_2(D) off the order it is given
+        # f is regular at 2, so no Round 2 step runs on Ore's ring: the
+        # split reads v_2(D) off the order it is given
         calls = []
         for module in (orders, ideals):
             real = module.multipliers_mod_p
