@@ -7,24 +7,28 @@ the shape of bracket bases like [2, a, 1+b]: equal ideals have equal
 matrices, so verification tables reduce to matrix comparisons.
 
 Ideals are stored relative to the order's basis and are built from
-generators or as products.  The primes above p come from splitting
-order/(p*order) by its idempotents, which ends at each P^e; P is P^e
-plus the p-radical, and f and e come from the GF(p) dimensions of P
-and P^e, since a k-dimensional subspace of order/(p*order) is an ideal
-of norm p^(n-k).  Between p*order and the order, lattices
-are GF(p) subspaces whose canonical rows come from echelon rows mod p
-(``lattice`` holds the canonical form and the GF(p) kernel), so
-integer HNF runs there only to check that the P^e multiply to
-p*order.  Good generators are combined by lattice CRT: one reduction
+generators or as products.  The primes above p come from the primitive
+idempotents of order/(p*order), found in its Frobenius-fixed subalgebra
+(``_primitive_idempotents``): with alpha = 1 - e for an idempotent e,
+P^e = p*order + alpha*order, P is P^e plus the p-radical, and f and e
+come from the GF(p) dimensions of P and P^e, since a k-dimensional
+subspace of order/(p*order) is an ideal of norm p^(n-k).  Between
+p*order and the order, lattices are GF(p) subspaces whose canonical
+rows come from echelon rows mod p (``lattice`` holds the canonical form
+and the GF(p) kernel), so integer HNF runs there only to check that
+the P^e multiply to p*order, one step of 2n rows per prime after the
+first.  Good generators are combined by lattice CRT: one reduction
 modulo the canonical basis of a lattice of rank 2n.  All values are
 immutable and all operations pure.
 """
 
-import functools
 import itertools
+import operator
+import random
 
-from .fppoly import FpPoly, as_modulus, fp_factor, fp_is_irreducible
+from .fppoly import FpPoly, as_modulus, binary_power, fp_is_irreducible
 from .lattice import (
+    combine_rows_mod_p,
     echelon_mod_p,
     hnf,
     lattice_divmod,
@@ -156,22 +160,106 @@ def ideal_product(a, b):
 
 # -- factoring p by splitting order/(p*order) ---------------------------------
 
+def _primitive_idempotents(order, frobenius, p):
+    """Primitive idempotents of order/(p*order) as coordinate vectors mod p.
+
+    The x with x^p = x are the kernel S of `frobenius` (``frobenius_mod_p``)
+    minus the identity.  S has no nilpotents, so it is GF(p)^g with one
+    factor per local ring of order/(p*order), and its g atoms are the
+    primitive idempotents of the quotient (Cohen, GTM 138, 6.2).  They are
+    found inside S: each kernel vector is 1 at its own free column, its
+    last nonzero entry, and 0 at the others, so an element of S is read
+    off at those columns, and S's own g x g table takes g(g-1)/2 products.
+    At p = 2 every element of S is idempotent, and the basis cuts the
+    idempotents apart.  At odd p, y = x^((p-1)/2) of a random x in S is 0,
+    1 or -1 in each factor, and (y^2+y)/2, (y^2-y)/2 and 1-y^2 cut every
+    idempotent by those values (Cantor and Zassenhaus, Math. Comp. 36
+    (1981), run in S instead of GF(p)[t]); draws repeat until there are g.
+    The draws are seeded, and idempotents are unique, so the draws change
+    only the run time.
+    """
+    shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(frobenius)]
+    split = left_kernel_mod_p(shifted, p)
+    g = len(split)
+    if g == 1:
+        # row 0 of shifted is zero, so split[0] is the identity
+        return split
+    free = [max(i for i, c in enumerate(x) if c) for x in split]
+    # S's table packed along the coordinate: slot k of packed[i][j] holds
+    # coordinate k of s_i * s_j.  A slot of sum u_i v_j packed[i][j] sums
+    # g^2 products of three residues, so w bits hold it, and a product in
+    # S is g^2 integer products and one unpacking.
+    w = (g * g * (p - 1) ** 3).bit_length() + 1
+    mask = (1 << w) - 1
+    packed = [[None] * g for _ in range(g)]
+    for k in range(g):
+        packed[0][k] = packed[k][0] = 1 << (w * k)
+    for k, l in itertools.combinations_with_replacement(range(1, g), 2):
+        prod = order.vec_mul(split[k], split[l])
+        packed[k][l] = packed[l][k] = sum(
+            prod[i] % p << (w * s) for s, i in enumerate(free)
+        )
+    half = (p + 1) // 2  # the inverse of 2 mod p, used at odd p
+
+    def mul(u, v):
+        acc = sum(ui * sum(map(operator.mul, v, row)) for ui, row in zip(u, packed) if ui)
+        return tuple((acc >> (w * k) & mask) % p for k in range(g))
+
+    def sub(u, v):
+        return tuple((a - b) % p for a, b in zip(u, v))
+
+    def cut(atoms, y):
+        # y is 0, 1 or -1 in each factor (0 or 1 at p = 2); each atom e
+        # splits into e*(1-y^2) and e*y^2, the latter into e*(y^2+y)/2 and
+        # e*(y^2-y)/2 at odd p, and the zero pieces are dropped
+        y2 = y if p == 2 else mul(y, y)
+        out = []
+        for e in atoms:
+            ey2 = mul(e, y2)
+            pieces = [sub(e, ey2)]
+            if p == 2:
+                pieces.append(ey2)
+            else:
+                plus = tuple((a + b) * half % p for a, b in zip(ey2, mul(e, y)))
+                pieces += [plus, sub(ey2, plus)]
+            out += [piece for piece in pieces if any(piece)]
+        return out
+
+    one = unit(g, 0)
+    atoms = [one]
+    if p == 2:
+        for k in range(1, g):
+            if len(atoms) == g:
+                break
+            atoms = cut(atoms, unit(g, k))
+    else:
+        rng = random.Random(0)
+        while len(atoms) < g:
+            x = tuple(rng.randrange(p) for _ in range(g))
+            atoms = cut(atoms, binary_power(x, (p - 1) // 2, mul, one))
+    if len(atoms) != g:
+        raise AssertionError("the split subalgebra does not separate the primes")
+    return [combine_rows_mod_p(e, split, p) for e in atoms]
+
+
 def factor_p_in_order(order, modulus):
     """All prime ideals above p with their exponents and degrees.
 
     The quotient of the order by p*order is the product of the local
     rings order/P^e, one per prime P above p, and the x with x^p = x in
-    it are the GF(p)-combinations of their g idempotents (Cohen, GTM 138,
-    6.2).  Each such x is a constant c_i modulo the i-th P^e, and the c_i
-    are the roots of its characteristic polynomial mod p, so every ideal
-    J between p*order and the order is split into the proper ideals among
-    J + (x - c).  A basis of those x separates all g components, and the
-    split ends at the P^e themselves.  Each P is its P^e plus the
-    p-radical.  A subspace of dimension k has norm p^(n-k), so the
-    residue degree f is n less the dimension of P, and e*f is n less
-    that of P^e; the product of the P^e must be p*order.
+    it form a subalgebra S = GF(p)^g whose atoms are their g idempotents
+    (Cohen, GTM 138, 6.2).  ``_primitive_idempotents`` finds them in S
+    itself, with no polynomial factored.  For each idempotent e,
+    alpha = 1 - e is 0 on its own component and 1 on the others, so
+    P^e = p*order + alpha*order: one echelon of alpha's multiplication
+    matrix mod p.  Each P is its P^e plus the p-radical.  A subspace of
+    dimension k has norm p^(n-k), so the residue degree f is n less the
+    dimension of P, and e*f is n less that of P^e.  The product of the
+    P^e must be p*order: from T = P^e of the first prime, each further
+    prime takes one integer HNF of the 2n rows of p*T and alpha*T, and
+    each row of alpha*T is a row of T times alpha's matrix.
 
-    Every J, P^e and P is held as a reduced echelon basis mod p, a
+    Every P^e and P is held as a reduced echelon basis mod p, a
     subspace of order/(p*order), and its canonical rows are read off it.
 
     The order must be p-maximal.  An enlargement of index p^k divides
@@ -194,28 +282,14 @@ def factor_p_in_order(order, modulus):
     pivots = [i for i, r in enumerate(radical) if r[i] == 1]
     radical_echelon = [radical[i] for i in pivots], pivots
 
-    shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(frobenius)]
-    split = left_kernel_mod_p(shifted, p)
-    # row 0 of shifted is zero, so split[0] is the identity, which splits nothing
-    parts = [[]]  # echelon rows mod p; none for the zero subspace, p*order
-    for x in split[1:]:
-        if len(parts) == len(split):
-            break
-        cp = reduce_mod(char_poly(OrderElement(order, x)), modulus)
-        refined = []
-        for linear, _ in fp_factor(cp):
-            c = -linear.coeffs[0]  # the root of t - c
-            image = echelon_mod_p(order.mul_matrix([x[0] - c] + x[1:]), p, last=True)
-            for rows in parts:
-                ideal, _ = echelon_mod_p(rows, p, last=True, start=image)
-                if len(ideal) < n:
-                    refined.append(ideal)
-        parts = refined
-    if len(parts) != len(split):
-        raise AssertionError("the split subalgebra does not separate the primes")
-
-    out = []
-    for rows in parts:
+    out, parts = [], []
+    for idempotent in _primitive_idempotents(order, frobenius, p):
+        # alpha = 1 - idempotent is 0 on its own component and 1 on the
+        # others, so P^e = p*order + alpha*order
+        alpha = [((j == 0) - c) % p for j, c in enumerate(idempotent)]
+        # alpha = 0 when g = 1: then P^e is p*order itself
+        times_alpha = order.mul_matrix(alpha) if any(alpha) else []
+        rows, _ = echelon_mod_p(times_alpha, p, last=True)
         # P^e + radical: only the rows of P^e are reduced
         prime_rows, _ = echelon_mod_p(rows, p, last=True, start=radical_echelon)
         prime = LatticeIdeal(order, lattice_rows_mod_p(prime_rows, p, n), _trusted=True)
@@ -225,13 +299,19 @@ def factor_p_in_order(order, modulus):
         if ef % f:
             raise AssertionError("the norm of P^e is not a power of the norm of P")
         out.append((prime, ef // f, f))
+        parts.append((rows, times_alpha))
     out.sort(key=lambda entry: entry[0].rows)
 
-    total = functools.reduce(
-        ideal_product,
-        (LatticeIdeal(order, lattice_rows_mod_p(rows, p, n), _trusted=True) for rows in parts),
-    )
-    if total.rows != lattice_rows_mod_p([], p, n):
+    # T * P^e = p*T + alpha*T: 2n rows, and alpha*t is t times alpha's matrix
+    total = lattice_rows_mod_p(parts[0][0], p, n)
+    for _, times_alpha in parts[1:]:
+        columns = list(zip(*times_alpha))
+        total = hnf(
+            [[p * c for c in t] for t in total]
+            + [[sum(map(operator.mul, t, col)) for col in columns] for t in total],
+            n,
+        )
+    if total != lattice_rows_mod_p([], p, n):
         raise AssertionError("prime power product does not reconstruct p*order")
     if sum(e * f for _, e, f in out) != n:
         raise AssertionError("sum of e*f does not equal the rank")

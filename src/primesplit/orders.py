@@ -12,8 +12,9 @@ Pohst-Zassenhaus Round 2 on ``lattice``'s GF(p) kernel: the p-radical
 is the kernel of a power of the Frobenius matrix (``radical_mod_p``),
 and its ring of multipliers (``multipliers_mod_p``) is the next order.
 ``ideals.factor_p_in_order`` shares these steps: the radical checks
-p-maximality and gives each prime from its power, and the Frobenius
-matrix minus the identity splits order/(p*order).
+p-maximality and gives each prime from its power, and the kernel of
+the Frobenius matrix minus the identity, the subalgebra S = GF(p)^g of
+order/(p*order), holds the idempotents that give each prime power.
 
 Round 2 stops on the discriminant.  An enlargement of index p^k
 divides the discriminant by p^(2k), so a ring with v_p(disc) < 2 is

@@ -1,7 +1,9 @@
 import functools
 import itertools
 import random
+import sys
 import time
+import types
 
 import pytest
 
@@ -37,6 +39,7 @@ from primesplit.ideals import (
 )
 from primesplit.lattice import hnf
 from primesplit.orders import (
+    Order,
     char_poly,
     cubic_family,
     element_index,
@@ -290,6 +293,51 @@ class TestTenPrincipalIdeals:
         assert lhs.coords == rhs.coords == (4, 0, 0)
 
 
+# (order, p, g, Round 2 steps): D = -503, 8 and 2^8 * 3^16, so only the
+# nonic takes the Round 2 step
+GATE_CASES = (
+    (MAX_CUBIC, 2, 3, []),
+    (MAX_CUBIC, 503, 2, []),
+    (SQRT2, 5, 1, []),
+    (maximal_order(ZPoly.from_text("t^9 - 54"))[0], 3, 1, [3]),
+)
+
+
+def _record_split(monkeypatch, order, p):
+    """factor_p_in_order(order, p) with a record of the work it did.
+
+    Returns (result, called, hnf_inputs, round2): the (name, checking)
+    pair of every Python function called, checking being True once the
+    product check's first hnf has started; the rows given to each hnf;
+    and the prime of each Round 2 step.
+    """
+    called, hnf_inputs, round2 = [], [], []
+    real_multipliers = ideals.multipliers_mod_p
+
+    def recording_hnf(rows, n=None):
+        hnf_inputs.append([tuple(r) for r in rows])
+        return hnf(rows, n)
+
+    def recording_multipliers(table, q, radical):
+        round2.append(q)
+        return real_multipliers(table, q, radical)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.append((frame.f_code.co_name, bool(hnf_inputs)))
+
+    monkeypatch.setattr(ideals, "hnf", recording_hnf)
+    monkeypatch.setattr(ideals, "multipliers_mod_p", recording_multipliers)
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = factor_p_in_order(order, p)
+    finally:
+        sys.setprofile(outer)
+        monkeypatch.undo()
+    return result, called, hnf_inputs, round2
+
+
 class TestFactorPInOrder:
     def test_cubic_at_2(self):
         result = factor_p_in_order(MAX_CUBIC, 2)
@@ -325,52 +373,44 @@ class TestFactorPInOrder:
         assert [(e, f) for _, e, f in result] == [(2, 1)]
 
     def test_product_check_never_multiplies_by_the_order(self, monkeypatch):
-        operands = []
-
-        def recording(a, b):
-            operands.append((a, b))
-            return ideal_product(a, b)
-
-        monkeypatch.setattr(ideals, "ideal_product", recording)
-        result = factor_p_in_order(MAX_CUBIC, 2)
-        monkeypatch.undo()
-        assert [(ide.rows, e, f) for ide, e, f in result] == [
-            (fixtures.CUBIC_PRIMES_ABOVE_2[name], 1, 1) for name in "cab"
-        ]
-        whole = whole_order(MAX_CUBIC)
-        assert operands and all(whole not in pair for pair in operands)
+        # the check starts from one P^e, and each hnf multiplies the running
+        # product T, given as p*T and alpha*T, by a P^e not used before;
+        # no P^e is the whole order, and the last product is p*order
+        for order, p, g, _ in GATE_CASES:
+            result, _, hnf_inputs, _ = _record_split(monkeypatch, order, p)
+            n = order.n
+            powers = [functools.reduce(ideal_product, [ide] * e) for ide, e, _ in result]
+            assert whole_order(order) not in powers
+            total = None
+            for rows in hnf_inputs:
+                assert all(c % p == 0 for r in rows[:n] for c in r)
+                running = LatticeIdeal(order, [[c // p for c in r] for r in rows[:n]])
+                if total is None:
+                    powers.remove(running)
+                assert total in (None, running)
+                total = LatticeIdeal(order, hnf(rows, n))
+                factors = [q for q in powers if ideal_product(running, q) == total]
+                assert len(factors) == 1
+                powers.remove(factors[0])
+            assert len(hnf_inputs) == g - 1
+            assert g == 1 or (not powers and total == principal_ideal(order, order.identity() * p))
 
     def test_work_gate(self, monkeypatch):
-        # g = 3 primes: the constant split vector is skipped, so at most
-        # g - 1 char polys, and hnf runs only inside the g - 1 products of
-        # the product check; every other lattice is written from GF(p) rows
-        charpolys, hnf_calls, open_products = [], [], []
-
-        def recording_charpoly(elem):
-            charpolys.append(elem)
-            return char_poly(elem)
-
-        def recording_hnf(rows, n=None):
-            hnf_calls.append(len(open_products))
-            return hnf(rows, n)
-
-        def recording_product(a, b):
-            open_products.append((a, b))
-            try:
-                return ideal_product(a, b)
-            finally:
-                open_products.pop()
-
-        monkeypatch.setattr(ideals, "char_poly", recording_charpoly)
-        monkeypatch.setattr(ideals, "hnf", recording_hnf)
-        monkeypatch.setattr(ideals, "ideal_product", recording_product)
-        result = factor_p_in_order(MAX_CUBIC, 2)
-        monkeypatch.undo()
-        assert [(ide.rows, e, f) for ide, e, f in result] == [
-            (fixtures.CUBIC_PRIMES_ABOVE_2[name], 1, 1) for name in "cab"
-        ]
-        assert 1 <= len(charpolys) <= 2
-        assert hnf_calls == [1, 1]
+        # the primes come from idempotents, so no characteristic polynomial
+        # is built or factored; alpha's multiplication matrix is the one
+        # ring product per prime (none at g = 1, where alpha = 0), and the
+        # product check multiplies by no other ring element: its products
+        # are the n rows alpha*T of each hnf input
+        for order, p, g, _ in GATE_CASES:
+            result, called, hnf_inputs, _ = _record_split(monkeypatch, order, p)
+            assert len(result) == g
+            names = {name for name, _ in called}
+            assert not names & {"char_poly", "charpoly_matrix", "fp_factor"}, names
+            assert [name for name, _ in called].count("mul_matrix") == (g if g > 1 else 0)
+            after = {name for name, checking in called if checking}
+            assert not after & {"_vec_mul", "vec_mul", "mul_matrix", "_mul_matrix"}
+            n = order.n
+            assert sum(len(rows) - n for rows in hnf_inputs) <= (g - 1) * n
 
     def test_discriminant_proof_replaces_the_maximality_check(self, monkeypatch):
         # v_p(disc) < 2 proves p-maximality; otherwise the Round 2 step runs
@@ -446,6 +486,59 @@ class TestFactorPInOrder:
                 below_rank += p < order.n
         assert ramified >= 40 and inert >= 200 and below_rank >= 90
 
+    def test_both_cutting_branches_match_radical_split_oracle(self):
+        # p = 2 cuts by the basis of the split subalgebra, an odd p by
+        # powers of random elements; several primes make several cuts
+        fields = seeded_maximal_orders(random.Random(3301), 12)
+        small = (2, 3, 5)
+        large = (2**31 - 1, 2**61 - 1, 2**80 - 65)
+        several = {small: 0, large: 0}
+        # fields come in degree order, so fields[::3] keeps 4 of each degree
+        for primes, orders_ in ((small, fields), (large, fields[::3])):
+            for order in orders_:
+                for p in primes:
+                    result = [(ide.rows, e, f) for ide, e, f in factor_p_in_order(order, p)]
+                    expected = radical_split_primes_above(order, p)
+                    assert result == [(ide.rows, e, f) for ide, e, f in expected], (
+                        order.table,
+                        p,
+                    )
+                    several[primes] += len(result) >= 3
+        assert several[small] >= 20 and several[large] >= 10
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_rank_one_and_gaussian_orders(self, p):
+        rank_one = Order([[(1,)]])
+        assert [(ide.rows, e, f) for ide, e, f in factor_p_in_order(rank_one, p)] == [
+            (((p,),), 1, 1)
+        ]
+        gaussian = order_from_polynomial(ZPoly.from_text("t^2 + 1"))
+        result = [(ide.rows, e, f) for ide, e, f in factor_p_in_order(gaussian, p)]
+        expected = radical_split_primes_above(gaussian, p)
+        assert result == [(ide.rows, e, f) for ide, e, f in expected]
+        # 2 ramifies, 3 is inert and 5 = (2 + i)(2 - i) splits
+        assert [(e, f) for _, e, f in result] == {2: [(2, 1)], 3: [(1, 2)], 5: [(1, 1)] * 2}[p]
+
+    def test_idempotent_draws_change_no_prime(self, monkeypatch):
+        # idempotents are unique, so the seed of the draws at odd p changes
+        # only the run time
+        cases = [(maximal_order(ZPoly.from_text("t^12 - 54"))[0], 97)]
+        for order in seeded_maximal_orders(random.Random(3301), 2):
+            cases += [(order, p) for p in (3, 7, 2**31 - 1)]
+        expected = [factor_p_in_order(order, p) for order, p in cases]
+        assert sum(len(primes) >= 3 for primes in expected) >= 5
+        for seed in range(1, 21):
+            drawn = []
+
+            def seeded(_, seed=seed):
+                drawn.append(seed)
+                return random.Random(seed)
+
+            monkeypatch.setattr(ideals, "random", types.SimpleNamespace(Random=seeded))
+            assert [factor_p_in_order(order, p) for order, p in cases] == expected, seed
+            monkeypatch.undo()
+            assert drawn == [seed] * sum(len(primes) > 1 for primes in expected)
+
     @pytest.mark.parametrize("c", [54, 243])
     def test_matches_radical_split_oracle_at_high_degree(self, c):
         # p^n is far beyond enumerate_primes_above at these degrees
@@ -457,20 +550,13 @@ class TestFactorPInOrder:
             assert any(e >= 2 for _, e, _ in result)
 
     def test_one_product_per_extra_prime_and_no_maximality_check(self, monkeypatch):
-        cases = [(MAX_CUBIC, 2, 3), (MAX_CUBIC, 503, 2), (SQRT2, 5, 1)]
-        cases.append((maximal_order(ZPoly.from_text("t^9 - 54"))[0], 3, None))
-        for order, p, g in cases:
-            products = []
-
-            def recording_product(a, b):
-                products.append((a, b))
-                return ideal_product(a, b)
-
-            monkeypatch.setattr(ideals, "ideal_product", recording_product)
-            result = factor_p_in_order(order, p)
-            monkeypatch.undo()
-            assert g is None or len(result) == g
-            assert len(products) == len(result) - 1, (order.n, p)
+        # g - 1 steps of 2n rows each, and the Round 2 step only where
+        # v_p(disc) >= 2
+        for order, p, g, steps in GATE_CASES:
+            result, _, hnf_inputs, round2 = _record_split(monkeypatch, order, p)
+            assert len(result) == g
+            assert [len(rows) for rows in hnf_inputs] == [2 * order.n] * (g - 1)
+            assert round2 == steps, (order.n, p)
 
     def test_high_degree_time_bound(self):
         order, _ = maximal_order(ZPoly.from_text("t^32 - 54"))
