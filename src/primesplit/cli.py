@@ -132,7 +132,10 @@ def _with_supply(results, modulus, shape):
     """results with the common-index-divisor verdict for shape and its supply report."""
     divisor, report = common_index_divisor(modulus, shape)
     results["common_index_divisor"] = divisor
-    results["supply"] = report
+    results["supply"] = [
+        {"degree": d, "required": required, "available": available}
+        for d, required, available in report
+    ]
     return results
 
 

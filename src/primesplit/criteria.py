@@ -45,6 +45,7 @@ from .fppoly import (
     fp_factor,
     fp_gcd,
 )
+from .integers import valuation
 from .lattice import rational_lattice
 from .zpoly import ZPoly, cofactor_m, integer_roots, reduce_mod
 
@@ -213,7 +214,7 @@ def ore_lattice(f, verdict, basis, d):
         # a zero a_i gives no point; a_0 = 0 (phi divides a reducible,
         # squarefree f) makes the first side vertical, at abscissa 1
         hull = []
-        for point in [(i, _valuation(gcd(*c), q)) for i, c in enumerate(a) if c]:
+        for point in [(i, valuation(gcd(*c), q)) for i, c in enumerate(a) if c]:
             while len(hull) > 1 and _on_or_above(hull[-2], hull[-1], point):
                 hull.pop()
             hull.append(point)
@@ -243,20 +244,11 @@ def ore_lattice(f, verdict, basis, d):
     ]
     basis, d = rational_lattice(rows, d * q**top)
     index = d**n // prod(row[i] for i, row in enumerate(basis))
-    if index % q**ind or index // q**ind % q == 0:
+    if valuation(index, q) != ind:
         raise AssertionError(
             "Ore's ring at %d does not have q-index %d^%d" % (q, q, ind)
         )
     return basis, d, ind, regular
-
-
-def _valuation(c, q):
-    """The exponent of q in the nonzero integer c."""
-    v = 0
-    while c % q == 0:
-        c //= q
-        v += 1
-    return v
 
 
 def _on_or_above(p0, p1, p2):
@@ -300,17 +292,15 @@ def common_index_divisor(modulus, shape):
 
     True exactly when, for some residue degree d, the splitting needs
     more distinct irreducible polynomials of degree d than exist over
-    GF(p).  The report lists required versus available counts per degree.
+    GF(p).  The report lists (degree, required, available) per degree,
+    in increasing degree.
     """
     modulus = as_modulus(modulus)
-    report = []
-    verdict = False
-    for d, required in sorted(shape.degree_counts().items()):
-        available = count_monic_irreducibles(modulus, d)
-        report.append({"degree": d, "required": required, "available": available})
-        if required > available:
-            verdict = True
-    return verdict, report
+    report = [
+        (d, required, count_monic_irreducibles(modulus, d))
+        for d, required in sorted(shape.degree_counts().items())
+    ]
+    return any(required > available for _, required, available in report), report
 
 
 def assign_prime_functions(modulus, shape):

@@ -170,13 +170,14 @@ def _primitive_idempotents(order, frobenius, p):
     found inside S: each kernel vector is 1 at its own free column, its
     last nonzero entry, and 0 at the others, so an element of S is read
     off at those columns, and S's own g x g table takes g(g-1)/2 products.
-    At p = 2 every element of S is idempotent, and the basis cuts the
-    idempotents apart.  At odd p, y = x^((p-1)/2) of a random x in S is 0,
-    1 or -1 in each factor, and (y^2+y)/2, (y^2-y)/2 and 1-y^2 cut every
-    idempotent by those values (Cantor and Zassenhaus, Math. Comp. 36
-    (1981), run in S instead of GF(p)[t]); draws repeat until there are g.
-    The draws are seeded, and idempotents are unique, so the draws change
-    only the run time.
+    y = x^((p-1)/2) of a random x in S is 0, 1 or -1 in each factor, and
+    (y^2+y)/2, (y^2-y)/2 and 1-y^2 cut every idempotent by those values
+    (Cantor and Zassenhaus, Math. Comp. 36 (1981), run in S instead of
+    GF(p)[t]); draws repeat until there are g.  At p = 2 the exponent is
+    taken as 1, so y = x is 0 or 1 in each factor and y^2 = y; with 1/2
+    read as (p+1)/2 = 1, the piece (y^2+y)/2 = 2y is zero, and the same
+    cut leaves 1-y and y.  The draws are seeded, and idempotents are
+    unique, so the draws change only the run time.
     """
     shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(frobenius)]
     split = left_kernel_mod_p(shifted, p)
@@ -199,7 +200,7 @@ def _primitive_idempotents(order, frobenius, p):
         packed[k][l] = packed[l][k] = sum(
             prod[i] % p << (w * s) for s, i in enumerate(free)
         )
-    half = (p + 1) // 2  # the inverse of 2 mod p, used at odd p
+    half = (p + 1) // 2  # the inverse of 2 mod p; 1 at p = 2
 
     def mul(u, v):
         acc = sum(ui * sum(map(operator.mul, v, row)) for ui, row in zip(u, packed) if ui)
@@ -208,35 +209,21 @@ def _primitive_idempotents(order, frobenius, p):
     def sub(u, v):
         return tuple((a - b) % p for a, b in zip(u, v))
 
-    def cut(atoms, y):
-        # y is 0, 1 or -1 in each factor (0 or 1 at p = 2); each atom e
-        # splits into e*(1-y^2) and e*y^2, the latter into e*(y^2+y)/2 and
-        # e*(y^2-y)/2 at odd p, and the zero pieces are dropped
-        y2 = y if p == 2 else mul(y, y)
-        out = []
-        for e in atoms:
-            ey2 = mul(e, y2)
-            pieces = [sub(e, ey2)]
-            if p == 2:
-                pieces.append(ey2)
-            else:
-                plus = tuple((a + b) * half % p for a, b in zip(ey2, mul(e, y)))
-                pieces += [plus, sub(ey2, plus)]
-            out += [piece for piece in pieces if any(piece)]
-        return out
-
     one = unit(g, 0)
     atoms = [one]
-    if p == 2:
-        for k in range(1, g):
-            if len(atoms) == g:
-                break
-            atoms = cut(atoms, unit(g, k))
-    else:
-        rng = random.Random(0)
-        while len(atoms) < g:
-            x = tuple(rng.randrange(p) for _ in range(g))
-            atoms = cut(atoms, binary_power(x, (p - 1) // 2, mul, one))
+    rng = random.Random(0)
+    while len(atoms) < g:
+        # zero pieces are dropped
+        x = tuple(rng.randrange(p) for _ in range(g))
+        y = binary_power(x, (p - 1) // 2 or 1, mul, one)
+        y2 = mul(y, y)
+        cut = []
+        for e in atoms:
+            ey2 = mul(e, y2)
+            plus = tuple((a + b) * half % p for a, b in zip(ey2, mul(e, y)))
+            pieces = sub(e, ey2), plus, sub(ey2, plus)
+            cut += [piece for piece in pieces if any(piece)]
+        atoms = cut
     if len(atoms) != g:
         raise AssertionError("the split subalgebra does not separate the primes")
     return [combine_rows_mod_p(e, split, p) for e in atoms]

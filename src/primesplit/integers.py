@@ -1,8 +1,8 @@
 """Rational-integer arithmetic: primality, trial factoring and prime powers.
 
-The package's one trial-division loop, its prime-power test and the
-extended gcd of ``hnf`` live here.  Nothing here imports from the
-package.  PRIMALITY_BOUND is the package's one bound on primes.
+The package's one trial-division loop, its prime-power test, its
+p-adic valuation and the extended gcd of ``hnf`` live here.  Nothing
+here imports from the package.  PRIMALITY_BOUND is the package's one bound on primes.
 """
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -92,6 +92,17 @@ def trial_factor(n, bound):
         root, e = power
         out[root] = out.get(root, 0) + e
     return out
+
+
+def valuation(n, q):
+    """The exponent of q in the nonzero integer n, for q >= 2; refuses n = 0."""
+    if n == 0:
+        raise ValueError("the valuation of 0 is not finite")
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
 
 
 def prime_power(n):

@@ -42,7 +42,7 @@ from math import gcd
 
 from .criteria import dedekind_verdict, ore_lattice, rational_root_screen
 from .fppoly import as_modulus, binary_power
-from .integers import DEFAULT_TRIAL_BOUND, trial_factor
+from .integers import DEFAULT_TRIAL_BOUND, trial_factor, valuation
 from .lattice import (
     combine_rows_mod_p,
     identity_rows,
@@ -482,12 +482,8 @@ def p_enlarge(order, modulus):
         raise ValueError(
             "order has discriminant 0 (it has nilpotents), so no p-maximal order contains it"
         )
-    v = 0
-    while disc % p == 0:
-        disc //= p
-        v += 1
     enlarged = _p_maximal_lattice(
-        order.table, p, identity_rows(order.n), 1, order.table, v
+        order.table, p, identity_rows(order.n), 1, order.table, valuation(disc, p)
     )
     return _order_on_lattice(order.labels, *enlarged)
 

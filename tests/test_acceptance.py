@@ -149,7 +149,7 @@ def test_criterion_7_quartic_fundamental_number_and_shape():
     assert sorted(shape.parts) == [(2, 1), (2, 1)]
     divisor, report = common_index_divisor(2, shape)
     assert divisor is True
-    assert report == [{"degree": 2, "required": 2, "available": 1}]
+    assert report == [(2, 2, 1)]
     _report(7, "quartic D = 2873 = 13^2*17; shape {(2,1)x2}; 2 is a common index divisor")
 
 
@@ -370,5 +370,5 @@ def test_criterion_10_kronecker_quartic_stretch():
     assert sorted(shape.parts) == [(1, 1)] * 4
     divisor, report = common_index_divisor(3, shape)
     assert divisor is True
-    assert report == [{"degree": 1, "required": 4, "available": 3}]
+    assert report == [(1, 4, 3)]
     _report(10, "3 splits into four degree-1 primes; 3 is a common index divisor")

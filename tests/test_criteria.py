@@ -233,7 +233,7 @@ class TestCommonIndexDivisor:
     def test_three_linear_mod_2(self):
         divisor, report = common_index_divisor(2, SplittingShape(2, [(1, 1)] * 3))
         assert divisor
-        assert report == [{"degree": 1, "required": 3, "available": 2}]
+        assert report == [(1, 3, 2)]
 
     def test_two_quadratics_mod_2(self):
         divisor, _ = common_index_divisor(2, SplittingShape(2, [(2, 1)] * 2))

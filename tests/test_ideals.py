@@ -57,6 +57,10 @@ IDEAL_A = LatticeIdeal(MAX_CUBIC, fixtures.CUBIC_PRIMES_ABOVE_2["a"])
 IDEAL_B = LatticeIdeal(MAX_CUBIC, fixtures.CUBIC_PRIMES_ABOVE_2["b"])
 IDEAL_C = LatticeIdeal(MAX_CUBIC, fixtures.CUBIC_PRIMES_ABOVE_2["c"])
 
+# sqrt(-7) + sqrt(17) + sqrt(41): -7, 17 and 41 are 1 mod 8, so 2 splits
+# into 8 primes of degree 1 in the compositum
+OCTIC_SPLIT_AT_2 = "t^8 - 204*t^6 + 13278*t^4 + 19108*t^2 + 2064969"
+
 
 class TestHnf:
     def test_nine_products_of_ab(self):
@@ -487,8 +491,8 @@ class TestFactorPInOrder:
         assert ramified >= 40 and inert >= 200 and below_rank >= 90
 
     def test_both_cutting_branches_match_radical_split_oracle(self):
-        # p = 2 cuts by the basis of the split subalgebra, an odd p by
-        # powers of random elements; several primes make several cuts
+        # every p cuts the split subalgebra by powers of random elements
+        # (the elements themselves at p = 2); several primes make several cuts
         fields = seeded_maximal_orders(random.Random(3301), 12)
         small = (2, 3, 5)
         large = (2**31 - 1, 2**61 - 1, 2**80 - 65)
@@ -505,6 +509,12 @@ class TestFactorPInOrder:
                     )
                     several[primes] += len(result) >= 3
         assert several[small] >= 20 and several[large] >= 10
+        # 8 primes above 2 take several draws
+        octic, _ = maximal_order(ZPoly.from_text(OCTIC_SPLIT_AT_2))
+        result = [(ide.rows, e, f) for ide, e, f in factor_p_in_order(octic, 2)]
+        expected = radical_split_primes_above(octic, 2)
+        assert result == [(ide.rows, e, f) for ide, e, f in expected]
+        assert len(result) == 8
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_rank_one_and_gaussian_orders(self, p):
@@ -520,13 +530,20 @@ class TestFactorPInOrder:
         assert [(e, f) for _, e, f in result] == {2: [(2, 1)], 3: [(1, 2)], 5: [(1, 1)] * 2}[p]
 
     def test_idempotent_draws_change_no_prime(self, monkeypatch):
-        # idempotents are unique, so the seed of the draws at odd p changes
-        # only the run time
-        cases = [(maximal_order(ZPoly.from_text("t^12 - 54"))[0], 97)]
-        for order in seeded_maximal_orders(random.Random(3301), 2):
+        # idempotents are unique, so the seed of the draws changes only the
+        # run time, at p = 2 as at odd p
+        cases = [
+            (maximal_order(ZPoly.from_text("t^12 - 54"))[0], 97),
+            (maximal_order(ZPoly.from_text(OCTIC_SPLIT_AT_2))[0], 2),
+        ]
+        fields = seeded_maximal_orders(random.Random(3301), 2)
+        for order in fields:
             cases += [(order, p) for p in (3, 7, 2**31 - 1)]
+        cases += [(order, 2) for order in fields if len(factor_p_in_order(order, 2)) >= 3]
         expected = [factor_p_in_order(order, p) for order, p in cases]
         assert sum(len(primes) >= 3 for primes in expected) >= 5
+        at_2 = [len(primes) for (_, p), primes in zip(cases, expected) if p == 2]
+        assert len(at_2) >= 3 and min(at_2) >= 3 and max(at_2) == 8
         for seed in range(1, 21):
             drawn = []
 

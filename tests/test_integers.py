@@ -8,7 +8,7 @@ import pytest
 
 import primesplit
 from conftest import prime_divisors
-from primesplit.integers import is_prime, trial_factor
+from primesplit.integers import is_prime, trial_factor, valuation
 
 SRC = pathlib.Path(primesplit.__file__).parent
 
@@ -55,6 +55,24 @@ def test_composite_tail_past_the_bound_raises():
         trial_factor(2**3 * 7 * tail, 10**6)
 
 
+def test_valuation_counts_the_prime_in_signed_integers():
+    rng = random.Random(7)
+    for q in (2, 3, 5, 1000003):
+        for _ in range(20):
+            unit = rng.randrange(1, 10**6) * q + rng.randrange(1, q)
+            v = rng.randrange(0, 12)
+            assert valuation(unit * q**v, q) == v
+            assert valuation(-unit * q**v, q) == v
+    assert valuation(1, 2) == 0
+    assert valuation(2**31 - 1, 2**31 - 1) == 1
+
+
+def test_valuation_refuses_zero():
+    # every power of q divides 0, so the count would never end
+    with pytest.raises(ValueError, match="valuation of 0"):
+        valuation(0, 3)
+
+
 def _module_trees():
     return {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
 
@@ -89,7 +107,14 @@ class TestLayering:
         assert not [m for m, _ in imported if m.startswith((".", "primesplit"))]
 
     def test_no_other_module_defines_integer_number_theory(self):
-        owned = {"is_prime", "trial_factor", "prime_power", "xgcd", "PRIMALITY_BOUND"}
+        owned = {
+            "is_prime",
+            "trial_factor",
+            "prime_power",
+            "valuation",
+            "xgcd",
+            "PRIMALITY_BOUND",
+        }
         for name, tree in _module_trees().items():
             assert name == "integers" or not owned & _bound_names(tree), name
 
