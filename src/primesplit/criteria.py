@@ -35,6 +35,7 @@ F mod p is factored by ``fp_factor`` at its defaults; its factors come
 out in canonical order, so no result here depends on a random draw.
 """
 
+import operator
 from math import gcd, prod
 
 from .fppoly import (
@@ -69,7 +70,7 @@ class SplittingShape:
 
     def __init__(self, modulus, parts):
         modulus = as_modulus(modulus)
-        parts = tuple((int(f), int(e)) for f, e in parts)
+        parts = tuple((operator.index(f), operator.index(e)) for f, e in parts)
         if any(f < 1 or e < 1 for f, e in parts):
             raise ValueError("degrees and exponents must be positive")
         self.p = modulus
@@ -180,8 +181,8 @@ def index_divisible(f, modulus):
 def ore_lattice(f, verdict, basis, d):
     """Add Ore's first-order ring at q to the ring on basis/d: (rows, d, ind, regular).
 
-    `verdict` is Dedekind's test at q on f.  For each repeated factor
-    (g, l) of f mod q, phi lifts g and f = sum a_i phi^i.  The
+    `verdict` is Dedekind's test at q on f.  For each factor (g, l) in
+    its `dividing`, phi lifts g and f = sum a_i phi^i.  The
     phi-Newton polygon N is the lower convex hull of the points
     (i, v_q(a_i)), 0 <= i <= l, and y_j is its ordinate at j.  With the
     quotients q_j = f div phi^j, the elements t^k q_j(t) / q^floor(y_j),
@@ -190,6 +191,8 @@ def ore_lattice(f, verdict, basis, d):
     over every phi and j (Montes-Nart, J. Algebra 146, 1992); that q^ind
     is checked on the canonical diagonal.  The ring on basis/d contains
     Z[t] with index prime to q, so the sum gains exactly Ore's ring at q.
+    A repeated factor outside `dividing` has v_q(a_0) = 1: one regular
+    side from (0, 1) to (l, 0), with every floor(y_j) = 0, adds nothing.
 
     f is q-regular when the residual polynomial of every side of every
     N is squarefree; then q^ind is the q-part of the index of Z[t]/(f)
@@ -202,9 +205,7 @@ def ore_lattice(f, verdict, basis, d):
     modulus = verdict.modulus
     q = modulus.p
     elements, ind, regular = [], 0, True
-    for g, l in verdict.factors:
-        if l < 2:
-            continue
+    for g, l in verdict.dividing:
         phi = balanced_lift(g)
         a, quotients, rest = [], [], f
         for _ in range(l + 1):

@@ -61,7 +61,7 @@ class LatticeIdeal:
         if not isinstance(order, Order):
             raise TypeError("expected an Order")
         if not _trusted:
-            rows = tuple(tuple(int(c) for c in r) for r in rows)
+            rows = tuple(tuple(map(operator.index, r)) for r in rows)
         self.order = order
         self.rows = rows
         if not _trusted:
@@ -180,12 +180,11 @@ def _primitive_idempotents(order, frobenius, p):
     unique, so the draws change only the run time.
     """
     shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(frobenius)]
-    split = left_kernel_mod_p(shifted, p)
+    split, free = left_kernel_mod_p(shifted, p)
     g = len(split)
     if g == 1:
         # row 0 of shifted is zero, so split[0] is the identity
         return split
-    free = [max(i for i, c in enumerate(x) if c) for x in split]
     # S's table packed along the coordinate: slot k of packed[i][j] holds
     # coordinate k of s_i * s_j.  A slot of sum u_i v_j packed[i][j] sums
     # g^2 products of three residues, so w bits hold it, and a product in
@@ -246,7 +245,7 @@ def factor_p_in_order(order, modulus):
     prime takes one integer HNF of the 2n rows of p*T and alpha*T, and
     each row of alpha*T is a row of T times alpha's matrix.
 
-    Every P^e and P is held as a reduced echelon basis mod p, a
+    Every P^e and P is held as a reduced echelon pair mod p, a
     subspace of order/(p*order), and its canonical rows are read off it.
 
     The order must be p-maximal.  An enlargement of index p^k divides
@@ -265,9 +264,6 @@ def factor_p_in_order(order, modulus):
         order.table, p, radical
     ):
         raise ValueError("order is not %d-maximal" % p)
-    # the radical's rows with diagonal 1 are its reduced echelon basis mod p
-    pivots = [i for i, r in enumerate(radical) if r[i] == 1]
-    radical_echelon = [radical[i] for i in pivots], pivots
 
     out, parts = [], []
     for idempotent in _primitive_idempotents(order, frobenius, p):
@@ -276,17 +272,17 @@ def factor_p_in_order(order, modulus):
         alpha = [((j == 0) - c) % p for j, c in enumerate(idempotent)]
         # alpha = 0 when g = 1: then P^e is p*order itself
         times_alpha = order.mul_matrix(alpha) if any(alpha) else []
-        rows, _ = echelon_mod_p(times_alpha, p, last=True)
+        power_space = echelon_mod_p(times_alpha, p)
         # P^e + radical: only the rows of P^e are reduced
-        prime_rows, _ = echelon_mod_p(rows, p, last=True, start=radical_echelon)
-        prime = LatticeIdeal(order, lattice_rows_mod_p(prime_rows, p, n), _trusted=True)
-        ef, f = n - len(rows), n - len(prime_rows)
+        prime_space = echelon_mod_p(power_space[0], p, start=radical)
+        prime = LatticeIdeal(order, lattice_rows_mod_p(prime_space, p, n), _trusted=True)
+        ef, f = n - len(power_space[0]), n - len(prime_space[0])
         if f < 1:
             raise AssertionError("P^e plus the %d-radical is the whole order" % p)
         if ef % f:
             raise AssertionError("the norm of P^e is not a power of the norm of P")
         out.append((prime, ef // f, f))
-        parts.append((rows, times_alpha))
+        parts.append((power_space, times_alpha))
     out.sort(key=lambda entry: entry[0].rows)
 
     # T * P^e = p*T + alpha*T: 2n rows, and alpha*t is t times alpha's matrix
@@ -298,7 +294,7 @@ def factor_p_in_order(order, modulus):
             + [[sum(map(operator.mul, t, col)) for col in columns] for t in total],
             n,
         )
-    if total != lattice_rows_mod_p([], p, n):
+    if total != lattice_rows_mod_p(((), ()), p, n):
         raise AssertionError("prime power product does not reconstruct p*order")
     if sum(e * f for _, e, f in out) != n:
         raise AssertionError("sum of e*f does not equal the rank")

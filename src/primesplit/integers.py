@@ -96,6 +96,8 @@ def trial_factor(n, bound):
 
 def valuation(n, q):
     """The exponent of q in the nonzero integer n, for q >= 2; refuses n = 0."""
+    if q < 2:
+        raise ValueError("valuation needs q >= 2, got q = %d" % q)
     if n == 0:
         raise ValueError("the valuation of 0 is not finite")
     v = 0

@@ -9,12 +9,12 @@ matrices.  A rational lattice is such rows over one positive
 denominator d, with (rows, d) in lowest terms.  ``hnf`` is the one
 integer HNF routine.
 
-A lattice between p*Z^n and Z^n is a subspace of GF(p)^n, so its
-canonical rows are read off a reduced echelon basis mod p
-(``lattice_rows_mod_p``) with no integer HNF.  ``echelon_mod_p`` is the
-one elimination loop over GF(p); the left kernel and row combinations
-mod p are built on it.  Orders run Round 2 and ideals split p*O on
-these.
+A lattice between p*Z^n and Z^n is a subspace of GF(p)^n, held in one
+form: a reduced echelon pair (rows, pivots), each row pivoting on its
+last nonzero entry.  ``echelon_mod_p``, the one elimination loop over
+GF(p), builds such pairs, ``left_kernel_mod_p`` returns one, and
+``lattice_rows_mod_p`` reads a pair's canonical rows with no HNF.
+Orders run Round 2 and ideals split p*O on these.
 """
 
 from math import gcd
@@ -112,13 +112,12 @@ def lowest_terms(rows, d):
 
 # -- linear algebra over GF(p) ----------------------------------------------
 
-def echelon_mod_p(rows, p, last=False, start=((), ())):
+def echelon_mod_p(rows, p, start=((), ())):
     """Reduced row echelon form of integer rows over GF(p): (nonzero rows, pivots).
 
-    A row's pivot is its first nonzero entry, or its last one when
-    `last` is set.  The rows extend `start`, a reduced echelon form of
-    the same kind, whose own rows are not reduced again: they are only
-    cleared in the columns of the new pivots.
+    A row's pivot is its last nonzero entry.  The rows extend `start`, a
+    pair of the same kind, whose own rows are not reduced again: they
+    are only cleared in the columns of the new pivots.
     """
     out, pivots = list(start[0]), list(start[1])
     for vec in rows:
@@ -130,7 +129,7 @@ def echelon_mod_p(rows, p, last=False, start=((), ())):
         nonzero = [k for k, x in enumerate(v) if x]
         if not nonzero:
             continue
-        j = nonzero[-1] if last else nonzero[0]
+        j = nonzero[-1]
         inv = pow(v[j], -1, p)
         v = [x * inv % p for x in v]
         for i, r in enumerate(out):
@@ -142,35 +141,37 @@ def echelon_mod_p(rows, p, last=False, start=((), ())):
     return out, pivots
 
 
-def lattice_rows_mod_p(echelon, p, n):
-    """``hnf`` of p*Z^n plus the span of a reduced echelon basis mod p.
+def lattice_rows_mod_p(subspace, p, n):
+    """``hnf`` of p*Z^n plus the span of a reduced echelon pair mod p.
 
-    The basis pivots on last nonzero entries, as ``echelon_mod_p(...,
-    last=True)`` gives, so row j is its row with pivot j, or p*e_j when
-    no row pivots at j (the lattices between p*Z^n and Z^n are the
-    subspaces of GF(p)^n, Cohen, GTM 138, 6.2).
+    Row j is the subspace's row with pivot j, or p*e_j when no row
+    pivots at j (the lattices between p*Z^n and Z^n are the subspaces
+    of GF(p)^n, Cohen, GTM 138, 6.2).
     """
     rows = [(0,) * j + (p,) + (0,) * (n - 1 - j) for j in range(n)]
-    for r in echelon:
-        j = n - 1
-        while not r[j]:
-            j -= 1
+    for r, j in zip(*subspace):
         rows[j] = tuple(r)
     return tuple(rows)
 
 
 def left_kernel_mod_p(rows, p):
-    """Basis over GF(p) of {x : sum_i x_i * rows_i = 0 mod p}, one vector per free column."""
+    """Reduced echelon pair of {x : sum_i x_i * rows_i = 0 mod p}.
+
+    The columns of `rows` are eliminated from their last coordinate down,
+    so each pivots on its first nonzero one; the vector of a free column
+    is nonzero only there and at pivots before it, so that is its pivot.
+    """
     m = len(rows)
-    echelon, pivots = echelon_mod_p(zip(*rows), p)
+    echelon, pivots = echelon_mod_p((col[::-1] for col in zip(*rows)), p)
+    free = sorted(set(range(m)) - {m - 1 - j for j in pivots})
     out = []
-    for free in sorted(set(range(m)) - set(pivots)):
+    for f in free:
         x = [0] * m
-        x[free] = 1
+        x[f] = 1
         for r, j in zip(echelon, pivots):
-            x[j] = -r[free] % p
+            x[m - 1 - j] = -r[m - 1 - f] % p
         out.append(x)
-    return out
+    return out, free
 
 
 def combine_rows_mod_p(coeffs, rows, p):

@@ -11,10 +11,10 @@ triangular form of ``lattice``, and the p-maximal order is built by the
 Pohst-Zassenhaus Round 2 on ``lattice``'s GF(p) kernel: the p-radical
 is the kernel of a power of the Frobenius matrix (``radical_mod_p``),
 and its ring of multipliers (``multipliers_mod_p``) is the next order.
-``ideals.factor_p_in_order`` shares these steps: the radical checks
-p-maximality and gives each prime from its power, and the kernel of
-the Frobenius matrix minus the identity, the subalgebra S = GF(p)^g of
-order/(p*order), holds the idempotents that give each prime power.
+``ideals.factor_p_in_order`` shares these steps and their subspaces of
+order/(p*order), each a reduced echelon pair: the radical checks
+p-maximality and starts each prime from its power, and the subalgebra
+S = GF(p)^g, the kernel of Frobenius minus 1, holds the idempotents.
 
 Round 2 stops on the discriminant.  An enlargement of index p^k
 divides the discriminant by p^(2k), so a ring with v_p(disc) < 2 is
@@ -68,7 +68,7 @@ class Order:
 
     def __init__(self, table, labels=None, basis_in_parent=None):
         table = tuple(
-            tuple(tuple(int(c) for c in vec) for vec in row) for row in table
+            tuple(tuple(map(operator.index, vec)) for vec in row) for row in table
         )
         n = len(table)
         if n < 1:
@@ -191,7 +191,7 @@ class OrderElement:
     __slots__ = ("order", "coords")
 
     def __init__(self, order, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(operator.index, coords))
         if len(coords) != order.n:
             raise ValueError(
                 "expected %d coordinates, got %d" % (order.n, len(coords))
@@ -404,7 +404,7 @@ def frobenius_mod_p(table, p):
 
 
 def radical_mod_p(frobenius, p):
-    """Canonical rows of the p-radical: p*order plus the kernel of x -> x^(p^k), p^k >= n.
+    """Reduced echelon pair mod p of the p-radical: the kernel of x -> x^(p^k), p^k >= n.
 
     `frobenius` is the matrix of x -> x^p on order/(p*order)
     (``frobenius_mod_p``); x -> x^(p^k) is its k-th power, which
@@ -417,24 +417,23 @@ def radical_mod_p(frobenius, p):
     while q < n:
         power = [combine_rows_mod_p(row, frobenius, p) for row in power]
         q *= p
-    # each kernel vector holds 1 at its own free column, its last nonzero
-    # entry, and 0 at the others: a reduced echelon basis as it stands
-    return lattice_rows_mod_p(left_kernel_mod_p(power, p), p, n)
+    return left_kernel_mod_p(power, p)
 
 
 def multipliers_mod_p(table, p, radical):
     """Basis mod p of U/(p*order), U = {x : x*I inside p*I}, I the p-radical.
 
-    `radical` holds the canonical rows of I.  The ring of multipliers of
-    I is U/p, so an empty result proves the order p-maximal (Cohen,
-    GTM 138, 6.1.8 and 6.1.10).
+    `radical` is I's echelon pair mod p (``radical_mod_p``).  The ring of
+    multipliers of I is U/p, so an empty result proves the order
+    p-maximal (Cohen, GTM 138, 6.1.8 and 6.1.10).
     """
+    radical = lattice_rows_mod_p(radical, p, len(table))
     # row i: basis_i * radical_j for every j, in radical coordinates mod p
     rows = [[] for _ in table]
     for v in radical:
         for row, prod in zip(rows, _mul_matrix(table, v)):
             row.extend(c % p for c in lattice_divmod(radical, prod)[0])
-    return left_kernel_mod_p(rows, p)
+    return left_kernel_mod_p(rows, p)[0]
 
 
 def _p_maximal_lattice(table, p, basis, d, current, v):

@@ -506,7 +506,7 @@ def dense_product_radical_mod_p(frobenius, p):
         q *= p
     return hnf(
         [[p * c for c in unit] for unit in identity_rows(n)]
-        + left_kernel_mod_p(power, p)
+        + left_kernel_mod_p(power, p)[0]
     )
 
 
@@ -804,10 +804,10 @@ def radical_split_primes_above(order, p):
     nilpotent = [_unit_pow_mod_p(order, unit(n, i), q, p) for i in range(n)]
     radical = hnf(
         [[p * c for c in unit(n, i)] for i in range(n)]
-        + left_kernel_mod_p(nilpotent, p)
+        + left_kernel_mod_p(nilpotent, p)[0]
     )
     free, shifted = _quotient_frobenius_minus_identity(order, radical, p)
-    split = left_kernel_mod_p(shifted, p)
+    split, _ = left_kernel_mod_p(shifted, p)
     parts = [radical]
     for x in split:
         if len(parts) == len(split):

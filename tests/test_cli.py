@@ -161,6 +161,21 @@ class TestSplitPrime:
         assert status == 0
         assert json.loads(out)["results"]["parts"] == [{"f": 1, "e": 9}]
 
+    def test_rank24_split_after_round2(self):
+        # t^24 - 54 is not 3-regular (residual polynomial (y + 1)^3), so
+        # Round 2 runs in the maximal order; v_3(D) = 31, so the split
+        # starts from the radical and runs its own Round 2 check
+        status, out, _ = run_cli("split-prime", "t^24 - 54", "3")
+        assert status == 0
+        assert out.splitlines()[5:10] == [
+            "fundamental_number: -24468564110761075452266287672983242561028096",
+            "ideals:",
+            "    basis: [3, a, a^2, a^3, a^4, a^5, a^6, a^7, 1+w8, w9, w10, w11, w12, w13, "
+            "w14, w15, 2+w16, w17, w18, w19, w20, w21, w22, w23]",
+            "    e: 24",
+            "    f: 1",
+        ]
+
     @pytest.mark.parametrize(
         "poly, p",
         [("t^3-t^2-2t-8", 2), ("t^6+343", 7), ("t^9-54", 3), ("t^3-108", 3), ("t^2-45", 3)],

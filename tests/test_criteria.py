@@ -2,6 +2,7 @@ import contextlib
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,12 @@ class TestShapeType:
             SplittingShape(2, [(0, 1)])
         with pytest.raises(ValueError):
             SplittingShape(2, [(1, 0)])
+
+    @pytest.mark.parametrize("parts", [[(1.5, 1), (1, 1)], [(1, Fraction(3, 2))]])
+    def test_rejects_non_integers(self, parts):
+        # entries that are not integers are refused, not truncated
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SplittingShape(2, parts)
 
     def test_equality_is_multiset(self):
         assert SplittingShape(5, [(1, 2), (2, 1)]) == SplittingShape(

@@ -43,6 +43,28 @@ M7 = PrimeModulus(7)
 ORACLE_PRIMES = (2, 3, 5, 7, 65537, 2**31 - 1, 2**64 - 59, 2**80 - 65)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: PrimeModulus("7"), TypeError, "modulus must be an int"),
+        (
+            lambda: FpPoly(PrimeModulus(7), ()).monic(),
+            ValueError,
+            "cannot normalize the zero polynomial",
+        ),
+        # a generator refuses on its first item
+        (
+            lambda: next(enumerate_monic_irreducibles(3, 0)),
+            ValueError,
+            "degree must be >= 1",
+        ),
+    ],
+)
+def test_input_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 class TestPrimeModulus:
     def test_accepts_primes(self):
         for p in (2, 3, 5, 7, 503, 2**31 - 1):

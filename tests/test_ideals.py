@@ -4,6 +4,7 @@ import random
 import sys
 import time
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +64,14 @@ OCTIC_SPLIT_AT_2 = "t^8 - 204*t^6 + 13278*t^4 + 19108*t^2 + 2064969"
 
 
 class TestHnf:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [([], "no generators given"), ([(1, 0), (0,)], "rows have inconsistent width")],
+    )
+    def test_input_refusals(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            hnf(rows)
+
     def test_nine_products_of_ab(self):
         # the nine pairwise products of the bases of a and b
         rows = [
@@ -186,6 +195,50 @@ class TestIdealFromGenerators:
     def test_zero_generators_rejected(self):
         with pytest.raises(ValueError):
             ideal_from_generators(MAX_CUBIC, [MAX_CUBIC.zero()])
+
+
+M5, M7 = PrimeModulus(5), PrimeModulus(7)
+
+
+def _crt_at_7(*polys):
+    return crt_good_generator(SQRT2, M7, factor_p_in_order(SQRT2, M7), list(polys))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: LatticeIdeal(SQRT2.table, ((2, 0), (0, 2))), TypeError, "expected an Order"),
+        # entries that are not integers are refused, not truncated
+        (
+            lambda: LatticeIdeal(SQRT2, [(Fraction(5, 2), 0), (0, 2)]),
+            TypeError,
+            "'Fraction' object cannot be interpreted as an integer",
+        ),
+        (
+            lambda: LatticeIdeal(SQRT2, [(2.7, 0), (0, 2)]),
+            TypeError,
+            "'float' object cannot be interpreted as an integer",
+        ),
+        (
+            lambda: _crt_at_7(FpPoly(M7, (0, 1))),
+            ValueError,
+            "need one prime function per prime ideal",
+        ),
+        (
+            lambda: _crt_at_7(FpPoly(M5, (0, 1)), FpPoly(M5, (1, 1))),
+            ValueError,
+            "prime functions must share the modulus 7",
+        ),
+        (
+            lambda: _crt_at_7(FpPoly(M7, (1, 0, 1)), FpPoly(M7, (1, 1))),
+            ValueError,
+            "degree mismatch: prime ideal of degree 1 got",
+        ),
+    ],
+)
+def test_input_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestLatticeIdealInvariants:

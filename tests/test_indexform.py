@@ -97,6 +97,10 @@ class TestMultiPoly:
         assert f.terms == {}
         assert MultiPoly(("x", "y"), {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): 2}
 
+    def test_evaluate_refuses_wrong_point_length(self):
+        with pytest.raises(ValueError, match="need 2 coordinates"):
+            MultiPoly(("x", "y"), {(1, 0): 1}).evaluate((1, 2, 3))
+
     def test_mul_and_evaluate(self):
         x = OraclePoly.variable(("x", "y"), "x")
         y = OraclePoly.variable(("x", "y"), "y")

@@ -73,6 +73,19 @@ def test_valuation_refuses_zero():
         valuation(0, 3)
 
 
+@pytest.mark.parametrize("n, q", [(8, 1), (8, 0), (8, -2), (0, 1)])
+def test_valuation_refuses_q_below_2(n, q):
+    # 1 divides n forever, 0 divides nothing and -2 is not a prime; q is
+    # checked before n = 0
+    with pytest.raises(ValueError, match=r"valuation needs q >= 2, got q = %d$" % q):
+        valuation(n, q)
+
+
+def test_trial_factor_refuses_zero():
+    with pytest.raises(ValueError, match="cannot factor 0"):
+        trial_factor(0, 100)
+
+
 def _module_trees():
     return {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
 

@@ -133,6 +133,10 @@ class TestDiscriminant:
 
 
 class TestResultantDeterminant:
+    def test_bareiss_refuses_non_square(self):
+        with pytest.raises(ValueError, match="matrix is not square"):
+            bareiss_determinant([[1, 2, 3], [4, 5, 6]])
+
     def test_bareiss_matches_fraction_oracle(self):
         rng = random.Random(31)
         for _ in range(100):
