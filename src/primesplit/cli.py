@@ -44,7 +44,6 @@ from .ideals import (
 from .indexform import common_value_divisor, format_multipoly, index_form
 from .integers import DEFAULT_TRIAL_BOUND
 from .orders import (
-    _maximal_order,
     char_poly,
     cubic_family,
     element_index,
@@ -189,10 +188,10 @@ def cmd_split_prime(args):
         ]
         return RunReport("split-prime", inputs, results)
 
-    # f passed the rational-root screen, and its verdict at p holds the
-    # factors of f mod p and the cofactor, so neither is computed again;
-    # _maximal_order, which takes the verdict, is the shell's one private import
-    order, fundamental = _maximal_order(f, args.bound, {modulus.p: verdict})
+    # the verdict at p holds the factors of f mod p and the cofactor, so
+    # neither is computed again, and the order carries its proof of
+    # p-maximality into the split
+    order, fundamental = maximal_order(f, args.bound, {modulus.p: verdict})
     primes = factor_p_in_order(order, modulus)
     shape = SplittingShape(modulus, [(fx, e) for _, e, fx in primes])
     results = _shape_fields(shape)

@@ -42,9 +42,8 @@ from .orders import (
     char_poly,
     element_index,
     frobenius_mod_p,
-    multipliers_mod_p,
-    order_discriminant,
     radical_mod_p,
+    require_p_maximal,
 )
 from .textfmt import bracket_entry
 from .zpoly import lift, reduce_mod
@@ -248,22 +247,18 @@ def factor_p_in_order(order, modulus):
     Every P^e and P is held as a reduced echelon pair mod p, a
     subspace of order/(p*order), and its canonical rows are read off it.
 
-    The order must be p-maximal.  An enlargement of index p^k divides
-    the discriminant by p^(2k), so v_p(disc) < 2 proves it; otherwise
-    one Round 2 step checks it.  Results are sorted by basis matrix and
-    returned as (ideal, e, f).
+    The order must be p-maximal (``orders.require_p_maximal``): an
+    order from ``maximal_order`` carries its proof, v_p(disc) < 2 proves
+    it for any other, and otherwise one Round 2 step on the radical
+    checks it.  Results are sorted by basis matrix and returned as
+    (ideal, e, f).
     """
     modulus = as_modulus(modulus)
     p = modulus.p
     n = order.n
     frobenius = frobenius_mod_p(order.table, p)
     radical = radical_mod_p(frobenius, p)
-    # unless v_p(disc) < 2, one Round 2 step: the ring of multipliers of
-    # the radical must be the order
-    if order_discriminant(order) % (p * p) == 0 and multipliers_mod_p(
-        order.table, p, radical
-    ):
-        raise ValueError("order is not %d-maximal" % p)
+    require_p_maximal(order, p, radical)
 
     out, parts = [], []
     for idempotent in _primitive_idempotents(order, frobenius, p):

@@ -27,7 +27,8 @@ index q^ind, which contains the first Round 2 ring.  Where f is
 q-regular, q^ind is the q-part of the index and Round 2 is skipped;
 elsewhere it continues from Ore's ring with v = v_q(disc f) - 2*ind.
 Round 2 runs on bare multiplication tables, carried from prime to prime
-by ``maximal_order``; only the order a call returns is an Order.
+by ``maximal_order``; only the order a call returns is an Order, and it
+records that it is maximal, so the split runs no Round 2 step on it.
 
 Orders and elements are immutable; every operation is a pure function.
 Every enlarged order carries the canonical triangular basis of its
@@ -64,7 +65,7 @@ class Order:
     the coordinates of the order this one was enlarged from.
     """
 
-    __slots__ = ("n", "labels", "table", "basis_in_parent", "_discriminant")
+    __slots__ = ("n", "labels", "table", "basis_in_parent", "_discriminant", "_maximal")
 
     def __init__(self, table, labels=None, basis_in_parent=None):
         table = tuple(
@@ -88,6 +89,7 @@ class Order:
         self.labels = _basis_labels(labels, n)
         self.basis_in_parent = basis_in_parent
         self._discriminant = None  # order_discriminant fills it on first use
+        self._maximal = False  # set by maximal_order; == and hash ignore it
         self._check_associativity()
 
     def _check_associativity(self):
@@ -436,6 +438,17 @@ def multipliers_mod_p(table, p, radical):
     return left_kernel_mod_p(rows, p)[0]
 
 
+def require_p_maximal(order, p, radical):
+    """Raise ValueError unless the order is p-maximal; `radical` is its p-radical.
+
+    An order from ``maximal_order`` carries its proof and v_p(disc) < 2
+    proves it; otherwise one Round 2 step on the radical checks it.
+    """
+    if not order._maximal and order_discriminant(order) % (p * p) == 0:
+        if multipliers_mod_p(order.table, p, radical):
+            raise ValueError("order is not %d-maximal" % p)
+
+
 def _p_maximal_lattice(table, p, basis, d, current, v):
     """Continue Round 2 at p from the ring on the lattice basis/d of `table`.
 
@@ -487,7 +500,7 @@ def p_enlarge(order, modulus):
     return _order_on_lattice(order.labels, *enlarged)
 
 
-def maximal_order(f, bound=DEFAULT_TRIAL_BOUND):
+def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, verdicts=None):
     """Maximal order of Q[t]/(f) and its discriminant (the fundamental number).
 
     At every prime q whose square divides disc(f), Dedekind's criterion
@@ -497,25 +510,17 @@ def maximal_order(f, bound=DEFAULT_TRIAL_BOUND):
     of index q^ind (``criteria.ore_lattice``).  Where f is q-regular
     that ring is q-maximal and no Round 2 runs at q; elsewhere Round 2
     continues from it with v = v_q(disc f) - 2*ind (none when v < 2).
-    Each prime continues from the ring the last one left.  The
-    discriminant must factor by trial division at the given bound.
-    Returns (order, D); the order's ``basis_in_parent`` is its
-    canonical triangular basis in power-basis coordinates (identity
-    rows when no prime enlarges it).
+    Each prime continues from the ring the last one left.  `verdicts`
+    maps primes to Dedekind verdicts on f that a caller already holds,
+    so f is not factored again modulo them.  The discriminant must
+    factor by trial division at the given bound.  Returns (order, D);
+    the order's ``basis_in_parent`` is its canonical triangular basis in
+    power-basis coordinates (identity rows when no prime enlarges it),
+    and the order records that it is maximal for ``require_p_maximal``.
     """
     if not f.is_monic():
         raise ValueError("maximal order requires a monic polynomial")
     rational_root_screen(f)
-    return _maximal_order(f, bound, {})
-
-
-def _maximal_order(f, bound, verdicts):
-    """``maximal_order`` of a monic f that has passed the rational-root screen.
-
-    `verdicts` maps primes to Dedekind verdicts on f a caller already
-    holds, so f is not factored again modulo those primes.  ``cli``'s
-    split-prime passes the verdict at p; no other module calls this.
-    """
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("polynomial has a repeated root (discriminant 0)")
@@ -527,7 +532,7 @@ def _maximal_order(f, bound, verdicts):
             continue
         # Enlarging at other primes leaves the q-index alone, so when
         # q does not divide the index of Z[t]/(f) it stays q-maximal.
-        verdict = verdicts.get(q) or dedekind_verdict(f, q)
+        verdict = (verdicts or {}).get(q) or dedekind_verdict(f, q)
         if verdict.divisible:
             basis, d, ind, regular = ore_lattice(f, verdict, basis, d)
             current = _table_on_lattice(table, basis, d)
@@ -536,6 +541,7 @@ def _maximal_order(f, bound, verdicts):
                     table, q, basis, d, current, factors[q] - 2 * ind
                 )
     order = _order_on_lattice(_basis_labels(None, f.degree), basis, d, current)
+    order._maximal = True
     return order, order_discriminant(order)
 
 

@@ -10,8 +10,9 @@ an element of an order over its basis labels, e.g. ``2+a-3b``.
 
 import re
 
-# sign, optional coefficient, optional variable with optional exponent
-_TERM_RE = re.compile(r"([+-]?)(\d+)?(?:\*?(t)(?:\^(\d+))?)?")
+# sign, optional coefficient, optional variable with optional exponent; a
+# "*" before the variable only follows a coefficient (group 2)
+_TERM_RE = re.compile(r"([+-]?)(\d+)?(?:(?(2)\*?)(t)(?:\^(\d+))?)?")
 
 
 def parse_poly(text):

@@ -8,7 +8,7 @@ import pytest
 
 import primesplit
 from conftest import cofactor_index_form, exhaustive_common_value_divisor
-from primesplit import cli, criteria, ideals, orders
+from primesplit import cli, criteria, orders
 from primesplit.cli import _int_digits_unlimited, _paper_checks, main
 from primesplit.indexform import format_multipoly
 from primesplit.orders import order_from_polynomial
@@ -163,8 +163,8 @@ class TestSplitPrime:
 
     def test_rank24_split_after_round2(self):
         # t^24 - 54 is not 3-regular (residual polynomial (y + 1)^3), so
-        # Round 2 runs in the maximal order; v_3(D) = 31, so the split
-        # starts from the radical and runs its own Round 2 check
+        # Round 2 runs in the maximal order, which carries its proof, so
+        # the split starts from the radical and runs no Round 2 step
         status, out, _ = run_cli("split-prime", "t^24 - 54", "3")
         assert status == 0
         assert out.splitlines()[5:10] == [
@@ -182,7 +182,8 @@ class TestSplitPrime:
     )
     def test_order_route_factors_f_mod_p_once(self, monkeypatch, poly, p):
         # the verdict that sends the query to the order route already holds
-        # the factors of f mod p and the cofactor, and f passed the screen
+        # the factors of f mod p and the cofactor; the screen runs twice,
+        # in index_divisible and in maximal_order
         factored, screened = [], []
         real_factor, real_screen = criteria.fp_factor, criteria.rational_root_screen
 
@@ -201,34 +202,40 @@ class TestSplitPrime:
         assert status == 0
         assert json.loads(out)["results"]["index_divisible"] is True
         assert factored.count(p) == 1
-        assert len(screened) == 1
+        assert len(screened) == 2
 
     def test_order_route_hands_the_discriminant_to_the_split(self, monkeypatch):
         # D = -503 has v_2(D) = 0, which proves the order 2-maximal, and
-        # f is regular at 2, so no Round 2 step runs on Ore's ring: the
-        # split reads v_2(D) off the order it is given
+        # f is regular at 2, so no Round 2 step runs on Ore's ring; the
+        # order maximal_order returns carries its proof into the split
         calls = []
-        for module in (orders, ideals):
-            real = module.multipliers_mod_p
+        real_multipliers, real_split = orders.multipliers_mod_p, cli.factor_p_in_order
 
-            def recording(*args, real=real, name=module.__name__):
-                calls.append((name, args[1]))
-                return real(*args)
+        def multipliers(*args):
+            calls.append(args[1])
+            return real_multipliers(*args)
 
-            monkeypatch.setattr(module, "multipliers_mod_p", recording)
+        def split(*args):
+            calls.append("split")
+            return real_split(*args)
+
+        monkeypatch.setattr(orders, "multipliers_mod_p", multipliers)
+        monkeypatch.setattr(cli, "factor_p_in_order", split)
         status, out, _ = run_cli("split-prime", "t^3 - t^2 - 2*t - 8", "2")
         assert status == 0
         lines = out.splitlines()
         assert "fundamental_number: -503" in lines
         for basis in ("[2, a, w2]", "[2, a, 1+w2]", "[2, 1+a, w2]"):
             assert "    basis: %s" % basis in lines
-        assert calls == []
+        assert calls == ["split"]
+        calls.clear()
 
-        # D = 2^8 * 3^16: 3^2 divides D, so the split checks 3-maximality
+        # D = 2^8 * 3^16: t^9 - 54 is not 3-regular, so Round 2 runs in
+        # maximal_order, and the split makes no Round 2 call of its own
         status, out, _ = run_cli("--json", "split-prime", "t^9-54", "3")
         assert status == 0
         assert json.loads(out)["results"]["fundamental_number"] == 2**8 * 3**16
-        assert calls.count((ideals.__name__, 3)) == 1
+        assert calls == [3, 3, 3, 3, "split"]
 
     def test_order_route_computes_the_discriminant_once(self, monkeypatch):
         # the maximal order keeps D, so the split reads v_p(D) off it

@@ -19,7 +19,7 @@ from conftest import (
     random_power_basis_orders,
     seeded_maximal_orders,
 )
-from primesplit import fixtures, ideals
+from primesplit import fixtures, ideals, orders
 from primesplit.criteria import (
     IndexDivisorError,
     SplittingShape,
@@ -350,13 +350,16 @@ class TestTenPrincipalIdeals:
         assert lhs.coords == rhs.coords == (4, 0, 0)
 
 
-# (order, p, g, Round 2 steps): D = -503, 8 and 2^8 * 3^16, so only the
-# nonic takes the Round 2 step
+# (order, p, g, Round 2 steps): D = -503, 8 and 2^8 * 3^16.  The nonic
+# from maximal_order carries its proof, so only its table rebuilt as a
+# plain Order takes the Round 2 step
+NONIC = maximal_order(ZPoly.from_text("t^9 - 54"))[0]
 GATE_CASES = (
     (MAX_CUBIC, 2, 3, []),
     (MAX_CUBIC, 503, 2, []),
     (SQRT2, 5, 1, []),
-    (maximal_order(ZPoly.from_text("t^9 - 54"))[0], 3, 1, [3]),
+    (NONIC, 3, 1, []),
+    (Order(NONIC.table), 3, 1, [3]),
 )
 
 
@@ -369,7 +372,7 @@ def _record_split(monkeypatch, order, p):
     and the prime of each Round 2 step.
     """
     called, hnf_inputs, round2 = [], [], []
-    real_multipliers = ideals.multipliers_mod_p
+    real_multipliers = orders.multipliers_mod_p
 
     def recording_hnf(rows, n=None):
         hnf_inputs.append([tuple(r) for r in rows])
@@ -384,7 +387,7 @@ def _record_split(monkeypatch, order, p):
             called.append((frame.f_code.co_name, bool(hnf_inputs)))
 
     monkeypatch.setattr(ideals, "hnf", recording_hnf)
-    monkeypatch.setattr(ideals, "multipliers_mod_p", recording_multipliers)
+    monkeypatch.setattr(orders, "multipliers_mod_p", recording_multipliers)
     outer = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -470,17 +473,17 @@ class TestFactorPInOrder:
             assert sum(len(rows) - n for rows in hnf_inputs) <= (g - 1) * n
 
     def test_discriminant_proof_replaces_the_maximality_check(self, monkeypatch):
-        # v_p(disc) < 2 proves p-maximality; otherwise the Round 2 step runs
-        nonic = maximal_order(ZPoly.from_text("t^9 - 54"))[0]
+        # v_p(disc) < 2 proves p-maximality, and so does maximal_order's
+        # record; otherwise the Round 2 step runs
         power = order_from_polynomial(fixtures.cubic_poly())
         calls = []
-        real = ideals.multipliers_mod_p
+        real = orders.multipliers_mod_p
 
         def recording(*args):
             calls.append(args[1])
             return real(*args)
 
-        monkeypatch.setattr(ideals, "multipliers_mod_p", recording)
+        monkeypatch.setattr(orders, "multipliers_mod_p", recording)
         # D = -503
         assert [(ide.rows, e, f) for ide, e, f in factor_p_in_order(MAX_CUBIC, 2)] == [
             (fixtures.CUBIC_PRIMES_ABOVE_2[name], 1, 1) for name in "cab"
@@ -491,9 +494,11 @@ class TestFactorPInOrder:
             factor_p_in_order(power, 2)
         assert calls == [2]
         calls.clear()
-        # D = 2^8 * 3^16
-        assert order_discriminant(nonic) == 2**8 * 3**16
-        assert [(e, f) for _, e, f in factor_p_in_order(nonic, 3)] == [(9, 1)]
+        # D = 2^8 * 3^16: the plain Order on the nonic's table takes the step
+        assert order_discriminant(NONIC) == 2**8 * 3**16
+        assert [(e, f) for _, e, f in factor_p_in_order(NONIC, 3)] == [(9, 1)]
+        assert calls == []
+        assert [(e, f) for _, e, f in factor_p_in_order(Order(NONIC.table), 3)] == [(9, 1)]
         assert calls == [3]
 
     def test_matches_enumeration_oracle(self):

@@ -132,8 +132,6 @@ class TestLayering:
             assert name == "integers" or not owned & _bound_names(tree), name
 
     def test_no_module_reaches_into_a_sibling(self):
-        # `cli` alone keeps `orders._maximal_order`, which takes the
-        # Dedekind verdict the shell already holds
         reached = set()
         for name, tree in _module_trees().items():
             siblings = set()
@@ -152,7 +150,7 @@ class TestLayering:
                     and node.attr.startswith("_")
                 ):
                     reached.add((name, node.value.id, node.attr))
-        assert reached == {("cli", "orders", "_maximal_order")}
+        assert reached == set()
 
     def test_only_cli_writes_report_fields(self):
         # the JSON report has one home: no library type serializes itself

@@ -951,6 +951,53 @@ class TestOneOrderPerCall:
         assert len(built) == 1
 
 
+@pytest.fixture(scope="module")
+def recorded_orders():
+    """Maximal orders whose record the split reads: the paper's fields,
+    three high-degree radicals and seeded cubics to sextics."""
+    polys = [fixtures.cubic_poly(), fixtures.quartic_poly()]
+    polys += [ZPoly.from_text(t) for t in ("t^9 - 54", "t^24 - 54", "t^48 - 243")]
+    return [maximal_order(f) for f in polys] + [
+        (order, order_discriminant(order))
+        for order in seeded_maximal_orders(random.Random(1801), 6)
+    ]
+
+
+class TestMaximalityRecord:
+    """maximal_order's orders record their proof, and the split reads it."""
+
+    def test_recorded_orders_pass_the_round2_step(self, recorded_orders):
+        # the record is checked, not only trusted: at every p with p^2 | D
+        # the ring of multipliers of the p-radical adds nothing
+        steps = 0
+        for order, d in recorded_orders:
+            for p, e in trial_factor(d, 10**6).items():
+                if e >= 2:
+                    radical = orders.radical_mod_p(orders.frobenius_mod_p(order.table, p), p)
+                    assert orders.multipliers_mod_p(order.table, p, radical) == [], p
+                    steps += 1
+        assert steps == 19
+
+    def test_split_runs_the_step_only_without_the_record(
+        self, monkeypatch, recorded_orders
+    ):
+        calls = _record_round2_calls(monkeypatch)
+        for order, d in recorded_orders[2:5]:
+            calls.clear()
+            result = factor_p_in_order(order, 3)
+            assert "multipliers_mod_p" not in calls
+            # the same table as a plain Order is equal, but carries no record
+            plain = Order(order.table)
+            assert plain == order and hash(plain) == hash(order)
+            calls.clear()
+            assert [(e, f) for _, e, f in factor_p_in_order(plain, 3)] == [
+                (e, f) for _, e, f in result
+            ]
+            assert calls.count("multipliers_mod_p") == 1
+        with pytest.raises(ValueError, match="order is not 3-maximal"):
+            factor_p_in_order(order_from_polynomial(ZPoly.from_text("t^9 - 54")), 3)
+
+
 class TestCubicFamily:
     def test_paper_quadruple(self):
         order, disc = cubic_family(2, 2, 1, -1)

@@ -42,3 +42,7 @@ def test_parse_errors():
     for bad in ("", "t^", "t +", "++t", "t*t", "&", "x^2 + 1"):
         with pytest.raises(ValueError):
             parse_poly(bad)
+    # a "*" with no coefficient before it
+    for bad in ("*t", "-*t", "* t^2", "*7", "t^2 + *t - 1"):
+        with pytest.raises(ValueError, match="cannot parse polynomial at"):
+            parse_poly(bad)
