@@ -31,8 +31,8 @@ Three decision surfaces:
   splitting shape, p divides every index exactly when some residue
   degree needs more irreducible polynomials than exist over GF(p).
 
-F mod p is factored by ``fp_factor`` at its defaults; its factors come
-out in canonical order, so no result here depends on a random draw.
+F mod p is factored by ``fp_factor``; its factors come out in canonical
+order, so no result here depends on a random draw.
 """
 
 import operator

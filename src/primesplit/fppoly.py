@@ -7,7 +7,8 @@ holds an ascending coefficient tuple with no trailing zero (empty for
 zero) and every operation that does not depend on the ring; FpPoly adds
 a modulus, coefficients in [0, p), and its own product and division.
 Everything here is a pure function; the only randomized step
-(equal-degree splitting) draws from the seed of ``fp_factor``.
+(equal-degree splitting) draws from a ``random.Random(0)`` that each
+``fp_factor`` call makes.
 
 Products use Kronecker substitution (von zur Gathen-Gerhard, Modern
 Computer Algebra, ch. 8; Harvey, "Faster polynomial multiplication via
@@ -30,10 +31,10 @@ the slot width is w = 2 * bitlen(p - 1) + bitlen(n) + 1.
 Factorization runs one squarefree decomposition f = prod A_m**m
 (Yun, SYMSAC '76, in the characteristic-p form of Cohen, GTM 138,
 Alg. 3.4.2), then on each A_m once distinct-degree splitting and
-seeded equal-degree splitting (with the trace-map variant in
+randomized equal-degree splitting (with the trace-map variant in
 characteristic 2).  Factors are reported in a canonical
-order, sorted by (degree, coefficient tuple), so results are
-reproducible across runs and seeds.
+order, sorted by (degree, coefficient tuple), so the draws change only
+the run time.
 
 The p-th power map is GF(p)-linear on GF(p)[x]/(f), so each
 factorization computes x**p mod f once and builds the Frobenius matrix
@@ -544,18 +545,19 @@ def _squarefree_parts(f):
     return parts
 
 
-def fp_factor(f, seed=0):
+def fp_factor(f):
     """Factor nonzero f into monic irreducibles.
 
     Returns a list of (factor, exponent) pairs sorted by
     (degree, coefficient tuple); the product of factor**exponent times
-    the leading coefficient of f reconstructs f exactly.
+    the leading coefficient of f reconstructs f exactly.  Equal-degree
+    splitting draws from a ``random.Random(0)`` made for this call.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree == 0:
         return []
-    rng = random.Random(seed)
+    rng = random.Random(0)
     fac = [
         (g, m)
         for part, m in _squarefree_parts(f.monic())

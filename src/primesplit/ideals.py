@@ -93,10 +93,11 @@ class LatticeIdeal:
         return all(map(self.contains_vec, other.rows))
 
     def residues(self):
-        """All canonical residue vectors modulo this lattice, in lex order."""
-        ranges = [range(self.rows[i][i]) for i in range(self.order.n)]
-        for combo in itertools.product(*ranges):
-            yield lattice_divmod(self.rows, combo)[1]
+        """All canonical residue vectors modulo this lattice, in lex order.
+
+        A vector with 0 <= r_i < rows[i][i] is its own canonical residue.
+        """
+        return itertools.product(*(range(row[i]) for i, row in enumerate(self.rows)))
 
     def __eq__(self, other):
         return (
@@ -175,8 +176,9 @@ def _primitive_idempotents(order, frobenius, p):
     GF(p)[t]); draws repeat until there are g.  At p = 2 the exponent is
     taken as 1, so y = x is 0 or 1 in each factor and y^2 = y; with 1/2
     read as (p+1)/2 = 1, the piece (y^2+y)/2 = 2y is zero, and the same
-    cut leaves 1-y and y.  The draws are seeded, and idempotents are
-    unique, so the draws change only the run time.
+    cut leaves 1-y and y.  The draws come from a ``random.Random(0)``
+    made for this call, and idempotents are unique, so the draws change
+    only the run time.
     """
     shifted = [[c - (j == k) for k, c in enumerate(r)] for j, r in enumerate(frobenius)]
     split, free = left_kernel_mod_p(shifted, p)

@@ -65,7 +65,7 @@ class Order:
     the coordinates of the order this one was enlarged from.
     """
 
-    __slots__ = ("n", "labels", "table", "basis_in_parent", "_discriminant", "_maximal")
+    __slots__ = ("n", "labels", "table", "basis_in_parent", "_maximal")
 
     def __init__(self, table, labels=None, basis_in_parent=None):
         table = tuple(
@@ -88,8 +88,7 @@ class Order:
         self.table = table
         self.labels = _basis_labels(labels, n)
         self.basis_in_parent = basis_in_parent
-        self._discriminant = None  # order_discriminant fills it on first use
-        self._maximal = False  # set by maximal_order; == and hash ignore it
+        self._maximal = False  # set later by maximal_order alone; == and hash ignore it
         self._check_associativity()
 
     def _check_associativity(self):
@@ -289,17 +288,13 @@ def order_discriminant(order):
 
     With t_k = Tr(basis_k) = sum_j table[k][j][j], linearity of the
     trace gives Tr(basis_i * basis_j) = sum_k table[i][j][k] * t_k, so
-    the form costs O(n^3) rather than n^2 traces of O(n^2) each.  The
-    order keeps the result, so each order computes it once.
+    the form costs O(n^3) rather than n^2 traces of O(n^2) each.
     """
-    if order._discriminant is not None:
-        return order._discriminant
     traces = [sum(tk[j][j] for j in range(len(tk))) for tk in order.table]
     form = [
         [sum(map(operator.mul, tij, traces)) for tij in ti] for ti in order.table
     ]
-    order._discriminant = bareiss_determinant(form)
-    return order._discriminant
+    return bareiss_determinant(form)
 
 
 # -- constructions ---------------------------------------------------------

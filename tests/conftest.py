@@ -2,9 +2,12 @@
 
 import itertools
 import random
+import types
 from fractions import Fraction
 from math import lcm, prod
+from unittest import mock
 
+from primesplit import fppoly
 from primesplit.fppoly import (
     FpPoly,
     PrimeModulus,
@@ -998,6 +1001,18 @@ def _powering_factor_monic(f, rng):
     for g, e in _powering_factor_monic((f // u).monic(), rng).items():
         out[g] = out.get(g, 0) + e
     return out
+
+
+def seeded_fp_factor(f, seed):
+    """fp_factor(f) with its draws taken from random.Random(seed), not Random(0).
+
+    fp_factor takes no seed, so this patches fppoly's `random` for the
+    call; a context manager, unlike a function-scoped fixture, also
+    serves tests under Hypothesis' @given.
+    """
+    draws = types.SimpleNamespace(Random=lambda _: random.Random(seed))
+    with mock.patch.object(fppoly, "random", draws):
+        return fp_factor(f)
 
 
 def powering_fp_factor(f, seed=0):

@@ -14,6 +14,7 @@ from conftest import (
     random_irreducible_cubic,
     random_irreducible_quartic,
     random_monic_zpoly,
+    seeded_fp_factor,
 )
 from primesplit import fixtures
 from primesplit.criteria import (
@@ -27,7 +28,6 @@ from primesplit.fppoly import (
     FpPoly,
     PrimeModulus,
     count_monic_irreducibles,
-    fp_factor,
     fp_is_irreducible,
 )
 from primesplit.ideals import (
@@ -187,7 +187,7 @@ def test_criterion_9a_factorization_round_trip():
         if f.degree == 0:
             continue
         prod = FpPoly(mp, (f.coeffs[-1],))
-        for g, e in fp_factor(f, seed=done):
+        for g, e in seeded_fp_factor(f, done):
             assert fp_is_irreducible(g)
             prod = prod * g**e
         assert prod == f

@@ -187,9 +187,9 @@ class TestSplitPrime:
         factored, screened = [], []
         real_factor, real_screen = criteria.fp_factor, criteria.rational_root_screen
 
-        def factor(g, seed=0):
+        def factor(g):
             factored.append(g.p)
-            return real_factor(g, seed=seed)
+            return real_factor(g)
 
         def screen(f):
             screened.append(f)

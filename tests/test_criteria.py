@@ -195,9 +195,9 @@ class TestFactorPrimeViaPolynomial:
         calls = []
         real = criteria.fp_factor
 
-        def counting(g, seed=0):
+        def counting(g):
             calls.append(g)
-            return real(g, seed=seed)
+            return real(g)
 
         monkeypatch.setattr(criteria, "fp_factor", counting)
         factor_prime_via_polynomial(ZPoly.from_text(text), PrimeModulus(p))

@@ -2,6 +2,7 @@ import itertools
 import operator
 import random
 import time
+import types
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,7 @@ from conftest import (
     schoolbook_mul,
     schoolbook_mulmod,
     schoolbook_powmod,
+    seeded_fp_factor,
 )
 from primesplit import fixtures, fppoly
 from primesplit.fppoly import (
@@ -305,7 +307,7 @@ class TestFactor:
             mp = PrimeModulus(p)
             f = random_fp_poly(rng, mp, 8)
             prod = FpPoly(mp, (f.coeffs[-1],))
-            for g, e in fp_factor(f, seed=trial):
+            for g, e in seeded_fp_factor(f, trial):
                 assert fp_is_irreducible(g)
                 assert g.is_monic()
                 prod = prod * g**e
@@ -319,15 +321,36 @@ class TestFactor:
             f = random_fp_poly(rng, mp, 7)
             if f.degree == 0:
                 continue
-            fac = fp_factor(f, seed=trial)
+            fac = seeded_fp_factor(f, trial)
             keys = [g.sort_key() for g, _ in fac]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
 
-    def test_seed_independence(self):
-        f = FpPoly(M7, tuple(random.Random(9).randrange(7) for _ in range(9)) + (1,))
-        results = [fp_factor(f, seed=s) for s in range(10)]
-        assert all(r == results[0] for r in results)
+    def test_draws_change_no_factor(self, monkeypatch):
+        # equal-degree splitting through the trace map (t^6 + ... + 1 at 2,
+        # d = 3) and through the Frobenius rows (t^4 + 1 at 3, d = 2); each
+        # seed must draw, so the equal lists are not vacuous
+        cases = [FpPoly(M2, (1,) * 7), FpPoly(PrimeModulus(3), (1, 0, 0, 0, 1))]
+        expected = [fp_factor(f) for f in cases]
+        assert [[(g.degree, e) for g, e in fac] for fac in expected] == [
+            [(3, 1), (3, 1)],
+            [(2, 1), (2, 1)],
+        ]
+        draws = []
+
+        class Counting(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        for seed in range(1, 21):
+            monkeypatch.setattr(
+                fppoly, "random", types.SimpleNamespace(Random=lambda _: Counting(seed))
+            )
+            for f, fac in zip(cases, expected):
+                draws.clear()
+                assert fp_factor(f) == fac, (seed, f)
+                assert draws, (seed, f)
 
 
 def _product(mp, factors, lc=1):
@@ -486,7 +509,7 @@ class TestFrobenius:
             mp = PrimeModulus(p)
             for trial, (kind, f) in enumerate(_oracle_cases(rng, mp)):
                 assert 1 <= f.degree <= 40
-                fac = fp_factor(f, seed=trial)
+                fac = seeded_fp_factor(f, trial)
                 assert fac == powering_fp_factor(f, seed=trial), (p, kind, f)
                 kinds.add(kind)
                 shapes.add(len(fac) == 1 and fac[0][1] == 1)
@@ -522,7 +545,7 @@ class TestFrobenius:
         square = FpPoly(mp, repeated + [1]) ** 2
         f = FpPoly(mp, coeffs) * square
         assume(f.degree is not None and f.degree >= 1)
-        fac = fp_factor(f, seed)
+        fac = seeded_fp_factor(f, seed)
         prod = FpPoly(mp, (f.coeffs[-1],))
         for g, e in fac:
             assert g.is_monic() and fp_is_irreducible(g)
@@ -587,7 +610,7 @@ class TestSquarefreeDecomposition:
         for low, m in factors:
             m = p * (1 + m % 2) if pure else 1 + m % (2 * p + 1)
             f = f * FpPoly(mp, low + [1]) ** m
-        assert fp_factor(f, seed) == powering_fp_factor(f, seed)
+        assert seeded_fp_factor(f, seed) == powering_fp_factor(f, seed)
 
     def test_parts_sum_to_the_radical(self, monkeypatch):
         degrees = []
@@ -620,7 +643,7 @@ class TestSquarefreeDecomposition:
                 ],
             )
             degrees.clear()
-            fp_factor(f, trial)
+            seeded_fp_factor(f, trial)
             radical = sum(g.degree for g, _ in powering_fp_factor(f, trial))
             assert sum(degrees) == radical, f
 
@@ -669,7 +692,7 @@ class TestIrreducible:
             f = random_fp_poly(rng, mp, 6)
             if f.degree == 0:
                 continue
-            fac = fp_factor(f.monic(), seed=trial)
+            fac = seeded_fp_factor(f.monic(), trial)
             assert fp_is_irreducible(f) == (len(fac) == 1 and fac[0][1] == 1)
 
 

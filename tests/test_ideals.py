@@ -38,7 +38,7 @@ from primesplit.ideals import (
     principal_ideal,
     whole_order,
 )
-from primesplit.lattice import hnf
+from primesplit.lattice import hnf, lattice_divmod
 from primesplit.orders import (
     Order,
     char_poly,
@@ -307,6 +307,20 @@ class TestIdealNorm:
 
     def test_whole_order(self):
         assert whole_order(MAX_CUBIC).norm() == 1
+
+    def test_residues_are_canonical_and_number_the_norm(self):
+        # each residue is its own canonical residue, one per class
+        quartic, _ = maximal_order(fixtures.quartic_poly())
+        primes = [IDEAL_A, IDEAL_B, IDEAL_C]
+        primes += [ide for ide, _, _ in factor_p_in_order(quartic, 2)]
+        primes += [ide for ide, _, _ in factor_p_in_order(SQRT2, 7)]
+        assert len(primes) == 7
+        for ide in primes:
+            residues = list(ide.residues())
+            assert len(residues) == ide.norm()
+            assert residues == sorted(set(residues))
+            for r in residues:
+                assert lattice_divmod(ide.rows, r)[1] == r
 
     def test_multiplicative_on_fixture_set(self):
         ideals = [IDEAL_A, IDEAL_B, IDEAL_C]

@@ -10,10 +10,11 @@ from conftest import (
     divisor_scan_roots,
     fraction_determinant,
     random_monic_zpoly,
+    seeded_fp_factor,
     sylvester_resultant,
 )
 from primesplit import criteria, zpoly
-from primesplit.fppoly import FpPoly, PrimeModulus, fp_factor
+from primesplit.fppoly import FpPoly, PrimeModulus
 from primesplit.zpoly import (
     ZPoly,
     bareiss_determinant,
@@ -127,7 +128,7 @@ class TestDiscriminant:
             mp = PrimeModulus(p)
             f = random_monic_zpoly(rng, rng.randrange(2, 6), 9)
             d = discriminant(f)
-            fac = fp_factor(reduce_mod(f, mp), seed=trial)
+            fac = seeded_fp_factor(reduce_mod(f, mp), trial)
             repeated = any(e >= 2 for _, e in fac)
             assert (d % p == 0) == repeated
 
@@ -243,7 +244,7 @@ class TestCofactor:
             p = rng.choice([2, 3, 5])
             mp = PrimeModulus(p)
             f = random_monic_zpoly(rng, rng.randrange(2, 6), 9)
-            fac = fp_factor(reduce_mod(f, mp), seed=trial)
+            fac = seeded_fp_factor(reduce_mod(f, mp), trial)
             lifts = [(lift(g), e) for g, e in fac]
             m = cofactor_m(f, mp, lifts)
             prod = ZPoly((1,))
