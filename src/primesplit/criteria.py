@@ -46,7 +46,7 @@ from .fppoly import (
     fp_factor,
     fp_gcd,
 )
-from .integers import valuation
+from .integers import DEGREE_BOUND, valuation
 from .lattice import rational_lattice
 from .zpoly import ZPoly, cofactor_m, integer_roots, reduce_mod
 
@@ -76,6 +76,10 @@ class SplittingShape:
         self.p = modulus
         self.parts = parts
         self.n = sum(e * f for f, e in parts)
+        if self.n > DEGREE_BOUND:
+            raise ValueError(
+                "shape degree %d exceeds DEGREE_BOUND = %d" % (self.n, DEGREE_BOUND)
+            )
 
     def degree_counts(self):
         """Number of distinct prime ideals required per residue degree."""

@@ -24,12 +24,17 @@ column subsets, not the (n-1)! sub-expansions of a cofactor recursion.
 common_value_divisor decides whether p divides every value by reducing
 exponents with x^p = x, not by evaluating at all p^v points; when p
 exceeds the total degree no exponent needs reducing.
+
+format_multipoly only puts the terms in graded-lex order, from the
+memoised monomial texts of an index form or by sorting any other
+MultiPoly; textfmt.signed_sum writes the signs and coefficients.
 """
 
 import functools
 import itertools
 
 from .fppoly import as_modulus
+from .textfmt import signed_sum
 
 _VAR_ALPHABET = ("x", "y", "w", "v", "u")
 
@@ -88,29 +93,18 @@ class MultiPoly:
 
 def format_multipoly(f):
     """Compact rendering like ``2x^3 - x^2y - xy^2 - 2y^3``, terms in graded-lex order."""
-    if f.is_zero():
-        return "0"
+    terms = f.terms
     v = len(f.vars)
-    degrees = set(map(sum, f.terms))
-    d = max(degrees)
+    degrees = set(map(sum, terms))
+    d = max(degrees, default=0)
     if len(degrees) == 1 and f.vars == _VAR_ALPHABET[:v] and d <= _MAX_FORM_DEGREE:
         # a form in index-form variables: graded-lex order is the order of
         # _monomials(v, d), and each monomial's text is rendered once
-        terms = f.terms
-        ordered = [
-            (c, body)
-            for exps, body in zip(_monomials(v, d), _monomial_texts(v, d))
-            if (c := terms.get(exps))
-        ]
-    else:
-        ordered = [(c, _monomial_text(f.vars, exps)) for exps, c in f.ordered_terms()]
-    parts = []
-    for c, body in ordered:
-        mag = abs(c)
-        chunk = body if mag == 1 and body else "%d%s" % (mag, body)
-        parts.append(("- " if c < 0 else "+ ") + chunk)
-    text = " ".join(parts)
-    return text[2:] if text[0] == "+" else "-" + text[2:]
+        coeffs = map(terms.get, _monomials(v, d), itertools.repeat(0))
+        return signed_sum(zip(coeffs, _monomial_texts(v, d)))
+    return signed_sum(
+        [(c, _monomial_text(f.vars, exps)) for exps, c in f.ordered_terms()]
+    )
 
 
 def _monomial_text(names, exps):

@@ -2,7 +2,8 @@
 
 The package's one trial-division loop, its prime-power test, its
 p-adic valuation and the extended gcd of ``hnf`` live here.  Nothing
-here imports from the package.  PRIMALITY_BOUND is the package's one bound on primes.
+here imports from the package.  PRIMALITY_BOUND is the package's one
+bound on primes, DEGREE_BOUND its one bound on degrees.
 """
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -16,6 +17,8 @@ _MILLER_RABIN_BASES = (
     (3317044064679887385961981, _SMALL_PRIMES),
 )
 PRIMALITY_BOUND = _MILLER_RABIN_BASES[-1][0]
+
+DEGREE_BOUND = 4096  # for parse_poly's exponents and a SplittingShape's degree
 
 DEFAULT_TRIAL_BOUND = 10**6  # for the discriminant in maximal_order and the CLI
 

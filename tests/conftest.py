@@ -650,6 +650,64 @@ def reference_format_multipoly(f):
     return " ".join(parts)
 
 
+def reference_format_poly(coeffs):
+    """Oracle: the term-by-term polynomial renderer format_poly replaced."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return "0"
+    parts = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            x = "t" if e == 1 else "t^%d" % e
+            body = x if mag == 1 else "%d*%s" % (mag, x)
+        if not parts:
+            parts.append("-" + body if c < 0 else body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts)
+
+
+def reference_bracket_entry(coords, labels):
+    """Oracle: the term-by-term order-element renderer bracket_entry replaced."""
+    parts = []
+    for c, label in zip(coords, labels):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if label == "1":
+            body = str(mag)
+        else:
+            body = label if mag == 1 else "%d%s" % (mag, label)
+        if not parts:
+            parts.append("-" + body if c < 0 else body)
+        else:
+            parts.append(("-" if c < 0 else "+") + body)
+    return "".join(parts) if parts else "0"
+
+
+def random_renderer_coefficient(rng):
+    """A coefficient the renderers treat specially about as often as a plain one.
+
+    0, +-1, small values and +-30-digit values.
+    """
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.choice((1, -1))
+    if kind == 2:
+        return rng.randrange(-20, 21)
+    return rng.choice((1, -1)) * rng.randrange(10**29, 10**30)
+
+
 def exhaustive_common_value_divisor(f, p):
     """Oracle: True when f(point) = 0 mod p at every point of GF(p)^v (p^v evaluations)."""
     for point in itertools.product(range(p), repeat=len(f.vars)):

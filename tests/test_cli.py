@@ -71,6 +71,14 @@ class TestDiscriminant:
         assert out == ""
         assert err == "error: discriminant requires degree >= 1\n"
 
+    def test_exponent_above_the_degree_bound_is_refused(self):
+        status, out, err = run_cli("discriminant", "t^10000000 + 1")
+        assert (status, out) == (2, "")
+        assert err == (
+            "error: bad polynomial 't^10000000 + 1': "
+            "exponent 10000000 exceeds DEGREE_BOUND = 4096\n"
+        )
+
     def test_prints_integers_of_any_size(self):
         # the value has over 10^4 digits, past the interpreter's default
         # int-to-str limit, which main lifts only while it runs
@@ -329,6 +337,23 @@ class TestCommonIndexDivisorCommand:
             status, out, err = run_cli("common-index-divisor", "2", shape)
             assert (status, out) == (2, "")
             assert err == "error: bad shape %r (want f:e,f:e,...)%s\n" % (shape, reason)
+
+    def test_shape_above_the_degree_bound_is_refused_at_once(self):
+        start = time.process_time()
+        status, out, err = run_cli("common-index-divisor", "2", "1000000:1")
+        assert time.process_time() - start < 0.5
+        assert (status, out) == (2, "")
+        assert err == (
+            "error: bad shape '1000000:1' (want f:e,f:e,...): "
+            "shape degree 1000000 exceeds DEGREE_BOUND = 4096\n"
+        )
+        # the largest accepted shape still reports its exact supply
+        status, out, _ = run_cli("--json", "common-index-divisor", "2", "4096:1")
+        assert status == 0
+        with _int_digits_unlimited():
+            supply = json.loads(out)["results"]["supply"]
+        assert supply[0]["degree"] == 4096
+        assert supply[0]["available"] == (2**4096 - 2**2048) // 4096
 
 
 class TestMaximalOrderCommand:

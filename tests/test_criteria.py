@@ -20,6 +20,7 @@ from primesplit.criteria import (
     index_divisible,
 )
 from primesplit.fppoly import FpPoly, PrimeModulus, fp_is_irreducible
+from primesplit.integers import DEGREE_BOUND
 from primesplit.orders import order_discriminant, order_from_polynomial, p_enlarge
 from primesplit.zpoly import ZPoly, discriminant, lift
 
@@ -46,6 +47,15 @@ class TestShapeType:
         # entries that are not integers are refused, not truncated
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             SplittingShape(2, parts)
+
+    def test_degree_above_the_bound_is_refused(self):
+        assert SplittingShape(2, [(DEGREE_BOUND // 2, 2)]).n == DEGREE_BOUND
+        for parts in ([(DEGREE_BOUND + 1, 1)], [(DEGREE_BOUND, 1), (1, 1)], [(1, 10**6)]):
+            n = sum(f * e for f, e in parts)
+            message = "shape degree %d exceeds DEGREE_BOUND = %d" % (n, DEGREE_BOUND)
+            with pytest.raises(ValueError) as info:
+                SplittingShape(2, parts)
+            assert str(info.value) == message
 
     def test_equality_is_multiset(self):
         assert SplittingShape(5, [(1, 2), (2, 1)]) == SplittingShape(

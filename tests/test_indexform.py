@@ -10,6 +10,7 @@ from conftest import (
     exhaustive_common_value_divisor,
     random_monic_zpoly,
     random_power_basis_orders,
+    random_renderer_coefficient,
     reference_format_multipoly,
 )
 from primesplit import fixtures, indexform
@@ -17,6 +18,7 @@ from primesplit.criteria import common_index_divisor, SplittingShape
 from primesplit.fppoly import PrimeModulus
 from primesplit.ideals import factor_p_in_order
 from primesplit.indexform import (
+    _VAR_ALPHABET,
     MultiPoly,
     _monomials,
     _product_table,
@@ -130,6 +132,26 @@ class TestMultiPoly:
         ):
             assert format_multipoly(f) == reference_format_multipoly(f)
         assert format_multipoly(-(x * x * y) + 3 * x - one * 7) == "-x^2y + 3x - 7"
+
+    def test_format_matches_reference_on_seeded_polys(self):
+        # zeros, +-1, constants and 30-digit coefficients, on forms in the
+        # index-form variables (memoised texts) and on any other MultiPoly
+        rng = random.Random(42)
+        checked = 0
+        for _ in range(300):
+            v = rng.randrange(1, 5)
+            names = _VAR_ALPHABET[:v] if rng.randrange(2) else ("a", "b", "c", "d")[:v]
+            d = rng.randrange(0, 6)
+            degrees = [d] if rng.randrange(2) else range(d + 1)
+            terms = {
+                exps: random_renderer_coefficient(rng)
+                for k in degrees
+                for exps in _monomials(v, k)
+            }
+            f = MultiPoly(names, terms)
+            assert format_multipoly(f) == reference_format_multipoly(f), f.terms
+            checked += not f.is_zero()
+        assert checked > 250
 
 
 class TestIndexForm:

@@ -127,6 +127,7 @@ class TestLayering:
             "valuation",
             "xgcd",
             "PRIMALITY_BOUND",
+            "DEGREE_BOUND",
         }
         for name, tree in _module_trees().items():
             assert name == "integers" or not owned & _bound_names(tree), name
