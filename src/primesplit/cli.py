@@ -7,7 +7,8 @@ fixture suite and exits nonzero on any mismatch.
 
 Output is plain ASCII (basis labels a, b, ... stand in for Greek
 letters) and deterministic, so reports are usable as golden files.
-Every report field is written here, from the library's plain results.
+Every report field is written here, from the library's plain results;
+a basis entry c over the denominator d is written as Fraction(c, d).
 Exit codes: 0 success, 1 verification failure, 2 refused input.  The
 shell repeats none of the library's input checks: every ValueError is
 printed as ``error: <message>`` on stderr with exit 2, the message
@@ -20,7 +21,7 @@ import contextlib
 import json
 import sys
 from dataclasses import dataclass, field
-from math import prod
+from fractions import Fraction
 
 from . import fixtures
 from .criteria import (
@@ -43,6 +44,7 @@ from .ideals import (
 )
 from .indexform import common_value_divisor, format_multipoly, index_form
 from .integers import DEFAULT_TRIAL_BOUND
+from .lattice import lattice_index
 from .orders import (
     char_poly,
     cubic_family,
@@ -216,16 +218,15 @@ def cmd_common_index_divisor(args):
 def cmd_maximal_order(args):
     f = _parse_poly_arg(args.poly)
     order, fundamental = maximal_order(f, bound=args.bound)
-    rows = order.basis_in_parent
-    # disc f = [O : Z[t]]^2 * D, and the triangular basis has determinant
-    # 1/[O : Z[t]], so disc f is read off rather than computed a second time
-    disc = fundamental / prod(row[i] for i, row in enumerate(rows)) ** 2
-    basis = ["[%s]" % ", ".join(str(c) for c in row) for row in rows]
+    rows, d = order.basis_in_parent
+    basis = ["[%s]" % ", ".join(str(Fraction(c, d)) for c in row) for row in rows]
     return RunReport(
         "maximal-order",
         {"poly": str(f)},
         {
-            "discriminant_power_basis": int(disc),
+            # disc f = [O : Z[t]]^2 * D, so it is read off the basis rather
+            # than computed a second time
+            "discriminant_power_basis": fundamental * lattice_index(rows, d) ** 2,
             "fundamental_number": fundamental,
             "basis_in_power_coordinates": basis,
         },

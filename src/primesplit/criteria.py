@@ -36,7 +36,7 @@ order, so no result here depends on a random draw.
 """
 
 import operator
-from math import gcd, prod
+from math import gcd
 
 from .fppoly import (
     FpPoly,
@@ -47,7 +47,7 @@ from .fppoly import (
     fp_gcd,
 )
 from .integers import DEGREE_BOUND, valuation
-from .lattice import rational_lattice
+from .lattice import lattice_index, rational_lattice
 from .zpoly import ZPoly, cofactor_m, integer_roots, reduce_mod
 
 
@@ -248,8 +248,7 @@ def ore_lattice(f, verdict, basis, d):
         for coeffs, y in elements
     ]
     basis, d = rational_lattice(rows, d * q**top)
-    index = d**n // prod(row[i] for i, row in enumerate(basis))
-    if valuation(index, q) != ind:
+    if valuation(lattice_index(basis, d), q) != ind:
         raise AssertionError(
             "Ore's ring at %d does not have q-index %d^%d" % (q, q, ind)
         )

@@ -17,7 +17,7 @@ GF(p), builds such pairs, ``left_kernel_mod_p`` returns one, and
 Orders run Round 2 and ideals split p*O on these.
 """
 
-from math import gcd
+from math import gcd, prod
 
 from .integers import xgcd
 
@@ -27,7 +27,7 @@ def unit(n, i):
 
 
 def identity_rows(n):
-    return [unit(n, i) for i in range(n)]
+    return tuple(unit(n, i) for i in range(n))
 
 
 def hnf(rows, n=None):
@@ -101,13 +101,21 @@ def lattice_divmod(basis, vec):
 
 
 def rational_lattice(rows, d):
-    """Canonical (rows, d) of the lattice spanned by the integer rows divided by d."""
+    """Canonical (rows, d), int tuples in lowest terms, of the lattice of the rows over d."""
     return lowest_terms(hnf(rows), d)
+
+
+def lattice_index(rows, d):
+    """[rows/d : Z^n] = d^n / prod(diagonal) of a canonical pair; AssertionError unless exact."""
+    index, rest = divmod(d ** len(rows), prod(row[i] for i, row in enumerate(rows)))
+    if rest:
+        raise AssertionError("lattice rows/%d does not contain Z^%d" % (d, len(rows)))
+    return index
 
 
 def lowest_terms(rows, d):
     g = gcd(d, *(c for row in rows for c in row))
-    return [[c // g for c in row] for row in rows], d // g
+    return tuple(tuple(c // g for c in row) for row in rows), d // g
 
 
 # -- linear algebra over GF(p) ----------------------------------------------

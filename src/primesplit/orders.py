@@ -38,7 +38,6 @@ discriminant comes from ``integers``.
 
 import itertools
 import operator
-from fractions import Fraction
 from math import gcd
 
 from .criteria import dedekind_verdict, ore_lattice, rational_root_screen
@@ -61,8 +60,9 @@ class Order:
     """Ring given by an integral basis and structure constants.
 
     ``table[i][j]`` is the coordinate vector of (basis i) * (basis j).
-    ``basis_in_parent`` (when set) records the basis as rational rows in
-    the coordinates of the order this one was enlarged from.
+    ``basis_in_parent`` (when set) is the canonical pair (rows, d) of
+    ``lattice.rational_lattice``: the basis is rows/d in the coordinates
+    of the order this one was enlarged from.
     """
 
     __slots__ = ("n", "labels", "table", "basis_in_parent", "_maximal")
@@ -357,30 +357,20 @@ def _table_on_lattice(table, basis, d):
 
 
 def _order_on_lattice(parent_labels, basis, d, table):
-    """The Order with multiplication table `table` on the lattice basis/d of a parent."""
+    """The Order with multiplication table `table` on the canonical lattice basis/d of a parent."""
     return Order(
         table,
         labels=_enlarged_labels(parent_labels, basis, d),
-        basis_in_parent=_rational_rows(basis, d),
+        basis_in_parent=(basis, d),
     )
 
 
-def _rational_rows(rows, d):
-    """(integer rows, d) as exact rational rows, the form of ``basis_in_parent``."""
-    return tuple(tuple(Fraction(c, d) for c in row) for row in rows)
-
-
 def _enlarged_labels(parent_labels, basis, d):
-    """A parent label for each basis row equal to d times a unit vector, else w<i>."""
-    out = []
-    for i, row in enumerate(basis):
-        for j, label in enumerate(parent_labels):
-            if all(c == (d if k == j else 0) for k, c in enumerate(row)):
-                out.append(label)
-                break
-        else:
-            out.append("w%d" % i)
-    return tuple(out)
+    """Parent label i where canonical row i (which ends at column i) is d*e_i, else w<i>."""
+    return tuple(
+        label if row[i] == d and not any(row[:i]) else "w%d" % i
+        for i, (row, label) in enumerate(zip(basis, parent_labels))
+    )
 
 
 # -- p-maximal orders by Round 2 ----------------------------------------------
@@ -480,8 +470,8 @@ def p_enlarge(order, modulus):
     discriminant, p^v with v < 2, proves it p-maximal.  An order of
     discriminant 0 has nilpotents, so no p-maximal order contains it and
     it is refused with a ValueError.  The result's ``basis_in_parent``
-    holds its canonical triangular basis in the coordinates of the
-    input order.
+    is the canonical pair (rows, d) of its basis in the input order's
+    coordinates, (identity rows, 1) when Round 2 adds nothing.
     """
     p = as_modulus(modulus).p
     disc = order_discriminant(order)
@@ -509,9 +499,9 @@ def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, verdicts=None):
     maps primes to Dedekind verdicts on f that a caller already holds,
     so f is not factored again modulo them.  The discriminant must
     factor by trial division at the given bound.  Returns (order, D);
-    the order's ``basis_in_parent`` is its canonical triangular basis in
-    power-basis coordinates (identity rows when no prime enlarges it),
-    and the order records that it is maximal for ``require_p_maximal``.
+    the order's ``basis_in_parent`` is the canonical pair (rows, d) of
+    its basis in power-basis coordinates ((identity rows, 1) when no
+    prime enlarges it), and it records that it is maximal.
     """
     if not f.is_monic():
         raise ValueError("maximal order requires a monic polynomial")

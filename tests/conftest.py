@@ -37,7 +37,6 @@ from primesplit.lattice import (
 )
 from primesplit.orders import (
     Order,
-    _rational_rows,
     _table_on_lattice,
     char_poly,
     charpoly_matrix,
@@ -238,8 +237,8 @@ def scan_p_enlarge(order, modulus):
     (x-combination)/p has an integer characteristic polynomial the ring
     generated by it is adjoined (lexicographically smallest x first),
     and the scan repeats until a fixed point.  The result's
-    ``basis_in_parent`` composes the bases of the adjoin steps, which
-    spans the right lattice but need not be its canonical basis.
+    ``basis_in_parent`` (rows, d) composes the bases of the adjoin steps,
+    which spans the right lattice but need not be its canonical basis.
     """
     modulus = as_modulus(modulus)
     p = modulus.p
@@ -265,9 +264,7 @@ def scan_p_enlarge(order, modulus):
         basis, d = _adjoin_element(current, found, p)
         current = Order(_table_on_lattice(current.table, basis, d))
         emb = _compose((basis, d), emb)
-    return Order(
-        current.table, labels=current.labels, basis_in_parent=_rational_rows(*emb)
-    )
+    return Order(current.table, labels=current.labels, basis_in_parent=emb)
 
 
 def _adjoin_element(order, coords, p):
@@ -350,15 +347,45 @@ def leftmost_pivot_hnf(rows):
 
 
 def canonical_rows(rows):
-    """Canonical triangular basis of the lattice of rational rows, as Fraction rows."""
+    """Canonical pair (rows, d) of the lattice spanned by rational rows."""
     d = lcm(*(Fraction(c).denominator for row in rows for c in row))
-    return _rational_rows(*rational_lattice([[int(c * d) for c in row] for row in rows], d))
+    return rational_lattice([[int(c * d) for c in row] for row in rows], d)
+
+
+def fraction_rows(basis):
+    """The rows/d of a (rows, d) basis, such as ``basis_in_parent``, as Fraction rows."""
+    rows, d = basis
+    return tuple(tuple(Fraction(c, d) for c in row) for row in rows)
+
+
+def basis_lines(basis):
+    """maximal-order's basis_in_power_coordinates for a (rows, d) basis, written by Fraction."""
+    return ["[%s]" % ", ".join(map(str, row)) for row in fraction_rows(basis)]
+
+
+def is_enlarged(order):
+    """Whether the order was built on a lattice strictly containing its parent's."""
+    return order.basis_in_parent is not None and order.basis_in_parent[1] > 1
+
+
+def scan_enlarged_labels(parent_labels, basis, d):
+    """Oracle for _enlarged_labels: a parent label for each row equal to d times
+    any unit vector, found by scanning every parent label, else w<i>."""
+    out = []
+    for i, row in enumerate(basis):
+        for j, label in enumerate(parent_labels):
+            if all(c == (d if k == j else 0) for k, c in enumerate(row)):
+                out.append(label)
+                break
+        else:
+            out.append("w%d" % i)
+    return tuple(out)
 
 
 def always_scan_maximal_order(f, bound=10**6):
     """Oracle: scan-enlarge Z[t]/(f) at every q with q^2 | disc(f), with no Dedekind skip.
 
-    Returns (canonical basis rows in power-basis coordinates, discriminant).
+    Returns (canonical pair (rows, d) in power-basis coordinates, discriminant).
     """
     order = order_from_polynomial(f)
     n = order.n
@@ -369,7 +396,7 @@ def always_scan_maximal_order(f, bound=10**6):
         order = scan_p_enlarge(order, PrimeModulus(q))
         emb = [
             [sum(row[k] * emb[k][j] for k in range(n)) for j in range(n)]
-            for row in order.basis_in_parent
+            for row in fraction_rows(order.basis_in_parent)
         ]
     return canonical_rows(emb), order_discriminant(order)
 
@@ -431,20 +458,25 @@ def provably_irreducible(f, disc):
     return False
 
 
-def seeded_maximal_orders(rng, per_degree):
-    """Maximal orders of `per_degree` fields of each degree 3-6, drawn as in test_properties.
+def seeded_fields(rng, per_degree):
+    """`per_degree` defining polynomials of each degree 3-6, drawn as in test_properties.
 
     Monic f with coefficients in [-9, 9], nonzero constant term and a
     discriminant that proves it irreducible.
     """
     fields = []
     for n in (3, 4, 5, 6):
-        while sum(order.n == n for order in fields) < per_degree:
+        while sum(f.degree == n for f in fields) < per_degree:
             f = random_monic_zpoly(rng, n, 9)
             disc = discriminant(f)
             if f.coeffs[0] and disc and provably_irreducible(f, disc):
-                fields.append(maximal_order(f)[0])
+                fields.append(f)
     return fields
+
+
+def seeded_maximal_orders(rng, per_degree):
+    """Maximal orders of the fields of ``seeded_fields``."""
+    return [maximal_order(f)[0] for f in seeded_fields(rng, per_degree)]
 
 
 def random_power_basis_orders(rng, rank, count, bound=9):

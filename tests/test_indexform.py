@@ -8,6 +8,7 @@ from conftest import (
     OraclePoly,
     cofactor_index_form,
     exhaustive_common_value_divisor,
+    is_enlarged,
     random_monic_zpoly,
     random_power_basis_orders,
     random_renderer_coefficient,
@@ -26,7 +27,6 @@ from primesplit.indexform import (
     format_multipoly,
     index_form,
 )
-from primesplit.lattice import identity_rows
 from primesplit.orders import (
     Order,
     cubic_family,
@@ -271,12 +271,7 @@ class TestAgainstCofactorOracle:
         ranks = [order.n for order, _ in oracle_corpus]
         assert {2, 3, 4, 5} <= set(ranks)
         assert ranks.count(5) >= 20
-        identity = tuple(tuple(row) for row in identity_rows(5))
-        enlarged = [
-            order
-            for order, _ in oracle_corpus
-            if order.n == 5 and order.basis_in_parent not in (None, identity)
-        ]
+        enlarged = [order for order, _ in oracle_corpus if order.n == 5 and is_enlarged(order)]
         assert len(enlarged) >= 6
 
     def test_rank5_time_bound(self):
@@ -293,7 +288,7 @@ class TestAgainstCofactorOracle:
         f = ZPoly.from_text(text)
         order = maximal_order(f)[0] if maximal else order_from_polynomial(f)
         if maximal:
-            assert order.basis_in_parent != tuple(map(tuple, identity_rows(6)))
+            assert is_enlarged(order)
         form = index_form(order)
         assert form.vars == ("x", "y", "w", "v", "u")
         expected = cofactor_index_form(order)
@@ -400,9 +395,7 @@ class TestPackedKernel:
         assert min(entries) < -10**5 and max(entries) > 10**5
         zero = [order.n for order, form in packed_corpus if form.is_zero()]
         assert zero == [3, 6]
-        enlarged = [
-            order.n for order, _ in packed_corpus if order.basis_in_parent is not None
-        ]
+        enlarged = [order.n for order, _ in packed_corpus if is_enlarged(order)]
         assert enlarged == [3, 4, 5, 5, 6]
 
 

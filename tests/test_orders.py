@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -13,11 +13,13 @@ from conftest import (
     dense_product_radical_mod_p,
     first_nonassociative_triple,
     fraction_determinant,
+    fraction_rows,
     has_integer_root,
     random_irreducible_cubic,
     random_irreducible_quartic,
     random_monic_zpoly,
     random_power_basis_orders,
+    scan_enlarged_labels,
     scan_p_enlarge,
     seeded_maximal_orders,
     trace_matrix_discriminant,
@@ -432,10 +434,7 @@ class TestPEnlarge:
 
     def test_sqrt2_at_2_unchanged(self):
         enlarged = p_enlarge(SQRT2, PrimeModulus(2))
-        assert enlarged.basis_in_parent == (
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-        )
+        assert enlarged.basis_in_parent == _identity_basis(2)
 
     def test_unchanged_when_square_free_disc(self):
         rng = random.Random(19)
@@ -469,11 +468,7 @@ class TestPEnlarge:
                 assert _lattice_member(unit, enlarged.basis_in_parent)
             # idempotent: enlarging again changes nothing
             again = p_enlarge(enlarged, p)
-            ident = tuple(
-                tuple(Fraction(1 if j == i else 0) for j in range(order.n))
-                for i in range(order.n)
-            )
-            assert again.basis_in_parent == ident
+            assert again.basis_in_parent == _identity_basis(order.n)
             # discriminant drops by an even power of p
             ratio, rem = divmod(
                 order_discriminant(order), order_discriminant(enlarged)
@@ -501,21 +496,23 @@ class TestPEnlarge:
         calls = _record_round2_calls(monkeypatch)
         enlarged = p_enlarge(SQRT2, PrimeModulus(3))
         assert calls == []
-        assert enlarged.basis_in_parent == _identity_rows(2)
+        assert enlarged.basis_in_parent == _identity_basis(2)
 
     def test_basis_is_canonical(self):
         # the adjoin-step composition gave row 4 as (a^3 + a^4)/2 here
         f = ZPoly.from_text("t^5 - 4*t^4 - 5*t^3 + 52*t^2 - 104*t + 68")
         enlarged = p_enlarge(order_from_polynomial(f), PrimeModulus(2))
-        assert enlarged.basis_in_parent == canonical_rows(enlarged.basis_in_parent)
-        assert enlarged.basis_in_parent[4] == (0, 0, Fraction(1, 2), 0, Fraction(1, 2))
+        rows = fraction_rows(enlarged.basis_in_parent)
+        assert enlarged.basis_in_parent == canonical_rows(rows)
+        assert rows[4] == (0, 0, Fraction(1, 2), 0, Fraction(1, 2))
 
     def test_round2_matches_scan_oracle(self):
         strict = 0
         for order, p in _round2_oracle_cases():
             enlarged = p_enlarge(order, p)
             oracle = scan_p_enlarge(order, p)
-            assert enlarged.basis_in_parent == canonical_rows(oracle.basis_in_parent)
+            oracle_rows = fraction_rows(oracle.basis_in_parent)
+            assert enlarged.basis_in_parent == canonical_rows(oracle_rows)
             assert order_discriminant(enlarged) == order_discriminant(oracle)
             strict += order_discriminant(enlarged) != order_discriminant(order)
         assert strict >= 50
@@ -532,6 +529,29 @@ class TestPEnlarge:
         assert len(tables) >= 50
         for table in tables:
             Order(table)
+
+
+class TestEnlargedLabels:
+    """Each label is read off its own canonical row; scanning every parent label is the oracle."""
+
+    def test_maximal_orders_match_scan(self):
+        kept = renamed = 0
+        for order in seeded_maximal_orders(random.Random(1801), 6):
+            parent = orders._basis_labels(None, order.n)
+            assert order.labels == scan_enlarged_labels(parent, *order.basis_in_parent)
+            if order.basis_in_parent[1] > 1:
+                kept += sum(label in parent[1:] for label in order.labels)
+                renamed += sum(label not in parent for label in order.labels)
+        assert kept and renamed
+
+    def test_p_enlarge_with_custom_labels_matches_scan(self):
+        renamed = 0
+        for order, p in _round2_oracle_cases():
+            labels = ("1", "a", "b", "c", "e")[: order.n]
+            enlarged = p_enlarge(Order(order.table, labels=labels), p)
+            assert enlarged.labels == scan_enlarged_labels(labels, *enlarged.basis_in_parent)
+            renamed += enlarged.labels != labels
+        assert renamed >= 50
 
 
 class TestMaximalOrder:
@@ -580,7 +600,7 @@ class TestMaximalOrder:
         f = ZPoly.from_text(text)
         order, d = maximal_order(f)
         assert primes == []
-        assert order.basis_in_parent == _identity_rows(f.degree)
+        assert order.basis_in_parent == _identity_basis(f.degree)
         assert d == discriminant(f)
 
     def test_enlarges_where_dedekind_says_index_divisible(self, monkeypatch):
@@ -627,7 +647,7 @@ class TestMaximalOrder:
         order, d = maximal_order(ZPoly.from_text("t^9 - 54"))
         assert time.process_time() - start < 2.0
         assert d == 11019960576
-        assert order.basis_in_parent == canonical_rows(order.basis_in_parent)
+        assert order.basis_in_parent == canonical_rows(fraction_rows(order.basis_in_parent))
 
     def test_rank32_time_bound(self):
         # regular at 2 and 3, so Ore's ring needs no Round 2 step
@@ -635,7 +655,7 @@ class TestMaximalOrder:
         start = time.process_time()
         order, d = maximal_order(f)
         assert time.process_time() - start < 2.0
-        assert order.basis_in_parent == canonical_rows(order.basis_in_parent)
+        assert order.basis_in_parent == canonical_rows(fraction_rows(order.basis_in_parent))
         index = 1 / abs(_fraction_rows_det(order.basis_in_parent))
         assert discriminant(f) == index**2 * d
 
@@ -661,7 +681,7 @@ class TestMaximalOrder:
         order, d = maximal_order(f)
         assert time.process_time() - start < 0.01
         assert d == discriminant(f) == -270102609743
-        assert order.basis_in_parent == _identity_rows(3)
+        assert order.basis_in_parent == _identity_basis(3)
 
     def test_index_divisors_above_2_31(self):
         # t^3 - 2q^2 with 2q^2 = -1 mod 9: q and 3 both divide the index,
@@ -671,7 +691,7 @@ class TestMaximalOrder:
             f = ZPoly((-2 * q * q, 0, 0, 1))
             order, d = maximal_order(f)
             assert d == -12 * q * q
-            assert order.basis_in_parent[2] == (
+            assert fraction_rows(order.basis_in_parent)[2] == (
                 Fraction(2, 3),
                 Fraction(1, 3),
                 Fraction(1, 3 * q),
@@ -864,9 +884,9 @@ class TestOreStep:
             seen["repeated outside dividing"] += len(repeated) > len(verdict.dividing)
 
             # Dedekind's ring lies inside Ore's ring, of q-index q^ind
-            ore = orders._rational_rows(rows, d)
-            dedekind = orders._rational_rows(*dedekind_lattice(f, verdict, identity, 1)[:2])
-            assert canonical_rows(ore + dedekind) == ore, (f, q)
+            ore = fraction_rows((rows, d))
+            dedekind = fraction_rows(dedekind_lattice(f, verdict, identity, 1)[:2])
+            assert canonical_rows(ore + dedekind) == (rows, d), (f, q)
             assert d**n == q**ind * bareiss_determinant(rows), (f, q)
 
             # a regular f leaves Round 2 nothing to add at q
@@ -884,7 +904,9 @@ class TestOreStep:
                 scanned += 1
             else:
                 power = order_from_polynomial(f)
-                local = [row for p in bad for row in p_enlarge(power, p).basis_in_parent]
+                local = [
+                    row for p in bad for row in fraction_rows(p_enlarge(power, p).basis_in_parent)
+                ]
                 assert order.basis_in_parent == canonical_rows(local), (f, q)
         assert min(seen.values()) >= 10 and 30 <= scanned <= len(ore_cases) - 30, seen
 
@@ -916,7 +938,7 @@ class TestOreStep:
         start = time.process_time()
         order, d = maximal_order(ZPoly.from_text("t^48 - 243"))
         assert time.process_time() - start < 0.6
-        assert order.basis_in_parent[-1][-1] == Fraction(1, 81)
+        assert fraction_rows(order.basis_in_parent)[-1][-1] == Fraction(1, 81)
 
 
 class TestOneOrderPerCall:
@@ -1094,8 +1116,8 @@ class TestQuarticPaperBasis:
         assert canonical_rows(rows) == computed.basis_in_parent
 
 
-def _identity_rows(n):
-    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+def _identity_basis(n):
+    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)), 1
 
 
 def _count_p_maximal_lattice(monkeypatch):
@@ -1185,13 +1207,13 @@ def _random_irreducible_quintic(rng, bound):
             return f
 
 
-def _fraction_rows_det(rows):
-    denom = lcm(*(c.denominator for row in rows for c in row))
-    scaled = [[int(c * denom) for c in row] for row in rows]
-    return Fraction(fraction_determinant(scaled), denom ** len(rows))
+def _fraction_rows_det(basis):
+    rows, d = basis
+    return Fraction(fraction_determinant(rows), d ** len(rows))
 
 
 def _lattice_member(vec, basis):
+    basis = fraction_rows(basis)
     v = [Fraction(c) for c in vec]
     n = len(basis)
     for i in range(n - 1, -1, -1):

@@ -7,8 +7,6 @@ does not divide the index, the splitting read off f mod p must equal the
 one found in the maximal order.
 """
 
-from math import lcm
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -41,9 +39,8 @@ class TestCrossRoute:
         order, disc_o = maximal_order(f)
 
         # disc(f) = index^2 * disc(O), the index read off the basis
-        d = lcm(*(c.denominator for row in order.basis_in_parent for c in row))
-        scaled = [[int(c * d) for c in row] for row in order.basis_in_parent]
-        index, rest = divmod(d**n, abs(bareiss_determinant(scaled)))
+        rows, d = order.basis_in_parent
+        index, rest = divmod(d**n, abs(bareiss_determinant(rows)))
         assert rest == 0
         assert disc_o == order_discriminant(order)
         assert disc == index**2 * disc_o
