@@ -129,9 +129,9 @@ def _shape_fields(shape):
     return {"p": shape.p.p, "parts": [{"f": f, "e": e} for f, e in shape.parts]}
 
 
-def _with_supply(results, modulus, shape):
+def _with_supply(results, shape):
     """results with the common-index-divisor verdict for shape and its supply report."""
-    divisor, report = common_index_divisor(modulus, shape)
+    divisor, report = common_index_divisor(shape)
     results["common_index_divisor"] = divisor
     results["supply"] = [
         {"degree": d, "required": required, "available": available}
@@ -193,7 +193,7 @@ def cmd_split_prime(args):
     # the verdict at p holds the factors of f mod p and the cofactor, so
     # neither is computed again, and the order carries its proof of
     # p-maximality into the split
-    order, fundamental = maximal_order(f, args.bound, {modulus.p: verdict})
+    order, fundamental = maximal_order(f, args.bound, [verdict])
     primes = factor_p_in_order(order, modulus)
     shape = SplittingShape(modulus, [(fx, e) for _, e, fx in primes])
     results = _shape_fields(shape)
@@ -202,7 +202,7 @@ def cmd_split_prime(args):
     results["ideals"] = [
         {"basis": bracket_str(ide), "e": e, "f": fx} for ide, e, fx in primes
     ]
-    return RunReport("split-prime", inputs, _with_supply(results, modulus, shape))
+    return RunReport("split-prime", inputs, _with_supply(results, shape))
 
 
 def cmd_common_index_divisor(args):
@@ -211,7 +211,7 @@ def cmd_common_index_divisor(args):
     return RunReport(
         "common-index-divisor",
         {"p": modulus.p, "shape": args.shape},
-        _with_supply(_shape_fields(shape), modulus, shape),
+        _with_supply(_shape_fields(shape), shape),
     )
 
 
@@ -341,9 +341,7 @@ def _paper_checks():
     sq = fixtures.sqrt2_order()
     m7 = PrimeModulus(7)
     primes7 = factor_p_in_order(sq, m7)
-    theta = crt_good_generator(
-        sq, m7, primes7, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))]
-    )
+    theta = crt_good_generator(sq, primes7, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))])
     yield "sqrt2_generator", theta.coords, fixtures.SQRT2_GENERATOR_COORDS
     yield "sqrt2_generator_charpoly", str(char_poly(theta)), fixtures.SQRT2_GENERATOR_CHARPOLY
     yield "sqrt2_generator_index", element_index(sq, theta), fixtures.SQRT2_GENERATOR_INDEX

@@ -1,6 +1,7 @@
 """Splitting and index criteria tying prime ideals to polynomial factorizations.
 
-Three decision surfaces:
+Each value handed out here says which (f, p) it is about, and no call
+takes that p or f a second time.  Three decision surfaces:
 
 * index_divisible -- does p divide the index of the root of F?  The
   test factors F mod p, forms the integer cofactor M with
@@ -8,16 +9,16 @@ Three decision surfaces:
   factor of F mod p also divides M.  The verdict does not depend on the
   choice of lifts (a tested property); the reported M uses balanced
   lifts, whose coefficients lie in [-p/2, p/2), matching the worked
-  values (for p = 2 the residue 1 lifts to -1).  ``dedekind_verdict``
-  is the one function that factors F mod p and forms M, and the entry
-  without the rational-root screen; its answer is an
-  IndexVerdict(modulus, factors, cofactor) holding just these factors
-  and M, and the repeated factors that divide M mod p, the verdict and
-  its witness are all read off them.  Where p divides the index,
-  ``ore_lattice`` builds Ore's first-order ring from the phi-Newton
-  polygons at those same repeated factors, and says whether f is
-  p-regular; ``orders.maximal_order`` starts Round 2 from that ring,
-  and skips it where f is regular.
+  values (for p = 2 the residue 1 lifts to -1).  Its answer is an
+  IndexVerdict(f, modulus, factors), which records f and forms M
+  itself, so a factor list that is not f's mod p is refused; the
+  repeated factors that divide M mod p, the verdict and its witness
+  are all read off it.  ``dedekind_verdict`` is the entry without the
+  rational-root screen.  Where p divides the index, ``ore_lattice``
+  builds Ore's first-order ring from the phi-Newton polygons at those
+  same repeated factors, and says whether f is p-regular;
+  ``orders.maximal_order`` starts Round 2 from that ring, and skips it
+  where f is regular.
 
 * factor_prime_via_polynomial -- when the index test passes, Dedekind's
   theorem reads the primes above p off the factorization of F mod p:
@@ -28,8 +29,8 @@ Three decision surfaces:
   this refuses rather than guess.
 
 * common_index_divisor / assign_prime_functions -- given the true
-  splitting shape, p divides every index exactly when some residue
-  degree needs more irreducible polynomials than exist over GF(p).
+  splitting shape of p, p divides every index exactly when some
+  residue degree needs more irreducible polynomials than exist over GF(p).
 
 F mod p is factored by ``fp_factor``; its factors come out in canonical
 order, so no result here depends on a random draw.
@@ -106,20 +107,24 @@ class SplittingShape:
 
 
 class IndexVerdict:
-    """Dedekind's test at p read off the factors of f mod p and the cofactor M.
+    """Dedekind's test at p on monic f, read off the factors of f mod p.
 
-    `dividing` lists the (P, e) of f mod p with e >= 2 and P dividing
-    M mod p, in factor order; p divides the index exactly when it is
-    nonempty, and its first entry is the witness.
+    M with f = prod(lifts^e) - p*M is formed from balanced lifts of
+    `factors`, so ``cofactor_m`` refuses a list that is not f's mod p.
+    `dividing` lists the (P, e) with e >= 2 and P dividing M mod p, in
+    factor order; p divides the index exactly when it is nonempty, and
+    its first entry is the witness.
     """
 
-    __slots__ = ("modulus", "factors", "cofactor", "dividing")
+    __slots__ = ("f", "modulus", "factors", "cofactor", "dividing")
 
-    def __init__(self, modulus, factors, cofactor):
+    def __init__(self, f, modulus, factors):
+        self.f = f
         self.modulus = modulus  # a PrimeModulus
-        self.factors = factors  # the fp_factor list of f mod p
-        self.cofactor = cofactor  # ZPoly M from balanced lifts
-        m_red = reduce_mod(cofactor, modulus)
+        self.factors = factors
+        lifts = [(balanced_lift(g), e) for g, e in factors]
+        self.cofactor = cofactor_m(f, modulus, lifts)
+        m_red = reduce_mod(self.cofactor, modulus)
         self.dividing = [(g, e) for g, e in factors if e >= 2 and (m_red % g).is_zero()]
 
     @property
@@ -155,16 +160,12 @@ def balanced_lift(g):
 def dedekind_verdict(f, modulus):
     """Dedekind's test at p on monic f, without the rational-root screen.
 
-    Factors f mod p (the canonical fp_factor list) and forms the
-    cofactor M with f = prod(lifts^e) - p*M from balanced lifts of the
-    factors; returns the IndexVerdict on them.
+    The IndexVerdict on the canonical fp_factor list of f mod p.
     """
     modulus = as_modulus(modulus)
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
-    factors = fp_factor(reduce_mod(f, modulus))
-    lifts = [(balanced_lift(g), e) for g, e in factors]
-    return IndexVerdict(modulus, factors, cofactor_m(f, modulus, lifts))
+    return IndexVerdict(f, modulus, fp_factor(reduce_mod(f, modulus)))
 
 
 def index_divisible(f, modulus):
@@ -182,11 +183,11 @@ def index_divisible(f, modulus):
     return verdict
 
 
-def ore_lattice(f, verdict, basis, d):
+def ore_lattice(verdict, basis, d):
     """Add Ore's first-order ring at q to the ring on basis/d: (rows, d, ind, regular).
 
-    `verdict` is Dedekind's test at q on f.  For each factor (g, l) in
-    its `dividing`, phi lifts g and f = sum a_i phi^i.  The
+    `verdict` is Dedekind's test at q on f, both read from it.  For
+    each (g, l) in its `dividing`, phi lifts g and f = sum a_i phi^i.  The
     phi-Newton polygon N is the lower convex hull of the points
     (i, v_q(a_i)), 0 <= i <= l, and y_j is its ordinate at j.  With the
     quotients q_j = f div phi^j, the elements t^k q_j(t) / q^floor(y_j),
@@ -206,7 +207,7 @@ def ore_lattice(f, verdict, basis, d):
     that its residual polynomial lies over GF(q), and is otherwise
     reported irregular.
     """
-    modulus = verdict.modulus
+    f, modulus = verdict.f, verdict.modulus
     q = modulus.p
     elements, ind, regular = [], 0, True
     for g, l in verdict.dividing:
@@ -291,36 +292,34 @@ def factor_prime_via_polynomial(f, modulus):
     return shape, factors
 
 
-def common_index_divisor(modulus, shape):
-    """Whether p divides the index of every generator, with a supply report.
+def common_index_divisor(shape):
+    """Whether p = shape.p divides the index of every generator, with a supply report.
 
     True exactly when, for some residue degree d, the splitting needs
     more distinct irreducible polynomials of degree d than exist over
     GF(p).  The report lists (degree, required, available) per degree,
     in increasing degree.
     """
-    modulus = as_modulus(modulus)
     report = [
-        (d, required, count_monic_irreducibles(modulus, d))
+        (d, required, count_monic_irreducibles(shape.p, d))
         for d, required in sorted(shape.degree_counts().items())
     ]
     return any(required > available for _, required, available in report), report
 
 
-def assign_prime_functions(modulus, shape):
-    """Distinct irreducibles matching the degree multiset, or None when impossible.
+def assign_prime_functions(shape):
+    """Distinct irreducibles over GF(shape.p) matching the degree multiset, or None.
 
     Polynomials are taken first-fit in enumeration order, one per part,
     aligned with shape.parts; the result is None exactly when
     common_index_divisor holds.
     """
-    modulus = as_modulus(modulus)
-    divisor, _ = common_index_divisor(modulus, shape)
+    divisor, _ = common_index_divisor(shape)
     if divisor:
         return None
     iterators = {}
     out = []
     for f, _ in shape.parts:
-        it = iterators.setdefault(f, enumerate_monic_irreducibles(modulus, f))
+        it = iterators.setdefault(f, enumerate_monic_irreducibles(shape.p, f))
         out.append(next(it))
     return out

@@ -17,7 +17,6 @@ SQRT2_POLY = "t^2 - 2"
 CUBIC_DISC = -2012
 CUBIC_FUNDAMENTAL = -503
 QUARTIC_FUNDAMENTAL = 2873  # 13^2 * 17
-SQRT2_DISC = 8
 
 
 def cubic_poly():

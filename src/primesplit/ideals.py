@@ -319,12 +319,13 @@ def _crt_pair(order, a, la, b, lb):
     return OrderElement(order, [x - u for x, u in zip(a.coords, residue)])
 
 
-def crt_good_generator(order, modulus, primes, polys):
+def crt_good_generator(order, primes, polys):
     """Generator whose index avoids p, built from chosen prime functions.
 
     `primes` is the (ideal, e, f) list for p in this order; `polys` are
     pairwise distinct monic irreducibles over GF(p) with deg(polys[i])
-    equal to f_i.  For each prime ideal a root of the matching
+    equal to f_i, all over GF(p) for the p that each ideal holds as its
+    first basis entry.  For each prime ideal a root of the matching
     polynomial is found among the p^f residues (smallest in
     coordinate-lexicographic order), shifted off the square of the
     ideal when the exponent demands it, and the congruences modulo the
@@ -334,14 +335,13 @@ def crt_good_generator(order, modulus, primes, polys):
     of the squared primes; its index is not divisible by p and its
     characteristic polynomial reduces to the chosen factorization mod p.
     """
-    modulus = as_modulus(modulus)
-    p = modulus.p
     if len(primes) != len(polys):
         raise ValueError("need one prime function per prime ideal")
     seen = set()
     for (ideal, e, f), poly in zip(primes, polys):
-        if not isinstance(poly, FpPoly) or poly.modulus != modulus:
-            raise ValueError("prime functions must share the modulus %d" % p)
+        q = ideal.rows[0][0]  # the ideal's prime; polys[0] is checked first
+        if not isinstance(poly, FpPoly) or not poly.p == q == polys[0].p:
+            raise ValueError("prime functions must share the modulus %d" % q)
         if poly.degree != f:
             raise ValueError(
                 "degree mismatch: prime ideal of degree %d got %s" % (f, poly)
@@ -353,7 +353,8 @@ def crt_good_generator(order, modulus, primes, polys):
                 "infeasible prime-function supply: %s repeated" % poly
             )
         seen.add(poly.coeffs)
-
+    modulus = polys[0].modulus
+    p = modulus.p
     congruences = []
     for (ideal, e, f), poly in zip(primes, polys):
         zp = lift(poly)

@@ -124,8 +124,8 @@ def _monomial_texts(v, d):
 # one variable per non-identity coordinate; with v <= 5 variables and degree
 # d <= n(n-1)/2 <= 15, the memoised tables below and _monomial_texts are a
 # fixed set of a few hundred
-_MAX_RANK = len(_VAR_ALPHABET) + 1
-_MAX_FORM_DEGREE = _MAX_RANK * (_MAX_RANK - 1) // 2
+MAX_RANK = len(_VAR_ALPHABET) + 1
+_MAX_FORM_DEGREE = MAX_RANK * (MAX_RANK - 1) // 2
 
 
 @functools.cache
@@ -204,8 +204,8 @@ def index_form(order):
     n = order.n
     if n < 2:
         raise ValueError("index form needs rank >= 2, got rank %d" % n)
-    if n > _MAX_RANK:
-        raise ValueError("index form is limited to rank <= %d" % _MAX_RANK)
+    if n > MAX_RANK:
+        raise ValueError("index form rank %d exceeds MAX_RANK = %d" % (n, MAX_RANK))
     names = _VAR_ALPHABET[: n - 1]
     v = n - 1
     u = max(v - 1, 1)  # x_1..x_(v-2), y; the tail x_u..x_v folds into y

@@ -485,7 +485,7 @@ def p_enlarge(order, modulus):
     return _order_on_lattice(order.labels, *enlarged)
 
 
-def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, verdicts=None):
+def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, verdicts=()):
     """Maximal order of Q[t]/(f) and its discriminant (the fundamental number).
 
     At every prime q whose square divides disc(f), Dedekind's criterion
@@ -496,16 +496,21 @@ def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, verdicts=None):
     that ring is q-maximal and no Round 2 runs at q; elsewhere Round 2
     continues from it with v = v_q(disc f) - 2*ind (none when v < 2).
     Each prime continues from the ring the last one left.  `verdicts`
-    maps primes to Dedekind verdicts on f that a caller already holds,
-    so f is not factored again modulo them.  The discriminant must
-    factor by trial division at the given bound.  Returns (order, D);
-    the order's ``basis_in_parent`` is the canonical pair (rows, d) of
-    its basis in power-basis coordinates ((identity rows, 1) when no
-    prime enlarges it), and it records that it is maximal.
+    are Dedekind verdicts on f that a caller holds, each used at its own
+    prime; a verdict on another polynomial is refused, naming its prime.
+    The discriminant must factor by trial division at the given bound.
+    Returns (order, D); the order's ``basis_in_parent`` is the canonical
+    pair (rows, d) of its basis in power-basis coordinates ((identity
+    rows, 1) when no prime enlarges it), and it records that it is
+    maximal.
     """
     if not f.is_monic():
         raise ValueError("maximal order requires a monic polynomial")
     rational_root_screen(f)
+    stray = [verdict.modulus.p for verdict in verdicts if verdict.f != f]
+    if stray:
+        raise ValueError("the verdict at %d is about another polynomial" % stray[0])
+    held = {verdict.modulus.p: verdict for verdict in verdicts}
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("polynomial has a repeated root (discriminant 0)")
@@ -517,9 +522,9 @@ def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, verdicts=None):
             continue
         # Enlarging at other primes leaves the q-index alone, so when
         # q does not divide the index of Z[t]/(f) it stays q-maximal.
-        verdict = (verdicts or {}).get(q) or dedekind_verdict(f, q)
+        verdict = held.get(q) or dedekind_verdict(f, q)
         if verdict.divisible:
-            basis, d, ind, regular = ore_lattice(f, verdict, basis, d)
+            basis, d, ind, regular = ore_lattice(verdict, basis, d)
             current = _table_on_lattice(table, basis, d)
             if not regular:
                 basis, d, current = _p_maximal_lattice(

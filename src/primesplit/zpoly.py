@@ -184,8 +184,6 @@ def discriminant(f):
     n = f.degree
     if n < 1:
         raise ValueError("discriminant requires degree >= 1")
-    if n == 1:
-        return 1
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(f, f.derivative())
 

@@ -589,7 +589,7 @@ def cofactor_index_form(order):
     """Oracle: the index form by cofactor expansion over OraclePoly (factorial time)."""
     n = order.n
     if n > 6:
-        raise ValueError("index form is limited to rank <= 6")
+        raise ValueError("index form rank %d exceeds MAX_RANK = 6" % n)
     names = ("z",) + _VAR_ALPHABET[: n - 1]
     coords = [OraclePoly.variable(names, v) for v in names]
     zero = OraclePoly(names, {})

@@ -147,7 +147,7 @@ def test_criterion_7_quartic_fundamental_number_and_shape():
     result = factor_p_in_order(order, 2)
     shape = SplittingShape(2, [(fx, e) for _, e, fx in result])
     assert sorted(shape.parts) == [(2, 1), (2, 1)]
-    divisor, report = common_index_divisor(2, shape)
+    divisor, report = common_index_divisor(shape)
     assert divisor is True
     assert report == [(2, 2, 1)]
     _report(7, "quartic D = 2873 = 13^2*17; shape {(2,1)x2}; 2 is a common index divisor")
@@ -157,9 +157,7 @@ def test_criterion_8_skewed_generator_of_sqrt2():
     order = fixtures.sqrt2_order()
     m7 = PrimeModulus(7)
     primes = factor_p_in_order(order, m7)
-    theta = crt_good_generator(
-        order, m7, primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))]
-    )
+    theta = crt_good_generator(order, primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))])
     # congruent to 25 + 27*sqrt2 modulo 49 (and canonically reduced to it)
     assert theta.coords == (25, 27)
     diff = theta - order.element((25, 27))
@@ -368,7 +366,7 @@ def test_criterion_10_kronecker_quartic_stretch():
     result = factor_p_in_order(order, 3)
     shape = SplittingShape(3, [(fx, e) for _, e, fx in result])
     assert sorted(shape.parts) == [(1, 1)] * 4
-    divisor, report = common_index_divisor(3, shape)
+    divisor, report = common_index_divisor(shape)
     assert divisor is True
     assert report == [(1, 4, 3)]
     _report(10, "3 splits into four degree-1 primes; 3 is a common index divisor")

@@ -544,7 +544,7 @@ REFUSALS = [
     (["split-prime", "2*t^2 + 1", "7"], "expected a monic polynomial"),
     (["common-index-divisor", "2", "0:1"], "degrees and exponents must be positive"),
     (["maximal-order", "t^2-2t+1"], "polynomial is reducible (integer root 1)"),
-    (["index-form", "t^7+1"], "index form is limited to rank <= 6"),
+    (["index-form", "t^7+1"], "index form rank 7 exceeds MAX_RANK = 6"),
     (["paper-examples", "--inject-fault", "no_such_check"], "no check named"),
 ]
 

@@ -22,7 +22,7 @@ from primesplit.criteria import (
 from primesplit.fppoly import FpPoly, PrimeModulus, fp_is_irreducible
 from primesplit.integers import DEGREE_BOUND
 from primesplit.orders import order_discriminant, order_from_polynomial, p_enlarge
-from primesplit.zpoly import ZPoly, discriminant, lift
+from primesplit.zpoly import ZPoly, discriminant, lift, reduce_mod
 
 M2 = PrimeModulus(2)
 M7 = PrimeModulus(7)
@@ -67,13 +67,17 @@ class TestVerdictType:
     def test_verdict_follows_factors_and_cofactor(self):
         t = FpPoly(M2, (0, 1))
         factors = dedekind_verdict(CUBIC, M2).factors
-        v = IndexVerdict(M2, factors, ZPoly((4, 1)))
+        v = IndexVerdict(CUBIC, M2, factors)
+        assert (v.f, v.cofactor) == (CUBIC, ZPoly((4, 1)))
         assert v.dividing == [(t, 2)]
         assert v.divisible
         assert v.witness == (t, 2)
         assert repr(v) == "IndexVerdict(divisible, witness=(t, 2))"
-        # the same factors with a cofactor prime to t: M decides the verdict
-        assert IndexVerdict(M2, factors, ZPoly((1, 1))).dividing == []
+        # the same factors mod 2, of an f whose cofactor t + 1 is prime to t:
+        # M decides the verdict
+        other = IndexVerdict(ZPoly.from_text("t^3 - t^2 - 2*t - 2"), M2, factors)
+        assert other.cofactor == ZPoly((1, 1))
+        assert other.dividing == []
         # at t^2 + t + 2, t + 1 divides M = -t - 1 mod 2 but is a simple factor
         for text in ("t^2 - 2", "t^2 + t + 2"):
             v = dedekind_verdict(ZPoly.from_text(text), M2)
@@ -81,6 +85,28 @@ class TestVerdictType:
             assert not v.divisible
             assert v.witness is None
             assert repr(v) == "IndexVerdict(not divisible)"
+
+    def test_another_polynomials_factors_fail_the_congruence(self):
+        # the verdict forms M from f itself, so factors of a g that differs
+        # from f mod p are refused, and those of a g = f mod p give f's M
+        rng = random.Random(4203)
+        refused = agreed = 0
+        for _ in range(300):
+            p = PrimeModulus(rng.choice([2, 3]))
+            f = random_monic_zpoly(rng, 3, 30)
+            g = random_monic_zpoly(rng, 3, 30)
+            if rng.random() < 0.3:
+                g = f + ZPoly([p.p * rng.randrange(-3, 4) for _ in range(3)])
+            factors = dedekind_verdict(g, p).factors
+            if reduce_mod(f, p) == reduce_mod(g, p):
+                assert IndexVerdict(f, p, factors).cofactor == dedekind_verdict(f, p).cofactor
+                agreed += 1
+            else:
+                message = "^lift product is not congruent to f mod %d$" % p.p
+                with pytest.raises(ValueError, match=message):
+                    IndexVerdict(f, p, factors)
+                refused += 1
+        assert refused >= 150 and agreed >= 50, (refused, agreed)
 
 
 class TestBalancedLift:
@@ -248,29 +274,37 @@ class TestFactorPrimeViaPolynomial:
 
 class TestCommonIndexDivisor:
     def test_three_linear_mod_2(self):
-        divisor, report = common_index_divisor(2, SplittingShape(2, [(1, 1)] * 3))
+        divisor, report = common_index_divisor(SplittingShape(2, [(1, 1)] * 3))
         assert divisor
         assert report == [(1, 3, 2)]
 
     def test_two_quadratics_mod_2(self):
-        divisor, _ = common_index_divisor(2, SplittingShape(2, [(2, 1)] * 2))
+        divisor, _ = common_index_divisor(SplittingShape(2, [(2, 1)] * 2))
         assert divisor
 
     def test_three_linear_mod_3(self):
-        divisor, _ = common_index_divisor(3, SplittingShape(3, [(1, 1)] * 3))
+        divisor, _ = common_index_divisor(SplittingShape(3, [(1, 1)] * 3))
         assert not divisor
+
+    @pytest.mark.parametrize(
+        "p, linear", [(2, 2), (2, 3), (3, 3), (3, 4), (5, 5), (5, 6), (7, 7), (7, 8)]
+    )
+    def test_answers_at_the_shapes_own_prime(self, p, linear):
+        # k linear primes above p need k distinct roots, and GF(p) has p
+        divisor, report = common_index_divisor(SplittingShape(p, [(1, 1)] * linear))
+        assert (divisor, report) == (linear > p, [(1, linear, p)])
 
 
 class TestAssignPrimeFunctions:
     def test_two_linear_mod_7(self):
-        out = assign_prime_functions(7, SplittingShape(7, [(1, 1), (1, 1)]))
+        out = assign_prime_functions(SplittingShape(7, [(1, 1), (1, 1)]))
         assert [g.coeffs for g in out] == [(0, 1), (1, 1)]
 
     def test_infeasible_mod_2(self):
-        assert assign_prime_functions(2, SplittingShape(2, [(1, 1)] * 3)) is None
+        assert assign_prime_functions(SplittingShape(2, [(1, 1)] * 3)) is None
 
     def test_ramified_pair_mod_2(self):
-        out = assign_prime_functions(2, SplittingShape(2, [(1, 2), (1, 1)]))
+        out = assign_prime_functions(SplittingShape(2, [(1, 2), (1, 1)]))
         assert [g.coeffs for g in out] == [(0, 1), (1, 1)]
 
     def test_absent_iff_common_divisor(self):
@@ -285,8 +319,8 @@ class TestAssignPrimeFunctions:
                 parts.append((f, e))
                 budget -= e * f
             shape = SplittingShape(p, parts)
-            divisor, _ = common_index_divisor(p, shape)
-            polys = assign_prime_functions(p, shape)
+            divisor, _ = common_index_divisor(shape)
+            polys = assign_prime_functions(shape)
             assert (polys is None) == divisor
             if polys is not None:
                 assert len(set(g.coeffs for g in polys)) == len(polys)
@@ -343,6 +377,6 @@ class TestTheoremIVForward:
                 shape, _ = factor_prime_via_polynomial(f, p)
             except (IndexDivisorError, ValueError):
                 continue
-            divisor, _ = common_index_divisor(p, shape)
+            divisor, _ = common_index_divisor(shape)
             assert not divisor
             done += 1

@@ -201,7 +201,7 @@ M5, M7 = PrimeModulus(5), PrimeModulus(7)
 
 
 def _crt_at_7(*polys):
-    return crt_good_generator(SQRT2, M7, factor_p_in_order(SQRT2, M7), list(polys))
+    return crt_good_generator(SQRT2, factor_p_in_order(SQRT2, M7), list(polys))
 
 
 @pytest.mark.parametrize(
@@ -761,7 +761,7 @@ class TestCrtGoodGenerator:
         m7 = PrimeModulus(7)
         primes = factor_p_in_order(SQRT2, m7)
         theta = crt_good_generator(
-            SQRT2, m7, primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))]
+            SQRT2, primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))]
         )
         assert theta.coords == (25, 27)
         assert char_poly(theta) == ZPoly.from_text("t^2 - 50*t - 833")
@@ -771,7 +771,7 @@ class TestCrtGoodGenerator:
         m7 = PrimeModulus(7)
         primes = factor_p_in_order(SQRT2, m7)
         theta = crt_good_generator(
-            SQRT2, m7, primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))]
+            SQRT2, primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))]
         )
         # theta is in the square of the first prime, theta - 1 in the second
         sq1 = ideal_product(primes[0][0], primes[0][0])
@@ -785,7 +785,6 @@ class TestCrtGoodGenerator:
         with pytest.raises(ValueError):
             crt_good_generator(
                 MAX_CUBIC,
-                m2,
                 primes,
                 [FpPoly(m2, (0, 1)), FpPoly(m2, (1, 1)), FpPoly(m2, (0, 1))],
             )
@@ -795,7 +794,7 @@ class TestCrtGoodGenerator:
         primes = factor_p_in_order(SQRT2, m7)
         with pytest.raises(ValueError):
             crt_good_generator(
-                SQRT2, m7, primes, [FpPoly(m7, (1, 1, 1)), FpPoly(m7, (0, 1))]
+                SQRT2, primes, [FpPoly(m7, (1, 1, 1)), FpPoly(m7, (0, 1))]
             )
 
     def test_inert_single_prime(self):
@@ -804,7 +803,7 @@ class TestCrtGoodGenerator:
         m5 = PrimeModulus(5)
         primes = factor_p_in_order(SQRT2, m5)
         poly = reduce_mod(ZPoly.from_text("t^2 - 2"), m5)
-        theta = crt_good_generator(SQRT2, m5, primes, [poly])
+        theta = crt_good_generator(SQRT2, primes, [poly])
         assert element_index(SQRT2, theta) % 5 != 0
         assert reduce_mod(char_poly(theta), m5) == poly
 
@@ -812,7 +811,7 @@ class TestCrtGoodGenerator:
         # 2 ramifies in Z[sqrt 2]: the root of t must avoid the ideal square
         m2 = PrimeModulus(2)
         primes = factor_p_in_order(SQRT2, m2)
-        theta = crt_good_generator(SQRT2, m2, primes, [FpPoly(m2, (0, 1))])
+        theta = crt_good_generator(SQRT2, primes, [FpPoly(m2, (0, 1))])
         assert element_index(SQRT2, theta) % 2 != 0
         prime = primes[0][0]
         square = ideal_product(prime, prime)
@@ -834,8 +833,8 @@ class TestCrtGoodGenerator:
             primes = factor_p_in_order(order, p)
             assert len(primes) >= 2
             shape = SplittingShape(p, [(f, e) for _, e, f in primes])
-            polys = assign_prime_functions(p, shape)
-            theta = crt_good_generator(order, p, primes, polys)
+            polys = assign_prime_functions(shape)
+            theta = crt_good_generator(order, primes, polys)
             assert theta.coords == expected, (coeffs, p)
             ranks.append(order.n)
             ramified += any(e >= 2 for _, e, _ in primes)

@@ -24,7 +24,7 @@ from conftest import (
     seeded_maximal_orders,
     trace_matrix_discriminant,
 )
-from primesplit import fixtures, lattice, orders
+from primesplit import criteria, fixtures, lattice, orders
 from primesplit.criteria import (
     balanced_lift,
     dedekind_verdict,
@@ -873,7 +873,7 @@ class TestOreStep:
         for f, modulus, verdict in ore_cases:
             q, n = modulus.p, f.degree
             identity = lattice.identity_rows(n)
-            rows, d, ind, regular = ore_lattice(f, verdict, identity, 1)
+            rows, d, ind, regular = ore_lattice(verdict, identity, 1)
             repeated = [g for g, e in verdict.factors if e >= 2]
             non_linear = any(g.degree > 1 for g in repeated)
             seen["non-linear"] += non_linear
@@ -915,7 +915,7 @@ class TestOreStep:
         # polygon is the one side from (1, 1) to (2, 0): ind = 2, regular
         f = ZPoly.from_text("t^4 + 5*t^2 + 4")
         verdict = dedekind_verdict(f, 3)
-        rows, d, ind, regular = ore_lattice(f, verdict, lattice.identity_rows(4), 1)
+        rows, d, ind, regular = ore_lattice(verdict, lattice.identity_rows(4), 1)
         assert (d, ind, regular) == (3, 2, True)
         assert d**4 == 3**ind * bareiss_determinant(rows)
         order, D = maximal_order(f)
@@ -939,6 +939,50 @@ class TestOreStep:
         order, d = maximal_order(ZPoly.from_text("t^48 - 243"))
         assert time.process_time() - start < 0.6
         assert fraction_rows(order.basis_in_parent)[-1][-1] == Fraction(1, 81)
+
+
+class TestHeldVerdicts:
+    """maximal_order uses each verdict a caller holds at the verdict's own prime."""
+
+    @pytest.mark.parametrize("text", ["t^3 - 108", "t^6 + 108", "t^4 + 5*t^2 + 1"])
+    def test_held_verdicts_give_the_same_order(self, monkeypatch, text):
+        f = ZPoly.from_text(text)
+        at2, at3 = dedekind_verdict(f, 2), dedekind_verdict(f, 3)
+        order, d = maximal_order(f)
+        factored = []
+        factor = criteria.fp_factor
+
+        def recording(g):
+            factored.append(g.p)
+            return factor(g)
+
+        monkeypatch.setattr(criteria, "fp_factor", recording)
+        for held in ([at2], [at3], [at2, at3], [at3, at2]):
+            factored.clear()
+            got, got_d = maximal_order(f, verdicts=held)
+            assert (got.basis_in_parent, got_d) == (order.basis_in_parent, d), held
+            # f is factored again only at the primes that no verdict covers
+            assert not {v.modulus.p for v in held} & set(factored), held
+
+    def test_a_verdict_about_another_polynomial_is_refused(self):
+        # seeded cubics and quartics, each with a verdict at p in {2, 3} on a
+        # g != f, half of them g = f + p*h with the same factors mod p as f
+        rng = random.Random(4207)
+        done = 0
+        while done < 100:
+            n, p = rng.choice([3, 4]), rng.choice([2, 3])
+            f = random_monic_zpoly(rng, n, 30)
+            if rng.random() < 0.5:
+                g = f + ZPoly([p * rng.randrange(-3, 4) for _ in range(n)])
+            else:
+                g = random_monic_zpoly(rng, n, 30)
+            if g == f or has_integer_root(f):
+                continue
+            held = [dedekind_verdict(f, 5), dedekind_verdict(g, p)]
+            message = "^the verdict at %d is about another polynomial$" % p
+            with pytest.raises(ValueError, match=message):
+                maximal_order(f, verdicts=held)
+            done += 1
 
 
 class TestOneOrderPerCall:
@@ -1125,9 +1169,9 @@ def _count_p_maximal_lattice(monkeypatch):
     primes = []
     real = orders.ore_lattice
 
-    def counting(f, verdict, *rest):
+    def counting(verdict, *rest):
         primes.append(verdict.modulus.p)
-        return real(f, verdict, *rest)
+        return real(verdict, *rest)
 
     monkeypatch.setattr(orders, "ore_lattice", counting)
     return primes

@@ -92,6 +92,11 @@ class TestDiscriminant:
         with pytest.raises(ValueError):
             discriminant(ZPoly((3,)))
 
+    @pytest.mark.parametrize("a", [0, 1, -1, 7, -(2**70)])
+    def test_linear_is_one(self, a):
+        # res(t + a, 1) = 1: a linear f needs no case of its own
+        assert discriminant(ZPoly((a, 1))) == 1
+
     def test_quadratic_closed_form(self):
         rng = random.Random(6)
         for _ in range(200):
