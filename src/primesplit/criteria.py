@@ -41,6 +41,7 @@ from math import gcd
 
 from .fppoly import (
     FpPoly,
+    PrimeModulus,
     as_modulus,
     count_monic_irreducibles,
     enumerate_monic_irreducibles,
@@ -119,8 +120,10 @@ class IndexVerdict:
     __slots__ = ("f", "modulus", "factors", "cofactor", "dividing")
 
     def __init__(self, f, modulus, factors):
+        if not isinstance(modulus, PrimeModulus):
+            raise TypeError("IndexVerdict needs a PrimeModulus, not %r" % (modulus,))
         self.f = f
-        self.modulus = modulus  # a PrimeModulus
+        self.modulus = modulus
         self.factors = factors
         lifts = [(balanced_lift(g), e) for g, e in factors]
         self.cofactor = cofactor_m(f, modulus, lifts)

@@ -335,6 +335,8 @@ def crt_good_generator(order, primes, polys):
     of the squared primes; its index is not divisible by p and its
     characteristic polynomial reduces to the chosen factorization mod p.
     """
+    if not primes:
+        raise ValueError("need at least one prime ideal")
     if len(primes) != len(polys):
         raise ValueError("need one prime function per prime ideal")
     seen = set()

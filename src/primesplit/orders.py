@@ -3,8 +3,8 @@
 An Order is a ring on a free Z-module of rank n: a basis whose first
 element is the multiplicative identity, and structure constants giving
 each product of basis elements as an integer coordinate vector.
-Commutativity, the identity law, and associativity on all basis triples
-are checked eagerly at construction, so a bad table fails fast.
+``Order(table, labels)`` checks an outside table (identity, symmetry,
+associativity) when built; derived orders are rings by construction.
 
 Enlarged orders are rational lattices over the parent in the canonical
 triangular form of ``lattice``, and the p-maximal order is built by the
@@ -60,14 +60,16 @@ class Order:
     """Ring given by an integral basis and structure constants.
 
     ``table[i][j]`` is the coordinate vector of (basis i) * (basis j).
-    ``basis_in_parent`` (when set) is the canonical pair (rows, d) of
-    ``lattice.rational_lattice``: the basis is rows/d in the coordinates
-    of the order this one was enlarged from.
+    The constructor checks a table from outside the library; the orders
+    the library derives, power tables and lattices closed in a ring, are
+    rings and are built unchecked (``_proved_order``).  On an enlarged
+    order, ``basis_in_parent`` is the canonical pair (rows, d) of
+    ``lattice.rational_lattice``: the basis is rows/d in parent coordinates.
     """
 
     __slots__ = ("n", "labels", "table", "basis_in_parent", "_maximal")
 
-    def __init__(self, table, labels=None, basis_in_parent=None):
+    def __init__(self, table, labels=None):
         table = tuple(
             tuple(tuple(map(operator.index, vec)) for vec in row) for row in table
         )
@@ -77,19 +79,18 @@ class Order:
         for row in table:
             if len(row) != n or any(len(vec) != n for vec in row):
                 raise ValueError("multiplication table must be n x n of n-vectors")
-        ident = tuple(tuple(1 if k == j else 0 for k in range(n)) for j in range(n))
-        if table[0] != ident:
+        if table[0] != identity_rows(n):
             raise ValueError("first basis element must act as the identity")
-        for i in range(n):
-            for j in range(i):
-                if table[i][j] != table[j][i]:
-                    raise ValueError("multiplication table is not symmetric")
-        self.n = n
-        self.table = table
-        self.labels = _basis_labels(labels, n)
-        self.basis_in_parent = basis_in_parent
-        self._maximal = False  # set later by maximal_order alone; == and hash ignore it
+        if tuple(zip(*table)) != table:
+            raise ValueError("multiplication table is not symmetric")
+        self._build(table, _basis_labels(labels, n))
         self._check_associativity()
+
+    def _build(self, table, labels, basis_in_parent=None, maximal=False):
+        self.n, self.table, self.labels = len(table), table, labels
+        self.basis_in_parent = basis_in_parent
+        self._maximal = maximal  # recorded by maximal_order; == and hash ignore it
+        return self
 
     def _check_associativity(self):
         # (e_i e_j) e_k = sum_m table[i][j][m] (e_m e_k), each e_m e_k packed
@@ -305,7 +306,7 @@ def order_from_polynomial(f, labels=None):
         raise ValueError("order requires a monic polynomial")
     if f.degree < 2:
         raise ValueError("order requires degree >= 2")
-    return Order(_power_table(f), labels=labels)
+    return _proved_order(_power_table(f), labels)
 
 
 def _power_table(f):
@@ -324,7 +325,7 @@ def _power_table(f):
         if top:
             acc = tuple(a - top * c for a, c in zip(acc, low))
         powers.append(acc)
-    return [[powers[i + j] for j in range(n)] for i in range(n)]
+    return tuple(tuple(powers[i + j] for j in range(n)) for i in range(n))
 
 
 def element_index(order, theta):
@@ -353,32 +354,27 @@ def _table_on_lattice(table, basis, d):
             # every lattice here is built by the library, so this is a bug
             raise AssertionError("span is not closed under multiplication")
         out[i][j] = out[j][i] = tuple(coords)  # the parent ring is commutative
-    return out
+    return tuple(map(tuple, out))
 
 
-def _order_on_lattice(parent_labels, basis, d, table):
-    """The Order with multiplication table `table` on the canonical lattice basis/d of a parent."""
-    return Order(
-        table,
-        labels=_enlarged_labels(parent_labels, basis, d),
-        basis_in_parent=(basis, d),
-    )
-
-
-def _enlarged_labels(parent_labels, basis, d):
-    """Parent label i where canonical row i (which ends at column i) is d*e_i, else w<i>."""
-    return tuple(
-        label if row[i] == d and not any(row[:i]) else "w%d" % i
-        for i, (row, label) in enumerate(zip(basis, parent_labels))
-    )
+def _proved_order(table, labels=None, lattice=None, maximal=False):
+    """The Order on a power table or a ``_table_on_lattice`` table: a ring, so unchecked."""
+    labels = _basis_labels(labels, len(table))
+    if lattice:
+        # parent label i stays where canonical row i (ending at column i) is d*e_i
+        rows, d = lattice
+        labels = tuple(
+            label if row[i] == d and not any(row[:i]) else "w%d" % i
+            for i, (row, label) in enumerate(zip(rows, labels))
+        )
+    return object.__new__(Order)._build(table, labels, lattice, maximal)
 
 
 # -- p-maximal orders by Round 2 ----------------------------------------------
 #
 # The rings of Round 2 are tables, not Orders.  ``_table_on_lattice``
-# checks each one closed under the parent's multiplication, so it is a
-# subring and inherits commutativity and associativity; the Order built
-# from the last one checks everything again.
+# checks each one closed in the parent ring, so it is a subring, and the
+# Order built from the last one needs no check (``_proved_order``).
 
 def frobenius_mod_p(table, p):
     """Matrix of x -> x^p on order/(p*order) over GF(p): row i is basis_i^p mod p."""
@@ -479,10 +475,10 @@ def p_enlarge(order, modulus):
         raise ValueError(
             "order has discriminant 0 (it has nilpotents), so no p-maximal order contains it"
         )
-    enlarged = _p_maximal_lattice(
+    basis, d, table = _p_maximal_lattice(
         order.table, p, identity_rows(order.n), 1, order.table, valuation(disc, p)
     )
-    return _order_on_lattice(order.labels, *enlarged)
+    return _proved_order(table, order.labels, (basis, d))
 
 
 def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, verdicts=()):
@@ -530,8 +526,7 @@ def maximal_order(f, bound=DEFAULT_TRIAL_BOUND, verdicts=()):
                 basis, d, current = _p_maximal_lattice(
                     table, q, basis, d, current, factors[q] - 2 * ind
                 )
-    order = _order_on_lattice(_basis_labels(None, f.degree), basis, d, current)
-    order._maximal = True
+    order = _proved_order(current, lattice=(basis, d), maximal=True)
     return order, order_discriminant(order)
 
 

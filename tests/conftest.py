@@ -236,9 +236,10 @@ def scan_p_enlarge(order, modulus):
     Scans the p^n residue classes x of order/(p*order); whenever
     (x-combination)/p has an integer characteristic polynomial the ring
     generated by it is adjoined (lexicographically smallest x first),
-    and the scan repeats until a fixed point.  The result's
-    ``basis_in_parent`` (rows, d) composes the bases of the adjoin steps,
-    which spans the right lattice but need not be its canonical basis.
+    and the scan repeats until a fixed point.  Returns (order, (rows, d)),
+    where (rows, d), the order's basis in the input's coordinates, composes
+    the bases of the adjoin steps: it spans the right lattice but need not
+    be its canonical basis.
     """
     modulus = as_modulus(modulus)
     p = modulus.p
@@ -264,7 +265,7 @@ def scan_p_enlarge(order, modulus):
         basis, d = _adjoin_element(current, found, p)
         current = Order(_table_on_lattice(current.table, basis, d))
         emb = _compose((basis, d), emb)
-    return Order(current.table, labels=current.labels, basis_in_parent=emb)
+    return current, emb
 
 
 def _adjoin_element(order, coords, p):
@@ -369,8 +370,8 @@ def is_enlarged(order):
 
 
 def scan_enlarged_labels(parent_labels, basis, d):
-    """Oracle for _enlarged_labels: a parent label for each row equal to d times
-    any unit vector, found by scanning every parent label, else w<i>."""
+    """Oracle for _proved_order's labels: a parent label for each row equal
+    to d times any unit vector, found by scanning every parent label, else w<i>."""
     out = []
     for i, row in enumerate(basis):
         for j, label in enumerate(parent_labels):
@@ -393,10 +394,10 @@ def always_scan_maximal_order(f, bound=10**6):
     for q, e in sorted(trial_factor(discriminant(f), bound).items()):
         if e < 2:
             continue
-        order = scan_p_enlarge(order, PrimeModulus(q))
+        order, step = scan_p_enlarge(order, PrimeModulus(q))
         emb = [
             [sum(row[k] * emb[k][j] for k in range(n)) for j in range(n)]
-            for row in fraction_rows(order.basis_in_parent)
+            for row in fraction_rows(step)
         ]
     return canonical_rows(emb), order_discriminant(order)
 

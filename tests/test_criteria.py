@@ -86,6 +86,12 @@ class TestVerdictType:
             assert v.witness is None
             assert repr(v) == "IndexVerdict(not divisible)"
 
+    def test_plain_int_modulus_refused(self):
+        # maximal_order reads verdict.modulus.p, so a bare int is refused here
+        factors = dedekind_verdict(CUBIC, M2).factors
+        with pytest.raises(TypeError, match="^IndexVerdict needs a PrimeModulus, not 2$"):
+            IndexVerdict(CUBIC, 2, factors)
+
     def test_another_polynomials_factors_fail_the_congruence(self):
         # the verdict forms M from f itself, so factors of a g that differs
         # from f mod p are refused, and those of a g = f mod p give f's M

@@ -789,6 +789,10 @@ class TestCrtGoodGenerator:
                 [FpPoly(m2, (0, 1)), FpPoly(m2, (1, 1)), FpPoly(m2, (0, 1))],
             )
 
+    def test_empty_prime_list_refused(self):
+        with pytest.raises(ValueError, match="^need at least one prime ideal$"):
+            crt_good_generator(SQRT2, [], [])
+
     def test_degree_mismatch(self):
         m7 = PrimeModulus(7)
         primes = factor_p_in_order(SQRT2, m7)

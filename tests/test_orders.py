@@ -15,12 +15,14 @@ from conftest import (
     fraction_determinant,
     fraction_rows,
     has_integer_root,
+    is_enlarged,
     random_irreducible_cubic,
     random_irreducible_quartic,
     random_monic_zpoly,
     random_power_basis_orders,
     scan_enlarged_labels,
     scan_p_enlarge,
+    seeded_fields,
     seeded_maximal_orders,
     trace_matrix_discriminant,
 )
@@ -115,6 +117,12 @@ class TestOrderConstruction:
         ]
         with pytest.raises(ValueError):
             Order(bad)
+
+    def test_embedding_is_not_a_parameter(self):
+        # only the orders the library derives carry basis_in_parent
+        with pytest.raises(TypeError):
+            Order(SQRT2.table, SQRT2.labels, basis_in_parent=(((2, 0), (0, 1)), 2))
+        assert Order(SQRT2.table).basis_in_parent is None
 
     def test_associativity_checked(self):
         # ab = 4 tampered to 5 breaks (aa)b = a(ab)
@@ -402,10 +410,11 @@ class TestOrderFromPolynomial:
         for n in range(2, 9):
             f = random_monic_zpoly(rng, n, 9)
             powers = [(ZPoly((0,) * k + (1,)) % f).coeffs for k in range(2 * n - 1)]
-            expected = [
-                [powers[i + j] + (0,) * (n - len(powers[i + j])) for j in range(n)]
+            # in the tuple form an Order stores, so it needs no conversion
+            expected = tuple(
+                tuple(powers[i + j] + (0,) * (n - len(powers[i + j])) for j in range(n))
                 for i in range(n)
-            ]
+            )
             assert orders._power_table(f) == expected, f
 
 
@@ -510,8 +519,8 @@ class TestPEnlarge:
         strict = 0
         for order, p in _round2_oracle_cases():
             enlarged = p_enlarge(order, p)
-            oracle = scan_p_enlarge(order, p)
-            oracle_rows = fraction_rows(oracle.basis_in_parent)
+            oracle, oracle_basis = scan_p_enlarge(order, p)
+            oracle_rows = fraction_rows(oracle_basis)
             assert enlarged.basis_in_parent == canonical_rows(oracle_rows)
             assert order_discriminant(enlarged) == order_discriminant(oracle)
             strict += order_discriminant(enlarged) != order_discriminant(order)
@@ -986,7 +995,8 @@ class TestHeldVerdicts:
 
 
 class TestOneOrderPerCall:
-    """Round 2 runs on tables, so a call builds only the Order it returns."""
+    """Round 2 runs on tables, so a call builds only the Order it returns,
+    and builds it proved: ``Order(...)``'s checks never run."""
 
     @pytest.mark.parametrize(
         "text, primes",
@@ -1004,7 +1014,7 @@ class TestOneOrderPerCall:
         built = _count_orders(monkeypatch)
         maximal_order(ZPoly.from_text(text))
         assert enlarging == primes
-        assert len(built) == 1
+        assert built == ["proved"]
 
     @pytest.mark.parametrize(
         "order, p, steps", [(POWER_CUBIC, 2, True), (SQRT2, 2, False)]
@@ -1014,7 +1024,58 @@ class TestOneOrderPerCall:
         built = _count_orders(monkeypatch)
         p_enlarge(order, PrimeModulus(p))
         assert bool(tables) == steps
-        assert len(built) == 1
+        assert built == ["proved"]
+
+    def test_order_from_polynomial(self, monkeypatch):
+        built = _count_orders(monkeypatch)
+        order_from_polynomial(fixtures.cubic_poly())
+        assert built == ["proved"]
+
+
+def _derived_orders(fields):
+    """Every order that order_from_polynomial, p_enlarge and maximal_order
+    return on the fields, p_enlarge at each p with p^2 | disc (or only at
+    the primes given with a field)."""
+    out = []
+    for f, primes in fields:
+        power = order_from_polynomial(f)
+        if primes is None:
+            primes = [p for p, e in trial_factor(discriminant(f), 10**6).items() if e > 1]
+        out += [power, maximal_order(f)[0]]
+        out += [p_enlarge(power, PrimeModulus(p)) for p in primes]
+    return out
+
+
+class TestDerivedOrdersBuiltProved:
+    """The orders the library derives are rings by construction, so they
+    run no associativity check; the check, run from outside, is the oracle."""
+
+    def test_no_associativity_check_runs(self, monkeypatch):
+        checks = []
+        real = Order._check_associativity
+
+        def counting(self):
+            checks.append(self.n)
+            real(self)
+
+        monkeypatch.setattr(Order, "_check_associativity", counting)
+        fields = [(f, None) for f in seeded_fields(random.Random(4301), 5)]
+        derived = _derived_orders(fields + [(ZPoly.from_text("t^48 - 243"), [2])])
+        assert checks == []
+        assert len(derived) >= 50 and max(order.n for order in derived) == 48
+        # the counter does see the check that Order(...) runs
+        Order(derived[-1].table)
+        assert checks == [48]
+
+    def test_checked_rebuild_equals_derived_order(self):
+        fields = [(f, None) for f in seeded_fields(random.Random(4301), 5)]
+        derived = _derived_orders(fields + [(ZPoly.from_text("t^24 - 54"), None)])
+        enlarged = 0
+        for order in derived:
+            checked = Order(order.table, order.labels)
+            assert checked == order and hash(checked) == hash(order)
+            enlarged += is_enlarged(order)
+        assert len(derived) >= 50 and enlarged >= 10
 
 
 @pytest.fixture(scope="module")
@@ -1196,15 +1257,20 @@ def _record_round2_calls(monkeypatch):
 
 
 def _count_orders(monkeypatch):
-    """Record every Order construction."""
+    """Record every Order construction: "checked" by Order(...), or "proved"."""
     built = []
-    real = Order.__init__
+    real_init, real_proved = Order.__init__, orders._proved_order
 
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        real(self, *args, **kwargs)
+    def checked(self, *args, **kwargs):
+        built.append("checked")
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Order, "__init__", counting)
+    def proved(*args, **kwargs):
+        built.append("proved")
+        return real_proved(*args, **kwargs)
+
+    monkeypatch.setattr(Order, "__init__", checked)
+    monkeypatch.setattr(orders, "_proved_order", proved)
     return built
 
 
