@@ -281,7 +281,7 @@ def _paper_checks():
     yield "fundamental_number", order_discriminant(order), fixtures.CUBIC_FUNDAMENTAL
     _, computed_d = maximal_order(f)
     yield "maximal_order_discriminant", computed_d, fixtures.CUBIC_FUNDAMENTAL
-    yield "index_of_alpha", element_index(order, alpha), 2
+    yield "index_of_alpha", element_index(alpha), 2
     yield "beta_charpoly", str(char_poly(beta)), "t^3 + t^2 + 2*t - 8"
 
     primes = factor_p_in_order(order, m2)
@@ -302,7 +302,7 @@ def _paper_checks():
         acc = whole_order(order)
         for letter in word:
             acc = ideal_product(acc, named[letter])
-        principal = principal_ideal(order, order.element(mu))
+        principal = principal_ideal(order.element(mu))
         yield "principal_%s" % word, (acc.rows, principal.rows), (rows, rows)
 
     for text, lhs, rhs in fixtures.CUBIC_MU_RELATIONS:
@@ -338,13 +338,12 @@ def _paper_checks():
         str(g) for g in enumerate_monic_irreducibles(m2, 2)
     ], ["t^2 + t + 1"]
 
-    sq = fixtures.sqrt2_order()
     m7 = PrimeModulus(7)
-    primes7 = factor_p_in_order(sq, m7)
-    theta = crt_good_generator(sq, primes7, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))])
+    primes7 = factor_p_in_order(fixtures.sqrt2_order(), m7)
+    theta = crt_good_generator(primes7, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))])
     yield "sqrt2_generator", theta.coords, fixtures.SQRT2_GENERATOR_COORDS
     yield "sqrt2_generator_charpoly", str(char_poly(theta)), fixtures.SQRT2_GENERATOR_CHARPOLY
-    yield "sqrt2_generator_index", element_index(sq, theta), fixtures.SQRT2_GENERATOR_INDEX
+    yield "sqrt2_generator_index", element_index(theta), fixtures.SQRT2_GENERATOR_INDEX
 
 
 def cmd_paper_examples(args):

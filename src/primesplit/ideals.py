@@ -7,30 +7,35 @@ the shape of bracket bases like [2, a, 1+b]: equal ideals have equal
 matrices, so verification tables reduce to matrix comparisons.
 
 Ideals are stored relative to the order's basis and are built from
-generators or as products.  The primes above p come from the primitive
-idempotents of order/(p*order), found in its Frobenius-fixed subalgebra
-(``_primitive_idempotents``): with alpha = 1 - e for an idempotent e,
-P^e = p*order + alpha*order, P is P^e plus the p-radical, and f and e
-come from the GF(p) dimensions of P and P^e, since a k-dimensional
-subspace of order/(p*order) is an ideal of norm p^(n-k).  Between
-p*order and the order, lattices are GF(p) subspaces whose canonical
-rows come from echelon rows mod p (``lattice`` holds the canonical form
-and the GF(p) kernel), so integer HNF runs there only to check that
-the P^e multiply to p*order, one step of 2n rows per prime after the
-first.  Good generators are combined by lattice CRT: one reduction
-modulo the canonical basis of a lattice of rank 2n.  All values are
-immutable and all operations pure.
+coordinate vectors or as products; an element or ideal carries its
+order, and no call takes it again.  ``LatticeIdeal(order, rows)`` checks
+rows from outside, and the ideals the library derives are built
+unchecked (``_proved_ideal``).  The primes above p come from the
+primitive idempotents of order/(p*order), found in its Frobenius-fixed
+subalgebra (``_primitive_idempotents``): with alpha = 1 - e for an
+idempotent e, P^e = p*order + alpha*order, P is P^e plus the p-radical,
+and f and e come from the GF(p) dimensions of P and P^e, since a
+k-dimensional subspace of order/(p*order) is an ideal of norm p^(n-k).
+Between p*order and the order, lattices are GF(p) subspaces whose
+canonical rows come from echelon rows mod p (``lattice`` holds the
+canonical form and the GF(p) kernel), so integer HNF runs there only to
+check that the P^e multiply to p*order, one step of 2n rows per prime
+after the first.  Good generators are combined by lattice CRT: one
+reduction modulo the canonical basis of a lattice of rank 2n.  All
+values are immutable and all operations pure.
 """
 
 import itertools
 import operator
 import random
+from math import prod
 
 from .fppoly import FpPoly, as_modulus, binary_power, fp_is_irreducible
 from .lattice import (
     combine_rows_mod_p,
     echelon_mod_p,
     hnf,
+    identity_rows,
     lattice_divmod,
     lattice_rows_mod_p,
     left_kernel_mod_p,
@@ -50,24 +55,18 @@ from .zpoly import lift, reduce_mod
 
 
 class LatticeIdeal:
-    """Full-rank ideal of an order, stored as a canonical triangular basis."""
+    """Full-rank ideal of an order as a canonical triangular basis; outside rows are checked."""
 
     __slots__ = ("order", "rows")
 
-    def __init__(self, order, rows, _trusted=False):
-        # trusted rows are canonical tuples of ints (hnf, lattice_rows_mod_p
-        # or whole_order) and are stored as given
+    def __init__(self, order, rows):
         if not isinstance(order, Order):
             raise TypeError("expected an Order")
-        if not _trusted:
-            rows = tuple(tuple(map(operator.index, r)) for r in rows)
-        self.order = order
-        self.rows = rows
-        if not _trusted:
-            canonical = hnf(rows, order.n)
-            if canonical != rows:
-                raise ValueError("basis rows are not in canonical form")
-            self._check_closure()
+        rows = tuple(tuple(map(operator.index, r)) for r in rows)
+        if hnf(rows, order.n) != rows:
+            raise ValueError("basis rows are not in canonical form")
+        self.order, self.rows = order, rows
+        self._check_closure()
 
     def _check_closure(self):
         for row in self.rows:
@@ -77,16 +76,10 @@ class LatticeIdeal:
                     raise ValueError("lattice is not closed under ring multiplication")
 
     def norm(self):
-        out = 1
-        for i in range(self.order.n):
-            out *= self.rows[i][i]
-        return abs(out)
+        return prod(row[i] for i, row in enumerate(self.rows))
 
     def contains_vec(self, vec):
         return not any(lattice_divmod(self.rows, vec)[1])
-
-    def contains_element(self, elem):
-        return self.contains_vec(elem.coords)
 
     def contains_ideal(self, other):
         """True when other is a sublattice (this ideal divides other)."""
@@ -120,29 +113,34 @@ def bracket_str(ideal):
     )
 
 
+def _proved_ideal(order, rows):
+    """The ideal on canonical rows of a lattice the library built closed, unchecked."""
+    ideal = object.__new__(LatticeIdeal)
+    ideal.order, ideal.rows = order, rows
+    return ideal
+
+
 def whole_order(order):
-    n = order.n
-    return LatticeIdeal(order, tuple(unit(n, i) for i in range(n)), _trusted=True)
+    return _proved_ideal(order, identity_rows(order.n))
 
 
 def ideal_from_generators(order, gens):
-    """Smallest ideal containing the generators: HNF of all gen * basis products."""
+    """Smallest ideal containing coordinate vectors `gens`: HNF of all gen * basis products."""
     rows = []
     for g in gens:
-        coords = g.coords if isinstance(g, OrderElement) else tuple(g)
-        rows.extend(order.mul_matrix(coords))
-    return LatticeIdeal(order, hnf(rows, order.n), _trusted=True)
+        rows.extend(order.mul_matrix(OrderElement(order, g).coords))
+    return _proved_ideal(order, hnf(rows, order.n))
 
 
-def principal_ideal(order, elem):
-    return ideal_from_generators(order, [elem])
+def principal_ideal(elem):
+    """The ideal elem * order of the order that the element carries."""
+    return ideal_from_generators(elem.order, [elem.coords])
 
 
 def evaluate_poly_at(poly, theta):
     """Evaluate an integer polynomial at an order element (Horner)."""
-    order = theta.order
-    acc = order.zero()
-    one = order.identity()
+    one = theta.order.identity()
+    acc = theta.order.zero()
     for c in reversed(poly.coeffs):
         acc = acc * theta + one * int(c)
     return acc
@@ -155,7 +153,7 @@ def ideal_product(a, b):
     for r in a.rows:
         for s in b.rows:
             rows.append(a.order.vec_mul(r, s))
-    return LatticeIdeal(a.order, hnf(rows, a.order.n), _trusted=True)
+    return _proved_ideal(a.order, hnf(rows, a.order.n))
 
 
 # -- factoring p by splitting order/(p*order) ---------------------------------
@@ -272,7 +270,7 @@ def factor_p_in_order(order, modulus):
         power_space = echelon_mod_p(times_alpha, p)
         # P^e + radical: only the rows of P^e are reduced
         prime_space = echelon_mod_p(power_space[0], p, start=radical)
-        prime = LatticeIdeal(order, lattice_rows_mod_p(prime_space, p, n), _trusted=True)
+        prime = _proved_ideal(order, lattice_rows_mod_p(prime_space, p, n))
         ef, f = n - len(power_space[0]), n - len(prime_space[0])
         if f < 1:
             raise AssertionError("P^e plus the %d-radical is the whole order" % p)
@@ -300,7 +298,7 @@ def factor_p_in_order(order, modulus):
 
 # -- good generators via lattice CRT ----------------------------------------
 
-def _crt_pair(order, a, la, b, lb):
+def _crt_pair(a, la, b, lb):
     """theta with theta = a mod la and theta = b mod lb.
 
     The rows (u, u) for u in la and (0, w) for w in lb span the rank-2n
@@ -309,24 +307,24 @@ def _crt_pair(order, a, la, b, lb):
     and then a first half -u with u in la and b - a - u in lb, so that
     theta = a + u.
     """
-    n = order.n
+    n = a.order.n
     zero = (0,) * n
     rows = [r + r for r in la.rows] + [zero + r for r in lb.rows]
     diff = tuple(y - x for x, y in zip(a.coords, b.coords))
     _, residue = lattice_divmod(hnf(rows), zero + diff)
     if any(residue[n:]):
         raise ValueError("congruences are not compatible")
-    return OrderElement(order, [x - u for x, u in zip(a.coords, residue)])
+    return OrderElement(a.order, [x - u for x, u in zip(a.coords, residue)])
 
 
-def crt_good_generator(order, primes, polys):
+def crt_good_generator(primes, polys):
     """Generator whose index avoids p, built from chosen prime functions.
 
-    `primes` is the (ideal, e, f) list for p in this order; `polys` are
-    pairwise distinct monic irreducibles over GF(p) with deg(polys[i])
-    equal to f_i, all over GF(p) for the p that each ideal holds as its
-    first basis entry.  For each prime ideal a root of the matching
-    polynomial is found among the p^f residues (smallest in
+    `primes` is the (ideal, e, f) list for p in the one order that the
+    ideals carry; `polys` are pairwise distinct monic irreducibles over
+    GF(p) with deg(polys[i]) equal to f_i, for the p that each ideal
+    holds as its first basis entry.  For each prime ideal a root of the
+    matching polynomial is found among the p^f residues (smallest in
     coordinate-lexicographic order), shifted off the square of the
     ideal when the exponent demands it, and the congruences modulo the
     squared primes are combined by lattice CRT.
@@ -337,6 +335,9 @@ def crt_good_generator(order, primes, polys):
     """
     if not primes:
         raise ValueError("need at least one prime ideal")
+    order = primes[0][0].order
+    if any(ideal.order != order for ideal, _, _ in primes):
+        raise ValueError("prime ideals belong to different orders")
     if len(primes) != len(polys):
         raise ValueError("need one prime function per prime ideal")
     seen = set()
@@ -360,35 +361,29 @@ def crt_good_generator(order, primes, polys):
     congruences = []
     for (ideal, e, f), poly in zip(primes, polys):
         zp = lift(poly)
-        root = None
         for residue in ideal.residues():
-            val = evaluate_poly_at(zp, OrderElement(order, residue))
-            if ideal.contains_element(val):
-                root = OrderElement(order, residue)
+            root = OrderElement(order, residue)
+            val = evaluate_poly_at(zp, root)
+            if ideal.contains_vec(val.coords):
                 break
-        if root is None:
+        else:
             raise AssertionError("prime function has no root modulo its ideal")
         squared = ideal_product(ideal, ideal)
-        if e >= 2:
-            val = evaluate_poly_at(zp, root)
-            if squared.contains_element(val):
-                shift = next(
-                    OrderElement(order, r)
-                    for r in ideal.rows
-                    if not squared.contains_vec(r)
-                )
-                root = root + shift
-                val = evaluate_poly_at(zp, root)
-                if squared.contains_element(val):
-                    raise AssertionError("shift failed to escape the ideal square")
+        if e >= 2 and squared.contains_vec(val.coords):
+            shift = next(
+                OrderElement(order, r) for r in ideal.rows if not squared.contains_vec(r)
+            )
+            root = root + shift
+            if squared.contains_vec(evaluate_poly_at(zp, root).coords):
+                raise AssertionError("shift failed to escape the ideal square")
         congruences.append((root, squared))
 
     theta, lattice = congruences[0]
     for value, lat in congruences[1:]:
-        theta = _crt_pair(order, theta, lattice, value, lat)
+        theta = _crt_pair(theta, lattice, value, lat)
         lattice = ideal_product(lattice, lat)
     theta = OrderElement(order, lattice_divmod(lattice.rows, theta.coords)[1])
-    if element_index(order, theta) % p == 0:
+    if element_index(theta) % p == 0:
         raise AssertionError("constructed generator has index divisible by %d" % p)
     expected = FpPoly(modulus, (1,))
     for (_, e, _), poly in zip(primes, polys):

@@ -20,8 +20,8 @@ from primesplit.fppoly import (
 )
 from primesplit.ideals import (
     LatticeIdeal,
-    ideal_from_generators,
     ideal_product,
+    principal_ideal,
     whole_order,
 )
 from primesplit.indexform import _VAR_ALPHABET, MultiPoly
@@ -807,13 +807,13 @@ def enumerate_primes_above(order, p):
     if multipliers_mod_p(order.table, p, radical):
         raise ValueError("order is not %d-maximal" % p)
 
-    p_ideal = ideal_from_generators(order, [order.identity() * p])
+    p_ideal = principal_ideal(order.identity() * p)
     candidates = []  # (cols, mat, ideal)
     for k in range(n):
         for cols, mat in _echelon_subspaces(p, n, k):
             if _closed_mod_p(order, mat, p, cols):
                 rows = [list(r) for r in p_ideal.rows] + [list(r) for r in mat]
-                ideal = LatticeIdeal(order, hnf(rows, n), _trusted=True)
+                ideal = LatticeIdeal(order, hnf(rows, n))
                 candidates.append((mat, ideal))
 
     maximal = []
@@ -921,10 +921,10 @@ def radical_split_primes_above(order, p):
         parts = refined
     assert len(parts) == len(split)
 
-    p_ideal = ideal_from_generators(order, [order.identity() * p])
+    p_ideal = principal_ideal(order.identity() * p)
     out, total = [], None
     for rows in sorted(parts):
-        ideal = LatticeIdeal(order, rows, _trusted=True)
+        ideal = LatticeIdeal(order, rows)
         base, f = prime_power(ideal.norm())
         assert base == p
         e, power = _valuation_power(p_ideal, ideal)

@@ -17,6 +17,7 @@ from conftest import (
     random_irreducible_quartic,
     random_monic_zpoly,
     random_power_basis_orders,
+    seeded_fields,
     seeded_maximal_orders,
 )
 from primesplit import fixtures, ideals, orders
@@ -53,6 +54,7 @@ from primesplit.zpoly import ZPoly, discriminant, reduce_mod
 
 MAX_CUBIC = fixtures.maximal_cubic_order()
 SQRT2 = fixtures.sqrt2_order()
+SQRT11 = order_from_polynomial(ZPoly.from_text("t^2 - 11"))
 
 IDEAL_A = LatticeIdeal(MAX_CUBIC, fixtures.CUBIC_PRIMES_ABOVE_2["a"])
 IDEAL_B = LatticeIdeal(MAX_CUBIC, fixtures.CUBIC_PRIMES_ABOVE_2["b"])
@@ -170,16 +172,12 @@ def _hnf_oracle_inputs():
 
 class TestIdealFromGenerators:
     def test_prime_a(self):
-        gens = [
-            MAX_CUBIC.element((2, 0, 0)),
-            MAX_CUBIC.element((0, 1, 0)),
-            MAX_CUBIC.element((1, 0, 1)),
-        ]
+        gens = [(2, 0, 0), (0, 1, 0), (1, 0, 1)]
         assert ideal_from_generators(MAX_CUBIC, gens) == IDEAL_A
 
     def test_principal_from_mu(self):
         mu = MAX_CUBIC.element((3, 1, 1))
-        ideal = principal_ideal(MAX_CUBIC, mu)
+        ideal = principal_ideal(mu)
         rows = [
             mu.coords,
             (mu * MAX_CUBIC.element((0, 1, 0))).coords,
@@ -188,20 +186,24 @@ class TestIdealFromGenerators:
         assert ideal.rows == hnf(rows)
 
     def test_unit_ideal(self):
-        assert ideal_from_generators(MAX_CUBIC, [MAX_CUBIC.identity()]) == (
-            whole_order(MAX_CUBIC)
-        )
+        assert ideal_from_generators(MAX_CUBIC, [(1, 0, 0)]) == whole_order(MAX_CUBIC)
 
     def test_zero_generators_rejected(self):
         with pytest.raises(ValueError):
-            ideal_from_generators(MAX_CUBIC, [MAX_CUBIC.zero()])
+            ideal_from_generators(MAX_CUBIC, [(0, 0, 0)])
 
 
 M5, M7 = PrimeModulus(5), PrimeModulus(7)
 
 
 def _crt_at_7(*polys):
-    return crt_good_generator(SQRT2, factor_p_in_order(SQRT2, M7), list(polys))
+    return crt_good_generator(factor_p_in_order(SQRT2, M7), list(polys))
+
+
+def _crt_at_7_mixed():
+    # 7 splits in Z[sqrt 11] too (11 = 2^2 mod 7): one prime from each order
+    primes = factor_p_in_order(SQRT2, M7)[:1] + factor_p_in_order(SQRT11, M7)[1:]
+    return crt_good_generator(primes, [FpPoly(M7, (0, 1)), FpPoly(M7, (-1, 1))])
 
 
 @pytest.mark.parametrize(
@@ -234,6 +236,29 @@ def _crt_at_7(*polys):
             ValueError,
             "degree mismatch: prime ideal of degree 1 got",
         ),
+        (_crt_at_7_mixed, ValueError, "^prime ideals belong to different orders$"),
+        # only the ideals the library derives skip the checks (_proved_ideal)
+        (
+            lambda: LatticeIdeal(SQRT2, ((1, 0), (0, 1)), _trusted=True),
+            TypeError,
+            "unexpected keyword argument '_trusted'",
+        ),
+        # generators are coordinate vectors of the rank, neither cut nor padded
+        (
+            lambda: ideal_from_generators(SQRT2, [(7, 3, 5)]),
+            ValueError,
+            "^expected 2 coordinates, got 3$",
+        ),
+        (
+            lambda: ideal_from_generators(SQRT2, [(7,)]),
+            ValueError,
+            "^expected 2 coordinates, got 1$",
+        ),
+        (
+            lambda: ideal_from_generators(SQRT2, [SQRT2.element((7, 3))]),
+            TypeError,
+            "'OrderElement' object is not iterable",
+        ),
     ],
 )
 def test_input_refusals(build, error, message):
@@ -253,18 +278,84 @@ class TestLatticeIdealInvariants:
             LatticeIdeal(MAX_CUBIC, ((3, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_trusted_rows_stored_as_given(self):
-        # canonical tuples from hnf, lattice_rows_mod_p or whole_order are not rebuilt
+        # _proved_ideal stores the canonical tuples from hnf,
+        # lattice_rows_mod_p or identity_rows as given
         rows = hnf([[2, 0, 0], [0, 1, 0], [1, 0, 1]], 3)
-        assert LatticeIdeal(MAX_CUBIC, rows, _trusted=True).rows is rows
+        assert ideals._proved_ideal(MAX_CUBIC, rows).rows is rows
         unit = whole_order(MAX_CUBIC).rows
         assert unit == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert isinstance(unit, tuple) and all(isinstance(r, tuple) for r in unit)
-        # untrusted rows are still normalised to tuples of ints
+        # rows from outside are normalised to tuples of ints
         assert LatticeIdeal(MAX_CUBIC, [list(r) for r in IDEAL_A.rows]).rows == IDEAL_A.rows
 
     def test_bracket_rendering(self):
         assert bracket_str(IDEAL_A) == "[2, a, 1+b]"
         assert bracket_str(IDEAL_B) == "[2, 1+a, b]"
+
+
+class TestOneSourceOfTheOrder:
+    def test_principal_ideal_in_the_elements_own_order(self):
+        # 3 + sqrt 11 has norm 9 - 11 = -2; its coordinates read in Z[sqrt 2]
+        # would be 3 + sqrt 2, of norm 7
+        ideal = principal_ideal(SQRT11.element((3, 1)))
+        assert ideal.order == SQRT11
+        assert ideal.norm() == 2
+        assert bracket_str(ideal) == "[2, 1+a]"
+
+    def test_membership_takes_coordinates_only(self):
+        assert not hasattr(LatticeIdeal, "contains_element")
+        prime = factor_p_in_order(SQRT2, M7)[0][0]
+        assert prime.contains_vec((7, 0)) and not prime.contains_vec((1, 0))
+
+    def test_library_ideals_pass_the_checked_constructor(self):
+        # the checked constructor is the oracle for every ideal the library
+        # builds unchecked: canonical tuple rows, closed under multiplication
+        rng = random.Random(1801)
+        built, index_divisors = [], []
+        for f in seeded_fields(rng, 12):
+            order, d = maximal_order(f)
+            index_squared = discriminant(f) // d
+            built.append(whole_order(order))
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+                if index_squared % p:
+                    continue
+                index_divisors.append(f.degree)
+                primes = [ideal for ideal, _, _ in factor_p_in_order(order, p)]
+                built += primes
+                built += [
+                    ideal_product(a, b)
+                    for a, b in itertools.combinations_with_replacement(primes, 2)
+                ]
+                built.append(principal_ideal(order.identity() * p))
+            for _ in range(3):
+                x = order.element([rng.randrange(-9, 10) for _ in range(order.n)])
+                if not x.is_zero():
+                    built.append(principal_ideal(x))
+        for ideal in built:
+            assert LatticeIdeal(ideal.order, ideal.rows) == ideal, ideal
+        # each degree 3-6 has an index divisor below 30, 20 (field, p) in all
+        assert sorted(set(index_divisors)) == [3, 4, 5, 6]
+        assert len(index_divisors) >= 20 and len(built) >= 200
+
+    def test_derived_ideals_run_no_closure_check(self, monkeypatch):
+        calls = []
+        real = LatticeIdeal._check_closure
+
+        def counting(ideal):
+            calls.append(ideal.rows)
+            return real(ideal)
+
+        monkeypatch.setattr(LatticeIdeal, "_check_closure", counting)
+        for order, p, _, _ in GATE_CASES:
+            primes = [ideal for ideal, _, _ in factor_p_in_order(order, p)]
+            assert ideal_from_generators(order, primes[0].rows) == primes[0]
+            ideal_product(primes[0], primes[-1])
+            principal_ideal(order.identity() * p)
+            whole_order(order)
+        assert calls == []
+        # the wrapper sees the checked constructor's one call
+        LatticeIdeal(MAX_CUBIC, IDEAL_A.rows)
+        assert calls == [IDEAL_A.rows]
 
 
 class TestIdealProduct:
@@ -279,7 +370,7 @@ class TestIdealProduct:
     def test_abc_is_2(self):
         abc = ideal_product(ideal_product(IDEAL_A, IDEAL_B), IDEAL_C)
         assert abc.rows == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-        assert abc == principal_ideal(MAX_CUBIC, MAX_CUBIC.element((2, 0, 0)))
+        assert abc == principal_ideal(MAX_CUBIC.element((2, 0, 0)))
 
     def test_whole_order_is_identity(self):
         assert ideal_product(IDEAL_A, whole_order(MAX_CUBIC)) == IDEAL_A
@@ -302,7 +393,7 @@ class TestIdealNorm:
         assert IDEAL_A.norm() == IDEAL_B.norm() == IDEAL_C.norm() == 2
 
     def test_principal_2(self):
-        two = principal_ideal(MAX_CUBIC, MAX_CUBIC.element((2, 0, 0)))
+        two = principal_ideal(MAX_CUBIC.element((2, 0, 0)))
         assert two.norm() == 8
 
     def test_whole_order(self):
@@ -335,8 +426,8 @@ class TestIdealNorm:
             x = order.element([rng.randrange(-5, 6) for _ in range(order.n)])
             y = order.element([rng.randrange(-5, 6) for _ in range(order.n)])
             try:
-                ix = principal_ideal(order, x)
-                iy = principal_ideal(order, y)
+                ix = principal_ideal(x)
+                iy = principal_ideal(y)
             except ValueError:
                 continue  # zero divisors of the zero element
             assert ideal_product(ix, iy).norm() == ix.norm() * iy.norm()
@@ -351,7 +442,7 @@ class TestTenPrincipalIdeals:
             for letter in word:
                 acc = ideal_product(acc, named[letter])
             assert acc.rows == rows, word
-            assert acc == principal_ideal(MAX_CUBIC, MAX_CUBIC.element(mu)), word
+            assert acc == principal_ideal(MAX_CUBIC.element(mu)), word
 
     def test_corrupted_relation_reconstruction(self):
         # the printed sixth relation for alpha*beta is corrupted in the
@@ -467,7 +558,7 @@ class TestFactorPInOrder:
                 assert len(factors) == 1
                 powers.remove(factors[0])
             assert len(hnf_inputs) == g - 1
-            assert g == 1 or (not powers and total == principal_ideal(order, order.identity() * p))
+            assert g == 1 or (not powers and total == principal_ideal(order.identity() * p))
 
     def test_work_gate(self, monkeypatch):
         # the primes come from idempotents, so no characteristic polynomial
@@ -760,46 +851,38 @@ class TestCrtGoodGenerator:
     def test_sqrt2_fixture(self):
         m7 = PrimeModulus(7)
         primes = factor_p_in_order(SQRT2, m7)
-        theta = crt_good_generator(
-            SQRT2, primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))]
-        )
+        theta = crt_good_generator(primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))])
         assert theta.coords == (25, 27)
         assert char_poly(theta) == ZPoly.from_text("t^2 - 50*t - 833")
-        assert element_index(SQRT2, theta) == 27
+        assert element_index(theta) == 27
 
     def test_congruences_hold(self):
         m7 = PrimeModulus(7)
         primes = factor_p_in_order(SQRT2, m7)
-        theta = crt_good_generator(
-            SQRT2, primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))]
-        )
+        theta = crt_good_generator(primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))])
         # theta is in the square of the first prime, theta - 1 in the second
         sq1 = ideal_product(primes[0][0], primes[0][0])
         sq2 = ideal_product(primes[1][0], primes[1][0])
-        assert sq1.contains_element(theta)
-        assert sq2.contains_element(theta - SQRT2.identity())
+        assert sq1.contains_vec(theta.coords)
+        assert sq2.contains_vec((theta - SQRT2.identity()).coords)
 
     def test_infeasible_supply(self):
         m2 = PrimeModulus(2)
         primes = factor_p_in_order(MAX_CUBIC, m2)
         with pytest.raises(ValueError):
             crt_good_generator(
-                MAX_CUBIC,
-                primes,
-                [FpPoly(m2, (0, 1)), FpPoly(m2, (1, 1)), FpPoly(m2, (0, 1))],
+                primes, [FpPoly(m2, (0, 1)), FpPoly(m2, (1, 1)), FpPoly(m2, (0, 1))]
             )
 
     def test_empty_prime_list_refused(self):
         with pytest.raises(ValueError, match="^need at least one prime ideal$"):
-            crt_good_generator(SQRT2, [], [])
+            crt_good_generator([], [])
 
     def test_degree_mismatch(self):
         m7 = PrimeModulus(7)
         primes = factor_p_in_order(SQRT2, m7)
         with pytest.raises(ValueError):
-            crt_good_generator(
-                SQRT2, primes, [FpPoly(m7, (1, 1, 1)), FpPoly(m7, (0, 1))]
-            )
+            crt_good_generator(primes, [FpPoly(m7, (1, 1, 1)), FpPoly(m7, (0, 1))])
 
     def test_inert_single_prime(self):
         # 5 is inert in Z[sqrt 2]: one prime with e=1, f=2=n; the minimal
@@ -807,26 +890,26 @@ class TestCrtGoodGenerator:
         m5 = PrimeModulus(5)
         primes = factor_p_in_order(SQRT2, m5)
         poly = reduce_mod(ZPoly.from_text("t^2 - 2"), m5)
-        theta = crt_good_generator(SQRT2, primes, [poly])
-        assert element_index(SQRT2, theta) % 5 != 0
+        theta = crt_good_generator(primes, [poly])
+        assert element_index(theta) % 5 != 0
         assert reduce_mod(char_poly(theta), m5) == poly
 
     def test_ramified_prime_square_avoidance(self):
         # 2 ramifies in Z[sqrt 2]: the root of t must avoid the ideal square
         m2 = PrimeModulus(2)
         primes = factor_p_in_order(SQRT2, m2)
-        theta = crt_good_generator(SQRT2, primes, [FpPoly(m2, (0, 1))])
-        assert element_index(SQRT2, theta) % 2 != 0
+        theta = crt_good_generator(primes, [FpPoly(m2, (0, 1))])
+        assert element_index(theta) % 2 != 0
         prime = primes[0][0]
         square = ideal_product(prime, prime)
-        assert prime.contains_element(theta)
-        assert not square.contains_element(theta)
+        assert prime.contains_vec(theta.coords)
+        assert not square.contains_vec(theta.coords)
 
     def test_incompatible_congruences(self):
         square = ideal_product(IDEAL_A, IDEAL_A)
         zero, one = MAX_CUBIC.zero(), MAX_CUBIC.identity()
         with pytest.raises(ValueError, match="congruences are not compatible"):
-            _crt_pair(MAX_CUBIC, zero, square, one, square)
+            _crt_pair(zero, square, one, square)
 
     def test_pinned_multi_prime_generators(self):
         # maximal orders of seeded irreducible cubics to quintics, each at
@@ -838,7 +921,7 @@ class TestCrtGoodGenerator:
             assert len(primes) >= 2
             shape = SplittingShape(p, [(f, e) for _, e, f in primes])
             polys = assign_prime_functions(shape)
-            theta = crt_good_generator(order, primes, polys)
+            theta = crt_good_generator(primes, polys)
             assert theta.coords == expected, (coeffs, p)
             ranks.append(order.n)
             ramified += any(e >= 2 for _, e, _ in primes)

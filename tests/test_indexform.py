@@ -226,9 +226,7 @@ class TestIndexForm:
             for _ in range(100):
                 coords = [rng.randrange(-9, 10) for _ in range(order.n)]
                 theta = order.element(coords)
-                assert abs(form.evaluate(tuple(coords[1:]))) == element_index(
-                    order, theta
-                )
+                assert abs(form.evaluate(tuple(coords[1:]))) == element_index(theta)
 
     def test_parity_identity_for_even_family(self):
         # a, b even and a', b' odd force the form = x^2 y + x y^2 mod 2

@@ -420,17 +420,17 @@ class TestOrderFromPolynomial:
 
 class TestElementIndex:
     def test_alpha_in_maximal_order(self):
-        assert element_index(MAX_CUBIC, MAX_CUBIC.element((0, 1, 0))) == 2
+        assert element_index(MAX_CUBIC.element((0, 1, 0))) == 2
 
     def test_power_generator(self):
-        assert element_index(POWER_CUBIC, POWER_CUBIC.element((0, 1, 0))) == 1
+        assert element_index(POWER_CUBIC.element((0, 1, 0))) == 1
 
     def test_skewed_sqrt2_generator(self):
         theta = SQRT2.element((25, 27))
-        assert element_index(SQRT2, theta) == 27
+        assert element_index(theta) == 27
 
     def test_non_generator_gives_zero(self):
-        assert element_index(MAX_CUBIC, MAX_CUBIC.element((5, 0, 0))) == 0
+        assert element_index(MAX_CUBIC.element((5, 0, 0))) == 0
 
 
 class TestPEnlarge:
@@ -1167,9 +1167,18 @@ class TestCubicFamily:
 
 
 class TestDiscIndexIdentity:
+    def test_maximal_order_checks_it(self, monkeypatch):
+        # an index read wrong off the returned lattice stops maximal_order
+        real = orders.lattice_index
+        monkeypatch.setattr(orders, "lattice_index", lambda rows, d: real(rows, d) + 1)
+        with pytest.raises(
+            AssertionError, match=r"^disc\(f\) = -2012 but index\^2 \* D = 3\^2 \* -503$"
+        ):
+            maximal_order(fixtures.cubic_poly())
+
     def test_section5_data(self):
         alpha = MAX_CUBIC.element((0, 1, 0))
-        k = element_index(MAX_CUBIC, alpha)
+        k = element_index(alpha)
         assert discriminant(char_poly(alpha)) == k * k * order_discriminant(MAX_CUBIC)
         assert (k, discriminant(char_poly(alpha))) == (2, -2012)
 
@@ -1189,7 +1198,7 @@ class TestDiscIndexIdentity:
             if disc == 0:
                 continue
             theta = order.element([rng.randrange(-4, 5) for _ in range(3)])
-            k = element_index(order, theta)
+            k = element_index(theta)
             if k == 0:
                 continue
             assert discriminant(char_poly(theta)) == k * k * disc

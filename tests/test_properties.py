@@ -15,8 +15,8 @@ from primesplit.criteria import factor_prime_via_polynomial, index_divisible
 from primesplit.fppoly import binary_power
 from primesplit.ideals import (
     factor_p_in_order,
-    ideal_from_generators,
     ideal_product,
+    principal_ideal,
     whole_order,
 )
 from primesplit.orders import maximal_order, order_discriminant
@@ -51,7 +51,7 @@ class TestCrossRoute:
         product = one
         for ideal, e, _ in primes:
             product = ideal_product(product, binary_power(ideal, e, ideal_product, one))
-        assert product == ideal_from_generators(order, [order.identity() * p])
+        assert product == principal_ideal(order.identity() * p)
 
         if not index_divisible(f, p).divisible:
             assert index % p
