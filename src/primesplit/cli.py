@@ -194,15 +194,14 @@ def cmd_split_prime(args):
     # neither is computed again, and the order carries its proof of
     # p-maximality into the split
     order, fundamental = maximal_order(f, args.bound, [verdict])
-    primes = factor_p_in_order(order, modulus)
-    shape = SplittingShape(modulus, [(fx, e) for _, e, fx in primes])
-    results = _shape_fields(shape)
+    split = factor_p_in_order(order, modulus)
+    results = _shape_fields(split.shape)
     results["index_divisible"] = True
     results["fundamental_number"] = fundamental
     results["ideals"] = [
-        {"basis": bracket_str(ide), "e": e, "f": fx} for ide, e, fx in primes
+        {"basis": bracket_str(ide), "e": e, "f": fx} for ide, e, fx in split.primes
     ]
-    return RunReport("split-prime", inputs, _with_supply(results, shape))
+    return RunReport("split-prime", inputs, _with_supply(results, split.shape))
 
 
 def cmd_common_index_divisor(args):
@@ -284,11 +283,11 @@ def _paper_checks():
     yield "index_of_alpha", element_index(alpha), 2
     yield "beta_charpoly", str(char_poly(beta)), "t^3 + t^2 + 2*t - 8"
 
-    primes = factor_p_in_order(order, m2)
-    yield "primes_above_2", sorted(ide.rows for ide, _, _ in primes), sorted(
+    split = factor_p_in_order(order, m2)
+    yield "primes_above_2", sorted(ide.rows for ide, _, _ in split.primes), sorted(
         fixtures.CUBIC_PRIMES_ABOVE_2.values()
     )
-    yield "primes_above_2_shape", sorted((fx, e) for _, e, fx in primes), [(1, 1)] * 3
+    yield "primes_above_2_shape", list(split.shape.sorted_parts()), [(1, 1)] * 3
 
     named = {
         name: LatticeIdeal(order, rows)
@@ -339,8 +338,8 @@ def _paper_checks():
     ], ["t^2 + t + 1"]
 
     m7 = PrimeModulus(7)
-    primes7 = factor_p_in_order(fixtures.sqrt2_order(), m7)
-    theta = crt_good_generator(primes7, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))])
+    split7 = factor_p_in_order(fixtures.sqrt2_order(), m7)
+    theta = crt_good_generator(split7, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))])
     yield "sqrt2_generator", theta.coords, fixtures.SQRT2_GENERATOR_COORDS
     yield "sqrt2_generator_charpoly", str(char_poly(theta)), fixtures.SQRT2_GENERATOR_CHARPOLY
     yield "sqrt2_generator_index", element_index(theta), fixtures.SQRT2_GENERATOR_INDEX

@@ -73,6 +73,8 @@ class SplittingShape:
     def __init__(self, modulus, parts):
         modulus = as_modulus(modulus)
         parts = tuple((operator.index(f), operator.index(e)) for f, e in parts)
+        if not parts:
+            raise ValueError("a splitting shape needs at least one part")
         if any(f < 1 or e < 1 for f, e in parts):
             raise ValueError("degrees and exponents must be positive")
         self.p = modulus

@@ -10,7 +10,10 @@ Ideals are stored relative to the order's basis and are built from
 coordinate vectors or as products; an element or ideal carries its
 order, and no call takes it again.  ``LatticeIdeal(order, rows)`` checks
 rows from outside, and the ideals the library derives are built
-unchecked (``_proved_ideal``).  The primes above p come from the
+unchecked (``_proved_ideal``).  The split of p is one value, a
+``PrimeSplit`` holding the (ideal, e, f) triples and their splitting
+shape, which carries p; only ``factor_p_in_order`` builds one, and
+``crt_good_generator`` takes it whole.  The primes above p come from the
 primitive idempotents of order/(p*order), found in its Frobenius-fixed
 subalgebra (``_primitive_idempotents``): with alpha = 1 - e for an
 idempotent e, P^e = p*order + alpha*order, P is P^e plus the p-radical,
@@ -30,6 +33,7 @@ import operator
 import random
 from math import prod
 
+from .criteria import SplittingShape
 from .fppoly import FpPoly, as_modulus, binary_power, fp_is_irreducible
 from .lattice import (
     combine_rows_mod_p,
@@ -118,6 +122,20 @@ def _proved_ideal(order, rows):
     ideal = object.__new__(LatticeIdeal)
     ideal.order, ideal.rows = order, rows
     return ideal
+
+
+class PrimeSplit:
+    """The primes above p in one order, built only by ``factor_p_in_order`` once proved.
+
+    `primes` holds the (ideal, e, f) triples sorted by basis matrix, and
+    `shape`, the SplittingShape of their (f, e) pairs in the same order,
+    carries p; the ideals carry the order.
+    """
+
+    __slots__ = ("primes", "shape")
+
+    def __init__(self, *args):
+        raise TypeError("a PrimeSplit is built only by factor_p_in_order")
 
 
 def whole_order(order):
@@ -250,8 +268,8 @@ def factor_p_in_order(order, modulus):
     The order must be p-maximal (``orders.require_p_maximal``): an
     order from ``maximal_order`` carries its proof, v_p(disc) < 2 proves
     it for any other, and otherwise one Round 2 step on the radical
-    checks it.  Results are sorted by basis matrix and returned as
-    (ideal, e, f).
+    checks it.  Returns a ``PrimeSplit``: the (ideal, e, f) triples
+    sorted by basis matrix, and the splitting shape aligned with them.
     """
     modulus = as_modulus(modulus)
     p = modulus.p
@@ -291,9 +309,12 @@ def factor_p_in_order(order, modulus):
         )
     if total != lattice_rows_mod_p(((), ()), p, n):
         raise AssertionError("prime power product does not reconstruct p*order")
-    if sum(e * f for _, e, f in out) != n:
+    split = object.__new__(PrimeSplit)
+    split.primes = tuple(out)
+    split.shape = SplittingShape(modulus, [(f, e) for _, e, f in out])
+    if split.shape.n != n:
         raise AssertionError("sum of e*f does not equal the rank")
-    return out
+    return split
 
 
 # -- good generators via lattice CRT ----------------------------------------
@@ -317,34 +338,34 @@ def _crt_pair(a, la, b, lb):
     return OrderElement(a.order, [x - u for x, u in zip(a.coords, residue)])
 
 
-def crt_good_generator(primes, polys):
+def crt_good_generator(split, polys):
     """Generator whose index avoids p, built from chosen prime functions.
 
-    `primes` is the (ideal, e, f) list for p in the one order that the
-    ideals carry; `polys` are pairwise distinct monic irreducibles over
-    GF(p) with deg(polys[i]) equal to f_i, for the p that each ideal
-    holds as its first basis entry.  For each prime ideal a root of the
-    matching polynomial is found among the p^f residues (smallest in
-    coordinate-lexicographic order), shifted off the square of the
-    ideal when the exponent demands it, and the congruences modulo the
-    squared primes are combined by lattice CRT.
+    `split` is the ``PrimeSplit`` of p from ``factor_p_in_order``, which
+    carries p, the order and each prime's e and f; `polys` are pairwise
+    distinct monic irreducibles over GF(p), one per prime, with
+    deg(polys[i]) the f of split.primes[i], as
+    ``assign_prime_functions(split.shape)`` chooses them.  For each prime
+    ideal a root of the matching polynomial is found among the p^f
+    residues (smallest in coordinate-lexicographic order), shifted off
+    the square of the ideal when the exponent demands it, and the
+    congruences modulo the squared primes are combined by lattice CRT.
 
     The result is reduced to the canonical residue modulo the product
     of the squared primes; its index is not divisible by p and its
     characteristic polynomial reduces to the chosen factorization mod p.
     """
-    if not primes:
-        raise ValueError("need at least one prime ideal")
+    if not isinstance(split, PrimeSplit):
+        raise TypeError("expected a PrimeSplit from factor_p_in_order")
+    primes, modulus = split.primes, split.shape.p
+    p = modulus.p
     order = primes[0][0].order
-    if any(ideal.order != order for ideal, _, _ in primes):
-        raise ValueError("prime ideals belong to different orders")
     if len(primes) != len(polys):
         raise ValueError("need one prime function per prime ideal")
     seen = set()
-    for (ideal, e, f), poly in zip(primes, polys):
-        q = ideal.rows[0][0]  # the ideal's prime; polys[0] is checked first
-        if not isinstance(poly, FpPoly) or not poly.p == q == polys[0].p:
-            raise ValueError("prime functions must share the modulus %d" % q)
+    for (_, _, f), poly in zip(primes, polys):
+        if not isinstance(poly, FpPoly) or poly.p != p:
+            raise ValueError("prime functions must share the modulus %d" % p)
         if poly.degree != f:
             raise ValueError(
                 "degree mismatch: prime ideal of degree %d got %s" % (f, poly)
@@ -356,8 +377,6 @@ def crt_good_generator(primes, polys):
                 "infeasible prime-function supply: %s repeated" % poly
             )
         seen.add(poly.coeffs)
-    modulus = polys[0].modulus
-    p = modulus.p
     congruences = []
     for (ideal, e, f), poly in zip(primes, polys):
         zp = lift(poly)

@@ -19,7 +19,6 @@ from conftest import (
 from primesplit import fixtures
 from primesplit.criteria import (
     IndexDivisorError,
-    SplittingShape,
     common_index_divisor,
     factor_prime_via_polynomial,
     index_divisible,
@@ -75,7 +74,7 @@ def test_criterion_2_dedekind_criterion_cubic_at_2():
 
 def test_criterion_3_three_primes_above_2():
     order = fixtures.maximal_cubic_order()
-    result = factor_p_in_order(order, 2)
+    result = factor_p_in_order(order, 2).primes
     got = sorted(ide.rows for ide, _, _ in result)
     expected = sorted(
         [
@@ -144,8 +143,7 @@ def test_criterion_7_quartic_fundamental_number_and_shape():
     f = fixtures.quartic_poly()
     order, d = maximal_order(f)
     assert d == 2873 == 13**2 * 17
-    result = factor_p_in_order(order, 2)
-    shape = SplittingShape(2, [(fx, e) for _, e, fx in result])
+    shape = factor_p_in_order(order, 2).shape
     assert sorted(shape.parts) == [(2, 1), (2, 1)]
     divisor, report = common_index_divisor(shape)
     assert divisor is True
@@ -156,8 +154,8 @@ def test_criterion_7_quartic_fundamental_number_and_shape():
 def test_criterion_8_skewed_generator_of_sqrt2():
     order = fixtures.sqrt2_order()
     m7 = PrimeModulus(7)
-    primes = factor_p_in_order(order, m7)
-    theta = crt_good_generator(primes, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))])
+    split = factor_p_in_order(order, m7)
+    theta = crt_good_generator(split, [FpPoly(m7, (0, 1)), FpPoly(m7, (-1, 1))])
     # congruent to 25 + 27*sqrt2 modulo 49 (and canonically reduced to it)
     assert theta.coords == (25, 27)
     diff = theta - order.element((25, 27))
@@ -278,7 +276,7 @@ def test_criterion_9f_ramification_iff_divides_fundamental_number():
     for order, disc, primes in corpus:
         assert order_discriminant(order) == disc
         for p in primes:
-            result = factor_p_in_order(order, p)
+            result = factor_p_in_order(order, p).primes
             assert any(e > 1 for _, e, _ in result) == (disc % p == 0)
     _report("9f", "p | D exactly when some e > 1, across the fixture corpus")
 
@@ -363,8 +361,7 @@ def test_criterion_10_kronecker_quartic_stretch():
     assert discriminant(f) == 3**2 * 13**3
     order, d = maximal_order(f)
     assert d == 13**3 == 2197
-    result = factor_p_in_order(order, 3)
-    shape = SplittingShape(3, [(fx, e) for _, e, fx in result])
+    shape = factor_p_in_order(order, 3).shape
     assert sorted(shape.parts) == [(1, 1)] * 4
     divisor, report = common_index_divisor(shape)
     assert divisor is True

@@ -41,6 +41,9 @@ class TestShapeType:
             SplittingShape(2, [(0, 1)])
         with pytest.raises(ValueError):
             SplittingShape(2, [(1, 0)])
+        # an empty shape has n = 0 and would report no common index divisor
+        with pytest.raises(ValueError, match="^a splitting shape needs at least one part$"):
+            SplittingShape(2, [])
 
     @pytest.mark.parametrize("parts", [[(1.5, 1), (1, 1)], [(1, Fraction(3, 2))]])
     def test_rejects_non_integers(self, parts):

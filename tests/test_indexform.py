@@ -15,7 +15,7 @@ from conftest import (
     reference_format_multipoly,
 )
 from primesplit import fixtures, indexform
-from primesplit.criteria import common_index_divisor, SplittingShape
+from primesplit.criteria import common_index_divisor
 from primesplit.fppoly import PrimeModulus
 from primesplit.ideals import factor_p_in_order
 from primesplit.indexform import (
@@ -478,7 +478,5 @@ class TestCommonValueDivisor:
             form = index_form(order)
             for p in ps:
                 modulus = PrimeModulus(p)
-                primes = factor_p_in_order(order, modulus)
-                shape = SplittingShape(modulus, [(f, e) for _, e, f in primes])
-                divisor, _ = common_index_divisor(shape)
+                divisor, _ = common_index_divisor(factor_p_in_order(order, modulus).shape)
                 assert common_value_divisor(form, modulus) == divisor, (p,)

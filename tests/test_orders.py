@@ -706,7 +706,7 @@ class TestMaximalOrder:
                 Fraction(1, 3 * q),
             )
             assert discriminant(f) == d * (3 * q) ** 2
-            assert [(e, f) for _, e, f in factor_p_in_order(order, q)] == [(3, 1)]
+            assert [(e, f) for _, e, f in factor_p_in_order(order, q).primes] == [(3, 1)]
 
     def test_trial_division_bound(self):
         # a tail that is a product of two distinct large primes is ambiguous
@@ -1111,13 +1111,13 @@ class TestMaximalityRecord:
         calls = _record_round2_calls(monkeypatch)
         for order, d in recorded_orders[2:5]:
             calls.clear()
-            result = factor_p_in_order(order, 3)
+            result = factor_p_in_order(order, 3).primes
             assert "multipliers_mod_p" not in calls
             # the same table as a plain Order is equal, but carries no record
             plain = Order(order.table)
             assert plain == order and hash(plain) == hash(order)
             calls.clear()
-            assert [(e, f) for _, e, f in factor_p_in_order(plain, 3)] == [
+            assert [(e, f) for _, e, f in factor_p_in_order(plain, 3).primes] == [
                 (e, f) for _, e, f in result
             ]
             assert calls.count("multipliers_mod_p") == 1

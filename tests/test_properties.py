@@ -45,7 +45,7 @@ class TestCrossRoute:
         assert disc_o == order_discriminant(order)
         assert disc == index**2 * disc_o
 
-        primes = factor_p_in_order(order, p)
+        primes = factor_p_in_order(order, p).primes
         assert sum(e * fx for _, e, fx in primes) == n
         one = whole_order(order)
         product = one
